@@ -4,7 +4,7 @@ Feasible-set backups and the penalty/constraint dictionary
 
 Restrict the policy row to a ball around a reference instead of penalizing
 it.  KL balls solve by dual bisection, L1 balls by an exact greedy move,
-chi-square balls by projected ascent with a face polish; a brute-force grid
+chi-square balls by one exact sorted-prefix KKT solve; a brute-force grid
 oracle keeps everyone honest.  Conversions translate between the penalty
 and constraint views in both directions.
 """

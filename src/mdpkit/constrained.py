@@ -2,8 +2,8 @@
 
 Feasible regions: KL balls (scalar-dual bisection with a closed-form inner
 maximizer), L1 balls (exact greedy mass transfer), chi-square-weighted L2
-balls (projected gradient ascent with Dykstra-style alternating projections,
-then an exact active-set polish), singletons, the full simplex, and
+balls (an exact KKT solve: the support is a prefix of the actions sorted by
+value, found in one pass over prefix sums), singletons, the full simplex, and
 regularizer level sets ("phi balls", used by the regularized-to-constrained
 conversion).
 
@@ -21,21 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .core import MdpModel, q_vector, standard_backup, value_iteration
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
-                          numeric_conjugate)
+                          _clean_reference, numeric_conjugate)
 
-_REF_FLOOR = 1e-12
 FEASIBILITY_TOL = 1e-8
-
-
-def _clean_reference(reference):
-    ref = np.clip(np.asarray(reference, dtype=float), _REF_FLOOR, None)
-    return ref / ref.sum()
 
 
 def _simplex_row(row):
@@ -161,7 +155,9 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     sign of radius - KL(p(y)||ref), so bisection drives the constraint
     active.  The returned row comes from the feasible side of the bracket and
     the duality gap y*(radius - KL) is certified <= tol.  Work is one
-    O(|A|) softmax per dual evaluation and O(ln(1/tol)) evaluations.
+    O(|A|) softmax per dual evaluation and O(ln(1/tol)) evaluations.  When
+    every action value ties, the reference row is optimal and, for a positive
+    radius, the ball is slack: the multiplier is 0.
     """
     ref = _clean_reference(reference)
     if radius < 0:
@@ -169,9 +165,10 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     w = np.asarray(w, dtype=float)
     shift = float(w.max())
     wc = w - shift
-    if radius == 0.0 or np.all(wc == 0.0):
-        return CtBackupResult(value=float(w @ ref), policy=ref,
-                              multiplier=None, dual_value=None, dual_evals=0)
+    if radius == 0.0:
+        return CtBackupResult(value=float(w @ ref), policy=ref)
+    if np.all(wc == 0.0):
+        return CtBackupResult(value=float(w @ ref), policy=ref, multiplier=0.0)
     log_ref = np.log(ref)
     evals = 0
 
@@ -296,7 +293,7 @@ def l2_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
     return DualDiscrepancy(value=primal, paper_dual_value=paper,
                            gap=primal - paper,
                            note="orientation of the published expression is "
-                                "ambiguous; primal from projection ascent is "
+                                "ambiguous; primal from the exact KKT solve is "
                                 "authoritative")
 
 
@@ -312,116 +309,69 @@ def project_simplex(v) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _project_chi_ball(p, ref, radius):
-    z = (p - ref) / np.sqrt(ref)
-    n2 = float(z @ z)
-    if n2 <= radius or n2 == 0.0:
-        return p
-    return ref + np.sqrt(ref) * z * np.sqrt(radius / n2)
+def _chi_square_kkt(w, ref, radius=None, t=None):
+    """Exact argmax of w.p - (t/2) chi_square(p, ref) over the simplex, and t.
 
-
-def _dykstra_projection(v, ref, radius, iters=200, tol=1e-14):
-    """Projection onto simplex-intersect-chi-square-ball by Dykstra's scheme."""
-    x = v.copy()
-    inc_p = np.zeros_like(v)
-    inc_q = np.zeros_like(v)
-    for _ in range(iters):
-        y = project_simplex(x + inc_p)
-        inc_p = x + inc_p - y
-        x_new = _project_chi_ball(y + inc_q, ref, radius)
-        inc_q = y + inc_q - x_new
-        moved = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if moved < tol and chi_square(project_simplex(x), ref) <= radius + 1e-12:
-            break
-    x = project_simplex(x)
-    if chi_square(x, ref) > radius:
-        x = project_simplex(_project_chi_ball(x, ref, radius))
-    return x
-
-
-def _l2_face_solution(w, ref, radius, support):
-    """Exact maximizer on one face with the ball active, or None.
-
-    On support S with the other entries pinned to zero, stationarity gives
-    p_a = ref_a + ref_a (w_a - nu) / t with closed-form t and nu; the zero
-    entries consume sum(ref[Z]) of the chi-square budget.
+    Stationarity gives p_a = ref_a (1 + (w_a - nu)/t) where w_a > nu - t and
+    p_a = 0 elsewhere, so the support is the top k actions by w.  Sorting
+    once (stable, so ties keep the lowest index first) and taking prefix
+    sums m_k, R_k and var_k of ref, ref*w and the ref-weighted variance gives
+    nu_k = (R_k - t (1 - m_k)) / m_k for every k; the answer is the k with
+    w_(k) >= nu_k - t >= w_(k+1).  With `radius` given instead of `t`, t_k
+    is the value that makes the ball active on support k,
+    sqrt(var_k / (radius - b_k - b_k^2 / m_k)) with b_k = 1 - m_k, and
+    prefixes where that is not a positive number are skipped.  Values are
+    shifted by max(w) first, so the row is translation invariant.
     """
-    z_mask = ~support
-    c_eff = radius - float(ref[z_mask].sum())
-    refs = ref[support]
-    ws = w[support]
-    m = float(refs.sum())
+    wc = w - w.max()
+    order = np.argsort(-wc, kind="stable")
+    ws = wc[order]
+    rs = ref[order]
+    m = np.cumsum(rs)
+    big_r = np.cumsum(rs * ws)
     beta = 1.0 - m
-    if c_eff <= beta * beta / m + 1e-18:
-        return None
-    big_r = float(refs @ ws)
-    big_q = float(refs @ (ws * ws))
-    var = big_q - big_r * big_r / m
-    t2 = var / (c_eff - beta * beta / m)
-    if t2 <= 0:
-        return None
-    t = np.sqrt(t2)
-    nu = (big_r - t * beta) / m
-    ps = refs + refs * (ws - nu) / t
-    if np.any(ps < -1e-12):
-        return None
-    p = np.zeros_like(w)
-    p[support] = np.clip(ps, 0.0, None)
-    s = p.sum()
-    if s <= 0:
-        return None
-    return p / s
+    below = np.append(ws[1:], -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if t is None:
+            var = np.cumsum(rs * ws * ws) - big_r * big_r / m
+            t = np.sqrt(var / (radius - beta - beta * beta / m))
+        t = np.broadcast_to(t, m.shape)
+        nu = (big_r - t * beta) / m
+        floor = nu - t
+        miss = np.maximum(np.maximum(floor - ws, below - floor), 0.0)
+    miss[~(np.isfinite(t) & (t > 0))] = np.inf
+    k = int(np.argmin(miss)) + 1
+    p = np.zeros_like(wc)
+    p[order[:k]] = np.clip(rs[:k] * (1.0 + (ws[:k] - nu[k - 1]) / t[k - 1]),
+                           0.0, None)
+    return p / p.sum(), float(t[k - 1])
 
 
-def l2_constrained_backup(w, reference, radius, tol=1e-12,
-                          max_iter=10000) -> CtBackupResult:
-    """max w.p over the chi-square ball intersected with the simplex.
+def l2_constrained_backup(w, reference, radius) -> CtBackupResult:
+    """max w.p over the chi-square ball intersected with the simplex, exactly.
 
-    Projected gradient ascent (the gradient is w itself) with Dykstra-style
-    alternating projections locates the solution; for up to 12 actions an
-    exact active-set pass then polishes it to closed-form precision, which
-    the translation-invariance guarantees rely on.
+    When the argmax set S (mass m under the reference) fits in the ball,
+    chi_square(ref_S / m, ref) = (1 - m) / m <= radius, the row ref_S / m
+    attains max(w) and the multiplier is 0.  Otherwise the ball is active
+    and one sorted-prefix KKT pass (`_chi_square_kkt`) returns the optimum
+    and the multiplier lam = t/2 of the constraint chi_square <= radius.
+    Cost is one sort and a few O(|A|) prefix sums at any action count.
     """
     ref = _clean_reference(reference)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    if radius == 0.0 or np.all(w == w[0]):
+    if radius == 0.0:
         return CtBackupResult(value=float(w @ ref), policy=ref)
-    wc = w - w.max()
-    step = 1.0 / (1.0 + float(np.max(np.abs(wc))))
-    p = ref.copy()
-    for _ in range(min(max_iter, 2000)):
-        p_new = _dykstra_projection(p + step * wc, ref, radius)
-        if float(np.max(np.abs(p_new - p))) < max(tol, 1e-13):
-            p = p_new
-            break
-        p = p_new
-    best_val = float(wc @ p)
-    best_p = p
-    # exact polish: one-hot vertices inside the ball, plus every face with
-    # the ball active
-    if n <= 12:
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = 1.0
-            if chi_square(e, ref) <= radius and float(wc[a]) > best_val:
-                best_val = float(wc[a])
-                best_p = e
-        for mask in range(1, 2 ** n):
-            support = np.array([(mask >> a) & 1 == 1 for a in range(n)])
-            cand = _l2_face_solution(wc, ref, radius, support)
-            if cand is None:
-                continue
-            if chi_square(cand, ref) > radius + 1e-9:
-                continue
-            val = float(wc @ cand)
-            if val > best_val:
-                best_val = val
-                best_p = cand
-    return CtBackupResult(value=best_val + float(w.max()), policy=best_p)
+    shift = float(w.max())
+    top = w == shift
+    m = float(ref[top].sum())
+    if (1.0 - m) / m <= radius:
+        p = np.where(top, ref, 0.0) / m
+        return CtBackupResult(value=shift, policy=p, multiplier=0.0)
+    p, t = _chi_square_kkt(w, ref, radius=radius)
+    return CtBackupResult(value=shift + float((w - shift) @ p), policy=p,
+                          multiplier=t / 2.0)
 
 
 def grid_oracle_backup(w, constraint, resolution=None):
@@ -554,7 +504,7 @@ def constrained_backup(w, constraint, tol=1e-12) -> CtBackupResult:
         return l1_constrained_backup(w, constraint.reference, constraint.radius)
     if isinstance(constraint, L2ChiSquareBall):
         return l2_constrained_backup(w, constraint.reference,
-                                     constraint.radius, tol=tol)
+                                     constraint.radius)
     if isinstance(constraint, PhiBall):
         return generic_phi_ball_backup(w, constraint.phi, constraint.radius,
                                        tol=max(tol, 1e-12))
@@ -590,8 +540,8 @@ class ChiSquareLagrangeRegularizer(Regularizer):
         return -2.0 * self.lam * (p - self.reference) / self.reference
 
     def conjugate(self, w):
-        p = _weighted_quadratic_argmax(np.asarray(w, dtype=float),
-                                       self.reference, self.lam)
+        w = np.asarray(w, dtype=float)
+        p, _ = _chi_square_kkt(w, self.reference, t=2.0 * self.lam)
         return ConjugateResult(value=float(w @ p) + self.value(p), argmax=p)
 
 
@@ -607,27 +557,6 @@ class ZeroRegularizer(Regularizer):
     def conjugate(self, w):
         val, row = standard_backup(w)
         return ConjugateResult(value=val, argmax=row)
-
-
-def _weighted_quadratic_argmax(w, ref, lam):
-    """argmax of w.p - lam * chi_square(p, ref) over the simplex.
-
-    KKT rows are p_a = max(0, ref_a (1 + (w_a - nu)/(2 lam))); the simplex
-    multiplier nu is a monotone scalar root.
-    """
-    def mass(nu):
-        return float(np.clip(ref * (1.0 + (w - nu) / (2.0 * lam)), 0.0,
-                             None).sum()) - 1.0
-
-    lo = float(w.min()) - 2.0 * lam
-    hi = float(w.max()) + 2.0 * lam
-    while mass(lo) < 0:
-        lo -= (hi - lo)
-    while mass(hi) > 0:
-        hi += (hi - lo)
-    nu = brentq(mass, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
-    p = np.clip(ref * (1.0 + (w - nu) / (2.0 * lam)), 0.0, None)
-    return p / p.sum()
 
 
 @dataclass
@@ -719,17 +648,19 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
             lam = 0.0
             reg = ZeroRegularizer()
         elif isinstance(con, KlBall):
-            res = kl_constrained_backup(w, con.reference, con.radius, tol=1e-14)
-            val0, row0 = standard_backup(w)
+            _, row0 = standard_backup(w)
             if kl_divergence(row0, con.reference) <= con.radius:
                 lam = 0.0
+            else:
+                lam = float(kl_constrained_backup(w, con.reference, con.radius,
+                                                  tol=1e-14).multiplier)
+            if lam == 0.0:
                 reg = ZeroRegularizer()
             else:
-                lam = float(res.multiplier)
                 reg = OffsetRegularizer(KlRegularizer(lam, con.reference),
                                         lam * con.radius)
         elif isinstance(con, L2ChiSquareBall):
-            lam = _l2_multiplier(w, con.reference, con.radius)
+            lam = l2_constrained_backup(w, con.reference, con.radius).multiplier
             if lam == 0.0:
                 reg = ZeroRegularizer()
             else:
@@ -752,24 +683,3 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
                               ct_value=sol.value, ct_policy=sol.policy,
                               slackness=slack)
 
-
-def _l2_multiplier(w, ref, radius):
-    """Multiplier of the chi-square ball constraint at action values w."""
-    one_hot = np.zeros_like(w)
-    one_hot[int(np.argmax(w))] = 1.0
-    if chi_square(one_hot, ref) <= radius:
-        return 0.0
-
-    def excess(lam):
-        p = _weighted_quadratic_argmax(w, ref, lam)
-        return chi_square(p, ref) - radius
-
-    lam_hi = 1.0
-    while excess(lam_hi) > 0:
-        lam_hi *= 2.0
-        if lam_hi > 1e12:
-            raise RuntimeError("L2 multiplier search failed to bracket")
-    lam_lo = lam_hi / 2.0
-    while lam_lo > 1e-14 and excess(lam_lo) < 0:
-        lam_lo /= 2.0
-    return float(brentq(excess, lam_lo, lam_hi, xtol=1e-14, maxiter=300))

@@ -27,9 +27,9 @@ from scipy.special import expi, logsumexp, softmax
 from .core import derive_rng
 from .regularized import (ConjugateResult, Regularizer, numeric_conjugate,
                           regularized_backup_operator)
+from .stochastic import EULER_GAMMA, _column_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
-EULER_GAMMA = float(np.euler_gamma)
 
 
 class InverseCdf:
@@ -189,25 +189,6 @@ class CovarianceModel:
                 raise ValueError(f"covariance for state {s} is not PSD")
         self.matrices = matrices
         self.num_states, self.num_actions = matrices.shape[:2]
-
-
-def mdm_regularizer(model, state, pi_row) -> float:
-    """Sum over actions of the upper-tail inverse-CDF integral at pi_a."""
-    pi_row = np.asarray(pi_row, dtype=float)
-    row = model.inverse_cdfs[state]
-    return float(sum(cdf.mass_integral(p) for cdf, p in zip(row, pi_row)))
-
-
-def mmm_regularizer(model, state, pi_row) -> float:
-    """sum_a sigma_a * sqrt(p_a (1 - p_a))."""
-    pi_row = np.asarray(pi_row, dtype=float)
-    inner = np.clip(pi_row * (1.0 - pi_row), 0.0, None)
-    return float(np.sum(model.sigma[state] * np.sqrt(inner)))
-
-
-def covariance_regularizer(model, state, pi_row) -> float:
-    """trace((S^(1/2) (Diag(p) - p p^T) S^(1/2))^(1/2)) via eigendecomposition."""
-    return CovarianceRegularizer(model.matrices[state]).value(pi_row)
 
 
 class MdmRegularizer(Regularizer):
@@ -399,8 +380,8 @@ def ds_lower_bound_check(w, ambiguity, seed, state=0,
     """
     w = np.asarray(w, dtype=float)
     rng = derive_rng(seed, state)
-    eps = _member_draws(ambiguity, state, samples, rng)
-    m = (w + eps).max(axis=1)
+    cols = np.ascontiguousarray(_member_draws(ambiguity, state, samples, rng).T)
+    m, _ = _column_emax(w, cols)
     mc = float(m.mean())
     se = float(m.std(ddof=1) / np.sqrt(samples))
     ds = ds_backup(w, ambiguity, state=state).value

@@ -21,6 +21,12 @@ _FLOOR = 1e-16
 _REF_FLOOR = 1e-12
 
 
+def _clean_reference(reference):
+    """The reference row floored at 1e-12 and renormalized to sum to 1."""
+    ref = np.clip(np.asarray(reference, dtype=float), _REF_FLOOR, None)
+    return ref / ref.sum()
+
+
 @dataclass
 class ConjugateResult:
     """Backup value and the maximizing probability row."""
@@ -75,9 +81,8 @@ class KlRegularizer(Regularizer):
     def __init__(self, eta, reference):
         if eta <= 0:
             raise ValueError(f"temperature must be positive, got {eta}")
-        ref = np.clip(np.asarray(reference, dtype=float), _REF_FLOOR, None)
         self.eta = float(eta)
-        self.reference = ref / ref.sum()
+        self.reference = _clean_reference(reference)
 
     def value(self, p):
         p = np.asarray(p, dtype=float)

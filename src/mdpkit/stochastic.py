@@ -55,13 +55,6 @@ class GumbelIid(NoiseModel):
     def mean_zero(cls, eta, num_actions=None):
         return cls(eta, location=-eta * EULER_GAMMA, num_actions=num_actions)
 
-    def _width(self, w_len=None):
-        if self.num_actions is not None:
-            return self.num_actions
-        if w_len is None:
-            raise ValueError("num_actions unknown; construct with num_actions=")
-        return w_len
-
     def sample(self, state, n, rng, num_actions=None):
         a = self.num_actions if num_actions is None else num_actions
         if a is None:
@@ -69,8 +62,9 @@ class GumbelIid(NoiseModel):
         return rng.gumbel(loc=self.location, scale=self.eta, size=(n, a))
 
     def mean(self, state):
-        a = self._width()
-        return np.full(a, self.location + self.eta * EULER_GAMMA)
+        if self.num_actions is None:
+            raise ValueError("num_actions unknown; construct with num_actions=")
+        return np.full(self.num_actions, self.location + self.eta * EULER_GAMMA)
 
 
 class UniformPerEntry(NoiseModel):

@@ -232,6 +232,24 @@ def test_convert_ct2r(tmp_path, capsys):
     assert all(m > 0 for m in ver["multipliers"])
 
 
+@pytest.mark.parametrize("constraint", [
+    {"kind": "kl_ball", "reference": [1 / 3] * 3, "radius": 0.1},
+    {"kind": "l2_ball", "reference": [1 / 3] * 3, "radius": 0.5},
+], ids=["kl", "chi2"])
+def test_convert_ct2r_with_tied_action_values(tmp_path, capsys, constraint):
+    # zero rewards tie every action value: each ball is slack
+    d = {"num_states": 2, "num_actions": 3, "discount": 0.9,
+         "reward": [[0.0] * 3] * 2,
+         "transition": [[[0.5, 0.5]] * 3, [[0.0, 1.0]] * 3],
+         "framework": {"name": "constrained", "constraint": constraint}}
+    path = write_json(tmp_path / "m.json", d)
+    code, out, _ = run_cli(capsys, "convert", path, "--direction", "ct2r")
+    assert code == 0
+    ver = json.loads(out)["verification"]
+    assert ver["multipliers"] == [0.0, 0.0]
+    assert ver["value_sup_gap"] == 0.0
+
+
 def test_convert_direction_mismatch_exit_code(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", chooser_model_dict())
     code, out, _ = run_cli(capsys, "convert", path, "--direction", "r2ct")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from mdpkit import (
     ChiSquareLagrangeRegularizer,
@@ -246,6 +247,109 @@ def test_l2_backup_boundary_case_with_clipped_actions():
     assert res.value == pytest.approx(gval, abs=1e-3 * np.max(np.abs(w)))
     assert res.value >= gval - 1e-9
     assert chi_square(res.policy, ref) <= 1.5 + 1e-9
+
+
+def chi_square_slsqp(w, ref, radius, start):
+    """max w.p over the chi-square ball by SLSQP, started at `start`."""
+    cons = [{"type": "eq", "fun": lambda p: p.sum() - 1.0,
+             "jac": lambda p: np.ones_like(p)},
+            {"type": "ineq",
+             "fun": lambda p: radius - np.sum((p - ref) ** 2 / ref),
+             "jac": lambda p: -2.0 * (p - ref) / ref}]
+    res = minimize(lambda p: -float(w @ p), start, jac=lambda p: -w,
+                   method="SLSQP", bounds=[(0.0, 1.0)] * w.shape[0],
+                   constraints=cons, options={"ftol": 1e-14, "maxiter": 500})
+    p = np.clip(res.x, 0.0, None)
+    p /= p.sum()
+    assert chi_square(p, ref) <= radius + 1e-9
+    return float(w @ p)
+
+
+def chi_square_draws(n, seed, count=3):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (rng.uniform(-3, 3, n), rng.dirichlet(np.full(n, 2.0)),
+               rng.uniform(0.2, 2.0))
+
+
+@pytest.mark.parametrize("n", [13, 16, 20, 32])
+def test_l2_backup_is_optimal_above_twelve_actions(n):
+    # SLSQP from the reference and from the returned row finds nothing
+    # better: the solve is exact at any action count
+    for w, ref, radius in chi_square_draws(n, seed=n):
+        res = l2_constrained_backup(w, ref, radius)
+        best = max(chi_square_slsqp(w, ref, radius, start)
+                   for start in (ref, res.policy))
+        assert res.value >= best - 1e-9
+        assert chi_square(res.policy, ref) <= radius + 1e-9
+
+
+def assert_chi_square_kkt(w, ref, radius, res):
+    """KKT certificate of the ball solve, with multiplier lam = t/2."""
+    p, lam = res.policy, res.multiplier
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert p.min() >= 0.0
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.value == pytest.approx(float(w @ p), abs=1e-12 * scale)
+    if lam == 0.0:
+        assert chi_square(p, ref) <= radius + 1e-12
+        assert res.value == np.max(w)
+        return
+    assert chi_square(p, ref) == pytest.approx(radius, rel=1e-9)
+    # stationarity p_a = ref_a (1 + (w_a - nu)/t) names one nu on the support
+    t = 2.0 * lam
+    support = p > 0
+    nus = w[support] - t * (p[support] / ref[support] - 1.0)
+    nu = float(nus.mean())
+    assert np.max(np.abs(nus - nu)) <= 1e-9 * scale
+    assert np.all(w[support] >= nu - t - 1e-9 * scale)
+    assert np.all(w[~support] <= nu - t + 1e-9 * scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16, 20, 32])
+def test_l2_backup_kkt_certificate(n):
+    for w, ref, radius in chi_square_draws(n, seed=100 + n, count=6):
+        for r in (radius, 0.05 * radius, 50.0 * radius):
+            assert_chi_square_kkt(w, ref, r, l2_constrained_backup(w, ref, r))
+
+
+@pytest.mark.parametrize("n", [3, 16, 32])
+def test_l2_backup_row_is_the_lagrange_conjugate_row(n):
+    for w, ref, radius in chi_square_draws(n, seed=200 + n):
+        radius *= 0.1
+        res = l2_constrained_backup(w, ref, radius)
+        assert res.multiplier > 0
+        phi = ChiSquareLagrangeRegularizer(res.multiplier, ref, radius)
+        row = phi.conjugate(w).argmax
+        assert np.max(np.abs(row - res.policy)) <= 1e-12
+
+
+def test_l2_backup_with_a_tied_maximum():
+    w = np.array([1.0, 1.0, 0.0])
+    ref = np.array([0.2, 0.3, 0.5])
+    # the argmax set has mass 0.5, so rows on it have chi-square 1
+    slack = l2_constrained_backup(w, ref, 1.5)
+    assert slack.multiplier == 0.0
+    assert slack.value == 1.0
+    assert np.allclose(slack.policy, [0.4, 0.6, 0.0], rtol=0, atol=1e-15)
+    active = l2_constrained_backup(w, ref, 0.3)
+    assert active.multiplier > 0
+    assert_chi_square_kkt(w, ref, 0.3, active)
+    # tied actions scale the reference alike
+    assert active.policy[0] / ref[0] == pytest.approx(
+        active.policy[1] / ref[1], rel=1e-12)
+    gval, _ = grid_oracle_backup(w, L2ChiSquareBall(ref, 0.3))
+    assert active.value >= gval - 1e-9
+    assert active.value == pytest.approx(gval, abs=1e-3)
+    # a tie among many actions, with the ball active
+    w16 = np.repeat(np.array([0.5, 0.5, -1.0, 2.0]), 4) - 3.0
+    w16[[3, 7]] = np.max(w16)
+    ref16 = np.full(16, 1.0 / 16)
+    res = l2_constrained_backup(w16, ref16, 0.4)
+    assert_chi_square_kkt(w16, ref16, 0.4, res)
+    best = max(chi_square_slsqp(w16, ref16, 0.4, start)
+               for start in (ref16, res.policy))
+    assert res.value >= best - 1e-9
 
 
 # ---------------------------------------------------------- simplex helper
@@ -503,6 +607,18 @@ def test_ct_to_r_l2_ball_round_trip():
     back = value_iteration(m, regularized_backup_operator(conv.regularizers),
                            tol=1e-12)
     assert np.max(np.abs(back.value - conv.ct_value)) < 1e-6
+    assert np.max(conv.slackness) < 1e-6
+
+
+def test_ct_to_r_l2_ball_round_trip_with_sixteen_actions():
+    m = random_mdp(3, 16, seed=30, discount=0.8)
+    con = L2ChiSquareBall(np.full(16, 1.0 / 16), 0.3)
+    conv = ct_to_r_convert(m, con, tol=1e-12)
+    assert np.all(conv.multipliers > 0)
+    back = value_iteration(m, regularized_backup_operator(conv.regularizers),
+                           tol=1e-12)
+    assert np.max(np.abs(back.value - conv.ct_value)) < 1e-6
+    assert np.max(np.abs(back.policy - conv.ct_policy)) < 1e-6
     assert np.max(conv.slackness) < 1e-6
 
 

@@ -27,6 +27,8 @@ from mdpkit import (
     regularizer_for,
     value_iteration,
 )
+from mdpkit.core import derive_rng
+from mdpkit.distributional import _member_draws
 from util import central_fd, random_interior, tangential_fd
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -314,6 +316,24 @@ def test_member_distribution_never_beats_robust_value(ambiguity):
                                  samples=200000)
     assert check.ok
     assert check.mc_value <= check.ds_value + 3.0 * check.mc_std_error
+
+
+@pytest.mark.parametrize("ambiguity", [
+    MarginalMomentModel(np.full((1, 3), 0.4)),
+    CovarianceModel(np.array([[[0.3, 0.1, 0.0], [0.1, 0.2, 0.05],
+                               [0.0, 0.05, 0.4]]])),
+    MarginalDistributionModel([[GumbelInverseCdf(0.7)] * 3]),
+], ids=["mmm", "cov", "gumbel-mdm"])
+def test_lower_bound_check_is_the_row_major_expected_max(ambiguity):
+    # the (A, n) column reduction takes the same exact maxima as the
+    # row-major (w + eps).max(axis=1); the tie in w makes the two-point
+    # noise tie too
+    w = np.array([0.2, 0.2, -0.1])
+    check = ds_lower_bound_check(w, ambiguity, seed=5, samples=20000)
+    eps = _member_draws(ambiguity, 0, 20000, derive_rng(5, 0))
+    m = (w + eps).max(axis=1)
+    assert check.mc_value == float(m.mean())
+    assert check.mc_std_error == float(m.std(ddof=1) / np.sqrt(20000))
 
 
 def test_ds_backup_per_state_dispatch():
