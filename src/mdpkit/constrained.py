@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .core import MdpModel, q_vector, standard_backup, value_iteration
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
-                          _clean_reference, numeric_conjugate)
+                          _clean_reference, _log_softmax, kl_divergence,
+                          solve_conjugate)
 
 FEASIBILITY_TOL = 1e-8
 
@@ -106,12 +106,6 @@ class PhiBall:
     radius: float
 
 
-def kl_divergence(p, reference) -> float:
-    p = np.asarray(p, dtype=float)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / reference), 0.0)
-    return float(terms.sum())
-
-
 def chi_square(p, reference) -> float:
     p = np.asarray(p, dtype=float)
     d = p - reference
@@ -154,8 +148,8 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     primal candidate p(y) proportional to ref_a exp(w_a/y); g'(y) has the
     sign of radius - KL(p(y)||ref), so bisection drives the constraint
     active.  The returned row comes from the feasible side of the bracket and
-    the duality gap y*(radius - KL) is certified <= tol.  Work is one
-    O(|A|) softmax per dual evaluation and O(ln(1/tol)) evaluations.  When
+    the duality gap y*(radius - KL) is certified <= tol.  Each dual
+    evaluation is one O(|A|) `_log_softmax`; O(ln(1/tol)) are needed.  When
     every action value ties, the reference row is optimal and, for a positive
     radius, the ball is slack: the multiplier is 0.
     """
@@ -176,8 +170,7 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
         nonlocal evals
         evals += 1
         z = wc / y + log_ref
-        lse = logsumexp(z)
-        p = np.exp(z - lse)
+        lse, p = _log_softmax(z)
         kl = float(np.sum(p * (z - lse - log_ref)))
         return p, kl, lse
 
@@ -450,11 +443,7 @@ def generic_phi_ball_backup(w, phi, radius, tol=1e-10,
     def inner(lam):
         nonlocal evals
         evals += 1
-        scaled = ScaledRegularizer(phi, lam)
-        res = scaled.conjugate(w)
-        if res is None:
-            res = numeric_conjugate(w, scaled, tol=inner_tol)
-        return res
+        return solve_conjugate(w, ScaledRegularizer(phi, lam), tol=inner_tol)
 
     val0, row0 = standard_backup(w)
     if -phi.value(row0) <= radius:

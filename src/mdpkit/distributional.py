@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import expi, logsumexp, softmax
+from scipy.special import expi
 
 from .core import derive_rng
-from .regularized import (ConjugateResult, Regularizer, numeric_conjugate,
-                          regularized_backup_operator)
-from .stochastic import EULER_GAMMA, _column_emax
+from .regularized import (ConjugateResult, Regularizer, entropy_backup,
+                          regularized_backup_operator, solve_conjugate)
+from .stochastic import EULER_GAMMA, _column_emax, _require_psd
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
@@ -184,9 +184,7 @@ class CovarianceModel:
         matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError(f"matrices must be (S, A, A), got {matrices.shape}")
-        for s in range(matrices.shape[0]):
-            if np.min(np.linalg.eigvalsh(matrices[s])) < -1e-10:
-                raise ValueError(f"covariance for state {s} is not PSD")
+        _require_psd(matrices)
         self.matrices = matrices
         self.num_states, self.num_actions = matrices.shape[:2]
 
@@ -206,15 +204,13 @@ class MdmRegularizer(Regularizer):
         return np.array([c(1.0 - pa) for c, pa in zip(self.cdfs, p)])
 
     def conjugate(self, w):
-        # softmax closed form when every marginal is exponential at one rate
+        # equal-rate exponential marginals: entropy backup at 1/rate, + 1/rate
         if all(isinstance(c, ExponentialInverseCdf) for c in self.cdfs):
             rates = {c.rate for c in self.cdfs}
             if len(rates) == 1:
-                lam = rates.pop()
-                w = np.asarray(w, dtype=float)
-                return ConjugateResult(
-                    value=float((1.0 + logsumexp(lam * w)) / lam),
-                    argmax=softmax(lam * w))
+                eta = 1.0 / rates.pop()
+                res = entropy_backup(w, eta)
+                return ConjugateResult(value=res.value + eta, argmax=res.argmax)
         return None
 
 
@@ -328,11 +324,7 @@ def regularizer_for(ambiguity, state) -> Regularizer:
 
 def ds_backup(w, ambiguity, state=0, tol=1e-12) -> ConjugateResult:
     """Robust backup sup over the ambiguity set, via the regularizer conjugate."""
-    phi = regularizer_for(ambiguity, state)
-    res = phi.conjugate(w)
-    if res is None:
-        res = numeric_conjugate(w, phi, tol=tol)
-    return res
+    return solve_conjugate(w, regularizer_for(ambiguity, state), tol=tol)
 
 
 def ds_backup_operator(ambiguity, tol=1e-12):

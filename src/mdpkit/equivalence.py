@@ -30,7 +30,7 @@ from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
 from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (EULER_GAMMA, GumbelIid, build_uniform_counterexample,
-                         mc_counterexample_ratio, mc_emax,
+                         ev_backup, mc_counterexample_ratio, mc_emax,
                          refute_single_eta_fit, smdp_backup_operator,
                          uniform_counterexample_ratio)
 
@@ -120,14 +120,12 @@ class StochasticInstance(FrameworkInstance):
 
     def operator(self):
         if self.method == "closed_form":
-            from scipy.special import logsumexp, softmax
-
             eta = self.noise.eta
             bias = self.noise.location + eta * EULER_GAMMA
 
             def op(w, state, sweep):
-                w = np.asarray(w, dtype=float)
-                return float(eta * logsumexp(w / eta) + bias), softmax(w / eta)
+                res = ev_backup(w, eta)
+                return res.value + bias, res.policy
 
             return op
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)

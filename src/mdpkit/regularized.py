@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .core import ConvergenceError
 
@@ -25,6 +24,20 @@ def _clean_reference(reference):
     """The reference row floored at 1e-12 and renormalized to sum to 1."""
     ref = np.clip(np.asarray(reference, dtype=float), _REF_FLOOR, None)
     return ref / ref.sum()
+
+
+def _log_softmax(z):
+    """ln sum_a exp(z_a) and softmax(z), shifted by max(z) against overflow."""
+    top = z.max()
+    e = np.exp(z - top)
+    s = e.sum()
+    return top + np.log(s), e / s
+
+
+def kl_divergence(p, reference) -> float:
+    p = np.asarray(p, dtype=float)
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / reference), 0.0)
+    return float(terms.sum())
 
 
 @dataclass
@@ -85,11 +98,7 @@ class KlRegularizer(Regularizer):
         self.reference = _clean_reference(reference)
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
-        terms = np.where(p > 0,
-                         p * np.log(np.where(p > 0, p, 1.0) / self.reference),
-                         0.0)
-        return -self.eta * float(terms.sum())
+        return -self.eta * kl_divergence(p, self.reference)
 
     def gradient(self, p):
         p = np.asarray(p, dtype=float)
@@ -144,14 +153,13 @@ class OffsetRegularizer(Regularizer):
 def entropy_backup(w, eta) -> ConjugateResult:
     """Soft backup: eta * ln sum_a exp(w_a / eta) and the softmax row.
 
-    logsumexp subtracts the max internally, so large |w|/eta does not
-    overflow.
+    `_log_softmax` on w / eta gives both; the Gumbel expected max and the
+    equal-rate exponential-marginal robust backup reuse this function.
     """
     if eta <= 0:
         raise ValueError(f"temperature must be positive, got {eta}")
-    w = np.asarray(w, dtype=float)
-    return ConjugateResult(value=float(eta * logsumexp(w / eta)),
-                           argmax=softmax(w / eta))
+    lse, row = _log_softmax(np.asarray(w, dtype=float) / eta)
+    return ConjugateResult(value=float(eta * lse), argmax=row)
 
 
 def kl_backup(w, eta, reference) -> ConjugateResult:
@@ -216,19 +224,25 @@ def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
     )
 
 
+def solve_conjugate(w, phi, tol=1e-12) -> ConjugateResult:
+    """phi's closed-form conjugate at w, else `numeric_conjugate` to tol."""
+    res = phi.conjugate(w)
+    if res is None:
+        res = numeric_conjugate(w, phi, tol=tol)
+    return res
+
+
 def regularized_backup_operator(phi_per_state, tol=1e-12):
     """Backup operator using each state's regularizer.
 
     `phi_per_state` is a sequence of Regularizer objects (one per state) or a
-    single Regularizer applied to every state.  Closed-form conjugates are
-    used when a regularizer provides one, else `numeric_conjugate`.
+    single Regularizer applied to every state; `solve_conjugate` does each
+    backup.
     """
     def op(w, state, sweep):
         phi = phi_per_state if isinstance(phi_per_state, Regularizer) \
             else phi_per_state[state]
-        res = phi.conjugate(w)
-        if res is None:
-            res = numeric_conjugate(w, phi, tol=tol)
+        res = solve_conjugate(w, phi, tol=tol)
         return res.value, res.argmax
 
     return op

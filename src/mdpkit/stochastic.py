@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, softmax
 
 from .core import MdpModel, derive_rng
+from .regularized import entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -87,6 +87,13 @@ class UniformPerEntry(NoiseModel):
         return self.bounds[state].mean(axis=1)
 
 
+def _require_psd(matrices):
+    """Raise ValueError naming the first state whose (A, A) matrix is not PSD."""
+    for s in range(matrices.shape[0]):
+        if np.min(np.linalg.eigvalsh(matrices[s])) < -1e-10:
+            raise ValueError(f"covariance for state {s} is not PSD")
+
+
 class GaussianJoint(NoiseModel):
     """Mean-zero jointly Gaussian noise with a per-state covariance matrix."""
 
@@ -94,9 +101,7 @@ class GaussianJoint(NoiseModel):
         cov = np.asarray(cov, dtype=float)
         if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
             raise ValueError(f"cov must have shape (S, A, A), got {cov.shape}")
-        for s in range(cov.shape[0]):
-            if np.min(np.linalg.eigvalsh(cov[s])) < -1e-10:
-                raise ValueError(f"covariance for state {s} is not PSD")
+        _require_psd(cov)
         self.cov = cov
 
     def sample(self, state, n, rng):
@@ -144,13 +149,12 @@ def _draw_columns(w, noise, samples, rng, state):
 
 
 def _column_emax(w, cols):
-    """Per-sample max of w_a + eps_a over (A, n) columns, and argmax frequencies.
+    """Per-sample max of w_a + eps_a over (A, n) columns, and its maximizer.
 
-    Returns (m, row): m[i] = max_a (w_a + cols[a, i]) and row[a] is the
-    share of samples whose first (lowest-index) maximizer is a.  Each sum
-    and each max is exact, so for NaN-free draws m and row equal the
-    row-major `(w + eps).max(axis=1)` and `bincount(argmax) / n` bit for
-    bit.
+    Returns (m, first): m[i] = max_a (w_a + cols[a, i]) and first[i] is the
+    first (lowest-index) maximizer of sample i.  Each sum and each max is
+    exact, so for NaN-free draws m and first equal the row-major
+    `(w + eps).max(axis=1)` and `argmax(axis=1)` bit for bit.
     """
     num_actions, n = cols.shape
     if w.shape != (num_actions,):
@@ -166,8 +170,13 @@ def _column_emax(w, cols):
         # the data-dependent branches of a masked store.
         np.maximum(first, (col > m) * index(a), out=first)
         np.maximum(m, col, out=m)
+    return m, first
+
+
+def _shares(first, num_actions):
+    """Share of samples whose first maximizer is each action."""
     counts = np.array([np.count_nonzero(first == a) for a in range(num_actions)])
-    return m, counts / float(n)
+    return counts / float(first.shape[0])
 
 
 def mc_emax(w, noise, samples, seed, state=0) -> EmaxEstimate:
@@ -184,21 +193,18 @@ def mc_policy(w, noise, samples, seed, state=0) -> np.ndarray:
     """Empirical argmax frequencies under the noise (lowest index on ties)."""
     w = np.asarray(w, dtype=float)
     cols = _draw_columns(w, noise, samples, derive_rng(seed, state), state)
-    return _column_emax(w, cols)[1]
+    return _shares(_column_emax(w, cols)[1], len(w))
 
 
 def ev_backup(w, eta) -> EvBackup:
     """Exact Gumbel expected-max backup under the mean-zero convention.
 
     value = eta * ln sum_a exp(w_a / eta); the choice probabilities are the
-    softmax row.  With location-0 noise the expected max is value plus
-    eta * euler_gamma.
+    softmax row.  Both are `entropy_backup(w, eta)`'s, bit for bit.  With
+    location-0 noise the expected max is value plus eta * euler_gamma.
     """
-    if eta <= 0:
-        raise ValueError(f"scale must be positive, got {eta}")
-    w = np.asarray(w, dtype=float)
-    return EvBackup(value=float(eta * logsumexp(w / eta)),
-                    policy=softmax(w / eta),
+    res = entropy_backup(w, eta)
+    return EvBackup(value=res.value, policy=res.argmax,
                     gumbel_location=-eta * EULER_GAMMA)
 
 
@@ -232,8 +238,8 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
                 cols = _draw_columns(w, noise, samples, derive_rng(seed, state),
                                      state)
                 cache[state] = cols
-        m, row = _column_emax(w, cols)
-        return float(m.mean()), row
+        m, first = _column_emax(w, cols)
+        return float(m.mean()), _shares(first, len(w))
 
     return op
 

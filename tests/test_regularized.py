@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from mdpkit import (
     ConvergenceError,
     EntropyRegularizer,
+    ExponentialInverseCdf,
+    GumbelIid,
     KlRegularizer,
+    MdmRegularizer,
     OffsetRegularizer,
     ScaledRegularizer,
+    StochasticInstance,
     bregman_divergence,
     entropy_backup,
+    ev_backup,
     kl_backup,
     numeric_conjugate,
+    random_mdp,
     regularized_backup_operator,
 )
 from util import central_fd, random_interior
@@ -69,6 +75,33 @@ def test_kl_backup_reduces_to_shifted_entropy_exactly():
     shifted = entropy_backup(W + eta * np.log(ref), eta)
     assert kl.value == shifted.value
     assert np.array_equal(kl.argmax, shifted.argmax)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_soft_backup_is_the_entropy_backup_bit_for_bit(seed):
+    # The Gumbel expected max, the closed-form noisy-reward operator and the
+    # equal-rate exponential-marginal robust backup are the entropy backup
+    # plus a constant, so they must agree with it under ==, not to a tolerance.
+    rng = np.random.default_rng([seed, 4])
+    for _ in range(10):
+        n = int(rng.integers(2, 8))
+        w = rng.normal(scale=4.0, size=n)
+        eta = float(rng.uniform(0.05, 5.0))
+        ent = entropy_backup(w, eta)
+        ev = ev_backup(w, eta)
+        assert ev.value == ent.value
+        assert np.array_equal(ev.policy, ent.argmax)
+        noisy = StochasticInstance(random_mdp(1, n, seed=seed),
+                                   GumbelIid.mean_zero(eta, num_actions=n),
+                                   method="closed_form")
+        value, row = noisy.operator()(w, 0, 0)
+        assert value == ent.value
+        assert np.array_equal(row, ent.argmax)
+        for rate in (0.3, 0.7, 1.3, 2.0, 3.0):
+            robust = MdmRegularizer([ExponentialInverseCdf(rate)] * n).conjugate(w)
+            soft = entropy_backup(w, 1.0 / rate)
+            assert robust.value == soft.value + 1.0 / rate
+            assert np.array_equal(robust.argmax, soft.argmax)
 
 
 def test_kl_backup_rejects_zero_reference_entries():
