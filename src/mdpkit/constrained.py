@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import MdpModel, q_vector, standard_backup, value_iteration
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
@@ -267,22 +266,21 @@ def l2_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
     """Evaluate the published L2 dual expression verbatim and report the gap.
 
     Expression: min_{mu >= 0} sum_a ref_a (w_a + mu_a)
-    + sqrt(radius * sum_a ref_a (w_a + mu_a)^2), a convex program solved
-    numerically with bound constraints.
+    + sqrt(radius * sum_a ref_a (w_a + mu_a)^2), convex in v = w + mu >= w.
+    By KKT, v = max(w, c) with c^2 (radius - m) = Q, m the reference mass
+    raised to c and Q = sum ref_a w_a^2 over the rest; the least value over
+    these feasible candidates, v = w and v = max(w, 0) is the exact minimum.
     """
     ref = _simplex_row(reference)
     w = np.asarray(w, dtype=float)
     primal = l2_constrained_backup(w, ref, radius).value
-
-    def objective(mu):
-        v = w + mu
-        return float(ref @ v + np.sqrt(max(radius, 0.0) * float(ref @ (v * v))))
-
-    res = minimize(objective, np.clip(-w, 0.0, None), method="L-BFGS-B",
-                   bounds=[(0.0, None)] * w.shape[0])
-    start2 = minimize(objective, np.zeros_like(w), method="L-BFGS-B",
-                      bounds=[(0.0, None)] * w.shape[0])
-    paper = float(min(res.fun, start2.fun))
+    rho = max(radius, 0.0)
+    order = np.argsort(w)
+    slack = rho - np.cumsum(ref[order])
+    rest = float(ref @ (w * w)) - np.cumsum(ref[order] * w[order] ** 2)
+    c = -np.sqrt(np.clip(rest[slack > 0], 0.0, None) / slack[slack > 0])
+    v = np.vstack([w, np.maximum(w, 0.0), np.maximum(w, c[:, None])])
+    paper = float(np.min(v @ ref + np.sqrt(rho * ((v * v) @ ref))))
     return DualDiscrepancy(value=primal, paper_dual_value=paper,
                            gap=primal - paper,
                            note="orientation of the published expression is "

@@ -493,6 +493,32 @@ def test_l2_dual_discrepancy_report_fields():
     # no agreement asserted: the two routes are reported side by side
 
 
+def test_l2_dual_discrepancy_is_the_exact_minimum_of_the_expression():
+    # the reported value is the expression at a feasible mu, so no start of
+    # SLSQP may end below it; SLSQP from three starts comes within 1e-6
+    rng = np.random.default_rng(31)
+    for k in range(40):
+        n = int(rng.integers(2, 13))
+        w = rng.normal(size=n) * rng.uniform(0.1, 3.0)
+        if k % 4 == 0:
+            w = -np.abs(w)
+        ref = rng.dirichlet(np.ones(n))
+        radius = float(rng.choice([0.0, 0.05, 0.3, 1.0, 2.0]))
+
+        def expression(mu):
+            v = w + mu
+            return float(ref @ v + np.sqrt(radius * float(ref @ (v * v))))
+
+        rep = l2_dual_discrepancy(w, ref, radius)
+        ends = [minimize(expression, start, method="SLSQP",
+                         bounds=[(0.0, None)] * n,
+                         options={"ftol": 1e-14, "maxiter": 500}).fun
+                for start in (np.zeros(n), np.clip(-w, 0.0, None),
+                              rng.uniform(0.0, 2.0, n))]
+        assert rep.paper_dual_value <= min(ends) + 1e-12
+        assert rep.paper_dual_value >= min(ends) - 1e-6
+
+
 # ---------------------------------------------------------- regularizers
 
 

@@ -284,6 +284,37 @@ def test_covariance_conjugate_against_two_action_grid():
     vals = w[0] * grid + w[1] * (1 - grid) + s * np.sqrt(2 * grid * (1 - grid))
     res = numeric_conjugate(w, phi)
     assert res.value == pytest.approx(float(vals.max()), abs=1e-7)
+    assert phi.conjugate(w).value == pytest.approx(float(vals.max()), abs=1e-7)
+
+
+def test_covariance_newton_conjugate_matches_mirror_ascent():
+    # Newton's value is the objective at its row, never below the mirror
+    # ascent's, and the rows agree; the tangential gradient is flat to 1e-5
+    rng = np.random.default_rng(17)
+    for k in range(30):
+        na = 2 + k % 5
+        b = rng.normal(size=(na, na))
+        phi = CovarianceRegularizer(b @ b.T / na
+                                    + rng.uniform(0.05, 0.3) * np.eye(na))
+        w = rng.normal(size=na) * rng.uniform(0.1, 3.0)
+        res = phi.conjugate(w)
+        mirror = numeric_conjugate(w, phi)
+        assert res.value == pytest.approx(
+            float(w @ res.argmax) + phi.value(res.argmax), abs=1e-12)
+        assert res.value >= mirror.value - 1e-12
+        assert np.max(np.abs(res.argmax - mirror.argmax)) <= 1e-6
+        assert np.ptp(w + phi.gradient(res.argmax)) <= 1e-5
+
+
+def test_covariance_conjugate_defers_to_mirror_ascent_when_singular():
+    # rank 1 on three actions: a second zero eigenvalue besides the
+    # structural one, so the Newton model is undefined
+    b = np.array([[1.0], [0.5], [-0.3]])
+    phi = CovarianceRegularizer(b @ b.T)
+    w = np.array([0.2, 0.1, -0.4])
+    assert phi.conjugate(w) is None
+    res = ds_backup(w, CovarianceModel([b @ b.T]))
+    assert res.value == numeric_conjugate(w, phi).value
 
 
 # ----------------------------------------------------- operator and checks
