@@ -3,7 +3,8 @@ Feasible-set backups and the penalty/constraint dictionary
 ==========================================================
 
 Restrict the policy row to a ball around a reference instead of penalizing
-it.  KL balls solve by dual bisection, L1 balls by an exact greedy move,
+it.  KL balls solve by a search on the multiplier of the constraint
+(shared with every regularizer level set), L1 balls by an exact greedy move,
 chi-square balls by one exact sorted-prefix KKT solve; a brute-force grid
 oracle keeps everyone honest.  Conversions translate between the penalty
 and constraint views in both directions.

@@ -18,7 +18,7 @@ from .constrained import (ChiSquareLagrangeRegularizer, CtBackupResult,
                           generic_phi_ball_backup, grid_oracle_backup,
                           kl_constrained_backup, l1_constrained_backup,
                           l1_dual_discrepancy, l2_constrained_backup,
-                          l2_dual_discrepancy, project_simplex,
+                          l2_dual_discrepancy,
                           r_to_ct_convert)
 from .core import (ConvergenceError, MdpModel, ModelValidationError,
                    SolveResult, bellman_sweep, derive_rng, policy_evaluation_exact,

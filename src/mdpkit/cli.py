@@ -324,11 +324,12 @@ def cmd_convert(args):
     text = _dump_report({"command": "convert",
                          "config": _config_echo(args),
                          "verification": verification})
-    sys.stdout.write(text)
     out = _ensure_out_dir(args.out)
     if out:
+        # a converted model with no file form fails here, before any report
         save_instance(converted, os.path.join(out, "converted.json"))
         _write_text(os.path.join(out, "verification.json"), text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -1,11 +1,13 @@
 """Bellman backups over per-state feasible policy sets.
 
-Feasible regions: KL balls (scalar-dual bisection with a closed-form inner
-maximizer), L1 balls (exact greedy mass transfer), chi-square-weighted L2
-balls (an exact KKT solve: the support is a prefix of the actions sorted by
-value, found in one pass over prefix sums), singletons, the full simplex, and
-regularizer level sets ("phi balls", used by the regularized-to-constrained
-conversion).
+Feasible regions: L1 balls (exact greedy mass transfer), chi-square-weighted
+L2 balls (an exact KKT solve: the support is a prefix of the actions sorted
+by value, found in one pass over prefix sums), singletons, the full simplex,
+and regularizer level sets {p : -phi(p) <= radius} ("phi balls", used by the
+regularized-to-constrained conversion).  The KL ball is the level set of
+phi = -KL(.||ref), so KL and phi balls share one multiplier search: the
+backup at multiplier lam is the regularized backup with lam*phi, and lam is
+found by safeguarded regula falsi until the duality gap is certified.
 
 The published dual expressions for the L1 and L2 balls are evaluated
 verbatim by `l1_dual_discrepancy` / `l2_dual_discrepancy` and reported next
@@ -25,10 +27,8 @@ import numpy as np
 from .core import MdpModel, q_vector, standard_backup, value_iteration
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
-                          _clean_reference, _log_softmax, kl_divergence,
+                          _clean_reference, kl_divergence,
                           solve_conjugate)
-
-FEASIBILITY_TOL = 1e-8
 
 
 def _simplex_row(row):
@@ -140,71 +140,80 @@ class CtBackupResult:
     dual_evals: int = 0
 
 
-def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
-    """max w.p over the KL ball, by bisection on the scalar dual.
+def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
+    """max w.p subject to -phi(p) <= radius, by a search on its multiplier.
 
-    The dual is g(y) = radius*y + y*ln sum_a ref_a exp(w_a/y) for y > 0, with
-    primal candidate p(y) proportional to ref_a exp(w_a/y); g'(y) has the
-    sign of radius - KL(p(y)||ref), so bisection drives the constraint
-    active.  The returned row comes from the feasible side of the bracket and
-    the duality gap y*(radius - KL) is certified <= tol.  Each dual
-    evaluation is one O(|A|) `_log_softmax`; O(ln(1/tol)) are needed.  When
-    every action value ties, the reference row is optimal and, for a positive
-    radius, the ball is slack: the multiplier is 0.
+    p(lam) is the conjugate argmax of lam*phi at w, and h(lam) =
+    -phi(p(lam)) - radius falls as lam rises.  A hard-max row inside the set
+    is returned with multiplier 0.  Otherwise lam is bracketed by doubling
+    from 1 (ValueError without a Slater point) and narrowed by Illinois
+    steps (regula falsi; midpoint when a step leaves the bracket) until the
+    feasible end has duality gap lam_hi*(radius + phi(p_hi)) <= tol.
+    """
+    w = np.asarray(w, dtype=float)
+    evals = 0
+
+    def probe(lam):
+        nonlocal evals
+        evals += 1
+        res = solve_conjugate(w, ScaledRegularizer(phi, lam))
+        return res, -phi.value(res.argmax) - radius
+
+    val0, row0 = standard_backup(w)
+    h_lo = -phi.value(row0) - radius
+    if h_lo <= 0.0:
+        return CtBackupResult(value=val0, policy=row0, multiplier=0.0,
+                              dual_value=val0)
+    lam_lo, lam_hi = 0.0, 1.0
+    res_hi, h_hi = probe(lam_hi)
+    while h_hi > 0.0:
+        if lam_hi >= 2.0 ** 60:
+            raise ValueError("constraint admits no Slater point: phi stays "
+                             f"below {-radius} on the simplex")
+        lam_lo, h_lo = lam_hi, h_hi
+        lam_hi *= 2.0
+        res_hi, h_hi = probe(lam_hi)
+    f_lo, f_hi, kept = h_lo, h_hi, 0
+    for _ in range(200):
+        if -lam_hi * h_hi <= tol:
+            break
+        lam = lam_hi - f_hi * (lam_hi - lam_lo) / (f_hi - f_lo)
+        if not lam_lo < lam < lam_hi:
+            lam = 0.5 * (lam_lo + lam_hi)
+        res, h = probe(lam)
+        if h > 0.0:
+            lam_lo, f_lo = lam, h
+            f_hi = 0.5 * f_hi if kept == 1 else f_hi
+            kept = 1
+        else:
+            lam_hi, res_hi, h_hi, f_hi = lam, res, h, h
+            f_lo = 0.5 * f_lo if kept == -1 else f_lo
+            kept = -1
+    p = res_hi.argmax
+    return CtBackupResult(value=float(w @ p), policy=p, multiplier=lam_hi,
+                          dual_value=float(lam_hi * radius + res_hi.value),
+                          dual_evals=evals)
+
+
+def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
+    """max w.p over the KL ball, the level set of phi = -KL(.||ref).
+
+    At multiplier y the maximizer p(y), proportional to ref_a exp(w_a/y), is
+    one `kl_backup` (the KL dual of Nilim & El Ghaoui 2005 and Iyengar
+    2005); `_multiplier_search` returns the feasible row with duality gap
+    y*(radius - KL) <= tol.  Radius 0 returns the reference, multiplier
+    None.  When every action value ties, the ball is slack: the reference
+    row, multiplier 0.
     """
     ref = _clean_reference(reference)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     w = np.asarray(w, dtype=float)
-    shift = float(w.max())
-    wc = w - shift
     if radius == 0.0:
         return CtBackupResult(value=float(w @ ref), policy=ref)
-    if np.all(wc == 0.0):
+    if np.all(w == w.max()):
         return CtBackupResult(value=float(w @ ref), policy=ref, multiplier=0.0)
-    log_ref = np.log(ref)
-    evals = 0
-
-    def probe(y):
-        nonlocal evals
-        evals += 1
-        z = wc / y + log_ref
-        lse, p = _log_softmax(z)
-        kl = float(np.sum(p * (z - lse - log_ref)))
-        return p, kl, lse
-
-    y_lo = 1e-8
-    p_lo, kl_lo, _ = probe(y_lo)
-    if kl_lo <= radius:
-        # ball wide enough to act unconstrained: p_lo is feasible and within
-        # rounding of the hard-max value
-        return CtBackupResult(value=shift + float(wc @ p_lo), policy=p_lo,
-                              multiplier=y_lo, dual_value=None, dual_evals=evals)
-    y_hi = 1.0
-    p_hi, kl_hi, lse_hi = probe(y_hi)
-    grow = 0
-    while kl_hi > radius:
-        y_hi *= 2.0
-        p_hi, kl_hi, lse_hi = probe(y_hi)
-        grow += 1
-        if grow > 200:
-            raise RuntimeError("KL dual bracket failed to close")
-    if y_hi > 1.0:
-        y_lo = y_hi / 2.0
-    for _ in range(200):
-        gap = y_hi * (radius - kl_hi)
-        if gap <= tol:
-            break
-        y_mid = 0.5 * (y_lo + y_hi)
-        p_mid, kl_mid, lse_mid = probe(y_mid)
-        if kl_mid > radius:
-            y_lo = y_mid
-        else:
-            y_hi, p_hi, kl_hi, lse_hi = y_mid, p_mid, kl_mid, lse_mid
-    dual = radius * y_hi + y_hi * (lse_hi + shift / y_hi)
-    return CtBackupResult(value=shift + float(wc @ p_hi), policy=p_hi,
-                          multiplier=y_hi, dual_value=float(dual),
-                          dual_evals=evals)
+    return _multiplier_search(w, KlRegularizer(1.0, ref), radius, tol)
 
 
 @dataclass
@@ -286,18 +295,6 @@ def l2_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
                            note="orientation of the published expression is "
                                 "ambiguous; primal from the exact KKT solve is "
                                 "authoritative")
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.shape[0] + 1)
-    cond = u - (css - 1.0) / idx > 0
-    rho = int(np.max(np.nonzero(cond)[0])) + 1
-    theta = (css[rho - 1] - 1.0) / rho
-    return np.clip(v - theta, 0.0, None)
 
 
 def _chi_square_kkt(w, ref, radius=None, t=None):
@@ -425,54 +422,13 @@ def _feasible_mask(constraint, pts):
     raise TypeError(f"grid oracle does not handle {type(constraint).__name__}")
 
 
-def generic_phi_ball_backup(w, phi, radius, tol=1e-10,
-                            inner_tol=1e-12) -> CtBackupResult:
-    """max w.p subject to -phi(p) <= radius via bisection on the multiplier.
+def generic_phi_ball_backup(w, phi, radius, tol=1e-10) -> CtBackupResult:
+    """max w.p subject to -phi(p) <= radius, for any concave phi.
 
-    The inner problem max w.p + lam*phi(p) is the scaled conjugate; phi's
-    value at the inner argmax rises with lam, so bisection drives the
-    constraint active.  Returns the feasible-side iterate with duality gap
-    lam*(radius + phi(p)) <= tol.  Raises ValueError when the set has no
-    Slater point (phi never exceeds -radius).
+    `_multiplier_search` over the conjugates of lam*phi (`solve_conjugate`);
+    ValueError when phi never exceeds -radius (no Slater point).
     """
-    w = np.asarray(w, dtype=float)
-    evals = 0
-
-    def inner(lam):
-        nonlocal evals
-        evals += 1
-        return solve_conjugate(w, ScaledRegularizer(phi, lam), tol=inner_tol)
-
-    val0, row0 = standard_backup(w)
-    if -phi.value(row0) <= radius:
-        return CtBackupResult(value=val0, policy=row0, multiplier=0.0,
-                              dual_value=val0, dual_evals=evals)
-    lam_lo, lam_hi = 0.0, 1.0
-    res_hi = inner(lam_hi)
-    grow = 0
-    while -phi.value(res_hi.argmax) > radius:
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-        res_hi = inner(lam_hi)
-        grow += 1
-        if grow > 60:
-            raise ValueError("constraint admits no Slater point: phi stays "
-                             f"below {-radius} on the simplex")
-    for _ in range(200):
-        p = res_hi.argmax
-        gap = lam_hi * (radius + phi.value(p))
-        if gap <= tol:
-            break
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        res_mid = inner(lam_mid)
-        if -phi.value(res_mid.argmax) > radius:
-            lam_lo = lam_mid
-        else:
-            lam_hi, res_hi = lam_mid, res_mid
-    p = res_hi.argmax
-    dual = lam_hi * radius + res_hi.value
-    return CtBackupResult(value=float(w @ p), policy=p, multiplier=lam_hi,
-                          dual_value=float(dual), dual_evals=evals)
+    return _multiplier_search(w, phi, radius, tol)
 
 
 def constrained_backup(w, constraint, tol=1e-12) -> CtBackupResult:
@@ -633,37 +589,27 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
         w = q_vector(model, sol.value, s)
         if isinstance(con, FullSimplex):
             lam = 0.0
-            reg = ZeroRegularizer()
         elif isinstance(con, KlBall):
-            _, row0 = standard_backup(w)
-            if kl_divergence(row0, con.reference) <= con.radius:
-                lam = 0.0
-            else:
-                lam = float(kl_constrained_backup(w, con.reference, con.radius,
-                                                  tol=1e-14).multiplier)
-            if lam == 0.0:
-                reg = ZeroRegularizer()
-            else:
-                reg = OffsetRegularizer(KlRegularizer(lam, con.reference),
-                                        lam * con.radius)
+            lam = kl_constrained_backup(w, con.reference, con.radius,
+                                        tol=1e-14).multiplier
         elif isinstance(con, L2ChiSquareBall):
             lam = l2_constrained_backup(w, con.reference, con.radius).multiplier
-            if lam == 0.0:
-                reg = ZeroRegularizer()
-            else:
-                reg = ChiSquareLagrangeRegularizer(lam, con.reference,
-                                                   con.radius)
         elif isinstance(con, PhiBall):
-            res = generic_phi_ball_backup(w, con.phi, con.radius, tol=1e-12)
-            lam = float(res.multiplier)
-            if lam == 0.0:
-                reg = ZeroRegularizer()
-            else:
-                reg = OffsetRegularizer(ScaledRegularizer(con.phi, lam),
-                                        lam * con.radius)
+            lam = generic_phi_ball_backup(w, con.phi, con.radius,
+                                          tol=1e-12).multiplier
         else:
             raise TypeError(f"unknown constraint {type(con).__name__}")
-        multipliers[s] = lam
+        multipliers[s] = lam = float(lam)
+        if lam == 0.0:
+            reg = ZeroRegularizer()
+        elif isinstance(con, KlBall):
+            reg = OffsetRegularizer(KlRegularizer(lam, con.reference),
+                                    lam * con.radius)
+        elif isinstance(con, L2ChiSquareBall):
+            reg = ChiSquareLagrangeRegularizer(lam, con.reference, con.radius)
+        else:
+            reg = OffsetRegularizer(ScaledRegularizer(con.phi, lam),
+                                    lam * con.radius)
         regs.append(reg)
         slack[s] = abs(lam * constraint_violation(con, sol.policy[s]))
     return LagrangeConversion(multipliers=multipliers, regularizers=regs,

@@ -35,7 +35,8 @@ from .distributional import (CovarianceModel, CovarianceRegularizer,
 from .equivalence import (ConstrainedInstance, DistributionalInstance,
                           FrameworkInstance, RegularizedInstance,
                           StandardInstance, StochasticInstance)
-from .regularized import EntropyRegularizer, KlRegularizer, OffsetRegularizer
+from .regularized import (EntropyRegularizer, KlRegularizer, OffsetRegularizer,
+                          ScaledRegularizer)
 from .stochastic import GaussianJoint, GumbelIid, UniformPerEntry
 
 
@@ -100,6 +101,9 @@ def regularizer_from_dict(block):
         phi = ZeroRegularizer()
     else:
         _fail(f"unknown regularizer kind {kind!r}")
+    scale = block.get("scale", 1.0)
+    if scale != 1.0:
+        phi = ScaledRegularizer(phi, float(scale))
     offset = block.get("offset", 0.0)
     if offset:
         phi = OffsetRegularizer(phi, float(offset))
@@ -107,9 +111,12 @@ def regularizer_from_dict(block):
 
 
 def regularizer_to_dict(phi) -> dict:
-    offset = 0.0
+    offset = scale = 0.0
     if isinstance(phi, OffsetRegularizer):
         offset = phi.offset
+        phi = phi.base
+    if isinstance(phi, ScaledRegularizer):
+        scale = phi.scale
         phi = phi.base
     if isinstance(phi, EntropyRegularizer):
         block = {"kind": "entropy", "eta": phi.eta}
@@ -127,6 +134,8 @@ def regularizer_to_dict(phi) -> dict:
         block = {"kind": "zero"}
     else:
         raise ValueError(f"{type(phi).__name__} has no file form")
+    if scale:
+        block["scale"] = scale
     if offset:
         block["offset"] = offset
     return block
@@ -358,8 +367,9 @@ def load_model(path) -> MdpModel:
 
 
 def save_instance(instance, path):
+    data = instance_to_dict(instance)  # raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

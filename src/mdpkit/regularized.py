@@ -181,8 +181,9 @@ def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
     Multiplicative updates keep iterates strictly interior; a step-halving
     line search guarantees monotone objective ascent.  Returns once the
     objective improvement over 50 consecutive accepted steps falls below
-    tol (relative), or once no ascent step of any size improves.  The input
-    is max-shifted first, so the result is translation-consistent to
+    tol (relative), or once no ascent step of any size improves; the
+    halving stops early once a rejected step rounds back to the current row.
+    The input is max-shifted first, so the result is translation-consistent to
     floating-point accuracy.
     """
     w = np.asarray(w, dtype=float)
@@ -208,6 +209,8 @@ def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
             if fc > f:
                 accepted = True
                 break
+            if np.array_equal(cand, p):
+                break  # the step no longer moves p: smaller ones round to p
             step *= 0.5
         if not accepted:
             # no ascent direction at any step size: stationary to precision

@@ -250,6 +250,25 @@ def test_convert_ct2r_with_tied_action_values(tmp_path, capsys, constraint):
     assert ver["value_sup_gap"] == 0.0
 
 
+def test_convert_ct2r_phi_ball_writes_a_loadable_regularized_file(tmp_path,
+                                                                 capsys):
+    # the induced regularizers are offset, scaled MMM level-set multipliers
+    fw = {"name": "constrained",
+          "constraint": {"kind": "phi_ball",
+                         "phi": {"kind": "mmm", "sigma": [0.4, 0.4]},
+                         "radius": -0.15}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    out_dir = tmp_path / "conv"
+    code, out, _ = run_cli(capsys, "convert", path, "--direction", "ct2r",
+                           "--out", str(out_dir))
+    assert code == 0
+    assert all(m > 0 for m in json.loads(out)["verification"]["multipliers"])
+    converted = load_instance(out_dir / "converted.json")
+    direct = load_instance(path).solve(tol=1e-10)
+    assert np.max(np.abs(converted.solve(tol=1e-10).value
+                         - direct.value)) < 1e-6
+
+
 def test_convert_direction_mismatch_exit_code(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", chooser_model_dict())
     code, out, _ = run_cli(capsys, "convert", path, "--direction", "r2ct")

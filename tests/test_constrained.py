@@ -3,8 +3,6 @@ oracle, dual-expression discrepancy reports, and both conversions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from mdpkit import (
@@ -33,7 +31,6 @@ from mdpkit import (
     l2_dual_discrepancy,
     numeric_conjugate,
     policy_evaluation_exact,
-    project_simplex,
     q_vector,
     r_to_ct_convert,
     random_mdp,
@@ -122,6 +119,46 @@ def test_kl_backup_work_scales_with_log_tolerance():
     tight = kl_constrained_backup(W3, UNIF3, 0.1, tol=1e-12)
     assert loose.dual_evals < tight.dual_evals
     assert tight.dual_evals <= 200
+
+
+def kl_slsqp(w, ref, radius, start):
+    """max w.p over the KL ball by SLSQP, started at `start`."""
+    floor = 1e-300
+    cons = [{"type": "eq", "fun": lambda p: p.sum() - 1.0,
+             "jac": lambda p: np.ones_like(p)},
+            {"type": "ineq",
+             "fun": lambda p: radius - kl_divergence(np.clip(p, floor, None),
+                                                     ref),
+             "jac": lambda p: -(np.log(np.clip(p, floor, None) / ref) + 1.0)}]
+    res = minimize(lambda p: -float(w @ p), start, jac=lambda p: -w,
+                   method="SLSQP", bounds=[(0.0, 1.0)] * w.shape[0],
+                   constraints=cons, options={"ftol": 1e-14, "maxiter": 500})
+    p = np.clip(res.x, 0.0, None)
+    p /= p.sum()
+    return float(w @ p) if kl_divergence(p, ref) <= radius + 1e-10 else -np.inf
+
+
+@pytest.mark.parametrize("n", [3, 8, 20, 32])
+def test_kl_backup_is_feasible_certified_and_optimal(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        w = rng.uniform(-3.0, 3.0, n)
+        ref = rng.dirichlet(np.full(n, 2.0))
+        radius = rng.uniform(0.05, 0.9) * -np.log(ref[np.argmax(w)])
+        res = kl_constrained_backup(w, ref, radius)
+        assert kl_divergence(res.policy, ref) <= radius + 1e-10
+        assert res.dual_value - res.value <= 1e-9
+        best = max(kl_slsqp(w, ref, radius, start)
+                   for start in (ref, res.policy))
+        assert res.value >= best - 1e-9
+
+
+def test_ball_multiplier_search_takes_few_probes():
+    kl = kl_constrained_backup(W3, UNIF3, 0.1, tol=1e-12)
+    phi = generic_phi_ball_backup(W3, MmmRegularizer(np.full(3, 0.4)), -0.3,
+                                  tol=1e-12)
+    assert kl.dual_evals <= 15
+    assert phi.dual_evals <= 15
 
 
 def test_kl_backup_against_grid_oracle():
@@ -350,35 +387,6 @@ def test_l2_backup_with_a_tied_maximum():
     best = max(chi_square_slsqp(w16, ref16, 0.4, start)
                for start in (ref16, res.policy))
     assert res.value >= best - 1e-9
-
-
-# ---------------------------------------------------------- simplex helper
-
-
-@settings(max_examples=80, deadline=None)
-@given(v=st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
-                  min_size=2, max_size=6))
-def test_project_simplex_lands_on_the_simplex(v):
-    p = project_simplex(np.array(v))
-    assert p.min() >= 0.0
-    assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_project_simplex_fixes_simplex_points():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        q = rng.dirichlet(np.ones(5))
-        assert np.max(np.abs(project_simplex(q) - q)) < 1e-12
-
-
-def test_project_simplex_is_the_nearest_point():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        v = rng.uniform(-2, 2, 4)
-        p = project_simplex(v)
-        for _ in range(50):
-            q = rng.dirichlet(np.ones(4))
-            assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
 
 
 # -------------------------------------------------------------- grid oracle

@@ -177,6 +177,65 @@ def test_gumbel_mdm_is_not_an_entropy_backup():
     assert min(gaps) > 1e-3
 
 
+class _CountingMdm(MdmRegularizer):
+    def __init__(self, cdf_row):
+        super().__init__(cdf_row)
+        self.value_evals = 0
+
+    def value(self, p):
+        self.value_evals += 1
+        return super().value(p)
+
+
+def _mirror_ascent_halving_to_the_floor(w, phi, tol=1e-12):
+    """`numeric_conjugate`'s loop with a line search that always halves the
+    step down to 1e-18 before it gives up."""
+    shift = float(w.max())
+    wc = w - shift
+    p = np.full(w.shape[0], 1.0 / w.shape[0])
+    f = float(wc @ p) + phi.value(p)
+    step = 1.0
+    history = [f]
+    while True:
+        g = wc + phi.gradient(p)
+        g = g - g.max()
+        while step >= 1e-18:
+            cand = np.clip(p * np.exp(step * g), 1e-16, None)
+            cand /= cand.sum()
+            fc = float(wc @ cand) + phi.value(cand)
+            if fc > f:
+                break
+            step *= 0.5
+        else:
+            return shift + f, p
+        p, f = cand, fc
+        step = min(step * 2.0, 1e6)
+        history = (history + [f])[-51:]
+        if len(history) == 51 and f - history[0] <= tol * max(1.0, abs(f)):
+            return shift + f, p
+
+
+def test_numeric_conjugate_line_search_exit_changes_no_result():
+    # stopping the halving once a rejected step rounds back to the current
+    # row must give the same value and row, bit for bit, with fewer
+    # regularizer evaluations
+    rng = np.random.default_rng(5)
+    saved = 0
+    for _ in range(40):
+        cdfs = [GumbelInverseCdf(rng.uniform(0.2, 2.0)) if rng.random() < 0.5
+                else UniformInverseCdf(-rng.uniform(0.0, 1.0),
+                                       rng.uniform(0.1, 1.5))
+                for _ in range(int(rng.integers(2, 6)))]
+        w = rng.normal(size=len(cdfs))
+        ref_phi, phi = _CountingMdm(cdfs), _CountingMdm(cdfs)
+        ref_value, ref_row = _mirror_ascent_halving_to_the_floor(w, ref_phi)
+        res = numeric_conjugate(w, phi)
+        assert res.value == ref_value
+        assert np.array_equal(res.argmax, ref_row)
+        saved += ref_phi.value_evals - phi.value_evals
+    assert saved > 0
+
+
 def test_mixed_family_mdm_runs_through_numeric_conjugate():
     phi = MdmRegularizer([ExponentialInverseCdf(1.0),
                           UniformInverseCdf(0.0, 2.0),
