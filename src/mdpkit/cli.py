@@ -153,11 +153,10 @@ def _discrepancy_notes(instance, result):
         return []
     sets = instance.constraints
     notes = []
-    for s in range(instance.model.num_states):
+    for s, w in enumerate(q_vector(instance.model, result.value)):
         con = sets[s] if isinstance(sets, (list, tuple)) else sets
         if not isinstance(con, (L1Ball, L2ChiSquareBall)):
             continue
-        w = q_vector(instance.model, result.value, s)
         if isinstance(con, L1Ball):
             rep = l1_dual_discrepancy(w, con.reference, con.radius)
             kind = "l1"

@@ -202,8 +202,9 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     one `kl_backup` (the KL dual of Nilim & El Ghaoui 2005 and Iyengar
     2005); `_multiplier_search` returns the feasible row with duality gap
     y*(radius - KL) <= tol.  Radius 0 returns the reference, multiplier
-    None.  When every action value ties, the ball is slack: the reference
-    row, multiplier 0.
+    None.  The limit y -> 0 is the reference restricted to the argmax set,
+    ref_S / m with KL = -ln m; when it fits, the ball is slack: that row,
+    multiplier 0.
     """
     ref = _clean_reference(reference)
     if radius < 0:
@@ -211,8 +212,12 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     w = np.asarray(w, dtype=float)
     if radius == 0.0:
         return CtBackupResult(value=float(w @ ref), policy=ref)
-    if np.all(w == w.max()):
-        return CtBackupResult(value=float(w @ ref), policy=ref, multiplier=0.0)
+    top = w == w.max()
+    m = float(ref[top].sum())
+    if -np.log(m) <= radius:
+        val = float(w.max())
+        return CtBackupResult(value=val, policy=np.where(top, ref, 0.0) / m,
+                              multiplier=0.0, dual_value=val)
     return _multiplier_search(w, KlRegularizer(1.0, ref), radius, tol)
 
 
@@ -416,9 +421,7 @@ def _feasible_mask(constraint, pts):
         return np.einsum("ij,ij->i", d * d, 1.0 / constraint.reference[None, :]) \
             <= constraint.radius + 1e-12
     if isinstance(constraint, PhiBall):
-        phi = constraint.phi
-        vals = np.array([phi.value(row) for row in pts])
-        return -vals <= constraint.radius + 1e-10
+        return -constraint.phi.values(pts) <= constraint.radius + 1e-10
     raise TypeError(f"grid oracle does not handle {type(constraint).__name__}")
 
 
@@ -585,8 +588,7 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
     multipliers = np.zeros(model.num_states)
     regs = []
     slack = np.zeros(model.num_states)
-    for s, con in enumerate(sets):
-        w = q_vector(model, sol.value, s)
+    for s, (con, w) in enumerate(zip(sets, q_vector(model, sol.value))):
         if isinstance(con, FullSimplex):
             lam = 0.0
         elif isinstance(con, KlBall):

@@ -4,7 +4,9 @@ A model is the tuple (states, actions, transition kernel, reward table,
 discount).  Everything downstream (regularized, stochastic, distributionally
 robust, constrained) plugs into `value_iteration` through a backup operator:
 a callable mapping the action-value vector of one state to a scalar backup
-value and a probability row over actions.
+value and a probability row over actions.  Each sweep computes the (S, A)
+action-value table in one product and passes the operator its row s, which
+may differ from the one-state `q_vector` in the last ulp (BLAS kernel shape).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class ConvergenceError(RuntimeError):
 
 
 def _frozen(a):
-    arr = np.array(a, dtype=float)
+    # C order, so the (S*A, S) reshape of the kernel in `q_vector` is a view
+    arr = np.array(a, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -134,8 +137,16 @@ def validate_policy_matrix(probs, num_states=None, num_actions=None) -> list:
     return v
 
 
-def q_vector(model, value, state) -> np.ndarray:
-    """Action values at `state`: reward row plus discounted expected value."""
+def q_vector(model, value, state=None) -> np.ndarray:
+    """Action values r + discount * P @ value: the (S, A) table, or one row.
+
+    The table is one (S*A, S) product, whose row s may differ from the
+    one-state form in the last ulp (BLAS uses other kernel shapes).
+    """
+    if state is None:
+        S, A = model.num_states, model.num_actions
+        q = model.transition.reshape(S * A, S) @ value
+        return model.reward + model.discount * q.reshape(S, A)
     return model.reward[state] + model.discount * (model.transition[state] @ value)
 
 
@@ -156,15 +167,15 @@ def standard_backup_operator():
 def bellman_sweep(model, backup, value, sweep=0):
     """One synchronous sweep: returns (new value vector, policy matrix).
 
-    States are independent given `value`, so this loop could run in parallel;
-    the backup operator receives (w, state, sweep) and must not mutate shared
-    state.
+    The operator gets row s of the table `q_vector(model, value)` as
+    (w, state, sweep).  States are independent given `value`, so this loop
+    could run in parallel; the operator must not mutate shared state.
     """
     S = model.num_states
     new_value = np.empty(S)
     policy = np.empty((S, model.num_actions))
-    for s in range(S):
-        val, row = backup(q_vector(model, value, s), s, sweep)
+    for s, w in enumerate(q_vector(model, value)):
+        val, row = backup(w, s, sweep)
         new_value[s] = val
         policy[s] = row
     return new_value, policy

@@ -228,9 +228,11 @@ class MmmRegularizer(Regularizer):
         self.sigma = sigma
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
-        inner = np.clip(p * (1.0 - p), 0.0, None)
-        return float(np.sum(self.sigma * np.sqrt(inner)))
+        return float(self.values(np.asarray(p, dtype=float)))
+
+    def values(self, rows):
+        inner = np.clip(rows * (1.0 - rows), 0.0, None)
+        return np.sum(self.sigma * np.sqrt(inner), axis=-1)
 
     def gradient(self, p):
         p = np.asarray(p, dtype=float)

@@ -29,10 +29,10 @@ from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              ds_backup_operator, regularizer_for)
 from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
-from .stochastic import (EULER_GAMMA, GumbelIid, build_uniform_counterexample,
-                         ev_backup, mc_counterexample_ratio, mc_emax,
-                         refute_single_eta_fit, smdp_backup_operator,
-                         uniform_counterexample_ratio)
+from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate,
+                         build_uniform_counterexample, ev_backup,
+                         mc_counterexample_ratio, refute_single_eta_fit,
+                         smdp_backup_operator, uniform_counterexample_ratio)
 
 
 class StructureMismatchError(ValueError):
@@ -131,14 +131,12 @@ class StochasticInstance(FrameworkInstance):
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)
 
     def solve_with_error(self, tol=1e-10, max_iter=100000):
-        result = self.solve(tol=tol, max_iter=max_iter)
         if not self.monte_carlo:
-            return result, 0.0
-        worst = 0.0
-        for s in range(self.model.num_states):
-            w = q_vector(self.model, result.value, s)
-            est = mc_emax(w, self.noise, self.mc_samples, self.seed, state=s)
-            worst = max(worst, est.std_error)
+            return self.solve(tol=tol, max_iter=max_iter), 0.0
+        op = self.operator()
+        result = value_iteration(self.model, op, tol=tol, max_iter=max_iter)
+        worst = max(_emax_estimate(w, op.draws[s]).std_error
+                    for s, w in enumerate(q_vector(self.model, result.value)))
         return result, worst / (1.0 - self.model.discount)
 
 

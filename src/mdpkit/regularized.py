@@ -53,7 +53,7 @@ class Regularizer:
 
     Subclasses implement `value` and `gradient` (interior points); those with
     a closed-form conjugate override `conjugate`, otherwise callers fall back
-    to `numeric_conjugate`.
+    to `numeric_conjugate`.  `values` evaluates many rows at once.
     """
 
     def value(self, p) -> float:
@@ -61,6 +61,10 @@ class Regularizer:
 
     def gradient(self, p) -> np.ndarray:
         raise NotImplementedError
+
+    def values(self, rows) -> np.ndarray:
+        """`value` of every row of an (n, A) array; subclasses may batch it."""
+        return np.array([self.value(p) for p in rows])
 
     def conjugate(self, w):
         """Closed-form sup_p { w.p + phi(p) }, or None when unavailable."""

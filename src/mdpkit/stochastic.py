@@ -134,18 +134,16 @@ class EvBackup:
     gumbel_location: float
 
 
-def _draws(w, noise, samples, rng, state):
-    if isinstance(noise, GumbelIid):
-        return noise.sample(state, samples, rng, num_actions=len(w))
-    return noise.sample(state, samples, rng)
-
-
 def _draw_columns(w, noise, samples, rng, state):
-    """The (A, n) contiguous transpose of `_draws`, one row per action.
+    """The noise's (n, A) draws as (A, n) contiguous columns, one per action.
 
-    The row-major (n, A) draws are freed as soon as the copy exists.
+    The row-major draws are freed as soon as the copy exists.
     """
-    return np.ascontiguousarray(_draws(w, noise, samples, rng, state).T)
+    if isinstance(noise, GumbelIid):
+        draws = noise.sample(state, samples, rng, num_actions=len(w))
+    else:
+        draws = noise.sample(state, samples, rng)
+    return np.ascontiguousarray(draws.T)
 
 
 def _column_emax(w, cols):
@@ -179,14 +177,18 @@ def _shares(first, num_actions):
     return counts / float(first.shape[0])
 
 
+def _emax_estimate(w, cols) -> EmaxEstimate:
+    """E[max_a (w_a + eps_a)] and its standard error over (A, n) draw columns."""
+    m, _ = _column_emax(w, cols)
+    n = cols.shape[1]
+    return EmaxEstimate(float(m.mean()), float(m.std(ddof=1) / np.sqrt(n)), n)
+
+
 def mc_emax(w, noise, samples, seed, state=0) -> EmaxEstimate:
     """Monte Carlo estimate of E[max_a (w_a + eps_a)] with its standard error."""
     w = np.asarray(w, dtype=float)
     cols = _draw_columns(w, noise, samples, derive_rng(seed, state), state)
-    m, _ = _column_emax(w, cols)
-    return EmaxEstimate(mean=float(m.mean()),
-                        std_error=float(m.std(ddof=1) / np.sqrt(samples)),
-                        samples=samples)
+    return _emax_estimate(w, cols)
 
 
 def mc_policy(w, noise, samples, seed, state=0) -> np.ndarray:
@@ -223,7 +225,8 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
     state (24 MB at 10^6 samples and 3 actions).  The row-major draws the
     noise model returns are freed once their column copy exists, so a
     first sweep holds at most the cache plus one state's row-major draws;
-    each call adds two float64 temporaries of `samples` entries.
+    each call adds two float64 temporaries of `samples` entries.  The cache
+    is `op.draws`, {state: columns}, for reuse after a solve.
     """
     cache = {}
 
@@ -241,6 +244,7 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
         m, first = _column_emax(w, cols)
         return float(m.mean()), _shares(first, len(w))
 
+    op.draws = cache
     return op
 
 

@@ -13,6 +13,7 @@ from mdpkit import (
     KlRegularizer,
     L1Ball,
     L2ChiSquareBall,
+    MdpModel,
     MmmRegularizer,
     OffsetRegularizer,
     PhiBall,
@@ -159,6 +160,29 @@ def test_ball_multiplier_search_takes_few_probes():
                                   tol=1e-12)
     assert kl.dual_evals <= 15
     assert phi.dual_evals <= 15
+
+
+def test_kl_backup_tied_face_inside_the_ball_has_multiplier_zero():
+    # the hard-max vertex is outside (KL = ln 3 > 0.5), the tied face
+    # ref_S / m = (1/2, 1/2, 0) is inside (KL = ln 1.5)
+    res = kl_constrained_backup(np.array([1.0, 1.0, 0.0]), UNIF3, 0.5)
+    assert res.multiplier == 0.0
+    assert res.value == 1.0 == res.dual_value
+    assert np.allclose(res.policy, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
+    # just outside the face the search runs and finds a positive multiplier
+    res = kl_constrained_backup(np.array([1.0, 1.0, 0.0]), UNIF3, 0.4)
+    assert res.multiplier > 0
+    assert kl_divergence(res.policy, UNIF3) <= 0.4 + 1e-12
+
+
+def test_ct_to_r_tied_face_inside_the_kl_ball_gives_zero_regularizer():
+    # discount 0 makes the action values the rewards, ties and all
+    t = np.full((2, 3, 2), 0.5)
+    m = MdpModel(2, 3, t, np.array([[1.0, 1.0, 0.0], [2.0, -1.0, 2.0]]), 0.0)
+    conv = ct_to_r_convert(m, KlBall(UNIF3, 0.5))
+    assert np.all(conv.multipliers == 0.0)
+    assert all(isinstance(r, ZeroRegularizer) for r in conv.regularizers)
+    assert np.array_equal(conv.ct_value, [1.0, 2.0])
 
 
 def test_kl_backup_against_grid_oracle():
@@ -445,6 +469,15 @@ def test_phi_ball_without_slater_point_raises():
     with pytest.raises(ValueError):
         generic_phi_ball_backup(W3, EntropyRegularizer(1.0),
                                 -np.log(3.0) - 0.2)
+
+
+def test_batched_regularizer_values_match_the_row_loop():
+    grid = np.array([[i, j, 40 - i - j] for i in range(41)
+                     for j in range(41 - i)]) / 40.0
+    for phi in (MmmRegularizer(np.array([0.4, 0.1, 0.7])),
+                EntropyRegularizer(0.5), KlRegularizer(0.5, UNIF3)):
+        rows = np.array([phi.value(p) for p in grid])
+        assert np.array_equal(phi.values(grid), rows)
 
 
 def test_phi_ball_mmm_level_set_against_grid():

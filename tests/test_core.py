@@ -125,6 +125,52 @@ def test_bellman_sweep_shapes():
     assert validate_policy_matrix(pi) == []
 
 
+# ------------------------------------------------------------------ Q table
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 4), (60, 9)])
+def test_q_table_matches_stacked_rows(shape):
+    m = random_mdp(*shape, seed=sum(shape), discount=0.9)
+    for scale in (1.0, 1e6):
+        v = scale * derive_rng(3, *shape).normal(size=shape[0])
+        rows = np.stack([q_vector(m, v, s) for s in range(shape[0])])
+        table = q_vector(m, v)
+        assert table.shape == shape
+        assert np.max(np.abs(table - rows)) <= 1e-13 * (1.0 + np.max(np.abs(v)))
+
+
+def test_fortran_ordered_kernel_is_stored_c_contiguous():
+    base = random_mdp(5, 3, seed=4)
+    m = MdpModel(5, 3, np.asfortranarray(base.transition),
+                 np.asfortranarray(base.reward), base.discount)
+    assert m.transition.flags.c_contiguous
+    assert np.shares_memory(m.transition.reshape(15, 5), m.transition)
+    assert np.array_equal(m.transition, base.transition)
+
+
+def test_bellman_sweep_passes_table_rows_in_state_order():
+    m = random_mdp(6, 3, seed=9, discount=0.8)
+    v = derive_rng(9).normal(size=6)
+    seen = []
+
+    def op(w, state, sweep):
+        seen.append((w.copy(), state, sweep))
+        return standard_backup(w)
+
+    value, policy = bellman_sweep(m, op, v, 4)
+    table = q_vector(m, v)
+    assert [s for _, s, _ in seen] == list(range(6))
+    assert all(k == 4 for _, _, k in seen)
+    assert all(np.array_equal(w, table[s]) for w, s, _ in seen)
+    assert np.array_equal(value, table.max(axis=1))
+    assert np.array_equal(policy.argmax(axis=1), table.argmax(axis=1))
+    # the default sweep index is 0, and per-state rows agree to rounding
+    value0, _ = bellman_sweep(m, op, v)
+    assert seen[-1][2] == 0
+    rows = np.array([q_vector(m, v, s).max() for s in range(6)])
+    assert np.max(np.abs(value0 - rows)) <= 1e-13 * (1.0 + np.max(np.abs(v)))
+
+
 # ----------------------------------------------------------- value iteration
 
 

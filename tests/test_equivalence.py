@@ -22,6 +22,8 @@ from mdpkit import (
     check_equivalence,
     counterexample_suite,
     interior_policy_sweep,
+    mc_emax,
+    q_vector,
     random_mdp,
 )
 from mdpkit.equivalence import _trial_rewards
@@ -86,6 +88,40 @@ def test_entropy_vs_gumbel_closed_form_is_bit_exact():
     assert max(rep.value_gaps) == 0.0
     assert max(rep.policy_gaps) == 0.0
     assert rep.trials == 11
+
+
+def test_bit_identity_edges_hold_on_a_larger_table():
+    # every family reads the same Q-table rows, so the closed-form edges
+    # stay bit-identical at a size where BLAS blocks the product
+    m = random_mdp(60, 5, seed=31, discount=0.9)
+    soft = RegularizedInstance(m, EntropyRegularizer(1.0)).solve()
+    gumbel = StochasticInstance(m, GumbelIid.mean_zero(1.0, num_actions=5),
+                                method="closed_form").solve()
+    mdm = MarginalDistributionModel([[ExponentialInverseCdf(1.0)] * 5] * 60)
+    robust = DistributionalInstance(m, mdm).solve()
+    shifted = RegularizedInstance(
+        m, OffsetRegularizer(EntropyRegularizer(1.0), 1.0)).solve()
+    for a, b in ((soft, gumbel), (robust, shifted)):
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.policy, b.policy)
+
+
+def test_mc_std_error_reuses_the_draws_of_the_solve():
+    m = random_mdp(4, 3, seed=41, discount=0.7)
+    bounds = np.zeros((4, 3, 2))
+    bounds[:, :, 1] = np.linspace(0.5, 2.0, 12).reshape(4, 3)
+    noise = UniformPerEntry(bounds)
+    inst = StochasticInstance(m, noise, mc_samples=5000, seed=3)
+    calls = []
+    sample = noise.sample
+    noise.sample = lambda *args: calls.append(args[0]) or sample(*args)
+    result, err = inst.solve_with_error(tol=1e-10)
+    assert calls == [0, 1, 2, 3]  # one draw per state, none after the solve
+    q = q_vector(m, result.value)
+    redrawn = max(mc_emax(q[s], noise, 5000, 3, state=s).std_error
+                  for s in range(4))
+    assert err == redrawn / (1.0 - 0.7)
+    assert np.array_equal(result.value, inst.solve(tol=1e-10).value)
 
 
 def test_mismatched_temperatures_are_refuted_with_witness():
