@@ -181,6 +181,7 @@ def cmd_solve(args):
               "policy": result.policy,
               "iterations": result.iterations,
               "residual": result.residual,
+              "error_bound": result.error_bound,
               "discrepancy_notes": _discrepancy_notes(instance, result)}
     text = _dump_report(report)
     sys.stdout.write(text)

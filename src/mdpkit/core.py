@@ -7,6 +7,11 @@ a callable mapping the action-value vector of one state to a scalar backup
 value and a probability row over actions.  Each sweep computes the (S, A)
 action-value table in one product and passes the operator its row s, which
 may differ from the one-state `q_vector` in the last ulp (BLAS kernel shape).
+
+Each backup returns the maximizer of sup_p {w.p + phi(p)}, so by Danskin's
+theorem its rows are the gradient in w: `value_iteration(newton=True)` uses
+them as the Jacobian gamma P_pi of the sweep for Newton (policy iteration)
+steps, with no per-family code.
 """
 
 from __future__ import annotations
@@ -71,12 +76,17 @@ class MdpModel:
 
 @dataclass
 class SolveResult:
-    """Outcome of value iteration: value per state, policy rows, diagnostics."""
+    """Outcome of value iteration: value per state, policy rows, diagnostics.
+
+    `error_bound` = gamma / (1 - gamma) * residual bounds the sup-norm
+    distance of `value` from the fixed point and from the value of `policy`.
+    """
 
     value: np.ndarray
     policy: np.ndarray
     iterations: int
     residual: float
+    error_bound: float
 
 
 def validate_model(model) -> list:
@@ -181,31 +191,48 @@ def bellman_sweep(model, backup, value, sweep=0):
     return new_value, policy
 
 
-def value_iteration(model, backup, tol=1e-10, max_iter=100000) -> SolveResult:
-    """Iterate synchronous sweeps until the sup-norm residual drops below tol.
+def value_iteration(model, backup, tol=1e-10, max_iter=100000,
+                    newton=False) -> SolveResult:
+    """Iterate synchronous sweeps until the sup-norm residual |TV - V| <= tol.
 
-    Raises ConvergenceError (carrying the last residual) if max_iter sweeps
-    do not reach the tolerance.
+    Returns TV with that sweep's rows.  With `newton`, a sweep that misses
+    tol steps to V + (I - gamma P_pi)^-1 (TV - V), P_pi the kernel under the
+    sweep's rows; they are the gradient of the backup, so this is Newton's
+    step (policy iteration).  Rows from an inexact inner solve make it
+    inexact, so from the first residual that did not fall on, the steps are
+    the plain V <- TV: the solve converges wherever plain sweeps do.
+
+    Raises ConvergenceError (carrying the last residual and the last sweep's
+    result as `best`) if max_iter sweeps do not reach the tolerance.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    gamma = model.discount
     value = np.zeros(model.num_states)
-    policy = None
-    residual = np.inf
+    previous = np.inf
     for sweep in range(1, max_iter + 1):
         new_value, policy = bellman_sweep(model, backup, value, sweep - 1)
-        residual = float(np.max(np.abs(new_value - value)))
-        value = new_value
+        step = new_value - value
+        residual = float(np.max(np.abs(step)))
+        result = SolveResult(value=new_value, policy=policy, iterations=sweep,
+                             residual=residual,
+                             error_bound=gamma / (1.0 - gamma) * residual)
         if residual <= tol:
-            return SolveResult(value=value, policy=policy, iterations=sweep,
-                               residual=residual)
+            return result
+        newton = newton and residual < previous
+        if newton:
+            p_pi = np.matmul(policy[:, None, :], model.transition)[:, 0, :]
+            value = value + np.linalg.solve(
+                np.eye(model.num_states) - gamma * p_pi, step)
+        else:
+            value = new_value
+        previous = residual
     raise ConvergenceError(
         f"value iteration did not reach tol={tol} in {max_iter} sweeps "
         f"(last residual {residual})",
-        residual=residual,
-        best=SolveResult(value=value, policy=policy, iterations=max_iter,
-                         residual=residual),
-    )
+        residual=residual, best=result)
 
 
 def policy_evaluation_exact(model, policy) -> np.ndarray:

@@ -33,11 +33,12 @@ _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
 
 class InverseCdf:
-    """Inverse CDF of one noise marginal: callable on t in (0, 1).
+    """Inverse CDF of one noise marginal: callable on arrays of t in (0, 1).
 
-    `mass_integral(p)` is the upper-tail integral of the inverse CDF from
-    1 - p to 1, the building block of the marginal-CDF regularizer.
-    `draw(u)` maps uniforms to samples (inverse-transform sampling).
+    `__call__` must map an array elementwise.  `mass_integral(p)` is the
+    upper-tail integral of the inverse CDF from 1 - p to 1, the building
+    block of the marginal-CDF regularizer.  `draw(u)` maps uniforms to
+    samples (inverse-transform sampling).
     """
 
     def __call__(self, t):
@@ -50,7 +51,7 @@ class InverseCdf:
         return self(u)
 
     def validate(self):
-        vals = np.asarray([self(t) for t in _PROBE_GRID], dtype=float)
+        vals = np.asarray(self(_PROBE_GRID), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("inverse CDF not finite on the probe grid")
         if np.any(np.diff(vals) < -1e-12):

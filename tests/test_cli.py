@@ -52,6 +52,7 @@ def test_solve_trivial_model(tmp_path, capsys):
     assert report["value"] == [pytest.approx(2.0, abs=1e-9)]
     assert report["policy"] == [[1.0]]
     assert report["residual"] <= report["config"]["tol"]
+    assert report["error_bound"] == 0.5 / (1.0 - 0.5) * report["residual"]
 
 
 def test_solve_regularized_policy_is_the_softmax(tmp_path, capsys):
@@ -353,7 +354,8 @@ def test_validation_error_record(tmp_path, capsys):
 
 def test_non_convergence_exit_code(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", chooser_model_dict())
-    code, out, _ = run_cli(capsys, "solve", path, "--max-iter", "2")
+    # one sweep: Newton steps reach this model's fixed point in two
+    code, out, _ = run_cli(capsys, "solve", path, "--max-iter", "1")
     assert code == 5
     record = json.loads(out)["error"]
     assert record["kind"] == "non-convergence"

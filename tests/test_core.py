@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mdpkit import (
     ConvergenceError,
+    EntropyRegularizer,
     MdpModel,
     ModelValidationError,
     bellman_sweep,
@@ -14,6 +15,7 @@ from mdpkit import (
     policy_evaluation_exact,
     q_vector,
     random_mdp,
+    regularized_backup_operator,
     standard_backup,
     standard_backup_operator,
     validate_model,
@@ -224,6 +226,67 @@ def test_convergence_error_carries_partial_result():
     assert err.residual > 1e-12
     assert err.best is not None
     assert err.best.value.shape == (5,)
+
+
+def test_newton_convergence_error_carries_the_last_sweep():
+    m = chain_model(0.9)
+    with pytest.raises(ConvergenceError) as exc:
+        value_iteration(m, standard_backup_operator(), newton=True,
+                        max_iter=1)
+    best = exc.value.best
+    # the first sweep backs up V = 0: TV is the best reward of each state
+    assert best.iterations == 1
+    assert best.value.tolist() == [1.0, 2.0]
+    assert best.policy.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert exc.value.residual == best.residual == 2.0
+    assert best.error_bound == 0.9 / (1.0 - 0.9) * 2.0
+
+
+@pytest.mark.parametrize("budget", [{"tol": 0.0}, {"max_iter": 0}])
+def test_value_iteration_rejects_an_empty_budget(budget):
+    with pytest.raises(ValueError):
+        value_iteration(chain_model(), standard_backup_operator(), **budget)
+
+
+@pytest.mark.parametrize("newton", [False, True])
+@pytest.mark.parametrize("eta", [None, 0.5])
+def test_error_bound_bounds_the_distance_to_the_policy_value(newton, eta):
+    # [DERIVED] |TV - V^pi| <= gamma / (1 - gamma) |TV - V| for the rows pi
+    # of the sweep; V^pi of a soft row is the linear solve with r + phi(pi)
+    m = random_mdp(8, 3, seed=5, reward_range=(-2.0, 2.0), discount=0.95)
+    if eta is None:
+        op, phi = standard_backup_operator(), None
+    else:
+        phi = EntropyRegularizer(eta)
+        op = regularized_backup_operator(phi)
+    res = value_iteration(m, op, tol=1e-3, newton=newton)
+    assert res.error_bound == 0.95 / (1.0 - 0.95) * res.residual
+    reward = m.reward
+    if phi is not None:
+        reward = reward + phi.values(res.policy)[:, None]
+    shifted = MdpModel(num_states=8, num_actions=3, transition=m.transition,
+                       reward=reward, discount=0.95)
+    exact = policy_evaluation_exact(shifted, res.policy)
+    assert np.max(np.abs(res.value - exact)) <= res.error_bound + 1e-12
+
+
+def test_newton_safeguard_rescues_rows_that_are_not_the_gradient():
+    # the rows claim the worst action, so a Newton step on this chain
+    # (optimum: hop from both states) overshoots; without the fallback to
+    # plain sweeps after a residual that did not fall, the iterates cycle
+    def wrong_rows(w, state, sweep):
+        row = np.zeros(2)
+        row[np.argmin(w)] = 1.0
+        return float(np.max(w)), row
+
+    m = MdpModel(num_states=2, num_actions=2,
+                 transition=chain_model().transition,
+                 reward=np.array([[0.0, 1.0], [0.0, 2.0]]), discount=0.5)
+    plain = value_iteration(m, standard_backup_operator(), tol=1e-12)
+    res = value_iteration(m, wrong_rows, tol=1e-12, max_iter=1000,
+                          newton=True)
+    assert res.iterations <= plain.iterations + 2
+    assert np.max(np.abs(res.value - plain.value)) <= 2.0 * plain.error_bound
 
 
 def test_iteration_count_shrinks_with_looser_tol():

@@ -12,6 +12,7 @@ from mdpkit import (
     GumbelIid,
     KlBall,
     MarginalDistributionModel,
+    MarginalMomentModel,
     OffsetRegularizer,
     RegularizedInstance,
     Singleton,
@@ -25,6 +26,7 @@ from mdpkit import (
     mc_emax,
     q_vector,
     random_mdp,
+    regularizer_for,
 )
 from mdpkit.equivalence import _trial_rewards
 
@@ -92,18 +94,25 @@ def test_entropy_vs_gumbel_closed_form_is_bit_exact():
 
 def test_bit_identity_edges_hold_on_a_larger_table():
     # every family reads the same Q-table rows, so the closed-form edges
-    # stay bit-identical at a size where BLAS blocks the product
-    m = random_mdp(60, 5, seed=31, discount=0.9)
-    soft = RegularizedInstance(m, EntropyRegularizer(1.0)).solve()
-    gumbel = StochasticInstance(m, GumbelIid.mean_zero(1.0, num_actions=5),
-                                method="closed_form").solve()
+    # stay bit-identical at a size where BLAS blocks the product, and the
+    # Newton steps of both sides solve the same linear systems
     mdm = MarginalDistributionModel([[ExponentialInverseCdf(1.0)] * 5] * 60)
-    robust = DistributionalInstance(m, mdm).solve()
-    shifted = RegularizedInstance(
-        m, OffsetRegularizer(EntropyRegularizer(1.0), 1.0)).solve()
-    for a, b in ((soft, gumbel), (robust, shifted)):
-        assert np.array_equal(a.value, b.value)
-        assert np.array_equal(a.policy, b.policy)
+    mmm = MarginalMomentModel(np.full((60, 5), 0.7))
+    mmm_phis = [regularizer_for(mmm, s) for s in range(60)]
+    for discount in (0.9, 0.99):
+        m = random_mdp(60, 5, seed=31, discount=discount)
+        soft = RegularizedInstance(m, EntropyRegularizer(1.0)).solve()
+        gumbel = StochasticInstance(m, GumbelIid.mean_zero(1.0, num_actions=5),
+                                    method="closed_form").solve()
+        robust = DistributionalInstance(m, mdm).solve()
+        shifted = RegularizedInstance(
+            m, OffsetRegularizer(EntropyRegularizer(1.0), 1.0)).solve()
+        moment = DistributionalInstance(m, mmm).solve()
+        moment_reg = RegularizedInstance(m, mmm_phis).solve()
+        for a, b in ((soft, gumbel), (robust, shifted), (moment, moment_reg)):
+            assert a.iterations <= 6
+            assert np.array_equal(a.value, b.value)
+            assert np.array_equal(a.policy, b.policy)
 
 
 def test_mc_std_error_reuses_the_draws_of_the_solve():
