@@ -531,7 +531,7 @@ def r_to_ct_convert(model, phi_per_state, solve_tol=1e-10) -> CtConversion:
     phis = phi_per_state if isinstance(phi_per_state, (list, tuple)) \
         else [phi_per_state] * model.num_states
     base = value_iteration(model, regularized_backup_operator(phis),
-                           tol=solve_tol, newton=True)
+                           tol=solve_tol)
     constants = np.array([-phis[s].value(base.policy[s])
                           for s in range(model.num_states)])
     constraints = []
@@ -584,8 +584,7 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
                 f"with interior, not {type(con).__name__}")
         if isinstance(con, (KlBall, L2ChiSquareBall)) and con.radius <= 0:
             raise ValueError(f"state {s}: radius 0 admits no Slater point")
-    sol = value_iteration(model, ct_backup_operator(sets), tol=tol,
-                          newton=True)
+    sol = value_iteration(model, ct_backup_operator(sets), tol=tol)
     multipliers = np.zeros(model.num_states)
     regs = []
     slack = np.zeros(model.num_states)

@@ -8,10 +8,9 @@ value and a probability row over actions.  Each sweep computes the (S, A)
 action-value table in one product and passes the operator its row s, which
 may differ from the one-state `q_vector` in the last ulp (BLAS kernel shape).
 
-Each backup returns the maximizer of sup_p {w.p + phi(p)}, so by Danskin's
-theorem its rows are the gradient in w: `value_iteration(newton=True)` uses
-them as the Jacobian gamma P_pi of the sweep for Newton (policy iteration)
-steps, with no per-family code.
+A backup's row maximizes sup_p {w.p + phi(p)}, so it is the gradient of its
+value in w (Danskin): `value_iteration` takes Newton (policy iteration) steps
+with the rows as the Jacobian, with no per-family code.
 """
 
 from __future__ import annotations
@@ -192,15 +191,16 @@ def bellman_sweep(model, backup, value, sweep=0):
 
 
 def value_iteration(model, backup, tol=1e-10, max_iter=100000,
-                    newton=False) -> SolveResult:
+                    newton=True) -> SolveResult:
     """Iterate synchronous sweeps until the sup-norm residual |TV - V| <= tol.
 
-    Returns TV with that sweep's rows.  With `newton`, a sweep that misses
-    tol steps to V + (I - gamma P_pi)^-1 (TV - V), P_pi the kernel under the
-    sweep's rows; they are the gradient of the backup, so this is Newton's
-    step (policy iteration).  Rows from an inexact inner solve make it
-    inexact, so from the first residual that did not fall on, the steps are
-    the plain V <- TV: the solve converges wherever plain sweeps do.
+    Returns TV with that sweep's rows.  A sweep that misses tol steps to
+    V + (I - gamma P_pi)^-1 (TV - V), P_pi the kernel under its rows: Newton's
+    step (policy iteration), to the value of those rows.  Exact rows then let
+    the next sweep lower no value (TV >= V), and each step lands between TV
+    and the fixed point.  From the first later sweep that lowers a value by
+    more than tol (rows that are not the gradient), the steps are the plain
+    V <- TV, as they all are with `newton=False`.
 
     Raises ConvergenceError (carrying the last residual and the last sweep's
     result as `best`) if max_iter sweeps do not reach the tolerance.
@@ -211,7 +211,6 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
         raise ValueError("max_iter must be positive")
     gamma = model.discount
     value = np.zeros(model.num_states)
-    previous = np.inf
     for sweep in range(1, max_iter + 1):
         new_value, policy = bellman_sweep(model, backup, value, sweep - 1)
         step = new_value - value
@@ -221,14 +220,13 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
                              error_bound=gamma / (1.0 - gamma) * residual)
         if residual <= tol:
             return result
-        newton = newton and residual < previous
+        newton = newton and (sweep == 1 or np.min(step) >= -tol)
         if newton:
             p_pi = np.matmul(policy[:, None, :], model.transition)[:, 0, :]
             value = value + np.linalg.solve(
                 np.eye(model.num_states) - gamma * p_pi, step)
         else:
             value = new_value
-        previous = residual
     raise ConvergenceError(
         f"value iteration did not reach tol={tol} in {max_iter} sweeps "
         f"(last residual {residual})",

@@ -63,7 +63,7 @@ class FrameworkInstance:
 
     def solve(self, tol=1e-10, max_iter=100000) -> SolveResult:
         return value_iteration(self.model, self.operator(), tol=tol,
-                               max_iter=max_iter, newton=not self.monte_carlo)
+                               max_iter=max_iter)
 
     def solve_with_error(self, tol=1e-10, max_iter=100000):
         """(SolveResult, aggregate MC std error); the error is 0 when exact."""

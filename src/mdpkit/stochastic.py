@@ -216,6 +216,8 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
     By default the draws for a state are fixed across sweeps (common random
     numbers): the operator is then a deterministic contraction-in-practice
     and value iteration settles to the fixed point of the perturbed operator.
+    Its row, the argmax share, is the gradient of its sample-average max, so
+    the Newton steps of `value_iteration` are exact policy iteration on it.
     Value and policy come from the same draws, and at sweep 0 they equal
     `mc_emax(...).mean` and `mc_policy(...)` for the same (w, seed, state)
     bit for bit.

@@ -221,7 +221,7 @@ def test_value_matches_truncated_neumann_series():
 def test_convergence_error_carries_partial_result():
     m = random_mdp(5, 3, seed=7, discount=0.95)
     with pytest.raises(ConvergenceError) as exc:
-        value_iteration(m, standard_backup_operator(), tol=1e-12, max_iter=3)
+        value_iteration(m, standard_backup_operator(), tol=1e-12, max_iter=1)
     err = exc.value
     assert err.residual > 1e-12
     assert err.best is not None
@@ -231,8 +231,7 @@ def test_convergence_error_carries_partial_result():
 def test_newton_convergence_error_carries_the_last_sweep():
     m = chain_model(0.9)
     with pytest.raises(ConvergenceError) as exc:
-        value_iteration(m, standard_backup_operator(), newton=True,
-                        max_iter=1)
+        value_iteration(m, standard_backup_operator(), max_iter=1)
     best = exc.value.best
     # the first sweep backs up V = 0: TV is the best reward of each state
     assert best.iterations == 1
@@ -270,10 +269,27 @@ def test_error_bound_bounds_the_distance_to_the_policy_value(newton, eta):
     assert np.max(np.abs(res.value - exact)) <= res.error_bound + 1e-12
 
 
+def test_newton_keeps_stepping_when_the_residual_grows():
+    # [DERIVED] state 0 stays (reward 1) or hops to state 1, which pays 10
+    # and moves to either state; sweep 1 greedily stays, its value [100,
+    # 117.8] has residual 16.6 > 10, and one more Newton step reaches V*
+    transition = np.array([
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.5, 0.5], [0.5, 0.5]],
+    ])
+    m = MdpModel(num_states=2, num_actions=2, transition=transition,
+                 reward=np.array([[1.0, 0.0], [10.0, 10.0]]), discount=0.99)
+    res = value_iteration(m, standard_backup_operator(), tol=1e-10)
+    assert res.iterations <= 6
+    plain = value_iteration(m, standard_backup_operator(), tol=1e-10,
+                            newton=False)
+    assert np.max(np.abs(res.value - plain.value)) <= plain.error_bound
+
+
 def test_newton_safeguard_rescues_rows_that_are_not_the_gradient():
     # the rows claim the worst action, so a Newton step on this chain
-    # (optimum: hop from both states) overshoots; without the fallback to
-    # plain sweeps after a residual that did not fall, the iterates cycle
+    # (optimum: hop from both states) overshoots and the next sweep lowers
+    # a value; without the fallback to plain sweeps the iterates diverge
     def wrong_rows(w, state, sweep):
         row = np.zeros(2)
         row[np.argmin(w)] = 1.0
@@ -282,17 +298,19 @@ def test_newton_safeguard_rescues_rows_that_are_not_the_gradient():
     m = MdpModel(num_states=2, num_actions=2,
                  transition=chain_model().transition,
                  reward=np.array([[0.0, 1.0], [0.0, 2.0]]), discount=0.5)
-    plain = value_iteration(m, standard_backup_operator(), tol=1e-12)
-    res = value_iteration(m, wrong_rows, tol=1e-12, max_iter=1000,
-                          newton=True)
+    plain = value_iteration(m, standard_backup_operator(), tol=1e-12,
+                            newton=False)
+    res = value_iteration(m, wrong_rows, tol=1e-12, max_iter=1000)
     assert res.iterations <= plain.iterations + 2
     assert np.max(np.abs(res.value - plain.value)) <= 2.0 * plain.error_bound
 
 
 def test_iteration_count_shrinks_with_looser_tol():
     m = random_mdp(5, 3, seed=7, discount=0.9)
-    loose = value_iteration(m, standard_backup_operator(), tol=1e-4)
-    tight = value_iteration(m, standard_backup_operator(), tol=1e-10)
+    loose = value_iteration(m, standard_backup_operator(), tol=1e-4,
+                            newton=False)
+    tight = value_iteration(m, standard_backup_operator(), tol=1e-10,
+                            newton=False)
     assert loose.iterations < tight.iterations
 
 

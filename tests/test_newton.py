@@ -1,4 +1,4 @@
-"""Newton steps in value iteration: every deterministic family, against VI."""
+"""Newton steps in value iteration: every family, against plain sweeps."""
 
 import numpy as np
 import pytest
@@ -19,13 +19,15 @@ from mdpkit import (
     RegularizedInstance,
     StandardInstance,
     StochasticInstance,
+    UniformPerEntry,
     random_mdp,
     value_iteration,
 )
 
 TOL = 1e-6
 FAMILIES = ("standard", "entropy", "kl", "marginal-moment", "covariance",
-            "gumbel-mdm", "kl-ball", "l1-ball", "chi2-ball", "gumbel-cf")
+            "gumbel-mdm", "kl-ball", "l1-ball", "chi2-ball", "gumbel-cf",
+            "monte-carlo")
 
 
 def family_instance(name, discount, states=2, actions=3, seed=5):
@@ -35,6 +37,7 @@ def family_instance(name, discount, states=2, actions=3, seed=5):
     ref = rng.dirichlet(np.full(actions, 2.0))
     b = rng.normal(size=(states, actions, actions))
     cov = np.einsum("sij,skj->sik", b, b) / actions + 0.2 * np.eye(actions)
+    half = rng.uniform(0.3, 1.5, (states, actions))
     return {
         "standard": StandardInstance(m),
         "entropy": RegularizedInstance(m, EntropyRegularizer(0.5)),
@@ -50,6 +53,11 @@ def family_instance(name, discount, states=2, actions=3, seed=5):
             m, [L2ChiSquareBall(ref, 0.4)] * states),
         "gumbel-cf": StochasticInstance(m, GumbelIid.mean_zero(0.5),
                                         method="closed_form"),
+        # common random numbers: the argmax share is the gradient of the
+        # sample-average max, so Newton steps are exact policy iteration
+        "monte-carlo": StochasticInstance(
+            m, UniformPerEntry(np.stack([-half, half], axis=-1)),
+            mc_samples=2000, seed=seed, method="mc"),
     }[name]
 
 
@@ -57,7 +65,8 @@ def family_instance(name, discount, states=2, actions=3, seed=5):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_newton_agrees_with_value_iteration(family, discount):
     inst = family_instance(family, discount)
-    plain = value_iteration(inst.model, inst.operator(), tol=TOL)
+    plain = value_iteration(inst.model, inst.operator(), tol=TOL,
+                            newton=False)
     newton = inst.solve(tol=TOL)
     assert newton.iterations <= 6 < plain.iterations
     assert newton.residual <= TOL
