@@ -27,7 +27,7 @@ from scipy.special import expi
 from .core import derive_rng
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator, solve_conjugate)
-from .stochastic import EULER_GAMMA, _column_emax, _require_psd
+from .stochastic import EULER_GAMMA, GaussianJoint, _column_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
@@ -185,8 +185,10 @@ class CovarianceModel:
         matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError(f"matrices must be (S, A, A), got {matrices.shape}")
-        _require_psd(matrices)
         self.matrices = matrices
+        # the joint Gaussian with these covariances, a member of the set;
+        # building it checks that every matrix is PSD
+        self.gaussian = GaussianJoint(matrices)
         self.num_states, self.num_actions = matrices.shape[:2]
 
 
@@ -401,18 +403,19 @@ class LowerBoundCheck:
 
 
 def _member_draws(ambiguity, state, n, rng):
+    """n draws of the lower-bound member, as (A, n) contiguous columns."""
     if isinstance(ambiguity, MarginalDistributionModel):
         row = ambiguity.inverse_cdfs[state]
-        u = rng.random((n, len(row)))
-        return np.column_stack([c.draw(u[:, a]) for a, c in enumerate(row)])
+        cols = rng.random((len(row), n))
+        for a, c in enumerate(row):
+            cols[a] = c.draw(cols[a])
+        return cols
     if isinstance(ambiguity, MarginalMomentModel):
         sigma = ambiguity.sigma[state]
-        signs = np.where(rng.random((n, sigma.shape[0])) < 0.5, -1.0, 1.0)
-        return sigma * signs
+        signs = rng.random((sigma.shape[0], n)) < 0.5
+        return np.where(signs, -sigma[:, None], sigma[:, None])
     if isinstance(ambiguity, CovarianceModel):
-        cov = ambiguity.matrices[state]
-        return rng.multivariate_normal(np.zeros(cov.shape[0]), cov, size=n,
-                                       method="eigh")
+        return ambiguity.gaussian.sample(state, n, rng).T
     raise TypeError(f"unknown ambiguity model {type(ambiguity).__name__}")
 
 
@@ -427,7 +430,7 @@ def ds_lower_bound_check(w, ambiguity, seed, state=0,
     """
     w = np.asarray(w, dtype=float)
     rng = derive_rng(seed, state)
-    cols = np.ascontiguousarray(_member_draws(ambiguity, state, samples, rng).T)
+    cols = _member_draws(ambiguity, state, samples, rng)
     m, _ = _column_emax(w, cols)
     mc = float(m.mean())
     se = float(m.std(ddof=1) / np.sqrt(samples))

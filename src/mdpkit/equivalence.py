@@ -30,9 +30,10 @@ from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
 from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate,
-                         build_uniform_counterexample, ev_backup,
-                         mc_counterexample_ratio, refute_single_eta_fit,
-                         smdp_backup_operator, uniform_counterexample_ratio)
+                         _require_cache_fits, build_uniform_counterexample,
+                         ev_backup, mc_counterexample_ratio,
+                         refute_single_eta_fit, smdp_backup_operator,
+                         uniform_counterexample_ratio)
 
 
 class StructureMismatchError(ValueError):
@@ -128,6 +129,8 @@ class StochasticInstance(FrameworkInstance):
                 return res.value + bias, res.policy
 
             return op
+        _require_cache_fits(self.model.num_states, self.model.num_actions,
+                           self.mc_samples)
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)
 
     def solve_with_error(self, tol=1e-10, max_iter=100000):

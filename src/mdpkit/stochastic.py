@@ -10,6 +10,7 @@ perturbed operator.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ class NoiseModel:
     `sample(state, n, rng)` returns an (n, num_actions) array; `mean(state)`
     returns the per-action expected noise.  Sampling must be a pure function
     of (state, n, rng) so streams can be split per (seed, state, sweep).
+
+    The Monte Carlo backups store the draws as C-contiguous (num_actions, n)
+    columns.  The built-in laws draw in that layout and return its `.T`
+    view, which the backups take without a copy; a C-ordered (n,
+    num_actions) return is copied into columns once.
     """
 
     def sample(self, state, n, rng) -> np.ndarray:
@@ -59,7 +65,17 @@ class GumbelIid(NoiseModel):
         a = self.num_actions if num_actions is None else num_actions
         if a is None:
             raise ValueError("num_actions unknown; construct with num_actions=")
-        return rng.gumbel(loc=self.location, scale=self.eta, size=(n, a))
+        # location - eta * ln E is Gumbel(location, eta) for E ~ Exp(1)
+        # (Devroye 1986); an exact zero E (probability about 2^-53) is drawn
+        # again so that every draw is finite
+        cols = rng.standard_exponential((a, n))
+        while not cols.all():
+            zero = cols == 0.0
+            cols[zero] = rng.standard_exponential(np.count_nonzero(zero))
+        np.log(cols, out=cols)
+        cols *= -self.eta
+        cols += self.location
+        return cols.T
 
     def mean(self, state):
         if self.num_actions is None:
@@ -79,35 +95,48 @@ class UniformPerEntry(NoiseModel):
         self.bounds = bounds
 
     def sample(self, state, n, rng):
-        lo = self.bounds[state, :, 0]
-        hi = self.bounds[state, :, 1]
-        return lo + (hi - lo) * rng.random((n, lo.shape[0]))
+        lo = self.bounds[state, :, :1]
+        hi = self.bounds[state, :, 1:]
+        cols = rng.random((lo.shape[0], n))
+        cols *= hi - lo
+        cols += lo
+        return cols.T
 
     def mean(self, state):
         return self.bounds[state].mean(axis=1)
 
 
 def _require_psd(matrices):
-    """Raise ValueError naming the first state whose (A, A) matrix is not PSD."""
-    for s in range(matrices.shape[0]):
-        if np.min(np.linalg.eigvalsh(matrices[s])) < -1e-10:
-            raise ValueError(f"covariance for state {s} is not PSD")
+    """Eigendecompose (S, A, A) matrices at once, as eigh's (vals, vecs).
+
+    Raises ValueError naming the first state whose matrix is not PSD.
+    """
+    vals, vecs = np.linalg.eigh(matrices)
+    # eigh sorts each state's eigenvalues in ascending order
+    bad = np.flatnonzero(vals[:, :1] < -1e-10)
+    if bad.size:
+        raise ValueError(f"covariance for state {bad[0]} is not PSD")
+    return vals, vecs
 
 
 class GaussianJoint(NoiseModel):
-    """Mean-zero jointly Gaussian noise with a per-state covariance matrix."""
+    """Mean-zero jointly Gaussian noise with a per-state covariance matrix.
+
+    Draws are F[s] @ z, z standard normal, for F[s] = U sqrt(max(L, 0)) from
+    cov[s] = U L U^T: a singular covariance is sampled on its support.
+    """
 
     def __init__(self, cov):
         cov = np.asarray(cov, dtype=float)
         if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
             raise ValueError(f"cov must have shape (S, A, A), got {cov.shape}")
-        _require_psd(cov)
+        vals, vecs = _require_psd(cov)
         self.cov = cov
+        self.factor = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
 
     def sample(self, state, n, rng):
-        a = self.cov.shape[1]
-        return rng.multivariate_normal(np.zeros(a), self.cov[state], size=n,
-                                       method="eigh")
+        factor = self.factor[state]
+        return (factor @ rng.standard_normal((factor.shape[1], n))).T
 
     def mean(self, state):
         return np.zeros(self.cov.shape[1])
@@ -137,13 +166,19 @@ class EvBackup:
 def _draw_columns(w, noise, samples, rng, state):
     """The noise's (n, A) draws as (A, n) contiguous columns, one per action.
 
-    The row-major draws are freed as soon as the copy exists.
+    The built-in laws return a view of such columns, taken as they are; a
+    row-major return is copied, and freed as soon as the copy exists.
     """
     if isinstance(noise, GumbelIid):
         draws = noise.sample(state, samples, rng, num_actions=len(w))
     else:
         draws = noise.sample(state, samples, rng)
     return np.ascontiguousarray(draws.T)
+
+
+# samples per pass of `_column_emax`: a block's sums, maxima and maximizers
+# (about 300 KB) stay in cache while every action's column visits them
+EMAX_BLOCK = 16384
 
 
 def _column_emax(w, cols):
@@ -159,15 +194,23 @@ def _column_emax(w, cols):
         raise ValueError(f"action values have shape {w.shape}, "
                          f"noise has {num_actions} actions")
     index = np.min_scalar_type(num_actions - 1).type
-    m = w[0] + cols[0]
+    m = np.empty(n)
     first = np.zeros(n, dtype=index)
-    for a in range(1, num_actions):
-        col = w[a] + cols[a]
-        # strict >: a tie keeps the earlier, lower-index maximizer.  A new
-        # leader a exceeds every earlier index, so a max records it without
-        # the data-dependent branches of a masked store.
-        np.maximum(first, (col > m) * index(a), out=first)
-        np.maximum(m, col, out=m)
+    col = np.empty(min(n, EMAX_BLOCK))
+    lead = np.empty(col.shape, dtype=index)
+    for lo in range(0, n, EMAX_BLOCK):
+        hi = min(lo + EMAX_BLOCK, n)
+        mb, fb = m[lo:hi], first[lo:hi]
+        cb, lb = col[:hi - lo], lead[:hi - lo]
+        np.add(w[0], cols[0, lo:hi], out=mb)
+        for a in range(1, num_actions):
+            np.add(w[a], cols[a, lo:hi], out=cb)
+            # strict >: a tie keeps the earlier, lower-index maximizer.  A
+            # new leader a exceeds every earlier index, so a max records it
+            # without the data-dependent branches of a masked store.
+            np.multiply(cb > mb, index(a), out=lb)
+            np.maximum(fb, lb, out=fb)
+            np.maximum(mb, cb, out=mb)
     return m, first
 
 
@@ -224,11 +267,15 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
 
     Draws are cached per state as a contiguous (num_actions, samples)
     float64 array, one row per action: samples * num_actions * 8 bytes per
-    state (24 MB at 10^6 samples and 3 actions).  The row-major draws the
-    noise model returns are freed once their column copy exists, so a
-    first sweep holds at most the cache plus one state's row-major draws;
-    each call adds two float64 temporaries of `samples` entries.  The cache
-    is `op.draws`, {state: columns}, for reuse after a solve.
+    state (24 MB at 10^6 samples and 3 actions).  The built-in laws draw
+    straight into that array, with no row-major transient (the Gaussian
+    holds its standard normals while it applies the factor); a custom
+    law's row-major draws are freed once their column copy exists.  Each
+    call adds a float64 and a uint8 array of `samples` entries, and about
+    160 KB of per-block buffers.  The cache is `op.draws`, {state:
+    columns}, for reuse after a solve.  `StochasticInstance` checks the
+    size of the whole cache against physical memory
+    (`_require_cache_fits`) before the first draw.
     """
     cache = {}
 
@@ -248,6 +295,31 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
 
     op.draws = cache
     return op
+
+
+def _physical_memory_bytes():
+    """Physical memory of the machine in bytes, or None where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _require_cache_fits(num_states, num_actions, samples):
+    """Raise ValueError if a common-random-number draw cache cannot fit.
+
+    The cache of `smdp_backup_operator` over a whole model holds
+    num_states * num_actions * samples float64 draws.  Checked against
+    physical memory, before anything is drawn, so that a solve too large
+    for the machine fails at once instead of swapping or being killed.
+    """
+    need = num_states * num_actions * samples * 8
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"Monte Carlo draw cache needs {need} bytes ({num_states} states "
+            f"x {num_actions} actions x {samples} samples x 8), more than "
+            f"the {have} bytes of physical memory; lower mc_samples")
 
 
 def build_uniform_counterexample(r1, r2, discount=0.9):

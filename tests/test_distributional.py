@@ -420,7 +420,7 @@ def test_lower_bound_check_is_the_row_major_expected_max(ambiguity):
     # noise tie too
     w = np.array([0.2, 0.2, -0.1])
     check = ds_lower_bound_check(w, ambiguity, seed=5, samples=20000)
-    eps = _member_draws(ambiguity, 0, 20000, derive_rng(5, 0))
+    eps = _member_draws(ambiguity, 0, 20000, derive_rng(5, 0)).T
     m = (w + eps).max(axis=1)
     assert check.mc_value == float(m.mean())
     assert check.mc_std_error == float(m.std(ddof=1) / np.sqrt(20000))

@@ -1,12 +1,17 @@
 """Noisy-reward backups: Gumbel closed form, Monte Carlo, and the ratio
 counterexample showing general noise escapes every softmax temperature."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy import stats
 
+import mdpkit.stochastic as stochastic
 from mdpkit import (
     GaussianJoint,
     GumbelIid,
+    StochasticInstance,
     UniformPerEntry,
     build_uniform_counterexample,
     derive_rng,
@@ -20,6 +25,10 @@ from mdpkit import (
     uniform_counterexample_ratio,
     value_iteration,
 )
+from mdpkit.cli import main
+from mdpkit.modelio import save_instance
+from mdpkit.stochastic import (EMAX_BLOCK, NoiseModel, _column_emax,
+                               _draw_columns)
 
 EULER_GAMMA = float(np.euler_gamma)
 W = np.array([1.0, 0.0, -1.0])
@@ -44,6 +53,44 @@ def test_gumbel_sample_mean_matches_convention():
     draws = mz.sample(0, 200000, np.random.default_rng(0))
     assert draws.shape == (200000, 3)
     assert abs(draws.mean()) < 0.01
+
+
+def test_gumbel_sample_follows_the_gumbel_law():
+    eta, location = 0.7, 0.3
+    g = GumbelIid(eta, location=location, num_actions=4)
+    draws = g.sample(0, 50000, np.random.default_rng(11)).ravel()
+    assert draws.size == 200000
+
+    def cdf(x):
+        return np.exp(-np.exp(-(x - location) / eta))
+
+    assert stats.kstest(draws, cdf).pvalue > 1e-3
+    # mean location + eta * euler_gamma, standard deviation eta * pi / sqrt(6)
+    se = eta * np.pi / np.sqrt(6.0 * draws.size)
+    assert abs(draws.mean() - g.mean(0)[0]) < 4.0 * se
+
+
+class _ExponentialZeros:
+    """Generator stub: its first two exponential draws hold exact zeros."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def standard_exponential(self, size):
+        out = self.rng.standard_exponential(size)
+        if self.calls < 2:
+            out.reshape(-1)[::3] = 0.0
+        self.calls += 1
+        return out
+
+
+def test_gumbel_sample_redraws_exact_zero_exponentials():
+    rng = _ExponentialZeros(12)
+    draws = GumbelIid(0.5, num_actions=3).sample(0, 40, rng)
+    assert rng.calls == 3
+    assert draws.shape == (40, 3)
+    assert np.all(np.isfinite(draws))
 
 
 def test_gumbel_rejects_bad_scale():
@@ -86,6 +133,42 @@ def test_gaussian_joint_sample_covariance():
     draws = noise.sample(0, 200000, np.random.default_rng(2))
     emp = np.cov(draws.T)
     assert np.max(np.abs(emp - cov[0])) < 0.05
+
+
+def test_gaussian_joint_samples_a_singular_covariance_on_its_support():
+    b = np.array([[1.0, 0.2], [0.5, -0.7], [-0.3, 0.9]])
+    cov = b @ b.T  # rank 2 of 3
+    null = np.cross(b[:, 0], b[:, 1])
+    noise = GaussianJoint(cov[None])
+    n = 200000
+    draws = noise.sample(0, n, np.random.default_rng(3))
+    emp = draws.T @ draws / n
+    # the mean is known to be 0: Var(x_i x_j) = cov_ii cov_jj + cov_ij^2
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
+    assert np.all(np.abs(emp - cov) <= 4.0 * se)
+    assert np.max(np.abs(draws @ null)) < 1e-12
+
+
+def test_builtin_laws_draw_straight_into_the_column_cache():
+    class RowMajor(NoiseModel):
+        def sample(self, state, n, rng):
+            return rng.random((n, 3))
+
+    for noise in _tie_prone_noises() + [RowMajor()]:
+        returned = []
+        draw = noise.sample
+
+        def capture(*args, draw=draw, **kwargs):
+            returned.append(draw(*args, **kwargs))
+            return returned[-1]
+
+        noise.sample = capture
+        cols = _draw_columns(W, noise, 500, derive_rng(4), 1)
+        assert cols.shape == (3, 500) and cols.flags.c_contiguous
+        assert np.array_equal(cols, returned[0].T)
+        builtin = not isinstance(noise, RowMajor)
+        assert returned[0].T.flags.c_contiguous == builtin
+        assert np.shares_memory(cols, returned[0]) == builtin
 
 
 # ------------------------------------------------------- closed form vs MC
@@ -219,6 +302,21 @@ def test_smdp_operator_matches_row_major_formula_bit_for_bit(fresh):
     assert op(np.array([0.5, -0.25, 0.5]), 0, 0)[1][2] == 0.0
 
 
+@pytest.mark.parametrize("n", [1000, 3 * EMAX_BLOCK + 17])
+def test_column_emax_is_the_row_major_max_across_blocks(n):
+    # rounded draws tie often; column 2 has zero width, and column 3
+    # repeats column 1 on the first half of the samples
+    cols = np.round(derive_rng(29).normal(size=(4, n)), 1)
+    cols[2] = 0.0
+    cols[3, :n // 2] = cols[1, :n // 2]
+    for w in (np.zeros(4), np.array([0.3, 0.0, 0.3, 0.0]),
+              np.array([-0.5, 0.1, 0.4, 0.1])):
+        m, first = _column_emax(w, cols)
+        vals = w + cols.T
+        assert np.array_equal(m, vals.max(axis=1))
+        assert np.array_equal(first, vals.argmax(axis=1))
+
+
 def test_smdp_operator_first_sweep_equals_mc_emax_and_mc_policy():
     # criterion 2 and StochasticInstance.solve_with_error compare the
     # operator's fixed point with mc_emax at the same (w, seed, state)
@@ -231,6 +329,39 @@ def test_smdp_operator_first_sweep_equals_mc_emax_and_mc_policy():
                 assert value == mc_emax(w, noise, samples, seed, state=state).mean
                 assert np.array_equal(row, mc_policy(w, noise, samples, seed,
                                                      state=state))
+
+
+def test_mc_draw_cache_is_checked_against_physical_memory_first(
+        monkeypatch, tmp_path, capsys):
+    calls = []
+    draw = UniformPerEntry.sample
+
+    def counting(self, state, n, rng):
+        calls.append(state)
+        return draw(self, state, n, rng)
+
+    monkeypatch.setattr(UniformPerEntry, "sample", counting)
+    model, noise = build_uniform_counterexample(0.0, 0.25)
+    samples = 1000
+    need = 3 * 2 * samples * 8
+    inst = StochasticInstance(model, noise, mc_samples=samples)
+    path = tmp_path / "m.json"
+    save_instance(inst, path)
+
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        inst.solve()
+    code = main(["solve", str(path)])
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert record["kind"] == "validation"
+    assert f"needs {need} bytes" in record["message"]
+    assert calls == []
+
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need)
+    inst.solve()
+    assert main(["solve", str(path)]) == 0
+    assert sorted(set(calls)) == [0, 1, 2]
 
 
 # ------------------------------------------------- the ratio counterexample
