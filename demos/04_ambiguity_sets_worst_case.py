@@ -25,7 +25,8 @@ res = ds_backup(w, mdm)
 print("exponential marginals:", res.value, "=", 1.0 + logsumexp(w))
 print("policy matches softmax:", np.max(np.abs(res.argmax - softmax(w))))
 
-# Mixed marginal families have no closed form; the numeric conjugate runs.
+# Mixed marginal families have no closed form; one scalar root on the
+# simplex multiplier solves the stationarity condition instead.
 mixed = MarginalDistributionModel(
     [[ExponentialInverseCdf(1.2), UniformInverseCdf(-0.5, 0.5),
       ExponentialInverseCdf(0.8)]])

@@ -11,6 +11,9 @@ the smoothed-Bellman machinery solves them:
 - full covariance constraints (regularizer: trace of the square root of
   S^(1/2) (Diag(p) - p p^T) S^(1/2)).
 
+The first two are separable: one scalar root of their stationarity
+condition solves the backup.  The covariance backup is a Newton ascent.
+
 `ds_lower_bound_check` draws from one member distribution of the set and
 verifies the Monte Carlo expected max stays below the robust value.
 """
@@ -20,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import expi
 
 from .core import derive_rng
@@ -30,6 +31,7 @@ from .regularized import (ConjugateResult, Regularizer, entropy_backup,
 from .stochastic import EULER_GAMMA, GaussianJoint, _column_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
+_EPS = float(np.finfo(float).eps)
 
 
 class InverseCdf:
@@ -38,7 +40,9 @@ class InverseCdf:
     `__call__` must map an array elementwise.  `mass_integral(p)` is the
     upper-tail integral of the inverse CDF from 1 - p to 1, the building
     block of the marginal-CDF regularizer.  `draw(u)` maps uniforms to
-    samples (inverse-transform sampling).
+    samples (inverse-transform sampling).  `cdf(x)`, the forward CDF
+    P(X <= x) on arrays, is optional: without it on every action the
+    robust backup falls back to the numeric conjugate.
     """
 
     def __call__(self, t):
@@ -71,6 +75,9 @@ class ExponentialInverseCdf(InverseCdf):
     def __call__(self, t):
         return -np.log1p(-np.asarray(t, dtype=float)) / self.rate
 
+    def cdf(self, x):
+        return -np.expm1(-self.rate * np.maximum(x, 0.0))
+
     def mass_integral(self, p):
         p = float(p)
         if p <= 0:
@@ -88,6 +95,9 @@ class UniformInverseCdf(InverseCdf):
     def __call__(self, t):
         return self.lo + (self.hi - self.lo) * np.asarray(t, dtype=float)
 
+    def cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+
     def mass_integral(self, p):
         p = float(p)
         return self.lo * p + (self.hi - self.lo) * p * (2.0 - p) / 2.0
@@ -103,6 +113,9 @@ class GumbelInverseCdf(InverseCdf):
 
     def __call__(self, t):
         return -self.scale * np.log(-np.log(np.asarray(t, dtype=float)))
+
+    def cdf(self, x):
+        return np.exp(-np.exp(-np.asarray(x, dtype=float) / self.scale))
 
     def mass_integral(self, p):
         # int_{1-p}^1 F^-1 = scale * (exp(-z) ln z - Ei(-z) + euler_gamma)
@@ -136,15 +149,22 @@ class TabulatedInverseCdf(InverseCdf):
     def __call__(self, t):
         return np.interp(np.asarray(t, dtype=float), self.t, self.values)
 
+    def cdf(self, x):
+        # on a flat run of values np.interp takes its last knot, so the CDF
+        # is right-continuous at the atoms: flat segments and clamped ends
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= self.values[-1], 1.0,
+                        np.interp(x, self.values, self.t, left=0.0))
+
     def mass_integral(self, p):
+        # the trapezoid rule over the knots in [1 - p, 1], clamped ends
+        # included, is exact for a piecewise-linear function
         p = float(p)
         if p <= 0:
             return 0.0
-        lo = 1.0 - p
-        inner = [float(k) for k in self.t if lo < k < 1.0]
-        val, _ = quad(self, lo, 1.0, points=inner or None,
-                      epsabs=1e-10, limit=10000)
-        return val
+        x = np.concatenate(([1.0 - p], self.t[self.t > 1.0 - p], [1.0]))
+        y = self(x)
+        return float(np.diff(x) @ (y[1:] + y[:-1])) / 2.0
 
 
 class MarginalDistributionModel:
@@ -192,6 +212,62 @@ class CovarianceModel:
         self.num_states, self.num_actions = matrices.shape[:2]
 
 
+def _stationary_root(w, phi, cdf, quantile) -> ConjugateResult:
+    """sup_p { w.p + phi(p) } for phi(p) = sum_a int_{1-p_a}^1 F_a^-1.
+
+    Stationarity gives p_a(nu) = 1 - F_a(nu - w_a), whose sum falls as nu
+    rises.  Action a takes exactly 1/A at nu_a = w_a + F_a^-1(1 - 1/A), so
+    [min_a nu_a, max_a nu_a] brackets the root.  Anderson-Bjorck steps narrow
+    it until the row sums to 1 to rounding.  Where an atom of some F_a makes
+    the sum jump over 1, the bracket closes around the jump and the leftover
+    mass goes inside it, between the two end rows.  `cdf` and `quantile`
+    apply F_a and F_a^-1 to entry a of a length-A array.
+    """
+    n = w.shape[0]
+    p = np.full(n, 1.0 / n)
+    edge = w + quantile(1.0 - p) if n > 1 else w
+    lo, hi = float(edge.min()), float(edge.max())
+    if lo < hi:
+        p_lo, p_hi = 1.0 - cdf(lo - w), 1.0 - cdf(hi - w)
+        # the actions that set an end take 1/A there, inside any jump
+        p_lo[edge == lo] = p_hi[edge == hi] = 1.0 / n
+        g_lo, g_hi = float(p_lo.sum()) - 1.0, float(p_hi.sum()) - 1.0
+        f_lo, f_hi, kept = g_lo, g_hi, 0
+        last, step, prev = hi, np.inf, np.inf
+        for _ in range(200):
+            if not (g_lo > 0.0 > g_hi
+                    and hi - lo > 4 * _EPS * max(1.0, abs(lo), abs(hi))):
+                break
+            nu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            # bisect when the step leaves the bracket or, as in Brent's
+            # method, is not half the step before last: at a kink of the
+            # sum, where some F_a reaches 0 or 1, the secant creeps
+            if not lo < nu < hi or abs(nu - last) > 0.5 * prev:
+                nu = 0.5 * (lo + hi)
+            last, prev, step = nu, step, abs(nu - last)
+            row = 1.0 - cdf(nu - w)
+            g = float(row.sum()) - 1.0
+            if abs(g) <= n * _EPS:
+                p_hi, g_hi = row, 0.0
+            elif g > 0.0:
+                # Anderson-Bjorck: shrink the weight of the end kept twice
+                m = 1.0 - g / g_lo if kept == 1 else 1.0
+                f_hi *= m if m > 0.0 else 0.5
+                lo, p_lo, g_lo, f_lo, kept = nu, row, g, g, 1
+            else:
+                m = 1.0 - g / g_hi if kept == -1 else 1.0
+                f_lo *= m if m > 0.0 else 0.5
+                hi, p_hi, g_hi, f_hi, kept = nu, row, g, g, -1
+        if g_hi >= 0.0:
+            p = p_hi
+        elif g_lo <= 0.0:
+            p = p_lo
+        else:
+            p = p_hi + g_hi / (g_hi - g_lo) * (p_lo - p_hi)
+        p = p / p.sum()
+    return ConjugateResult(value=float(w @ p) + phi.value(p), argmax=p)
+
+
 class MdmRegularizer(Regularizer):
     """Marginal-CDF regularizer for one state; gradient F^-1_a(1 - p_a)."""
 
@@ -214,14 +290,20 @@ class MdmRegularizer(Regularizer):
                 eta = 1.0 / rates.pop()
                 res = entropy_backup(w, eta)
                 return ConjugateResult(value=res.value + eta, argmax=res.argmax)
-        return None
+        if any(getattr(c, "cdf", None) is None for c in self.cdfs):
+            return None
+        return _stationary_root(
+            np.asarray(w, dtype=float), self,
+            lambda x: np.array([c.cdf(v) for c, v in zip(self.cdfs, x)]),
+            lambda t: np.array([c(v) for c, v in zip(self.cdfs, t)]))
 
 
 class MmmRegularizer(Regularizer):
     """Marginal-moment regularizer with a stationarity-based conjugate.
 
-    Per-action stationarity gives p_a = (1 + d_a / sqrt(d_a^2 + sigma_a^2))/2
-    with d_a = w_a - nu; the simplex multiplier nu is a scalar root-find.
+    phi is separable with F_sigma(x) = (1 + x / sqrt(x^2 + sigma^2)) / 2,
+    so `_stationary_root` gives p_a = (1 + d_a / sqrt(d_a^2 + sigma_a^2))/2
+    with d_a = w_a - nu.
     """
 
     def __init__(self, sigma_row):
@@ -244,28 +326,21 @@ class MmmRegularizer(Regularizer):
 
     def conjugate(self, w):
         w = np.asarray(w, dtype=float)
-        n = w.shape[0]
-        if n == 1:
-            return ConjugateResult(value=float(w[0]), argmax=np.ones(1))
         if np.all(self.sigma == 0):
             best = int(np.argmax(w))
-            row = np.zeros(n)
+            row = np.zeros(w.shape[0])
             row[best] = 1.0
             return ConjugateResult(value=float(w[best]), argmax=row)
         sig = np.clip(self.sigma, 1e-12, None)
 
-        def row_for(nu):
-            d = w - nu
-            return 0.5 * (1.0 + d / np.sqrt(d * d + sig * sig))
+        def cdf(x):
+            return 0.5 * (1.0 + x / np.sqrt(x * x + sig * sig))
 
-        span = (10.0 + n) * float(sig.max())
-        lo, hi = float(w.min()) - span, float(w.max()) + span
-        nu = brentq(lambda x: row_for(x).sum() - 1.0, lo, hi,
-                    xtol=1e-14, rtol=8.9e-16, maxiter=300)
-        p = row_for(nu)
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        return ConjugateResult(value=float(w @ p) + self.value(p), argmax=p)
+        def quantile(t):
+            u = 2.0 * t - 1.0
+            return sig * u / np.sqrt(1.0 - u * u)
+
+        return _stationary_root(w, self, cdf, quantile)
 
 
 class CovarianceRegularizer(Regularizer):
@@ -290,16 +365,34 @@ class CovarianceRegularizer(Regularizer):
         vals = np.clip(vals, 0.0, None)
         self.cov = cov
         self.sqrt_cov = (vecs * np.sqrt(vals)) @ vecs.T
+        # per k: the other actions, and the symmetric square root of the
+        # covariance of their differences eps_a - eps_k
+        n = cov.shape[0]
+        self._rest, self._diff_root = [], []
+        for k in range(n):
+            rest = np.flatnonzero(np.arange(n) != k)
+            diff = cov - cov[:, [k]] - cov[[k], :] + cov[k, k]
+            vals, vecs = np.linalg.eigh(diff[np.ix_(rest, rest)])
+            self._rest.append(rest)
+            self._diff_root.append((vecs * np.sqrt(np.clip(vals, 0.0, None)))
+                                   @ vecs.T)
 
     def value(self, p):
+        """Sum of the square roots of the eigenvalues of R (Diag(r) - r r^T) R.
+
+        r is p without its largest entry k and R the square root of the
+        covariance of eps_a - eps_k (a != k): the eigenvalues of S M(p) S
+        without its structural zero, whose rounding noise the square root
+        would lift to ~1e-8.  No entry of r exceeds 1/2, so no cancellation.
+        """
         p = np.asarray(p, dtype=float)
-        m = np.diag(p) - np.outer(p, p)
-        b = self.sqrt_cov @ m @ self.sqrt_cov
-        eig = np.linalg.eigvalsh(b)
-        # the structural zero eigenvalue comes back as rounding noise of
-        # either sign; sqrt would turn that noise into ~1e-8 jitter, so
-        # flush everything below a relative threshold to exactly zero
-        eig[eig < max(eig.max(), 0.0) * 1e-14] = 0.0
+        k = int(p.argmax())
+        r = p[self._rest[k]]
+        root = self._diff_root[k]
+        eig = np.linalg.eigvalsh(root @ (np.diag(r) - np.outer(r, r)) @ root)
+        # a singular covariance has true zero eigenvalues, rounding noise of
+        # either sign; flush them to exactly zero
+        eig[eig < eig.max(initial=0.0) * 1e-14] = 0.0
         return float(np.sqrt(eig).sum())
 
     def _pairs(self, p):

@@ -2,9 +2,11 @@
 
 The regularized backup of an action-value vector w is the convex conjugate
 sup_p { w . p + phi(p) } over the probability simplex.  Entropy and
-KL-to-reference regularizers have closed forms (log-sum-exp / softmax);
-anything else goes through `numeric_conjugate`, an entropic mirror-ascent
-solver with a step-halving line search.
+KL-to-reference regularizers have closed forms (log-sum-exp / softmax); a
+regularizer may solve its own conjugate (the ambiguity-set regularizers of
+`distributional` do, by a stationarity root or Newton ascent).  Anything
+else goes through `numeric_conjugate`, an entropic mirror-ascent solver
+with a step-halving line search.
 """
 
 from __future__ import annotations

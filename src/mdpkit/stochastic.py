@@ -396,5 +396,8 @@ def refute_single_eta_fit(deltas, ratios) -> FitResult:
     res = minimize_scalar(worst, bounds=(-16.0, 16.0), method="bounded",
                           options={"xatol": 1e-12})
     grid = np.linspace(-16, 16, 2001)
-    best = min([(worst(x), x) for x in grid] + [(res.fun, res.x)])
+    errs = np.max(np.abs(logr - deltas / np.exp(grid)[:, None]), axis=1)
+    # argmin keeps the first of tied grid points, as min over (error, x) does
+    i = int(np.argmin(errs))
+    best = min((float(errs[i]), float(grid[i])), (res.fun, res.x))
     return FitResult(eta=float(np.exp(best[1])), residual=float(best[0]))

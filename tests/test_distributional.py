@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from mdpkit import (
+    ConvergenceError,
     CovarianceModel,
     CovarianceRegularizer,
     EntropyRegularizer,
@@ -28,7 +29,7 @@ from mdpkit import (
     value_iteration,
 )
 from mdpkit.core import derive_rng
-from mdpkit.distributional import _member_draws
+from mdpkit.distributional import InverseCdf, _member_draws
 from util import central_fd, random_interior, tangential_fd
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -104,6 +105,39 @@ def test_tabulated_cdf_interpolates_and_integrates():
     assert cdf(0.1) == -1.0  # clamped below the first knot
     ref, _ = quad(cdf, 0.6, 1.0, epsabs=1e-12, limit=500)
     assert cdf.mass_integral(0.4) == pytest.approx(ref, abs=1e-9)
+
+
+def test_tabulated_mass_integral_is_exact_across_atoms():
+    # 1 - p below the first knot, inside the flat segment [0.4, 0.6], and
+    # above the last knot: the trapezoid sum equals the quadrature
+    cdf = TabulatedInverseCdf([0.2, 0.4, 0.6, 0.8], [-1.0, 0.5, 0.5, 2.0])
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        knots = [k for k in cdf.t if k > 1.0 - p]
+        ref, _ = quad(cdf, 1.0 - p, 1.0, points=knots or None,
+                      epsabs=1e-13, limit=500)
+        assert cdf.mass_integral(p) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("cdf", [
+    ExponentialInverseCdf(1.7),
+    UniformInverseCdf(-1.0, 2.0),
+    GumbelInverseCdf(0.8),
+    TabulatedInverseCdf([0.2, 0.4, 0.6, 0.8], [-1.0, 0.5, 0.5, 2.0]),
+], ids=["exponential", "uniform", "gumbel", "tabulated"])
+def test_forward_cdf_inverts_the_quantile(cdf):
+    # F(F^-1(t)) = t off the atoms; at an atom F jumps past t, and just
+    # below the atom it stays at or below t
+    t = np.linspace(0.01, 0.99, 99)
+    x = cdf(t)
+    f = cdf.cdf(x)
+    assert f.shape == t.shape
+    assert np.all(f >= t - 1e-12)
+    assert np.all(cdf.cdf(x - 1e-9) <= t + 1e-8)
+    if not isinstance(cdf, TabulatedInverseCdf):
+        assert np.allclose(f, t, atol=1e-12)
+    else:
+        assert cdf.cdf(0.5) == 0.6  # right end of the flat segment
+        assert cdf.cdf(2.0) == 1.0 and cdf.cdf(-1.0 - 1e-12) == 0.0
 
 
 def test_validate_catches_non_monotone_probe():
@@ -236,6 +270,121 @@ def test_numeric_conjugate_line_search_exit_changes_no_result():
     assert saved > 0
 
 
+def _random_marginal(rng, family):
+    if family == "exponential":
+        return ExponentialInverseCdf(rng.uniform(0.3, 3.0))
+    if family == "uniform":
+        lo = rng.normal()
+        return UniformInverseCdf(lo, lo + rng.uniform(0.1, 2.0))
+    if family == "gumbel":
+        return GumbelInverseCdf(rng.uniform(0.2, 2.0))
+    # knots at least 0.01 apart; about half the segments are flat (atoms)
+    k = int(rng.integers(2, 6))
+    t = 0.02 + np.cumsum(rng.uniform(0.01, 0.96 / k, k))
+    steps = rng.exponential(1.0, k - 1) * (rng.random(k - 1) < 0.5)
+    values = np.concatenate(([0.0], np.cumsum(steps)))
+    return TabulatedInverseCdf(t, rng.normal() + values)
+
+
+FAMILIES = ["exponential", "uniform", "gumbel", "tabulated"]
+
+
+@pytest.mark.parametrize("family", FAMILIES + ["mixed"])
+def test_mdm_stationarity_root_beats_mirror_ascent(family):
+    # 5 x 60 draws: the root's row is feasible, its value is never below
+    # mirror ascent's, and for continuous marginals w_a + F_a^-1(1 - p_a)
+    # is one constant on the support
+    rng = np.random.default_rng(40 + (FAMILIES + ["mixed"]).index(family))
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        cdfs = [_random_marginal(rng, family if family != "mixed"
+                                 else FAMILIES[rng.integers(4)])
+                for _ in range(n)]
+        w = rng.normal(size=n) * rng.uniform(0.1, 3.0)
+        phi = MdmRegularizer(cdfs)
+        res = phi.conjugate(w)
+        try:
+            mirror = numeric_conjugate(w, phi).value
+        except ConvergenceError as exc:  # flat segments can stall it
+            mirror = exc.best.value
+        p = res.argmax
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
+        assert res.value == float(w @ p) + phi.value(p)
+        assert res.value >= mirror - 1e-12
+        if not any(isinstance(c, TabulatedInverseCdf) for c in cdfs):
+            # a row that is 1 to rounding has an infinite Gumbel gradient
+            # and no second action to compare with
+            support = (p > 1e-6) & (p < 1.0 - 1e-6)
+            if support.any():
+                assert np.ptp((w + phi.gradient(p))[support]) <= 1e-9
+
+
+class _CountingExponential(ExponentialInverseCdf):
+    evals = 0
+
+    def cdf(self, x):
+        _CountingExponential.evals += 1
+        return super().cdf(x)
+
+
+def test_mdm_root_takes_few_evaluations_at_a_kink():
+    # where one exponential takes nearly all the mass the root sits next to
+    # the kink nu = w_a of its p_a(nu), flat on the left; secant steps alone
+    # creep along the flat side (117 sweeps of the row here)
+    rates = [2.918798615683558, 1.6933851809792726, 0.6128371536710799]
+    phi = MdmRegularizer([_CountingExponential(r) for r in rates])
+    _CountingExponential.evals = 0
+    phi.conjugate(np.array([-3.06935895, -1.0422515, 5.63838331]))
+    assert _CountingExponential.evals / 3 <= 40
+    rng = np.random.default_rng(9)
+    sweeps = []
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        phi = MdmRegularizer([_CountingExponential(rng.uniform(0.3, 3.0))
+                              for _ in range(n)])
+        _CountingExponential.evals = 0
+        phi.conjugate(rng.normal(size=n) * rng.uniform(0.1, 5.0))
+        sweeps.append(_CountingExponential.evals / n)
+    assert np.mean(sweeps) <= 20
+
+
+@pytest.mark.parametrize("t,w,row", [
+    # flat at 0.5 on t in [0.6, 0.8]: the root nu = 0.5 is inside the bracket
+    ([0.2, 0.6, 0.8, 0.9], [0.0, 0.6], [0.3, 0.7]),
+    # flat at 0.5 on t in [0.4, 0.6]: nu = 0.5 is the bracket's lower end
+    ([0.2, 0.4, 0.6, 0.8], [0.0, 0.15], [0.45, 0.55]),
+])
+def test_mdm_root_puts_the_leftover_mass_inside_the_jump(t, w, row):
+    # p_1(nu) jumps over the flat segment's mass at nu = 0.5, where the
+    # uniform marginal's p_2 leaves a share inside the jump: both
+    # stationarity values equal 0.5
+    cdfs = [TabulatedInverseCdf(t, [-1.0, 0.5, 0.5, 2.0]),
+            UniformInverseCdf(-1.0, 2.0)]
+    res = MdmRegularizer(cdfs).conjugate(np.array(w))
+    assert np.allclose(res.argmax, row, rtol=0.0, atol=1e-14)
+
+
+class _LogisticNoCdf(InverseCdf):
+    """A marginal with a quantile and a mass integral but no forward cdf."""
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.log(t) - np.log1p(-t)
+
+    def mass_integral(self, p):
+        # int_{1-p}^1 ln(t / (1 - t)) dt = -p ln p - (1 - p) ln(1 - p)
+        p = float(p)
+        return float(sum(-x * np.log(x) for x in (p, 1.0 - p) if x > 0))
+
+
+def test_marginal_without_cdf_reaches_numeric_conjugate():
+    phi = MdmRegularizer([_LogisticNoCdf(), GumbelInverseCdf(1.0),
+                          _LogisticNoCdf()])
+    assert phi.conjugate(W) is None
+    mdm = MarginalDistributionModel([phi.cdfs])
+    assert ds_backup(W, mdm).value == numeric_conjugate(W, phi).value
+
+
 def test_mixed_family_mdm_runs_through_numeric_conjugate():
     phi = MdmRegularizer([ExponentialInverseCdf(1.0),
                           UniformInverseCdf(0.0, 2.0),
@@ -328,6 +477,26 @@ def test_covariance_gradient_matches_tangential_fd():
         g = phi.gradient(p)
         for d, deriv in tangential_fd(phi.value, p, h=1e-6):
             assert g @ d == pytest.approx(deriv, abs=1e-6)
+
+
+def test_covariance_value_is_smooth_near_a_vertex():
+    # p_min about 1e-3: phi is linear to 1e-12 over a 5e-10 step, with no
+    # rounding noise of a structural zero eigenvalue lifted by the sqrt
+    rng = np.random.default_rng(23)
+    for k in range(200):
+        na = 2 + k % 3
+        b = rng.normal(size=(na, na))
+        phi = CovarianceRegularizer(b @ b.T / na
+                                    + rng.uniform(0.05, 0.3) * np.eye(na))
+        p = rng.uniform(0.5e-3, 2e-3, na)
+        top = int(rng.integers(na))
+        p[top] = 0.0
+        p[top] = 1.0 - p.sum()
+        d = rng.normal(size=na)
+        d -= d.mean()
+        q = p + 5e-10 * d / np.linalg.norm(d)
+        gap = phi.value(q) - phi.value(p) - phi.gradient(p) @ (q - p)
+        assert abs(gap) <= 1e-12
 
 
 def test_covariance_rejects_non_psd():

@@ -425,6 +425,35 @@ def test_refute_single_eta_fit_accepts_a_true_softmax_family():
     assert fit.eta == pytest.approx(eta, rel=1e-3)
 
 
+def _eta_fit_loop(deltas, ratios):
+    """The grid of `refute_single_eta_fit` as one scalar call per point."""
+    from scipy.optimize import minimize_scalar
+
+    deltas = np.asarray(deltas, dtype=float)
+    logr = np.log(np.asarray(ratios, dtype=float))
+
+    def worst(log_eta):
+        return float(np.max(np.abs(logr - deltas / np.exp(log_eta))))
+
+    res = minimize_scalar(worst, bounds=(-16.0, 16.0), method="bounded",
+                          options={"xatol": 1e-12})
+    grid = np.linspace(-16, 16, 2001)
+    best = min([(worst(x), x) for x in grid] + [(res.fun, res.x)])
+    return float(np.exp(best[1])), float(best[0])
+
+
+def test_refute_single_eta_fit_grid_equals_the_scalar_loop():
+    # the batched grid takes the same exact errors and the same tie-break
+    rng = np.random.default_rng(12)
+    cases = [([-0.25, -0.75], [1.0 / 3.0, 3.0]), ([0.0, 0.0], [1.0, 1.0])]
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        cases.append((rng.normal(size=n), np.exp(rng.normal(size=n))))
+    for deltas, ratios in cases:
+        fit = refute_single_eta_fit(deltas, ratios)
+        assert (fit.eta, fit.residual) == _eta_fit_loop(deltas, ratios)
+
+
 def test_mc_ratio_reproducible_and_positive():
     a = mc_counterexample_ratio(0.0, 0.4, samples=50000, seed=3)
     b = mc_counterexample_ratio(0.0, 0.4, samples=50000, seed=3)
