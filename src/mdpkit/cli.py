@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -345,26 +346,39 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _add_common(parser, trials_default=50):
+# flag -> (type, fallback).  Flags left unset parse to None and take
+# MDPKIT_<FLAG> or the fallback when a command runs, so the parser is built
+# once per process and still sees the current environment
+_FALLBACKS = {"tol": (float, 1e-10), "max_iter": (int, 100000),
+              "mc_samples": (int, 100000), "seed": (int, 0),
+              "trials": (int, 50), "out": (str, None),
+              "gap_tol": (float, 1e-8)}
+
+
+def _fill_env_defaults(args):
+    for key, (cast, fallback) in _FALLBACKS.items():
+        if key in vars(args) and getattr(args, key) is None:
+            if key == "trials" and args.command == "figure1":
+                fallback = 20
+            setattr(args, key, _env_default(key.upper(), cast, fallback))
+
+
+def _add_common(parser):
     parser.add_argument("--tol", type=float,
-                        default=_env_default("TOL", float, 1e-10),
                         help="solver tolerance (default 1e-10)")
     parser.add_argument("--max-iter", type=int,
-                        default=_env_default("MAX_ITER", int, 100000),
                         help="value-iteration sweep cap")
     parser.add_argument("--mc-samples", type=int,
-                        default=_env_default("MC_SAMPLES", int, 100000),
                         help="Monte Carlo draws per backup")
     parser.add_argument("--seed", type=int,
-                        default=_env_default("SEED", int, 0),
                         help="root seed for every random stream")
     parser.add_argument("--trials", type=int,
-                        default=_env_default("TRIALS", int, trials_default),
                         help="reward tables per comparison")
-    parser.add_argument("--out", default=_env_default("OUT", str, None),
+    parser.add_argument("--out",
                         help="output directory (gen: output file)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mdpkit",
@@ -384,14 +398,13 @@ def build_parser():
     p.add_argument("--offset", default=None,
                    help="constant reward offset: scalar or JSON array file")
     p.add_argument("--gap-tol", type=float,
-                   default=_env_default("GAP_TOL", float, 1e-8),
                    help="value/policy gap tolerance for the verdict")
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure1",
                        help="run the nested-relation counterexample suite")
-    _add_common(p, trials_default=20)
+    _add_common(p)
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("convert",
@@ -414,6 +427,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _fill_env_defaults(args)
     try:
         _check_config(args)
         return args.func(args)

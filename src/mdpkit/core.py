@@ -11,10 +11,15 @@ may differ from the one-state `q_vector` in the last ulp (BLAS kernel shape).
 A backup's row maximizes sup_p {w.p + phi(p)}, so it is the gradient of its
 value in w (Danskin): `value_iteration` takes Newton (policy iteration) steps
 with the rows as the Jacobian, with no per-family code.
+
+The (S, A, S) kernel is the one large array, and it exists once: writeable
+inputs are copied, frozen ones are shared, so a model with new rewards or a
+converted model reuses its parent's kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +50,12 @@ class ConvergenceError(RuntimeError):
 
 
 def _frozen(a):
-    # C order, so the (S*A, S) reshape of the kernel in `q_vector` is a view
+    # C order, so the (S*A, S) reshape of the kernel in `q_vector` is a
+    # view; a read-only view is copied, as its base may still be written
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     arr = np.array(a, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
@@ -55,8 +65,10 @@ def _frozen(a):
 class MdpModel:
     """Finite MDP: reward[s, a], transition[s, a, s'], discount in [0, 1).
 
-    Arrays are copied and marked read-only, so a model can be shared across
-    threads; parallel sweeps over states are safe.
+    Arrays are held read-only, so a model can be shared across threads;
+    parallel sweeps over states are safe.  Writeable inputs are copied;
+    frozen ones (read-only, C-ordered float64 arrays that own their data)
+    are shared, so models built from one kernel hold one copy of it.
     """
 
     num_states: int
@@ -104,11 +116,14 @@ def validate_model(model) -> list:
     if not np.all(np.isfinite(model.reward)):
         bad = np.argwhere(~np.isfinite(model.reward))[0]
         v.append(f"reward not finite at (s={bad[0]}, a={bad[1]})")
-    if not np.all(np.isfinite(model.transition)):
+    # reductions, no kernel-sized temporaries: min and max propagate NaN
+    # and +-inf, so both are finite iff every entry is
+    low, high = model.transition.min(), model.transition.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
         v.append("transition has non-finite entries")
     else:
-        if np.any(model.transition < 0):
-            s, a, _ = np.argwhere(model.transition < 0)[0]
+        if low < 0:
+            s, a = np.argwhere(model.transition.min(axis=2) < 0)[0]
             v.append(f"negative transition probability at (s={s}, a={a})")
         rowsum = model.transition.sum(axis=2)
         off = np.abs(rowsum - 1.0)
@@ -190,6 +205,28 @@ def bellman_sweep(model, backup, value, sweep=0):
     return new_value, policy
 
 
+def _evaluation_matrix(model, policy):
+    """I - gamma P_pi, P_pi the kernel under `policy`, in one (S, S) buffer.
+
+    When every row of `policy` has one nonzero, P_pi is the kernel rows it
+    picks, scaled by their weights: a gather of S rows, not a product over
+    all S*A of them.  Either way it equals np.eye(S) - gamma * P_pi
+    exactly.
+    """
+    S = model.num_states
+    nonzero = policy != 0
+    if np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        states = np.arange(S)
+        actions = np.argmax(nonzero, axis=1)
+        mat = model.transition[states, actions]
+        mat *= policy[states, actions][:, None]
+    else:
+        mat = np.matmul(policy[:, None, :], model.transition)[:, 0, :]
+    mat *= -model.discount
+    mat.flat[::S + 1] += 1.0
+    return mat
+
+
 def value_iteration(model, backup, tol=1e-10, max_iter=100000,
                     newton=True) -> SolveResult:
     """Iterate synchronous sweeps until the sup-norm residual |TV - V| <= tol.
@@ -222,9 +259,8 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
             return result
         newton = newton and (sweep == 1 or np.min(step) >= -tol)
         if newton:
-            p_pi = np.matmul(policy[:, None, :], model.transition)[:, 0, :]
             value = value + np.linalg.solve(
-                np.eye(model.num_states) - gamma * p_pi, step)
+                _evaluation_matrix(model, policy), step)
         else:
             value = new_value
     raise ConvergenceError(
@@ -240,8 +276,7 @@ def policy_evaluation_exact(model, policy) -> np.ndarray:
     if bad:
         raise ModelValidationError(bad)
     r_pi = np.einsum("sa,sa->s", policy, model.reward)
-    p_pi = np.einsum("sa,sat->st", policy, model.transition)
-    mat = np.eye(model.num_states) - model.discount * p_pi
+    mat = _evaluation_matrix(model, policy)
     value = np.linalg.solve(mat, r_pi)
     res = float(np.max(np.abs(mat @ value - r_pi)))
     if res > 1e-8 * max(1.0, float(np.max(np.abs(r_pi)))):
@@ -259,8 +294,11 @@ def random_mdp(num_states, num_actions, seed, reward_range=(-1.0, 1.0),
     if not lo < hi:
         raise ValueError(f"empty reward range {reward_range}")
     rng = np.random.default_rng(seed)
-    raw = rng.random((num_states, num_actions, num_states)) + 1e-9
-    transition = raw / raw.sum(axis=2, keepdims=True)
+    # normalized in place and frozen, so the model shares the one draw
+    transition = rng.random((num_states, num_actions, num_states))
+    transition += 1e-9
+    transition /= transition.sum(axis=2, keepdims=True)
+    transition.setflags(write=False)
     reward = rng.uniform(lo, hi, size=(num_states, num_actions))
     return MdpModel(num_states=num_states, num_actions=num_actions,
                     transition=transition, reward=reward, discount=discount)

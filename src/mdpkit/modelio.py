@@ -58,11 +58,14 @@ def model_from_dict(data) -> MdpModel:
     if not isinstance(num_states, int) or not isinstance(num_actions, int):
         _fail("num_states and num_actions must be integers")
     try:
-        transition = np.asarray(_require(data, "transition", "model"),
-                                dtype=float)
-        reward = np.asarray(_require(data, "reward", "model"), dtype=float)
+        # fresh arrays, frozen, so the model shares them instead of copying
+        transition = np.array(_require(data, "transition", "model"),
+                              dtype=float)
+        reward = np.array(_require(data, "reward", "model"), dtype=float)
     except (TypeError, ValueError) as exc:
         _fail(f"reward/transition arrays are malformed: {exc}")
+    transition.setflags(write=False)
+    reward.setflags(write=False)
     return MdpModel(num_states=num_states, num_actions=num_actions,
                     transition=transition, reward=reward,
                     discount=float(_require(data, "discount", "model")))

@@ -328,9 +328,18 @@ def test_figure1_reports_are_byte_identical(figure1_runs):
 
 def test_env_defaults_and_flag_priority(tmp_path, capsys, monkeypatch):
     path = write_json(tmp_path / "m.json", trivial_model_dict())
+    monkeypatch.delenv("MDPKIT_SEED", raising=False)
+    monkeypatch.delenv("MDPKIT_TRIALS", raising=False)
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert json.loads(out)["config"]["seed"] == 0
+    assert json.loads(out)["config"]["trials"] == 50
+    # set after an earlier call in the same process: still honored
     monkeypatch.setenv("MDPKIT_SEED", "123")
     code, out, _ = run_cli(capsys, "solve", path)
     assert json.loads(out)["config"]["seed"] == 123
+    monkeypatch.setenv("MDPKIT_TRIALS", "7")
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert json.loads(out)["config"]["trials"] == 7
     code, out, _ = run_cli(capsys, "solve", path, "--seed", "9")
     assert json.loads(out)["config"]["seed"] == 9
 

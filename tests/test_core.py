@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import tracemalloc_peak
 
 from mdpkit import (
     ConvergenceError,
     EntropyRegularizer,
     MdpModel,
     ModelValidationError,
+    RegularizedInstance,
+    StandardInstance,
     bellman_sweep,
     derive_rng,
     policy_evaluation_exact,
     q_vector,
+    r_to_ct_convert,
     random_mdp,
     regularized_backup_operator,
     standard_backup,
@@ -22,6 +26,7 @@ from mdpkit import (
     validate_policy_matrix,
     value_iteration,
 )
+from mdpkit.core import _evaluation_matrix
 
 
 def chain_model(discount=0.5):
@@ -87,6 +92,71 @@ def test_model_arrays_are_frozen():
     m = chain_model()
     with pytest.raises(ValueError):
         m.reward[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("entry, expected", [
+    (np.nan, "transition has non-finite entries"),
+    (np.inf, "transition has non-finite entries"),
+    (-np.inf, "transition has non-finite entries"),
+    (-0.25, "negative transition probability at (s=1, a=0)"),
+])
+def test_kernel_violations_name_the_first_bad_row(entry, expected):
+    # bad entries in rows (1, 0) and (2, 1), each row summing to 1
+    t = np.full((3, 2, 3), 1.0 / 3.0)
+    t[1, 0] = [0.75, 0.5, entry]
+    t[2, 1] = [entry, 0.5, 0.75]
+    with pytest.raises(ModelValidationError) as exc:
+        MdpModel(3, 2, t, np.zeros((3, 2)), 0.9)
+    assert exc.value.violations == [expected]
+
+
+def test_row_sum_violation_names_the_first_bad_row():
+    t = np.full((2, 2, 2), 0.5)
+    t[1, 0] = [0.5, 0.6]
+    t[1, 1] = [0.5, 0.7]
+    with pytest.raises(ModelValidationError) as exc:
+        MdpModel(2, 2, t, np.zeros((2, 2)), 0.9)
+    assert exc.value.violations == [
+        f"transition row (s=1, a=0) sums to {np.float64(1.1)!r}, "
+        "outside 1 +/- 1e-12"]
+
+
+# ------------------------------------------------------------ kernel memory
+
+
+def test_random_mdp_holds_one_kernel():
+    model, peak = tracemalloc_peak(random_mdp, 200, 10, seed=1)
+    assert peak <= 1.1 * model.transition.nbytes
+    assert not model.transition.flags.writeable
+
+
+def test_frozen_kernel_is_shared_by_derived_models():
+    m = random_mdp(6, 3, seed=5, discount=0.8)
+    reward = np.ones((6, 3))
+    assert StandardInstance(m).with_rewards(reward).model.transition \
+        is m.transition
+    phi = EntropyRegularizer(0.5)
+    assert RegularizedInstance(m, phi).with_rewards(reward).model.transition \
+        is m.transition
+    assert r_to_ct_convert(m, phi).ct_model.transition is m.transition
+
+
+def test_writeable_views_and_fortran_inputs_are_copied():
+    base = random_mdp(4, 3, seed=6)
+    writeable = np.array(base.transition)
+    m = MdpModel(4, 3, writeable, base.reward, base.discount)
+    assert m.transition is not writeable
+    writeable[0, 0] = [1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(m.transition, base.transition)
+    view = base.transition[:, :, :]
+    assert not view.flags.writeable
+    assert MdpModel(4, 3, view, base.reward, base.discount).transition \
+        is not view
+    fortran = np.asfortranarray(base.transition)
+    fortran.setflags(write=False)
+    m = MdpModel(4, 3, fortran, base.reward, base.discount)
+    assert m.transition is not fortran
+    assert m.transition.flags.c_contiguous
 
 
 def test_validate_policy_matrix():
@@ -267,6 +337,22 @@ def test_error_bound_bounds_the_distance_to_the_policy_value(newton, eta):
                        reward=reward, discount=0.95)
     exact = policy_evaluation_exact(shifted, res.policy)
     assert np.max(np.abs(res.value - exact)) <= res.error_bound + 1e-12
+
+
+@pytest.mark.parametrize("rows", ["one-hot", "scaled", "mixed"])
+def test_evaluation_matrix_equals_the_batched_product(rows):
+    m = random_mdp(30, 4, seed=12, discount=0.9)
+    rng = derive_rng(12, 1)
+    policy = np.zeros((30, 4))
+    picks = rng.integers(4, size=30)
+    policy[np.arange(30), picks] = 1.0
+    if rows == "scaled":
+        policy[np.arange(30), picks] = rng.uniform(0.5, 1.5, size=30)
+    elif rows == "mixed":
+        policy[::3] = rng.dirichlet(np.ones(4), size=10)
+    p_pi = np.matmul(policy[:, None, :], m.transition)[:, 0, :]
+    assert np.array_equal(_evaluation_matrix(m, policy),
+                          np.eye(30) - m.discount * p_pi)
 
 
 def test_newton_keeps_stepping_when_the_residual_grows():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from util import tracemalloc_peak
 
 from mdpkit import (
     ChiSquareLagrangeRegularizer,
@@ -68,6 +69,13 @@ def test_model_round_trip_is_exact(tmp_path):
     assert text.endswith("\n")
     third = load_model(path)
     assert np.array_equal(m.reward, third.reward)
+
+
+def test_parsed_model_holds_one_kernel():
+    data = model_to_dict(random_mdp(200, 10, seed=3))
+    model, peak = tracemalloc_peak(model_from_dict, data)
+    assert peak <= 1.1 * model.transition.nbytes
+    assert not model.transition.flags.writeable
 
 
 def test_model_file_is_sorted_and_stable(tmp_path):

@@ -1,5 +1,7 @@
 """Shared numeric helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -36,3 +38,23 @@ def random_interior(rng, n, floor=0.05):
     p = rng.dirichlet(np.ones(n))
     p = (1.0 - n * floor) * p + floor
     return p / p.sum()
+
+
+def tracemalloc_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), peak bytes it held above what was live before).
+
+    numpy reports its array buffers to tracemalloc, so the peak counts the
+    arrays the call allocated, temporaries included.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak - base
