@@ -8,7 +8,6 @@ regularized backup, sometimes in closed form.
 """
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from mdpkit import (CovarianceModel, CovarianceRegularizer,
                     ExponentialInverseCdf, MarginalDistributionModel,
@@ -22,8 +21,11 @@ w = np.array([0.8, 0.1, -0.3])
 # softmax backup plus one.
 mdm = MarginalDistributionModel([[ExponentialInverseCdf(1.0)] * 3])
 res = ds_backup(w, mdm)
-print("exponential marginals:", res.value, "=", 1.0 + logsumexp(w))
-print("policy matches softmax:", np.max(np.abs(res.argmax - softmax(w))))
+shifted = np.exp(w - w.max())
+print("exponential marginals:", res.value, "=",
+      1.0 + w.max() + np.log(shifted.sum()))
+print("policy matches softmax:",
+      np.max(np.abs(res.argmax - shifted / shifted.sum())))
 
 # Mixed marginal families have no closed form; one scalar root on the
 # simplex multiplier solves the stationarity condition instead.

@@ -130,11 +130,11 @@ def validate_model(model) -> list:
         if np.any(off > ROW_SUM_TOL):
             s, a = np.argwhere(off > ROW_SUM_TOL)[0]
             v.append(
-                f"transition row (s={s}, a={a}) sums to {rowsum[s, a]!r}, "
+                f"transition row (s={s}, a={a}) sums to {rowsum[s, a]:.17g}, "
                 f"outside 1 +/- {ROW_SUM_TOL}"
             )
     if not (0.0 <= model.discount < 1.0):
-        v.append(f"discount {model.discount!r} outside [0, 1)")
+        v.append(f"discount {model.discount:.17g} outside [0, 1)")
     return v
 
 
@@ -157,7 +157,7 @@ def validate_policy_matrix(probs, num_states=None, num_actions=None) -> list:
     off = np.abs(probs.sum(axis=1) - 1.0)
     if np.any(off > POLICY_ROW_TOL):
         s = int(np.argmax(off))
-        v.append(f"policy row s={s} sums to {probs[s].sum()!r}")
+        v.append(f"policy row s={s} sums to {probs[s].sum():.17g}")
     return v
 
 

@@ -20,18 +20,41 @@ verifies the Monte Carlo expected max stays below the robust value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
-from .core import derive_rng
+from .core import derive_rng, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator, solve_conjugate)
 from .stochastic import EULER_GAMMA, GaussianJoint, _column_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 _EPS = float(np.finfo(float).eps)
+
+
+def _e1(z):
+    """Exponential integral E1(z) = -Ei(-z) for z > 0.
+
+    The power series (Abramowitz & Stegun 5.1.11) up to z = 1.  Above, the
+    continued fraction of A&S 5.1.22 in its even form, summed backward from
+    a depth at which its truncation error is below rounding; summed forward
+    (modified Lentz) it gathers rounding error from every term.
+    """
+    z = float(z)
+    if z <= 1.0:
+        term = total = z
+        k = 1
+        while abs(term) > 1e-17 * total:
+            k += 1
+            term *= -z / k
+            total += term / k
+        return total - EULER_GAMMA - math.log(z)
+    tail = 0.0
+    for k in range(int(16 + 96 / z), 0, -1):
+        tail = k * k / (z + 2 * k + 1 - tail)
+    return math.exp(-z) / (z + 1 - tail)
 
 
 class InverseCdf:
@@ -118,8 +141,9 @@ class GumbelInverseCdf(InverseCdf):
         return np.exp(-np.exp(-np.asarray(x, dtype=float) / self.scale))
 
     def mass_integral(self, p):
-        # int_{1-p}^1 F^-1 = scale * (exp(-z) ln z - Ei(-z) + euler_gamma)
-        # with z = -ln(1 - p); series near z = 0 avoids the ln z blowup.
+        # int_{1-p}^1 F^-1 = scale * (exp(-z) ln z + E1(z) + euler_gamma)
+        # with z = -ln(1 - p) <= 37 for p < 1; the two-term expansion near
+        # z = 0 avoids the ln z blowup.
         p = float(p)
         if p <= 0:
             return 0.0
@@ -128,7 +152,7 @@ class GumbelInverseCdf(InverseCdf):
         z = -np.log1p(-p)
         if z < 1e-6:
             return self.scale * (-z * np.log(z) + z)
-        return self.scale * (np.exp(-z) * np.log(z) - expi(-z) + EULER_GAMMA)
+        return self.scale * (np.exp(-z) * np.log(z) + _e1(z) + EULER_GAMMA)
 
 
 class TabulatedInverseCdf(InverseCdf):
@@ -327,10 +351,8 @@ class MmmRegularizer(Regularizer):
     def conjugate(self, w):
         w = np.asarray(w, dtype=float)
         if np.all(self.sigma == 0):
-            best = int(np.argmax(w))
-            row = np.zeros(w.shape[0])
-            row[best] = 1.0
-            return ConjugateResult(value=float(w[best]), argmax=row)
+            value, row = standard_backup(w)
+            return ConjugateResult(value=value, argmax=row)
         sig = np.clip(self.sigma, 1e-12, None)
 
         def cdf(x):

@@ -279,10 +279,8 @@ def interior_policy_sweep(eta=1.0, settings=50):
     Every probability is interior and distinct, which is the sweep witness
     that no feasible-set model reproduces a soft backup.
     """
-    from scipy.special import expit
-
     gaps = np.linspace(-3.0, 3.0, settings)
-    return gaps, expit(gaps / eta)
+    return gaps, 1.0 / (1.0 + np.exp(-gaps / eta))
 
 
 def counterexample_suite(seed=0, trials=20, mc_samples=200000) -> NestedRelationReport:

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import MdpModel, derive_rng
 from .regularized import entropy_backup
@@ -386,18 +385,19 @@ def refute_single_eta_fit(deltas, ratios) -> FitResult:
     deltas are action-value gaps (w_1 - w_2) and ratios the target
     pi(a1)/pi(a2) values a single softmax temperature would have to satisfy
     simultaneously.  A residual far from zero certifies no temperature fits.
+
+    With u = 1/eta >= 0 the worst error is convex and piecewise linear in u,
+    so its minimum lies at u = 0 or where two of the lines
+    +-(ln r_i - delta_i u) cross; the least error over those candidates is
+    the exact infimum.  When it lies at u = 0 (eta -> infinity) `eta` is inf.
     """
     deltas = np.asarray(deltas, dtype=float)
     logr = np.log(np.asarray(ratios, dtype=float))
-
-    def worst(log_eta):
-        return float(np.max(np.abs(logr - deltas / np.exp(log_eta))))
-
-    res = minimize_scalar(worst, bounds=(-16.0, 16.0), method="bounded",
-                          options={"xatol": 1e-12})
-    grid = np.linspace(-16, 16, 2001)
-    errs = np.max(np.abs(logr - deltas / np.exp(grid)[:, None]), axis=1)
-    # argmin keeps the first of tied grid points, as min over (error, x) does
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.concatenate((
+            ((logr[:, None] - logr) / (deltas[:, None] - deltas)).ravel(),
+            ((logr[:, None] + logr) / (deltas[:, None] + deltas)).ravel()))
+        eta = np.concatenate(([np.inf], 1.0 / u[np.isfinite(u) & (u > 0.0)]))
+        errs = np.max(np.abs(logr - deltas / eta[:, None]), axis=1)
     i = int(np.argmin(errs))
-    best = min((float(errs[i]), float(grid[i])), (res.fun, res.x))
-    return FitResult(eta=float(np.exp(best[1])), residual=float(best[0]))
+    return FitResult(eta=float(eta[i]), residual=float(errs[i]))

@@ -1,8 +1,10 @@
 """Command-line entry points: reports, artifacts, exit codes, env defaults."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,3 +398,17 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["value"] == [pytest.approx(2.0, abs=1e-9)]
     # timings go to stderr, never stdout
     assert "seconds" not in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, mdpkit.cli; print(sorted(k for k in sys.modules "
+            "if k == 'scipy' or k.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for path in (src / "mdpkit").glob("*.py"):
+        assert "scipy" not in path.read_text(), path.name

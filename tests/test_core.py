@@ -117,8 +117,18 @@ def test_row_sum_violation_names_the_first_bad_row():
     with pytest.raises(ModelValidationError) as exc:
         MdpModel(2, 2, t, np.zeros((2, 2)), 0.9)
     assert exc.value.violations == [
-        f"transition row (s=1, a=0) sums to {np.float64(1.1)!r}, "
+        "transition row (s=1, a=0) sums to 1.1000000000000001, "
         "outside 1 +/- 1e-12"]
+
+
+def test_discount_and_policy_messages_print_17_digits():
+    t = np.full((2, 2, 2), 0.5)
+    with pytest.raises(ModelValidationError) as exc:
+        MdpModel(2, 2, t, np.zeros((2, 2)), np.float64(1.1))
+    assert exc.value.violations == ["discount 1.1000000000000001 outside [0, 1)"]
+    probs = np.array([[0.5, 0.5], [0.5, 0.6]])
+    assert validate_policy_matrix(probs) == [
+        "policy row s=1 sums to 1.1000000000000001"]
 
 
 # ------------------------------------------------------------ kernel memory

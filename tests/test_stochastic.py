@@ -2,6 +2,7 @@
 counterexample showing general noise escapes every softmax temperature."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -425,8 +426,8 @@ def test_refute_single_eta_fit_accepts_a_true_softmax_family():
     assert fit.eta == pytest.approx(eta, rel=1e-3)
 
 
-def _eta_fit_loop(deltas, ratios):
-    """The grid of `refute_single_eta_fit` as one scalar call per point."""
+def _grid_and_brent_fit(deltas, ratios):
+    """The residual of the former fit: a 2,001-point log-eta grid and Brent."""
     from scipy.optimize import minimize_scalar
 
     deltas = np.asarray(deltas, dtype=float)
@@ -437,13 +438,10 @@ def _eta_fit_loop(deltas, ratios):
 
     res = minimize_scalar(worst, bounds=(-16.0, 16.0), method="bounded",
                           options={"xatol": 1e-12})
-    grid = np.linspace(-16, 16, 2001)
-    best = min([(worst(x), x) for x in grid] + [(res.fun, res.x)])
-    return float(np.exp(best[1])), float(best[0])
+    return min([worst(x) for x in np.linspace(-16, 16, 2001)] + [res.fun])
 
 
-def test_refute_single_eta_fit_grid_equals_the_scalar_loop():
-    # the batched grid takes the same exact errors and the same tie-break
+def test_refute_single_eta_fit_is_exact_and_attained():
     rng = np.random.default_rng(12)
     cases = [([-0.25, -0.75], [1.0 / 3.0, 3.0]), ([0.0, 0.0], [1.0, 1.0])]
     for _ in range(20):
@@ -451,7 +449,16 @@ def test_refute_single_eta_fit_grid_equals_the_scalar_loop():
         cases.append((rng.normal(size=n), np.exp(rng.normal(size=n))))
     for deltas, ratios in cases:
         fit = refute_single_eta_fit(deltas, ratios)
-        assert (fit.eta, fit.residual) == _eta_fit_loop(deltas, ratios)
+        # never above the former searches, which only sampled the same error
+        assert fit.residual <= _grid_and_brent_fit(deltas, ratios)
+        # the residual is the worst error at the returned temperature; at
+        # eta = inf, delta / eta = 0 and the error is |ln r| (u = 0)
+        logr = np.log(ratios)
+        assert fit.residual == np.max(np.abs(logr - np.asarray(deltas) / fit.eta))
+    # on the curated pair the infimum is ln 3, reached as eta -> infinity
+    fit = refute_single_eta_fit(*cases[0])
+    assert fit.eta == np.inf
+    assert abs(fit.residual - math.log(3.0)) <= np.spacing(math.log(3.0))
 
 
 def test_mc_ratio_reproducible_and_positive():
