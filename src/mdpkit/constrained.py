@@ -589,19 +589,9 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
     regs = []
     slack = np.zeros(model.num_states)
     for s, (con, w) in enumerate(zip(sets, q_vector(model, sol.value))):
-        if isinstance(con, FullSimplex):
-            lam = 0.0
-        elif isinstance(con, KlBall):
-            lam = kl_constrained_backup(w, con.reference, con.radius,
-                                        tol=1e-14).multiplier
-        elif isinstance(con, L2ChiSquareBall):
-            lam = l2_constrained_backup(w, con.reference, con.radius).multiplier
-        elif isinstance(con, PhiBall):
-            lam = generic_phi_ball_backup(w, con.phi, con.radius,
-                                          tol=1e-12).multiplier
-        else:
-            raise TypeError(f"unknown constraint {type(con).__name__}")
-        multipliers[s] = lam = float(lam)
+        # tol 1e-14 certifies the KL multiplier; phi balls floor it at 1e-12
+        lam = constrained_backup(w, con, tol=1e-14).multiplier
+        multipliers[s] = lam = float(lam or 0.0)
         if lam == 0.0:
             reg = ZeroRegularizer()
         elif isinstance(con, KlBall):

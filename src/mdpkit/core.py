@@ -240,7 +240,8 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
     V <- TV, as they all are with `newton=False`.
 
     Raises ConvergenceError (carrying the last residual and the last sweep's
-    result as `best`) if max_iter sweeps do not reach the tolerance.
+    result as `best`) if max_iter sweeps do not reach the tolerance, or at
+    once on a sweep whose residual is not a finite number.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -257,6 +258,10 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
                              error_bound=gamma / (1.0 - gamma) * residual)
         if residual <= tol:
             return result
+        if not np.isfinite(residual):
+            raise ConvergenceError(
+                f"value iteration residual is {residual} at sweep {sweep}",
+                residual=residual, best=result)
         newton = newton and (sweep == 1 or np.min(step) >= -tol)
         if newton:
             value = value + np.linalg.solve(

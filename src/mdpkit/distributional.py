@@ -28,7 +28,8 @@ import numpy as np
 from .core import derive_rng, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator, solve_conjugate)
-from .stochastic import EULER_GAMMA, GaussianJoint, _column_emax
+from .stochastic import (EULER_GAMMA, GaussianJoint, _emax_estimate,
+                         _require_psd)
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 _EPS = float(np.finfo(float).eps)
@@ -368,25 +369,23 @@ class MmmRegularizer(Regularizer):
 class CovarianceRegularizer(Regularizer):
     """Covariance-trace regularizer phi(p) = trace((S M(p) S)^(1/2)).
 
-    S is the symmetric square root of the covariance matrix and
-    M(p) = Diag(p) - p p^T.  The gradient follows from
-    d trace(X^(1/2)) = 1/2 trace(X^(-1/2) dX) on the positive eigenspace;
-    with B = S A^(+1/2) S (pseudo-inverse square root of A = S M S) it is
-    g_a = B_aa / 2 - (B p)_a, reported in mean-zero (simplex-tangent) form.
-    The zero eigenvalue of A along the simplex carries no first-order term,
-    so dropping it is exact, not an approximation.
+    S is the symmetric square root of the covariance matrix (which must
+    pass `stochastic._require_psd`) and M(p) = Diag(p) - p p^T.  All is read
+    in the chart of p's largest entry k: r is p without entry k and R the
+    square root of the covariance of eps_a - eps_k (a != k).  The
+    eigenvalues of X = R (Diag(r) - r r^T) R are those of S M(p) S without
+    its structural zero.  With C = R U for the eigenvectors U of X's
+    nonzero eigenvalues s^2, and B = C diag(1/s) C^T, the gradient in r is
+    diag(B) / 2 - B r, from d trace(X^(1/2)) = trace(X^(-1/2) dX) / 2; a
+    zero eigenvalue carries no first-order term.
     """
 
     def __init__(self, cov):
         cov = np.asarray(cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
-        vals, vecs = np.linalg.eigh(cov)
-        if vals.min() < -1e-10 * max(1.0, float(vals.max())):
-            raise ValueError(f"covariance is not PSD (min eigenvalue {vals.min()})")
-        vals = np.clip(vals, 0.0, None)
+        _require_psd(cov[None])
         self.cov = cov
-        self.sqrt_cov = (vecs * np.sqrt(vals)) @ vecs.T
         # per k: the other actions, and the symmetric square root of the
         # covariance of their differences eps_a - eps_k
         n = cov.shape[0]
@@ -399,81 +398,87 @@ class CovarianceRegularizer(Regularizer):
             self._diff_root.append((vecs * np.sqrt(np.clip(vals, 0.0, None)))
                                    @ vecs.T)
 
-    def value(self, p):
-        """Sum of the square roots of the eigenvalues of R (Diag(r) - r r^T) R.
+    def _spectrum(self, p):
+        """(k, r, eigenvalues, eigenvectors of X) in the chart of p.
 
-        r is p without its largest entry k and R the square root of the
-        covariance of eps_a - eps_k (a != k): the eigenvalues of S M(p) S
-        without its structural zero, whose rounding noise the square root
-        would lift to ~1e-8.  No entry of r exceeds 1/2, so no cancellation.
+        No entry of r exceeds 1/2, so no cancellation.  A singular
+        covariance has true zero eigenvalues, rounding noise of either sign
+        that the square root would lift to ~1e-8; they are flushed to zero.
         """
-        p = np.asarray(p, dtype=float)
         k = int(p.argmax())
         r = p[self._rest[k]]
         root = self._diff_root[k]
-        eig = np.linalg.eigvalsh(root @ (np.diag(r) - np.outer(r, r)) @ root)
-        # a singular covariance has true zero eigenvalues, rounding noise of
-        # either sign; flush them to exactly zero
-        eig[eig < eig.max(initial=0.0) * 1e-14] = 0.0
-        return float(np.sqrt(eig).sum())
+        lam, vecs = np.linalg.eigh(root @ (np.diag(r) - np.outer(r, r)) @ root)
+        lam[lam < lam.max(initial=0.0) * 1e-14] = 0.0
+        return k, r, lam, vecs
 
-    def _pairs(self, p):
-        """Square roots r of the eigenvalues of A = S M(p) S above its
-        structural zero, and C = S U for their eigenvectors U."""
-        m = np.diag(p) - np.outer(p, p)
-        vals, vecs = np.linalg.eigh(self.sqrt_cov @ m @ self.sqrt_cov)
-        keep = vals > max(vals.max(), 0.0) * 1e-12
-        return np.sqrt(vals[keep]), self.sqrt_cov @ vecs[:, keep]
+    def value(self, p):
+        lam = self._spectrum(np.asarray(p, dtype=float))[2]
+        return float(np.sqrt(lam).sum())
+
+    def _inverse_root(self, k, lam, vecs):
+        """s, C and B for the nonzero eigenvalues lam of X in chart k."""
+        keep = lam > 0.0
+        s = np.sqrt(lam[keep])
+        c = self._diff_root[k] @ vecs[:, keep]
+        return s, c, (c / s) @ c.T
 
     def gradient(self, p):
+        """The gradient in r on the other actions, 0 at k, less its mean."""
         p = np.asarray(p, dtype=float)
-        r, c = self._pairs(p)
-        if r.size == 0:
-            return np.zeros(p.shape[0])
-        b = (c / r) @ c.T
-        g = 0.5 * np.diag(b) - b @ p
+        k, r, lam, vecs = self._spectrum(p)
+        _, _, b = self._inverse_root(k, lam, vecs)
+        g = np.zeros(p.shape[0])
+        g[self._rest[k]] = 0.5 * np.diag(b) - b @ r
         return g - g.mean()
 
     def conjugate(self, w):
-        """Damped Newton ascent of w.p + phi(p) along the simplex.
+        """Damped Newton ascent of w.p + phi(p), charted at every iterate.
 
-        Along a tangent d, phi'' = sum_ij G_ij E_ij^2 - d^T B d, with
-        E = C^T (Diag(d) - d p^T - p d^T) C, G_ij = -1/(2 r_i r_j (r_i + r_j))
-        and B = C diag(1/r) C^T.  Steps cut to stay interior and backtracked
-        to Armijo ascent stop when the predicted ascent is at rounding level,
-        after about ten steps at any data (mirror ascent takes 14 to 450).
-        None, so `numeric_conjugate` runs, if A loses a nonzero eigenvalue
-        or Newton stalls.
+        In r, phi'' along dr is sum_ij G_ij E_ij^2 - dr^T B dr, with
+        E = C^T (Diag(dr) - dr r^T - r dr^T) C and
+        G_ij = -1/(2 s_i s_j (s_i + s_j)); the step in p is dr on the other
+        actions and -sum(dr) at k.  Steps cut to stay interior and
+        backtracked to Armijo ascent stop when the predicted ascent is at
+        rounding level, after about ten steps at any data (mirror ascent
+        takes 14 to 450).  The accepted trial's decomposition charts the
+        next step.  None, so `numeric_conjugate` runs, if X has a zero
+        eigenvalue or Newton stalls.
         """
         w = np.asarray(w, dtype=float)
         n = w.shape[0]
         wc = w - w.max()
-        tangent = np.vstack([np.eye(n - 1), -np.ones(n - 1)])
         p = np.full(n, 1.0 / n)
-        f = float(wc @ p) + self.value(p)
+        spec = self._spectrum(p)
+        f = float(wc @ p) + float(np.sqrt(spec[2]).sum())
         for _ in range(100):
-            r, c = self._pairs(p)
-            if n == 1 or r.size < n - 1:
+            k, r, lam, vecs = spec
+            if np.count_nonzero(lam) < n - 1:
                 return None
-            b = (c / r) @ c.T
-            grad = wc + 0.5 * np.diag(b) - b @ p
-            q = c.T @ p
+            s, c, b = self._inverse_root(k, lam, vecs)
+            rest = self._rest[k]
+            grad = wc[rest] - wc[k] + 0.5 * np.diag(b) - b @ r
+            q = c.T @ r
             e = c[:, :, None] * (c[:, None, :] - q) - q[:, None] * c[:, None, :]
-            gam = -0.5 / (np.outer(r, r) * (r[:, None] + r))
-            hess = tangent.T @ (np.einsum("aij,ij,bij->ab", e, gam, e) - b)
+            gam = -0.5 / (np.outer(s, s) * (s[:, None] + s))
+            hess = np.einsum("aij,ij,bij->ab", e, gam, e) - b
             try:
-                d = tangent @ np.linalg.solve(hess @ tangent, -tangent.T @ grad)
+                dr = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
                 return None
-            rise = float(grad @ d)
+            rise = float(grad @ dr)
             if abs(rise) <= 1e-14 * max(1.0, abs(f)):
                 return ConjugateResult(value=float(w.max()) + f, argmax=p)
+            d = np.empty(n)
+            d[rest] = dr
+            d[k] = -dr.sum()
             inward = d < 0
             step = min(1.0, 0.99 * np.min(p[inward] / -d[inward],
                                           initial=np.inf))
             while rise > 0 and step >= 1e-12:
                 cand = p + step * d
-                fc = float(wc @ cand) + self.value(cand)
+                spec = self._spectrum(cand)
+                fc = float(wc @ cand) + float(np.sqrt(spec[2]).sum())
                 if fc >= f + 1e-4 * step * rise:
                     break
                 step *= 0.5
@@ -545,10 +550,8 @@ def ds_lower_bound_check(w, ambiguity, seed, state=0,
     """
     w = np.asarray(w, dtype=float)
     rng = derive_rng(seed, state)
-    cols = _member_draws(ambiguity, state, samples, rng)
-    m, _ = _column_emax(w, cols)
-    mc = float(m.mean())
-    se = float(m.std(ddof=1) / np.sqrt(samples))
+    est = _emax_estimate(w, _member_draws(ambiguity, state, samples, rng))
     ds = ds_backup(w, ambiguity, state=state).value
-    return LowerBoundCheck(mc_value=mc, mc_std_error=se, ds_value=ds,
-                           ok=mc <= ds + 3.0 * se)
+    return LowerBoundCheck(mc_value=est.mean, mc_std_error=est.std_error,
+                           ds_value=ds,
+                           ok=est.mean <= ds + 3.0 * est.std_error)

@@ -17,6 +17,7 @@ of feasible-set models with regularized ones.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,8 @@ from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate,
                          _require_cache_fits, build_uniform_counterexample,
-                         ev_backup, mc_counterexample_ratio,
-                         refute_single_eta_fit, smdp_backup_operator,
-                         uniform_counterexample_ratio)
+                         mc_counterexample_ratio, refute_single_eta_fit,
+                         smdp_backup_operator, uniform_counterexample_ratio)
 
 
 class StructureMismatchError(ValueError):
@@ -57,7 +57,10 @@ class FrameworkInstance:
         self.model = model
 
     def with_rewards(self, reward):
-        raise NotImplementedError
+        """This instance, its structure shared, on another reward table."""
+        twin = copy.copy(self)
+        twin.model = _replace_rewards(self.model, reward)
+        return twin
 
     def operator(self):
         raise NotImplementedError
@@ -72,9 +75,6 @@ class FrameworkInstance:
 
 
 class StandardInstance(FrameworkInstance):
-    def with_rewards(self, reward):
-        return StandardInstance(_replace_rewards(self.model, reward))
-
     def operator(self):
         return standard_backup_operator()
 
@@ -83,10 +83,6 @@ class RegularizedInstance(FrameworkInstance):
     def __init__(self, model, phi_per_state):
         super().__init__(model)
         self.phi_per_state = phi_per_state
-
-    def with_rewards(self, reward):
-        return RegularizedInstance(_replace_rewards(self.model, reward),
-                                   self.phi_per_state)
 
     def operator(self):
         return regularized_backup_operator(self.phi_per_state)
@@ -114,21 +110,14 @@ class StochasticInstance(FrameworkInstance):
     def monte_carlo(self):
         return self.method == "mc"
 
-    def with_rewards(self, reward):
-        return StochasticInstance(_replace_rewards(self.model, reward),
-                                  self.noise, self.mc_samples, self.seed,
-                                  self.method)
-
     def operator(self):
         if self.method == "closed_form":
+            # E[max] is the soft backup plus the location's offset from the
+            # mean-zero convention
             eta = self.noise.eta
             bias = self.noise.location + eta * EULER_GAMMA
-
-            def op(w, state, sweep):
-                res = ev_backup(w, eta)
-                return res.value + bias, res.policy
-
-            return op
+            return regularized_backup_operator(
+                OffsetRegularizer(EntropyRegularizer(eta), bias))
         _require_cache_fits(self.model.num_states, self.model.num_actions,
                            self.mc_samples)
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)
@@ -148,10 +137,6 @@ class DistributionalInstance(FrameworkInstance):
         super().__init__(model)
         self.ambiguity = ambiguity
 
-    def with_rewards(self, reward):
-        return DistributionalInstance(_replace_rewards(self.model, reward),
-                                      self.ambiguity)
-
     def operator(self):
         return ds_backup_operator(self.ambiguity)
 
@@ -160,10 +145,6 @@ class ConstrainedInstance(FrameworkInstance):
     def __init__(self, model, constraints):
         super().__init__(model)
         self.constraints = constraints
-
-    def with_rewards(self, reward):
-        return ConstrainedInstance(_replace_rewards(self.model, reward),
-                                   self.constraints)
 
     def operator(self):
         return ct_backup_operator(self.constraints)

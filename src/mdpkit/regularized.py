@@ -23,8 +23,15 @@ _REF_FLOOR = 1e-12
 
 
 def _clean_reference(reference):
-    """The reference row floored at 1e-12 and renormalized to sum to 1."""
-    ref = np.clip(np.asarray(reference, dtype=float), _REF_FLOOR, None)
+    """The reference row floored at 1e-12 and renormalized to sum to 1.
+
+    Raises ValueError on a non-finite or negative entry, which no floor
+    could turn into the row that was meant.
+    """
+    ref = np.asarray(reference, dtype=float)
+    if not np.all(np.isfinite(ref)) or np.any(ref < 0):
+        raise ValueError("reference row must be finite and nonnegative")
+    ref = np.clip(ref, _REF_FLOOR, None)
     return ref / ref.sum()
 
 
@@ -82,9 +89,7 @@ class EntropyRegularizer(Regularizer):
         self.eta = float(eta)
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
-        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        return -self.eta * float(terms.sum())
+        return -self.eta * kl_divergence(p, 1.0)
 
     def gradient(self, p):
         p = np.asarray(p, dtype=float)

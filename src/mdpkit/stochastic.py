@@ -108,11 +108,14 @@ class UniformPerEntry(NoiseModel):
 def _require_psd(matrices):
     """Eigendecompose (S, A, A) matrices at once, as eigh's (vals, vecs).
 
-    Raises ValueError naming the first state whose matrix is not PSD.
+    The one PSD rule of the package: a matrix is PSD unless its least
+    eigenvalue is below -1e-10 * max(1, its largest), a bound relative to
+    its scale.  Raises ValueError naming the first state whose matrix is
+    not PSD.
     """
     vals, vecs = np.linalg.eigh(matrices)
     # eigh sorts each state's eigenvalues in ascending order
-    bad = np.flatnonzero(vals[:, :1] < -1e-10)
+    bad = np.flatnonzero(vals[:, 0] < -1e-10 * np.maximum(1.0, vals[:, -1]))
     if bad.size:
         raise ValueError(f"covariance for state {bad[0]} is not PSD")
     return vals, vecs
@@ -252,12 +255,14 @@ def ev_backup(w, eta) -> EvBackup:
                     gumbel_location=-eta * EULER_GAMMA)
 
 
-def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
+def smdp_backup_operator(noise, samples, seed):
     """Monte Carlo backup operator for noisy-reward value iteration.
 
-    By default the draws for a state are fixed across sweeps (common random
-    numbers): the operator is then a deterministic contraction-in-practice
-    and value iteration settles to the fixed point of the perturbed operator.
+    The draws for a state are fixed across sweeps (common random numbers):
+    the operator is then deterministic, and value iteration settles to the
+    fixed point of the perturbed operator.  Fresh draws every sweep would
+    leave the residual at the Monte Carlo noise level, which no tolerance
+    below it ever meets.
     Its row, the argmax share, is the gradient of its sample-average max, so
     the Newton steps of `value_iteration` are exact policy iteration on it.
     Value and policy come from the same draws, and at sweep 0 they equal
@@ -280,15 +285,11 @@ def smdp_backup_operator(noise, samples, seed, fresh_per_sweep=False):
 
     def op(w, state, sweep):
         w = np.asarray(w, dtype=float)
-        if fresh_per_sweep:
-            cols = _draw_columns(w, noise, samples,
-                                 derive_rng(seed, state, sweep), state)
-        else:
-            cols = cache.get(state)
-            if cols is None:
-                cols = _draw_columns(w, noise, samples, derive_rng(seed, state),
-                                     state)
-                cache[state] = cols
+        cols = cache.get(state)
+        if cols is None:
+            cols = _draw_columns(w, noise, samples, derive_rng(seed, state),
+                                 state)
+            cache[state] = cols
         m, first = _column_emax(w, cols)
         return float(m.mean()), _shares(first, len(w))
 

@@ -253,6 +253,21 @@ def test_convert_ct2r_with_tied_action_values(tmp_path, capsys, constraint):
     assert ver["value_sup_gap"] == 0.0
 
 
+def test_nan_reference_in_a_model_file_is_a_validation_error(tmp_path,
+                                                             capsys):
+    # Python's json reads NaN, so a model file can hold one
+    fw = {"name": "constrained",
+          "constraint": {"kind": "kl_ball", "reference": [float("nan"), 0.5],
+                         "radius": 0.1}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    assert "NaN" in (tmp_path / "m.json").read_text()
+    code, out, _ = run_cli(capsys, "solve", path, "--max-iter", "1000")
+    assert code == 2
+    record = json.loads(out)["error"]
+    assert record["kind"] == "validation"
+    assert "reference" in record["message"]
+
+
 def test_convert_ct2r_phi_ball_writes_a_loadable_regularized_file(tmp_path,
                                                                  capsys):
     # the induced regularizers are offset, scaled MMM level-set multipliers

@@ -96,6 +96,27 @@ def test_kl_backup_matches_frozen_oracle():
     assert res.multiplier == pytest.approx(KL_ORACLE_MULT, rel=1e-6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda ref: KlBall(ref, 0.1),
+    lambda ref: L2ChiSquareBall(ref, 0.1),
+    lambda ref: KlRegularizer(0.5, ref),
+], ids=["kl-ball", "chi2-ball", "kl-regularizer"])
+@pytest.mark.parametrize("ref", [[0.5, -0.2, 0.7], [np.inf, 1.0, 1.0],
+                                 [np.nan, 0.5, 0.5]],
+                         ids=["negative", "inf", "nan"])
+def test_invalid_reference_rows_are_rejected(make, ref):
+    with pytest.raises(ValueError):
+        make(np.array(ref))
+
+
+def test_reference_rows_are_floored_and_renormalized():
+    for make in (lambda r: KlBall(r, 0.1), lambda r: L2ChiSquareBall(r, 0.1),
+                 lambda r: KlRegularizer(0.5, r)):
+        ref = make(np.array([0.0, 2.0, 2.0])).reference
+        assert ref.tolist() == [1e-12 / (4.0 + 1e-12), 2.0 / (4.0 + 1e-12),
+                                2.0 / (4.0 + 1e-12)]
+
+
 def test_kl_backup_zero_radius_returns_reference():
     res = kl_constrained_backup(W3, UNIF3, 0.0)
     assert res.value == pytest.approx(float(W3 @ UNIF3), abs=1e-15)
@@ -687,6 +708,28 @@ def test_ct_to_r_l2_ball_round_trip_with_sixteen_actions():
     assert np.max(np.abs(back.value - conv.ct_value)) < 1e-6
     assert np.max(np.abs(back.policy - conv.ct_policy)) < 1e-6
     assert np.max(conv.slackness) < 1e-6
+
+
+def test_ct_to_r_multipliers_are_the_per_kind_backups():
+    # one state per kind: the conversion's multipliers are the ones each
+    # kind's own backup reports at the solved action values, to the bit; at
+    # this data a KL tolerance of 1e-12 or a phi tolerance of 1e-10 would
+    # stop the search at another multiplier
+    m = random_mdp(4, 3, seed=31, discount=0.8)
+    ref = np.array([0.5, 0.3, 0.2])
+    phi = EntropyRegularizer(1.0)
+    sets = [KlBall(ref, 0.02), L2ChiSquareBall(ref, 0.1), PhiBall(phi, -0.6),
+            FullSimplex()]
+    conv = ct_to_r_convert(m, sets, tol=1e-12)
+    w = q_vector(m, conv.ct_value)
+    expected = [
+        kl_constrained_backup(w[0], ref, 0.02, tol=1e-14).multiplier,
+        l2_constrained_backup(w[1], ref, 0.1).multiplier,
+        generic_phi_ball_backup(w[2], phi, -0.6, tol=1e-12).multiplier,
+        0.0,
+    ]
+    assert conv.multipliers.tolist() == expected
+    assert np.all(conv.multipliers[:3] > 0)
 
 
 def test_ct_to_r_wide_ball_recovers_zero_regularizer():

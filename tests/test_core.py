@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 from util import tracemalloc_peak
 
 from mdpkit import (
+    ConstrainedInstance,
     ConvergenceError,
+    DistributionalInstance,
     EntropyRegularizer,
+    FullSimplex,
+    GumbelIid,
+    MarginalMomentModel,
     MdpModel,
     ModelValidationError,
     RegularizedInstance,
     StandardInstance,
+    StochasticInstance,
     bellman_sweep,
     derive_rng,
     policy_evaluation_exact,
@@ -143,11 +149,26 @@ def test_random_mdp_holds_one_kernel():
 def test_frozen_kernel_is_shared_by_derived_models():
     m = random_mdp(6, 3, seed=5, discount=0.8)
     reward = np.ones((6, 3))
-    assert StandardInstance(m).with_rewards(reward).model.transition \
-        is m.transition
     phi = EntropyRegularizer(0.5)
-    assert RegularizedInstance(m, phi).with_rewards(reward).model.transition \
-        is m.transition
+    instances = [
+        (StandardInstance(m), None),
+        (RegularizedInstance(m, phi), "phi_per_state"),
+        (StochasticInstance(m, GumbelIid(0.5, num_actions=3), mc_samples=64,
+                            seed=3, method="mc"), "noise"),
+        (DistributionalInstance(m, MarginalMomentModel(np.full((6, 3), 0.4))),
+         "ambiguity"),
+        (ConstrainedInstance(m, [FullSimplex()] * 6), "constraints"),
+    ]
+    for inst, structure in instances:
+        twin = inst.with_rewards(reward)
+        assert type(twin) is type(inst)
+        assert twin.model.transition is m.transition
+        assert np.array_equal(twin.model.reward, reward)
+        assert inst.model.reward is m.reward
+        if structure is not None:
+            assert getattr(twin, structure) is getattr(inst, structure)
+    twin = instances[2][0].with_rewards(reward)
+    assert (twin.mc_samples, twin.seed, twin.method) == (64, 3, "mc")
     assert r_to_ct_convert(m, phi).ct_model.transition is m.transition
 
 
@@ -306,6 +327,26 @@ def test_convergence_error_carries_partial_result():
     assert err.residual > 1e-12
     assert err.best is not None
     assert err.best.value.shape == (5,)
+
+
+def test_non_finite_residual_stops_value_iteration_at_once():
+    m = chain_model(0.9)
+    sweeps = []
+
+    def op(w, state, sweep):
+        sweeps.append(sweep)
+        return float("nan"), np.array([1.0, 0.0])
+
+    with pytest.raises(ConvergenceError) as exc:
+        value_iteration(m, op)
+    assert sweeps == [0, 0]
+    assert np.isnan(exc.value.residual)
+    assert exc.value.best.iterations == 1
+    # a NaN temperature passes the eta <= 0 check; its first sweep stops
+    with pytest.raises(ConvergenceError) as exc:
+        value_iteration(m, regularized_backup_operator(
+            EntropyRegularizer(float("nan"))))
+    assert exc.value.best.iterations == 1
 
 
 def test_newton_convergence_error_carries_the_last_sweep():

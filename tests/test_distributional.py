@@ -580,6 +580,45 @@ def test_covariance_newton_conjugate_matches_mirror_ascent():
         assert np.ptp(w + phi.gradient(res.argmax)) <= 1e-5
 
 
+def test_covariance_newton_switches_chart_to_the_last_action():
+    # Newton starts at the uniform row, charted on action 0; the optimum's
+    # largest entry is the last action, so the chart switches on the way
+    cov = np.array([[0.5, 0.1, -0.1, 0.0],
+                    [0.1, 0.4, 0.05, 0.1],
+                    [-0.1, 0.05, 0.6, 0.2],
+                    [0.0, 0.1, 0.2, 0.3]])
+    phi = CovarianceRegularizer(cov)
+    w = np.array([-0.2, 0.1, 0.3, 0.9])
+    res = phi.conjugate(w)
+    mirror = numeric_conjugate(w, phi)
+    assert int(res.argmax.argmax()) == 3
+    assert res.value == pytest.approx(
+        float(w @ res.argmax) + phi.value(res.argmax), abs=1e-12)
+    assert res.value >= mirror.value - 1e-12
+    assert np.max(np.abs(res.argmax - mirror.argmax)) <= 1e-6
+    assert np.ptp(w + phi.gradient(res.argmax)) <= 1e-5
+
+
+@pytest.mark.parametrize("spectrum,psd", [
+    ([100.0, 1.0, -5e-10], True),     # relative bound: -5e-10 > -1e-8
+    ([1.0, 0.5, -5e-11], True),
+    ([1.0, 0.5, -5e-10], False),
+    ([100.0, 1.0, -2e-8], False),
+    ([3.0, 1.0, -1.0], False),
+    ([2.0, 0.0, 0.0], True),
+])
+def test_covariance_regularizer_and_model_share_one_psd_rule(spectrum, psd):
+    q, _ = np.linalg.qr(derive_rng(8).normal(size=(3, 3)))
+    cov = (q * spectrum) @ q.T
+    cov = (cov + cov.T) / 2.0
+    for build in (CovarianceRegularizer, lambda c: CovarianceModel([c])):
+        if psd:
+            build(cov)
+        else:
+            with pytest.raises(ValueError):
+                build(cov)
+
+
 def test_covariance_conjugate_defers_to_mirror_ascent_when_singular():
     # rank 1 on three actions: a second zero eigenvalue besides the
     # structural one, so the Newton model is undefined

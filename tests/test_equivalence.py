@@ -22,11 +22,14 @@ from mdpkit import (
     UniformPerEntry,
     check_equivalence,
     counterexample_suite,
+    derive_rng,
+    ev_backup,
     interior_policy_sweep,
     mc_emax,
     q_vector,
     random_mdp,
     regularizer_for,
+    value_iteration,
 )
 from mdpkit.equivalence import _trial_rewards
 
@@ -90,6 +93,31 @@ def test_entropy_vs_gumbel_closed_form_is_bit_exact():
     assert max(rep.value_gaps) == 0.0
     assert max(rep.policy_gaps) == 0.0
     assert rep.trials == 11
+
+
+def test_closed_form_gumbel_is_ev_backup_plus_its_bias_bit_for_bit():
+    # location 0.3 is not the mean-zero -eta * euler_gamma, so the bias the
+    # closed form adds to the soft backup is not zero
+    m = random_mdp(8, 4, seed=12, discount=0.9)
+    eta, location = 0.7, 0.3
+    bias = location + eta * float(np.euler_gamma)
+
+    def formula(w, state, sweep):
+        res = ev_backup(w, eta)
+        return res.value + bias, res.policy
+
+    inst = StochasticInstance(m, GumbelIid(eta, location=location),
+                              method="closed_form")
+    op = inst.operator()
+    for w in derive_rng(5).normal(size=(20, 4)) * 3.0:
+        value, row = op(w, 0, 0)
+        ref_value, ref_row = formula(w, 0, 0)
+        assert value == ref_value
+        assert np.array_equal(row, ref_row)
+    got = inst.solve()
+    ref = value_iteration(m, formula)
+    assert np.array_equal(got.value, ref.value)
+    assert np.array_equal(got.policy, ref.policy)
 
 
 def test_bit_identity_edges_hold_on_a_larger_table():

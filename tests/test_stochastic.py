@@ -243,18 +243,6 @@ def test_smdp_operator_with_common_random_numbers_converges():
     assert np.max(np.abs(res.value - closed.value)) < 0.05
 
 
-def test_smdp_operator_fresh_draws_differ_across_sweeps():
-    noise = GumbelIid.mean_zero(1.0, num_actions=3)
-    op = smdp_backup_operator(noise, samples=500, seed=0, fresh_per_sweep=True)
-    v0, _ = op(W, 0, 0)
-    v1, _ = op(W, 0, 1)
-    assert v0 != v1
-    frozen = smdp_backup_operator(noise, samples=500, seed=0)
-    u0, _ = frozen(W, 0, 0)
-    u1, _ = frozen(W, 0, 1)
-    assert u0 == u1
-
-
 def _tie_prone_noises():
     """One noise model per law, on 3 states x 3 actions, with exact ties.
 
@@ -276,27 +264,24 @@ def _row_major_backup(w, eps):
     return float(m.mean()), row
 
 
-@pytest.mark.parametrize("fresh", [False, True])
-def test_smdp_operator_matches_row_major_formula_bit_for_bit(fresh):
+def test_smdp_operator_matches_row_major_formula_bit_for_bit():
+    # the draws are common random numbers: the same on every sweep
     samples, seed = 4000, 17
     rows = [np.array([0.5, -0.25, 0.5]), np.array([0.25, 0.25, 0.25]),
             np.array([1.0, 2.0, 2.0]), W]
     for noise in _tie_prone_noises():
-        op = smdp_backup_operator(noise, samples=samples, seed=seed,
-                                  fresh_per_sweep=fresh)
+        op = smdp_backup_operator(noise, samples=samples, seed=seed)
         for sweep in range(2):
             for state in range(3):
                 for w in rows:
-                    key = (seed, state, sweep) if fresh else (seed, state)
-                    eps = noise.sample(state, samples, derive_rng(*key))
+                    eps = noise.sample(state, samples, derive_rng(seed, state))
                     value, row = op(w, state, sweep)
                     ref_value, ref_row = _row_major_backup(w, eps)
                     assert value == ref_value
                     assert np.array_equal(row, ref_row)
     # all-zero-width state: every sample ties, and the lowest index wins
     uniform = _tie_prone_noises()[1]
-    op = smdp_backup_operator(uniform, samples=samples, seed=seed,
-                              fresh_per_sweep=fresh)
+    op = smdp_backup_operator(uniform, samples=samples, seed=seed)
     assert np.array_equal(op(np.array([1.0, 2.0, 2.0]), 1, 0)[1], [0.0, 1.0, 0.0])
     assert np.array_equal(op(np.array([0.5, 0.5, 0.5]), 1, 0)[1], [1.0, 0.0, 0.0])
     # zero-width actions 0 and 2 tie on every sample; action 2 never wins
