@@ -22,7 +22,7 @@ from .constrained import (ChiSquareLagrangeRegularizer, CtBackupResult,
                           r_to_ct_convert)
 from .core import (ConvergenceError, MdpModel, ModelValidationError,
                    SolveResult, bellman_sweep, derive_rng, policy_evaluation_exact,
-                   q_vector, random_mdp, standard_backup,
+                   q_vector, random_mdp, rowwise_operator, standard_backup,
                    standard_backup_operator, validate_model,
                    validate_policy_matrix, value_iteration)
 from .distributional import (CovarianceModel, CovarianceRegularizer,

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, q_vector, standard_backup, value_iteration
+from .core import (MdpModel, q_vector, rowwise_operator, standard_backup,
+                   value_iteration)
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
                           _clean_reference, kl_divergence,
-                          solve_conjugate)
+                          regularized_backup_operator, solve_conjugate)
 
 
 def _simplex_row(row):
@@ -459,13 +460,13 @@ def constrained_backup(w, constraint, tol=1e-12) -> CtBackupResult:
 
 def ct_backup_operator(constraints, tol=1e-12):
     """Backup operator from per-state constraint sets (or one broadcast set)."""
-    def op(w, state, sweep):
+    def backup(w, state):
         c = constraints[state] if isinstance(constraints, (list, tuple)) \
             else constraints
         res = constrained_backup(w, c, tol=tol)
         return res.value, res.policy
 
-    return op
+    return rowwise_operator(backup)
 
 
 class ChiSquareLagrangeRegularizer(Regularizer):
@@ -493,6 +494,8 @@ class ChiSquareLagrangeRegularizer(Regularizer):
 
 class ZeroRegularizer(Regularizer):
     """phi identically 0; conjugate is the hard max."""
+
+    batched = True
 
     def value(self, p):
         return 0.0
@@ -526,12 +529,10 @@ def r_to_ct_convert(model, phi_per_state, solve_tol=1e-10) -> CtConversion:
     around uniform, respectively c_s/eta around the reference); any other
     regularizer produces its own level set.
     """
-    from .regularized import regularized_backup_operator
-
+    base = value_iteration(model, regularized_backup_operator(phi_per_state),
+                           tol=solve_tol)
     phis = phi_per_state if isinstance(phi_per_state, (list, tuple)) \
         else [phi_per_state] * model.num_states
-    base = value_iteration(model, regularized_backup_operator(phis),
-                           tol=solve_tol)
     constants = np.array([-phis[s].value(base.policy[s])
                           for s in range(model.num_states)])
     constraints = []

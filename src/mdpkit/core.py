@@ -2,11 +2,17 @@
 
 A model is the tuple (states, actions, transition kernel, reward table,
 discount).  Everything downstream (regularized, stochastic, distributionally
-robust, constrained) plugs into `value_iteration` through a backup operator:
-a callable mapping the action-value vector of one state to a scalar backup
-value and a probability row over actions.  Each sweep computes the (S, A)
-action-value table in one product and passes the operator its row s, which
-may differ from the one-state `q_vector` in the last ulp (BLAS kernel shape).
+robust, constrained) plugs into `value_iteration` through a backup operator
+`op(table, states, sweep) -> (values, rows)`: `table` is a (k, A) block of
+action-value rows, `states` their k state indices, and the operator returns
+k backup values and k probability rows over actions.  Each sweep computes
+the (S, A) table in one product and makes one call, `op(table,
+np.arange(S), sweep)`; the table's row s may differ from the one-state
+`q_vector` in the last ulp (BLAS kernel shape).  Closed forms act on the
+last axis of the whole table; a backup with no batched form runs through
+`rowwise_operator`, the one per-row loop.  `states` is what per-state
+structure (regularizer or constraint lists, Monte Carlo draws) keys on, so
+an operator can also be called on any subset of rows.
 
 A backup's row maximizes sup_p {w.p + phi(p)}, so it is the gradient of its
 value in w (Danskin): `value_iteration` takes Newton (policy iteration) steps
@@ -65,8 +71,8 @@ def _frozen(a):
 class MdpModel:
     """Finite MDP: reward[s, a], transition[s, a, s'], discount in [0, 1).
 
-    Arrays are held read-only, so a model can be shared across threads;
-    parallel sweeps over states are safe.  Writeable inputs are copied;
+    Arrays are held read-only, so a model can be shared across threads and
+    by concurrent solves.  Writeable inputs are copied;
     frozen ones (read-only, C-ordered float64 arrays that own their data)
     are shared, so models built from one kernel hold one copy of it.
     """
@@ -174,35 +180,53 @@ def q_vector(model, value, state=None) -> np.ndarray:
     return model.reward[state] + model.discount * (model.transition[state] @ value)
 
 
+def _float_or_array(x):
+    """A 0-d result as a Python float; a result over table rows as is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def standard_backup(w):
-    """Hard max backup: (max_a w_a, one-hot at the argmax, lowest index on ties)."""
+    """Hard max backup: (max_a w_a, one-hot at the argmax, lowest index on ties).
+
+    Acts on the last axis: a row gives (float, row), an (n, A) table gives
+    (n values, n rows).
+    """
     w = np.asarray(w, dtype=float)
-    a = int(np.argmax(w))
-    row = np.zeros(w.shape[0])
-    row[a] = 1.0
-    return float(w[a]), row
+    a = np.argmax(w, axis=-1)[..., None]
+    rows = np.zeros(w.shape)
+    np.put_along_axis(rows, a, 1.0, axis=-1)
+    return _float_or_array(np.take_along_axis(w, a, axis=-1)[..., 0]), rows
 
 
 def standard_backup_operator():
     """Backup operator for the plain (unregularized) Bellman update."""
-    return lambda w, state, sweep: standard_backup(w)
+    return lambda table, states, sweep: standard_backup(table)
+
+
+def rowwise_operator(backup):
+    """Table operator from a one-row backup `backup(w, state) -> (value, row)`.
+
+    The per-row loop behind every backup with no batched form: each row of
+    the table is backed up with its own state index, in order.
+    """
+    def op(table, states, sweep):
+        table = np.asarray(table, dtype=float)
+        values = np.empty(len(states))
+        rows = np.empty(table.shape)
+        for i, (w, state) in enumerate(zip(table, states)):
+            values[i], rows[i] = backup(w, int(state))
+        return values, rows
+
+    return op
 
 
 def bellman_sweep(model, backup, value, sweep=0):
     """One synchronous sweep: returns (new value vector, policy matrix).
 
-    The operator gets row s of the table `q_vector(model, value)` as
-    (w, state, sweep).  States are independent given `value`, so this loop
-    could run in parallel; the operator must not mutate shared state.
+    One call backs up the whole table: `backup(q_vector(model, value),
+    np.arange(S), sweep)`.
     """
-    S = model.num_states
-    new_value = np.empty(S)
-    policy = np.empty((S, model.num_actions))
-    for s, w in enumerate(q_vector(model, value)):
-        val, row = backup(w, s, sweep)
-        new_value[s] = val
-        policy[s] = row
-    return new_value, policy
+    return backup(q_vector(model, value), np.arange(model.num_states), sweep)
 
 
 def _evaluation_matrix(model, policy):

@@ -7,6 +7,9 @@ regularizer may solve its own conjugate (the ambiguity-set regularizers of
 `distributional` do, by a stationarity root or Newton ascent).  Anything
 else goes through `numeric_conjugate`, an entropic mirror-ascent solver
 with a step-halving line search.
+
+The closed forms act on the last axis, so one `conjugate` call backs up a
+whole (S, A) table; every other regularizer is backed up row by row.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError
+from .core import ConvergenceError, _float_or_array, rowwise_operator
 
 _FLOOR = 1e-16
 _REF_FLOOR = 1e-12
@@ -36,11 +39,15 @@ def _clean_reference(reference):
 
 
 def _log_softmax(z):
-    """ln sum_a exp(z_a) and softmax(z), shifted by max(z) against overflow."""
-    top = z.max()
+    """ln sum_a exp(z_a) and softmax(z) on the last axis, shifted by its max.
+
+    The shift guards against overflow.  Row i of a 2-d z gives the same bits
+    as `_log_softmax(z[i])`.
+    """
+    top = z.max(axis=-1, keepdims=True)
     e = np.exp(z - top)
-    s = e.sum()
-    return top + np.log(s), e / s
+    s = e.sum(axis=-1, keepdims=True)
+    return (top + np.log(s))[..., 0], e / s
 
 
 def kl_divergence(p, reference) -> float:
@@ -51,7 +58,10 @@ def kl_divergence(p, reference) -> float:
 
 @dataclass
 class ConjugateResult:
-    """Backup value and the maximizing probability row."""
+    """Backup value and the maximizing probability row.
+
+    A closed form given an (n, A) table returns n values and n rows.
+    """
 
     value: float
     argmax: np.ndarray
@@ -63,7 +73,11 @@ class Regularizer:
     Subclasses implement `value` and `gradient` (interior points); those with
     a closed-form conjugate override `conjugate`, otherwise callers fall back
     to `numeric_conjugate`.  `values` evaluates many rows at once.
+    `batched` is true where `conjugate` also takes an (n, A) table, acting on
+    its last axis; the backup operator then makes one call per sweep.
     """
+
+    batched = False
 
     def value(self, p) -> float:
         raise NotImplementedError
@@ -83,6 +97,8 @@ class Regularizer:
 class EntropyRegularizer(Regularizer):
     """phi(p) = -eta * sum_a p_a ln p_a, with 0 ln 0 = 0."""
 
+    batched = True
+
     def __init__(self, eta):
         if eta <= 0:
             raise ValueError(f"temperature must be positive, got {eta}")
@@ -101,6 +117,8 @@ class EntropyRegularizer(Regularizer):
 
 class KlRegularizer(Regularizer):
     """phi(p) = -eta * KL(p || reference); reference floored at 1e-12."""
+
+    batched = True
 
     def __init__(self, eta, reference):
         if eta <= 0:
@@ -128,6 +146,10 @@ class ScaledRegularizer(Regularizer):
         self.base = base
         self.scale = float(scale)
 
+    @property
+    def batched(self):
+        return self.base.batched
+
     def value(self, p):
         return self.scale * self.base.value(p)
 
@@ -148,6 +170,10 @@ class OffsetRegularizer(Regularizer):
         self.base = base
         self.offset = float(offset)
 
+    @property
+    def batched(self):
+        return self.base.batched
+
     def value(self, p):
         return self.base.value(p) + self.offset
 
@@ -164,19 +190,20 @@ class OffsetRegularizer(Regularizer):
 def entropy_backup(w, eta) -> ConjugateResult:
     """Soft backup: eta * ln sum_a exp(w_a / eta) and the softmax row.
 
-    `_log_softmax` on w / eta gives both; the Gumbel expected max and the
+    `_log_softmax` on w / eta gives both, on the last axis, so a table's
+    rows are backed up in one call; the Gumbel expected max and the
     equal-rate exponential-marginal robust backup reuse this function.
     """
     if eta <= 0:
         raise ValueError(f"temperature must be positive, got {eta}")
     lse, row = _log_softmax(np.asarray(w, dtype=float) / eta)
-    return ConjugateResult(value=float(eta * lse), argmax=row)
+    return ConjugateResult(value=_float_or_array(eta * lse), argmax=row)
 
 
 def kl_backup(w, eta, reference) -> ConjugateResult:
     """KL-to-reference backup, computed as the entropy backup on shifted values.
 
-    Shares the entropy code path exactly: the value is
+    Shares the entropy code path exactly, on the last axis: the value is
     eta * ln sum_a ref_a exp(w_a / eta) and the argmax is proportional to
     ref_a exp(w_a / eta).
     """
@@ -250,16 +277,24 @@ def regularized_backup_operator(phi_per_state, tol=1e-12):
     """Backup operator using each state's regularizer.
 
     `phi_per_state` is a sequence of Regularizer objects (one per state) or a
-    single Regularizer applied to every state; `solve_conjugate` does each
-    backup.
+    single Regularizer applied to every state.  A single `batched`
+    regularizer backs up the whole table in one `conjugate` call; otherwise
+    `solve_conjugate` backs up each row.
     """
-    def op(w, state, sweep):
+    if isinstance(phi_per_state, Regularizer) and phi_per_state.batched:
+        def op(table, states, sweep):
+            res = phi_per_state.conjugate(table)
+            return res.value, res.argmax
+
+        return op
+
+    def backup(w, state):
         phi = phi_per_state if isinstance(phi_per_state, Regularizer) \
             else phi_per_state[state]
         res = solve_conjugate(w, phi, tol=tol)
         return res.value, res.argmax
 
-    return op
+    return rowwise_operator(backup)
 
 
 def bregman_divergence(phi, p, q) -> float:

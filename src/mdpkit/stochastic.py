@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, derive_rng
+from .core import MdpModel, derive_rng, rowwise_operator
 from .regularized import entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -275,16 +275,16 @@ def smdp_backup_operator(noise, samples, seed):
     straight into that array, with no row-major transient (the Gaussian
     holds its standard normals while it applies the factor); a custom
     law's row-major draws are freed once their column copy exists.  Each
-    call adds a float64 and a uint8 array of `samples` entries, and about
-    160 KB of per-block buffers.  The cache is `op.draws`, {state:
+    state's backup adds a float64 and a uint8 array of `samples` entries,
+    and about 160 KB of per-block buffers, all freed when it returns, before
+    the next state's are allocated.  The cache is `op.draws`, {state:
     columns}, for reuse after a solve.  `StochasticInstance` checks the
     size of the whole cache against physical memory
     (`_require_cache_fits`) before the first draw.
     """
     cache = {}
 
-    def op(w, state, sweep):
-        w = np.asarray(w, dtype=float)
+    def backup(w, state):
         cols = cache.get(state)
         if cols is None:
             cols = _draw_columns(w, noise, samples, derive_rng(seed, state),
@@ -293,6 +293,7 @@ def smdp_backup_operator(noise, samples, seed):
         m, first = _column_emax(w, cols)
         return float(m.mean()), _shares(first, len(w))
 
+    op = rowwise_operator(backup)
     op.draws = cache
     return op
 

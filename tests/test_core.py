@@ -13,6 +13,8 @@ from mdpkit import (
     EntropyRegularizer,
     FullSimplex,
     GumbelIid,
+    KlBall,
+    KlRegularizer,
     MarginalMomentModel,
     MdpModel,
     ModelValidationError,
@@ -26,6 +28,7 @@ from mdpkit import (
     r_to_ct_convert,
     random_mdp,
     regularized_backup_operator,
+    rowwise_operator,
     standard_backup,
     standard_backup_operator,
     validate_model,
@@ -218,6 +221,14 @@ def test_standard_backup_tie_goes_to_lowest_index():
     val, row = standard_backup([3.0, 3.0, 3.0])
     assert val == 3.0
     assert row.tolist() == [1.0, 0.0, 0.0]
+    # a table is backed up row by row on its last axis, with the same rule
+    table = [[3.0, 3.0, 3.0], [1.0, 2.0, 2.0], [0.0, -1.0, 0.0], [-1, -1, 5]]
+    vals, rows = standard_backup(table)
+    assert vals.tolist() == [3.0, 2.0, 0.0, 5.0]
+    assert rows.tolist() == [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    for w, v, r in zip(table, vals, rows):
+        one_value, one_row = standard_backup(w)
+        assert one_value == v and np.array_equal(one_row, r)
 
 
 def test_bellman_sweep_shapes():
@@ -256,22 +267,64 @@ def test_bellman_sweep_passes_table_rows_in_state_order():
     v = derive_rng(9).normal(size=6)
     seen = []
 
-    def op(w, state, sweep):
-        seen.append((w.copy(), state, sweep))
-        return standard_backup(w)
+    def op(table, states, sweep):
+        seen.append((table.copy(), list(states), sweep))
+        return standard_backup(table)
 
     value, policy = bellman_sweep(m, op, v, 4)
     table = q_vector(m, v)
-    assert [s for _, s, _ in seen] == list(range(6))
-    assert all(k == 4 for _, _, k in seen)
-    assert all(np.array_equal(w, table[s]) for w, s, _ in seen)
+    # one call per sweep, with the whole table and the states in order
+    assert len(seen) == 1
+    assert seen[0][1] == list(range(6))
+    assert seen[0][2] == 4
+    assert np.array_equal(seen[0][0], table)
     assert np.array_equal(value, table.max(axis=1))
     assert np.array_equal(policy.argmax(axis=1), table.argmax(axis=1))
+    # the per-row loop hands each row over with its own state, in order
+    rows_seen = []
+
+    def backup(w, state):
+        rows_seen.append((w.copy(), state))
+        return standard_backup(w)
+
+    by_row = bellman_sweep(m, rowwise_operator(backup), v, 4)
+    assert [s for _, s in rows_seen] == list(range(6))
+    assert all(np.array_equal(w, table[s]) for w, s in rows_seen)
+    assert np.array_equal(by_row[0], value)
+    assert np.array_equal(by_row[1], policy)
     # the default sweep index is 0, and per-state rows agree to rounding
     value0, _ = bellman_sweep(m, op, v)
-    assert seen[-1][2] == 0
+    assert len(seen) == 2 and seen[-1][2] == 0
     rows = np.array([q_vector(m, v, s).max() for s in range(6)])
     assert np.max(np.abs(value0 - rows)) <= 1e-13 * (1.0 + np.max(np.abs(v)))
+
+
+def test_operators_back_up_any_subset_of_rows_as_the_full_table_does():
+    # per-state structure and the Monte Carlo draws key on `states`, so a
+    # call on some rows returns exactly those rows of the full-table call
+    m = random_mdp(7, 3, seed=21, discount=0.8)
+    table = q_vector(m, derive_rng(21).normal(size=7))
+    rng = derive_rng(22)
+    instances = [
+        StandardInstance(m),
+        RegularizedInstance(m, EntropyRegularizer(0.5)),
+        RegularizedInstance(m, KlRegularizer(0.7, [0.2, 0.3, 0.5])),
+        StochasticInstance(m, GumbelIid(0.5, location=0.3),
+                           method="closed_form"),
+        StochasticInstance(m, GumbelIid(0.5, num_actions=3), mc_samples=500,
+                           seed=4, method="mc"),
+        ConstrainedInstance(m, [KlBall(rng.dirichlet(np.ones(3)), 0.2)
+                                for _ in range(7)]),
+        DistributionalInstance(m, MarginalMomentModel(
+            rng.uniform(0.2, 1.0, (7, 3)))),
+    ]
+    for inst in instances:
+        values, rows = inst.operator()(table, np.arange(7), 2)
+        assert values.shape == (7,) and rows.shape == (7, 3)
+        for idx in ([3], [5, 0, 2], [6, 6, 1]):
+            sub_values, sub_rows = inst.operator()(table[idx], np.array(idx), 2)
+            assert np.array_equal(sub_values, values[idx])
+            assert np.array_equal(sub_rows, rows[idx])
 
 
 # ----------------------------------------------------------- value iteration
@@ -333,13 +386,14 @@ def test_non_finite_residual_stops_value_iteration_at_once():
     m = chain_model(0.9)
     sweeps = []
 
-    def op(w, state, sweep):
-        sweeps.append(sweep)
-        return float("nan"), np.array([1.0, 0.0])
+    def op(table, states, sweep):
+        sweeps.append((sweep, list(states)))
+        rows = np.tile([1.0, 0.0], (len(states), 1))
+        return np.full(len(states), np.nan), rows
 
     with pytest.raises(ConvergenceError) as exc:
         value_iteration(m, op)
-    assert sweeps == [0, 0]
+    assert sweeps == [(0, [0, 1])]
     assert np.isnan(exc.value.residual)
     assert exc.value.best.iterations == 1
     # a NaN temperature passes the eta <= 0 check; its first sweep stops
@@ -427,10 +481,10 @@ def test_newton_safeguard_rescues_rows_that_are_not_the_gradient():
     # the rows claim the worst action, so a Newton step on this chain
     # (optimum: hop from both states) overshoots and the next sweep lowers
     # a value; without the fallback to plain sweeps the iterates diverge
-    def wrong_rows(w, state, sweep):
-        row = np.zeros(2)
-        row[np.argmin(w)] = 1.0
-        return float(np.max(w)), row
+    def wrong_rows(table, states, sweep):
+        rows = np.zeros(table.shape)
+        rows[np.arange(len(table)), np.argmin(table, axis=1)] = 1.0
+        return table.max(axis=1), rows
 
     m = MdpModel(num_states=2, num_actions=2,
                  transition=chain_model().transition,

@@ -264,6 +264,12 @@ def _row_major_backup(w, eps):
     return float(m.mean()), row
 
 
+def _one_row(op, w, state, sweep):
+    """A table operator's backup of the single row w at `state`."""
+    values, rows = op(np.asarray(w)[None], [state], sweep)
+    return values[0], rows[0]
+
+
 def test_smdp_operator_matches_row_major_formula_bit_for_bit():
     # the draws are common random numbers: the same on every sweep
     samples, seed = 4000, 17
@@ -275,17 +281,17 @@ def test_smdp_operator_matches_row_major_formula_bit_for_bit():
             for state in range(3):
                 for w in rows:
                     eps = noise.sample(state, samples, derive_rng(seed, state))
-                    value, row = op(w, state, sweep)
+                    value, row = _one_row(op, w, state, sweep)
                     ref_value, ref_row = _row_major_backup(w, eps)
                     assert value == ref_value
                     assert np.array_equal(row, ref_row)
     # all-zero-width state: every sample ties, and the lowest index wins
     uniform = _tie_prone_noises()[1]
     op = smdp_backup_operator(uniform, samples=samples, seed=seed)
-    assert np.array_equal(op(np.array([1.0, 2.0, 2.0]), 1, 0)[1], [0.0, 1.0, 0.0])
-    assert np.array_equal(op(np.array([0.5, 0.5, 0.5]), 1, 0)[1], [1.0, 0.0, 0.0])
+    assert np.array_equal(_one_row(op, [1.0, 2.0, 2.0], 1, 0)[1], [0.0, 1.0, 0.0])
+    assert np.array_equal(_one_row(op, [0.5, 0.5, 0.5], 1, 0)[1], [1.0, 0.0, 0.0])
     # zero-width actions 0 and 2 tie on every sample; action 2 never wins
-    assert op(np.array([0.5, -0.25, 0.5]), 0, 0)[1][2] == 0.0
+    assert _one_row(op, [0.5, -0.25, 0.5], 0, 0)[1][2] == 0.0
 
 
 @pytest.mark.parametrize("n", [1000, 3 * EMAX_BLOCK + 17])
@@ -311,7 +317,7 @@ def test_smdp_operator_first_sweep_equals_mc_emax_and_mc_policy():
         op = smdp_backup_operator(noise, samples=samples, seed=seed)
         for state in range(3):
             for w in (np.array([0.5, -0.25, 0.5]), W):
-                value, row = op(w, state, 0)
+                value, row = _one_row(op, w, state, 0)
                 assert value == mc_emax(w, noise, samples, seed, state=state).mean
                 assert np.array_equal(row, mc_policy(w, noise, samples, seed,
                                                      state=state))
