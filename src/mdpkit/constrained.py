@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MdpModel, q_vector, rowwise_operator, standard_backup,
-                   value_iteration)
+from .core import (MdpModel, _float_or_array, q_vector, rowwise_operator,
+                   standard_backup, value_iteration)
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
                           _clean_reference, kl_divergence,
@@ -106,27 +106,35 @@ class PhiBall:
     radius: float
 
 
-def chi_square(p, reference) -> float:
-    p = np.asarray(p, dtype=float)
-    d = p - reference
-    return float(np.sum(d * d / reference))
+def chi_square(p, reference):
+    """sum (p - ref)^2 / ref on the last axis: a float for one row."""
+    d = np.asarray(p, dtype=float) - reference
+    d *= d  # in place: a grid of rows holds one array of temporaries
+    d /= reference
+    return _float_or_array(d.sum(axis=-1))
 
 
-def constraint_violation(constraint, p) -> float:
-    """l(p) - radius for ball sets (<= 0 means feasible); sup gap for singletons."""
+def constraint_violation(constraint, p):
+    """l(p) - radius for ball sets (<= 0 means feasible); sup gap for singletons.
+
+    Acts on the last axis: a row gives a float, an (n, A) array n values.
+    """
     p = np.asarray(p, dtype=float)
     if isinstance(constraint, KlBall):
         return kl_divergence(p, constraint.reference) - constraint.radius
     if isinstance(constraint, L1Ball):
-        return float(np.abs(p - constraint.reference).sum()) - constraint.radius
+        return _float_or_array(np.abs(p - constraint.reference).sum(axis=-1)) \
+            - constraint.radius
     if isinstance(constraint, L2ChiSquareBall):
         return chi_square(p, constraint.reference) - constraint.radius
     if isinstance(constraint, Singleton):
-        return float(np.max(np.abs(p - constraint.row)))
+        return _float_or_array(np.max(np.abs(p - constraint.row), axis=-1))
     if isinstance(constraint, FullSimplex):
-        return 0.0
+        return _float_or_array(np.zeros(p.shape[:-1]))
     if isinstance(constraint, PhiBall):
-        return -constraint.phi.value(p) - constraint.radius
+        phi = constraint.phi
+        return -(phi.value(p) if p.ndim == 1 else phi.values(p)) \
+            - constraint.radius
     raise TypeError(f"unknown constraint {type(constraint).__name__}")
 
 
@@ -196,6 +204,29 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
                           dual_evals=evals)
 
 
+def _ball_exit(w, reference, radius, face_divergence):
+    """(w, ref, result) for a ball of `radius` around the cleaned reference.
+
+    result is the reference itself at radius 0 (multiplier None), or, when
+    the argmax face fits, ref_S / m at value max(w) with multiplier 0; S is
+    the argmax set, m its reference mass and face_divergence(m) the ball's
+    divergence of ref_S / m.  It is None where the ball is active.
+    """
+    ref = _clean_reference(reference)
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    w = np.asarray(w, dtype=float)
+    if radius == 0.0:
+        return w, ref, CtBackupResult(value=float(w @ ref), policy=ref)
+    val = float(w.max())
+    top = w == val
+    m = float(ref[top].sum())
+    if face_divergence(m) <= radius:
+        return w, ref, CtBackupResult(value=val, multiplier=0.0, dual_value=val,
+                                      policy=np.where(top, ref, 0.0) / m)
+    return w, ref, None
+
+
 def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     """max w.p over the KL ball, the level set of phi = -KL(.||ref).
 
@@ -205,20 +236,11 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     y*(radius - KL) <= tol.  Radius 0 returns the reference, multiplier
     None.  The limit y -> 0 is the reference restricted to the argmax set,
     ref_S / m with KL = -ln m; when it fits, the ball is slack: that row,
-    multiplier 0.
+    multiplier 0 (`_ball_exit`).
     """
-    ref = _clean_reference(reference)
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    w = np.asarray(w, dtype=float)
-    if radius == 0.0:
-        return CtBackupResult(value=float(w @ ref), policy=ref)
-    top = w == w.max()
-    m = float(ref[top].sum())
-    if -np.log(m) <= radius:
-        val = float(w.max())
-        return CtBackupResult(value=val, policy=np.where(top, ref, 0.0) / m,
-                              multiplier=0.0, dual_value=val)
+    w, ref, res = _ball_exit(w, reference, radius, lambda m: -np.log(m))
+    if res is not None:
+        return res
     return _multiplier_search(w, KlRegularizer(1.0, ref), radius, tol)
 
 
@@ -346,23 +368,16 @@ def l2_constrained_backup(w, reference, radius) -> CtBackupResult:
 
     When the argmax set S (mass m under the reference) fits in the ball,
     chi_square(ref_S / m, ref) = (1 - m) / m <= radius, the row ref_S / m
-    attains max(w) and the multiplier is 0.  Otherwise the ball is active
-    and one sorted-prefix KKT pass (`_chi_square_kkt`) returns the optimum
-    and the multiplier lam = t/2 of the constraint chi_square <= radius.
-    Cost is one sort and a few O(|A|) prefix sums at any action count.
+    attains max(w) and the multiplier is 0 (`_ball_exit`).  Otherwise the
+    ball is active and one sorted-prefix KKT pass (`_chi_square_kkt`)
+    returns the optimum and the multiplier lam = t/2 of the constraint
+    chi_square <= radius.  Cost is one sort and a few O(|A|) prefix sums at
+    any action count.
     """
-    ref = _clean_reference(reference)
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    w = np.asarray(w, dtype=float)
-    if radius == 0.0:
-        return CtBackupResult(value=float(w @ ref), policy=ref)
+    w, ref, res = _ball_exit(w, reference, radius, lambda m: (1.0 - m) / m)
+    if res is not None:
+        return res
     shift = float(w.max())
-    top = w == shift
-    m = float(ref[top].sum())
-    if (1.0 - m) / m <= radius:
-        p = np.where(top, ref, 0.0) / m
-        return CtBackupResult(value=shift, policy=p, multiplier=0.0)
     p, t = _chi_square_kkt(w, ref, radius=radius)
     return CtBackupResult(value=shift + float((w - shift) @ p), policy=p,
                           multiplier=t / 2.0)
@@ -397,8 +412,8 @@ def grid_oracle_backup(w, constraint, resolution=None):
         pts = np.column_stack([p0, p1, 1.0 - p0 - p1])
     else:
         raise ValueError("grid oracle supports at most 3 actions")
-    mask = _feasible_mask(constraint, pts)
-    cands = pts[mask]
+    tol = 1e-10 if isinstance(constraint, PhiBall) else 1e-12
+    cands = pts[constraint_violation(constraint, pts) <= tol]
     extra = getattr(constraint, "reference", None)
     if extra is not None:
         cands = np.vstack([cands, extra]) if cands.size else extra[None, :]
@@ -407,23 +422,6 @@ def grid_oracle_backup(w, constraint, resolution=None):
     vals = cands @ w
     k = int(np.argmax(vals))
     return float(vals[k]), cands[k]
-
-
-def _feasible_mask(constraint, pts):
-    if isinstance(constraint, KlBall):
-        ref = constraint.reference
-        logs = np.where(pts > 0, np.log(np.where(pts > 0, pts, 1.0) / ref), 0.0)
-        return np.einsum("ij,ij->i", pts, logs) <= constraint.radius + 1e-12
-    if isinstance(constraint, L1Ball):
-        return np.abs(pts - constraint.reference).sum(axis=1) \
-            <= constraint.radius + 1e-12
-    if isinstance(constraint, L2ChiSquareBall):
-        d = pts - constraint.reference
-        return np.einsum("ij,ij->i", d * d, 1.0 / constraint.reference[None, :]) \
-            <= constraint.radius + 1e-12
-    if isinstance(constraint, PhiBall):
-        return -constraint.phi.values(pts) <= constraint.radius + 1e-10
-    raise TypeError(f"grid oracle does not handle {type(constraint).__name__}")
 
 
 def generic_phi_ball_backup(w, phi, radius, tol=1e-10) -> CtBackupResult:

@@ -12,9 +12,12 @@ one framework's structure:
     {"name": "distributional", "ambiguity": <block>}
     {"name": "constrained", "constraint": <block> | [<block> per state]}
 
-Loading re-validates everything and raises ModelValidationError on any
-violation, so malformed files surface as validation failures rather than
-stack traces.
+Each <block> is an object whose "kind" names a class; its fields are listed
+once, in the tables `_REGULARIZERS`, `_NOISES`, `_FAMILIES` (the marginal
+families of an "mdm" ambiguity block), `_AMBIGUITIES` and `_CONSTRAINTS`,
+which drive both the reader and the writer.  Loading re-validates
+everything and raises ModelValidationError on any violation, so malformed
+files surface as validation failures rather than stack traces.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .equivalence import (ConstrainedInstance, DistributionalInstance,
                           FrameworkInstance, RegularizedInstance,
                           StandardInstance, StochasticInstance)
 from .regularized import (EntropyRegularizer, KlRegularizer, OffsetRegularizer,
-                          ScaledRegularizer)
+                          Regularizer, ScaledRegularizer)
 from .stochastic import GaussianJoint, GumbelIid, UniformPerEntry
 
 
@@ -79,31 +82,84 @@ def model_to_dict(model) -> dict:
             "transition": model.transition.tolist()}
 
 
-# -- regularizer blocks -------------------------------------------------
+# -- block schemas ------------------------------------------------------
+#
+# Each table maps a kind to (class, fields).  A field is (file key,
+# attribute, parse) or (file key, attribute, parse, default).  The reader
+# passes the parsed fields to the class in order; the writer reads the
+# attributes back, arrays as lists and a nested regularizer as its block.
+
+def _array(x):
+    return np.asarray(x, dtype=float)
+
+
+def _raw(x):
+    return x
+
+
+_REGULARIZERS = {
+    "entropy": (EntropyRegularizer, [("eta", "eta", float)]),
+    "kl": (KlRegularizer, [("eta", "eta", float),
+                           ("reference", "reference", _raw)]),
+    "mmm": (MmmRegularizer, [("sigma", "sigma", _array)]),
+    "covariance": (CovarianceRegularizer, [("cov", "cov", _array)]),
+    "chi_square_lagrange": (ChiSquareLagrangeRegularizer,
+                            [("multiplier", "lam", float),
+                             ("reference", "reference", _raw),
+                             ("radius", "radius", float)]),
+    "zero": (ZeroRegularizer, []),
+}
+
+_NOISES = {
+    # "location": "mean_zero" is resolved by `noise_from_dict`
+    "gumbel_iid": (GumbelIid, [("eta", "eta", float),
+                               ("location", "location", float, 0.0)]),
+    "uniform": (UniformPerEntry, [("bounds", "bounds", _array)]),
+    "gaussian": (GaussianJoint, [("cov", "cov", _array)]),
+}
+
+_FAMILIES = {
+    "exponential": (ExponentialInverseCdf, [("rate", "rate", float, 1.0)]),
+    "uniform": (UniformInverseCdf, [("lo", "lo", float, 0.0),
+                                    ("hi", "hi", float, 1.0)]),
+    "gumbel": (GumbelInverseCdf, [("scale", "scale", float, 1.0)]),
+    "tabulated": (TabulatedInverseCdf, [("t", "t", _raw),
+                                        ("values", "values", _raw)]),
+}
+
+_AMBIGUITIES = {
+    "mmm": (MarginalMomentModel, [("sigma", "sigma", _array)]),
+    "covariance": (CovarianceModel, [("matrices", "matrices", _array)]),
+}
+
+
+def _read(table, block, what, tag="kind"):
+    kind = _require(block, tag, f"{what} block")
+    if not isinstance(kind, str) or kind not in table:
+        _fail(f"unknown {what} {tag} {kind!r}")
+    cls, fields = table[kind]
+    return cls(*[parse(block.get(key, *default) if default
+                       else _require(block, key, f"{kind} block"))
+                 for key, _, parse, *default in fields])
+
+
+def _write(table, obj, tag="kind"):
+    for kind, (cls, fields) in table.items():
+        if isinstance(obj, cls):
+            block = {tag: kind}
+            for key, attr, *_ in fields:
+                value = getattr(obj, attr)
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
+                elif isinstance(value, Regularizer):
+                    value = regularizer_to_dict(value)
+                block[key] = value
+            return block
+    raise ValueError(f"{type(obj).__name__} has no file form")
+
 
 def regularizer_from_dict(block):
-    kind = _require(block, "kind", "regularizer block")
-    if kind == "entropy":
-        phi = EntropyRegularizer(float(_require(block, "eta", "entropy block")))
-    elif kind == "kl":
-        phi = KlRegularizer(float(_require(block, "eta", "kl block")),
-                            _require(block, "reference", "kl block"))
-    elif kind == "mmm":
-        phi = MmmRegularizer(np.asarray(_require(block, "sigma", "mmm block"),
-                                        dtype=float))
-    elif kind == "covariance":
-        phi = CovarianceRegularizer(np.asarray(_require(block, "cov",
-                                                        "covariance block"),
-                                               dtype=float))
-    elif kind == "chi_square_lagrange":
-        phi = ChiSquareLagrangeRegularizer(
-            float(_require(block, "multiplier", "chi_square_lagrange block")),
-            _require(block, "reference", "chi_square_lagrange block"),
-            float(_require(block, "radius", "chi_square_lagrange block")))
-    elif kind == "zero":
-        phi = ZeroRegularizer()
-    else:
-        _fail(f"unknown regularizer kind {kind!r}")
+    phi = _read(_REGULARIZERS, block, "regularizer")
     scale = block.get("scale", 1.0)
     if scale != 1.0:
         phi = ScaledRegularizer(phi, float(scale))
@@ -121,22 +177,7 @@ def regularizer_to_dict(phi) -> dict:
     if isinstance(phi, ScaledRegularizer):
         scale = phi.scale
         phi = phi.base
-    if isinstance(phi, EntropyRegularizer):
-        block = {"kind": "entropy", "eta": phi.eta}
-    elif isinstance(phi, KlRegularizer):
-        block = {"kind": "kl", "eta": phi.eta,
-                 "reference": phi.reference.tolist()}
-    elif isinstance(phi, MmmRegularizer):
-        block = {"kind": "mmm", "sigma": phi.sigma.tolist()}
-    elif isinstance(phi, CovarianceRegularizer):
-        block = {"kind": "covariance", "cov": phi.cov.tolist()}
-    elif isinstance(phi, ChiSquareLagrangeRegularizer):
-        block = {"kind": "chi_square_lagrange", "multiplier": phi.lam,
-                 "reference": phi.reference.tolist(), "radius": phi.radius}
-    elif isinstance(phi, ZeroRegularizer):
-        block = {"kind": "zero"}
-    else:
-        raise ValueError(f"{type(phi).__name__} has no file form")
+    block = _write(_REGULARIZERS, phi)
     if scale:
         block["scale"] = scale
     if offset:
@@ -144,146 +185,53 @@ def regularizer_to_dict(phi) -> dict:
     return block
 
 
-# -- noise blocks --------------------------------------------------------
-
 def noise_from_dict(block):
-    kind = _require(block, "kind", "noise block")
-    if kind == "gumbel_iid":
-        location = block.get("location", 0.0)
-        if location == "mean_zero":
-            return GumbelIid.mean_zero(float(_require(block, "eta",
-                                                      "gumbel block")))
-        return GumbelIid(float(_require(block, "eta", "gumbel block")),
-                         location=float(location))
-    if kind == "uniform":
-        return UniformPerEntry(np.asarray(_require(block, "bounds",
-                                                   "uniform block"),
-                                          dtype=float))
-    if kind == "gaussian":
-        return GaussianJoint(np.asarray(_require(block, "cov",
-                                                 "gaussian block"),
-                                        dtype=float))
-    _fail(f"unknown noise kind {kind!r}")
+    if isinstance(block, dict) and block.get("kind") == "gumbel_iid" \
+            and block.get("location") == "mean_zero":
+        return GumbelIid.mean_zero(_read(_NOISES, {**block, "location": 0.0},
+                                         "noise").eta)
+    return _read(_NOISES, block, "noise")
 
 
 def noise_to_dict(noise) -> dict:
-    if isinstance(noise, GumbelIid):
-        return {"kind": "gumbel_iid", "eta": noise.eta,
-                "location": noise.location}
-    if isinstance(noise, UniformPerEntry):
-        return {"kind": "uniform", "bounds": noise.bounds.tolist()}
-    if isinstance(noise, GaussianJoint):
-        return {"kind": "gaussian", "cov": noise.cov.tolist()}
-    raise ValueError(f"{type(noise).__name__} has no file form")
-
-
-# -- ambiguity blocks ----------------------------------------------------
-
-def _cdf_from_family(block):
-    family = _require(block, "family", "mdm block")
-    if family == "exponential":
-        return ExponentialInverseCdf(float(block.get("rate", 1.0)))
-    if family == "uniform":
-        return UniformInverseCdf(float(block.get("lo", 0.0)),
-                                 float(block.get("hi", 1.0)))
-    if family == "gumbel":
-        return GumbelInverseCdf(float(block.get("scale", 1.0)))
-    if family == "tabulated":
-        return TabulatedInverseCdf(_require(block, "t", "tabulated mdm block"),
-                                   _require(block, "values",
-                                            "tabulated mdm block"))
-    _fail(f"unknown mdm family {family!r}")
+    return _write(_NOISES, noise)
 
 
 def ambiguity_from_dict(block, num_states, num_actions):
-    kind = _require(block, "kind", "ambiguity block")
-    if kind == "mdm":
-        cdf = _cdf_from_family(block)
+    if isinstance(block, dict) and block.get("kind") == "mdm":
+        cdf = _read(_FAMILIES, block, "mdm", tag="family")
         return MarginalDistributionModel([[cdf] * num_actions] * num_states)
-    if kind == "mmm":
-        return MarginalMomentModel(np.asarray(_require(block, "sigma",
-                                                       "mmm block"),
-                                              dtype=float))
-    if kind == "covariance":
-        return CovarianceModel(np.asarray(_require(block, "matrices",
-                                                   "covariance block"),
-                                          dtype=float))
-    _fail(f"unknown ambiguity kind {kind!r}")
-
-
-def _cdf_to_family(cdf) -> dict:
-    if isinstance(cdf, ExponentialInverseCdf):
-        return {"family": "exponential", "rate": cdf.rate}
-    if isinstance(cdf, UniformInverseCdf):
-        return {"family": "uniform", "lo": cdf.lo, "hi": cdf.hi}
-    if isinstance(cdf, GumbelInverseCdf):
-        return {"family": "gumbel", "scale": cdf.scale}
-    if isinstance(cdf, TabulatedInverseCdf):
-        return {"family": "tabulated", "t": cdf.t.tolist(),
-                "values": cdf.values.tolist()}
-    raise ValueError(f"{type(cdf).__name__} has no file form")
+    return _read(_AMBIGUITIES, block, "ambiguity")
 
 
 def ambiguity_to_dict(ambiguity) -> dict:
     if isinstance(ambiguity, MarginalDistributionModel):
-        families = [_cdf_to_family(c) for row in ambiguity.inverse_cdfs
-                    for c in row]
+        families = [_write(_FAMILIES, c, tag="family")
+                    for row in ambiguity.inverse_cdfs for c in row]
         if any(f != families[0] for f in families):
             raise ValueError("only a shared marginal family has a file form")
         return {"kind": "mdm", **families[0]}
-    if isinstance(ambiguity, MarginalMomentModel):
-        return {"kind": "mmm", "sigma": ambiguity.sigma.tolist()}
-    if isinstance(ambiguity, CovarianceModel):
-        return {"kind": "covariance", "matrices": ambiguity.matrices.tolist()}
-    raise ValueError(f"{type(ambiguity).__name__} has no file form")
+    return _write(_AMBIGUITIES, ambiguity)
 
 
-# -- constraint blocks ---------------------------------------------------
+_BALL = [("reference", "reference", _array), ("radius", "radius", float)]
+_CONSTRAINTS = {
+    "kl_ball": (KlBall, _BALL),
+    "l1_ball": (L1Ball, _BALL),
+    "l2_ball": (L2ChiSquareBall, _BALL),
+    "singleton": (Singleton, [("row", "row", _array)]),
+    "full": (FullSimplex, []),
+    "phi_ball": (PhiBall, [("phi", "phi", regularizer_from_dict),
+                           ("radius", "radius", float)]),
+}
+
 
 def constraint_from_dict(block):
-    kind = _require(block, "kind", "constraint block")
-    if kind == "kl_ball":
-        return KlBall(np.asarray(_require(block, "reference", "kl_ball"),
-                                 dtype=float),
-                      float(_require(block, "radius", "kl_ball")))
-    if kind == "l1_ball":
-        return L1Ball(np.asarray(_require(block, "reference", "l1_ball"),
-                                 dtype=float),
-                      float(_require(block, "radius", "l1_ball")))
-    if kind == "l2_ball":
-        return L2ChiSquareBall(np.asarray(_require(block, "reference",
-                                                   "l2_ball"), dtype=float),
-                               float(_require(block, "radius", "l2_ball")))
-    if kind == "singleton":
-        return Singleton(np.asarray(_require(block, "row", "singleton"),
-                                    dtype=float))
-    if kind == "full":
-        return FullSimplex()
-    if kind == "phi_ball":
-        return PhiBall(regularizer_from_dict(_require(block, "phi",
-                                                      "phi_ball")),
-                       float(_require(block, "radius", "phi_ball")))
-    _fail(f"unknown constraint kind {kind!r}")
+    return _read(_CONSTRAINTS, block, "constraint")
 
 
 def constraint_to_dict(constraint) -> dict:
-    if isinstance(constraint, KlBall):
-        return {"kind": "kl_ball", "reference": constraint.reference.tolist(),
-                "radius": constraint.radius}
-    if isinstance(constraint, L1Ball):
-        return {"kind": "l1_ball", "reference": constraint.reference.tolist(),
-                "radius": constraint.radius}
-    if isinstance(constraint, L2ChiSquareBall):
-        return {"kind": "l2_ball", "reference": constraint.reference.tolist(),
-                "radius": constraint.radius}
-    if isinstance(constraint, Singleton):
-        return {"kind": "singleton", "row": constraint.row.tolist()}
-    if isinstance(constraint, FullSimplex):
-        return {"kind": "full"}
-    if isinstance(constraint, PhiBall):
-        return {"kind": "phi_ball", "phi": regularizer_to_dict(constraint.phi),
-                "radius": constraint.radius}
-    raise ValueError(f"{type(constraint).__name__} has no file form")
+    return _write(_CONSTRAINTS, constraint)
 
 
 # -- framework instances -------------------------------------------------

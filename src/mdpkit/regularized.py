@@ -50,10 +50,11 @@ def _log_softmax(z):
     return (top + np.log(s))[..., 0], e / s
 
 
-def kl_divergence(p, reference) -> float:
+def kl_divergence(p, reference):
+    """KL(p || reference) on the last axis, 0 ln 0 = 0: a float for one row."""
     p = np.asarray(p, dtype=float)
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0) / reference), 0.0)
-    return float(terms.sum())
+    return _float_or_array(terms.sum(axis=-1))
 
 
 @dataclass

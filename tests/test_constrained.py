@@ -87,6 +87,22 @@ def test_constraint_violation_per_kind():
     assert v == pytest.approx(-phi.value(p) + 0.5)
 
 
+@pytest.mark.parametrize("con", [
+    KlBall(UNIF3, 0.2), L1Ball(UNIF3, 0.3), L2ChiSquareBall(UNIF3, 0.2),
+    Singleton(np.array([0.5, 0.3, 0.2])), FullSimplex(),
+    PhiBall(EntropyRegularizer(1.0), -0.5)])
+def test_constraint_violation_of_many_rows_is_each_row_s(con):
+    rows = np.random.default_rng(4).dirichlet(np.ones(3), size=6)
+    rows[0] = [1.0, 0.0, 0.0]  # a zero entry takes 0 ln 0 = 0
+    each = [constraint_violation(con, p) for p in rows]
+    assert all(type(v) is float for v in each)
+    assert np.array_equal(constraint_violation(con, rows), each)
+    assert np.array_equal(kl_divergence(rows, UNIF3),
+                          [kl_divergence(p, UNIF3) for p in rows])
+    assert np.array_equal(chi_square(rows, UNIF3),
+                          [chi_square(p, UNIF3) for p in rows])
+
+
 # ---------------------------------------------------------------- KL balls
 
 
@@ -412,7 +428,7 @@ def test_l2_backup_with_a_tied_maximum():
     # the argmax set has mass 0.5, so rows on it have chi-square 1
     slack = l2_constrained_backup(w, ref, 1.5)
     assert slack.multiplier == 0.0
-    assert slack.value == 1.0
+    assert slack.value == 1.0 == slack.dual_value
     assert np.allclose(slack.policy, [0.4, 0.6, 0.0], rtol=0, atol=1e-15)
     active = l2_constrained_backup(w, ref, 0.3)
     assert active.multiplier > 0

@@ -1,6 +1,7 @@
 """JSON file formats: model blocks, framework blocks, and exact round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from util import tracemalloc_peak
 from mdpkit import (
     ChiSquareLagrangeRegularizer,
     ConstrainedInstance,
+    CovarianceRegularizer,
     DistributionalInstance,
     EntropyRegularizer,
     ExponentialInverseCdf,
     FullSimplex,
     GaussianJoint,
     GumbelIid,
+    GumbelInverseCdf,
     KlBall,
     KlRegularizer,
     L1Ball,
@@ -22,18 +25,23 @@ from mdpkit import (
     MarginalDistributionModel,
     MarginalMomentModel,
     CovarianceModel,
+    MdpModel,
     MmmRegularizer,
     ModelValidationError,
     OffsetRegularizer,
     PhiBall,
     RegularizedInstance,
+    ScaledRegularizer,
     Singleton,
     StandardInstance,
     StochasticInstance,
+    TabulatedInverseCdf,
+    UniformInverseCdf,
     UniformPerEntry,
     ZeroRegularizer,
     random_mdp,
 )
+from mdpkit import modelio
 from mdpkit.modelio import (
     instance_from_dict,
     instance_to_dict,
@@ -314,3 +322,140 @@ def test_loader_passes_mc_settings_through():
     inst = instance_from_dict(d, mc_samples=777, seed=5)
     assert inst.mc_samples == 777
     assert inst.seed == 5
+
+
+# ------------------------------------------------------------ schema tables
+
+GOLDEN = Path(__file__).parent / "data" / "modelio_golden.json"
+
+# table -> (its name in modelio, the framework key that holds its block)
+TABLES = {"regularizer": ("_REGULARIZERS", "regularizer"),
+          "noise": ("_NOISES", "noise"),
+          "family": ("_FAMILIES", "ambiguity"),
+          "ambiguity": ("_AMBIGUITIES", "ambiguity"),
+          "constraint": ("_CONSTRAINTS", "constraint")}
+
+
+def golden_model():
+    return MdpModel(num_states=2, num_actions=2,
+                    transition=np.array([[[0.5, 0.5], [1.0, 0.0]],
+                                         [[0.25, 0.75], [0.0, 1.0]]]),
+                    reward=np.array([[1.0, 0.0], [0.5, -1.0]]),
+                    discount=0.9)
+
+
+def _mdm(cdf):
+    return DistributionalInstance(golden_model(),
+                                  MarginalDistributionModel([[cdf] * 2] * 2))
+
+
+def _regularized(phi):
+    return RegularizedInstance(golden_model(), phi)
+
+
+def _stochastic(noise):
+    return StochasticInstance(golden_model(), noise)
+
+
+def _constrained(con):
+    return ConstrainedInstance(golden_model(), con)
+
+
+COV = np.array([[[1.0, 0.5], [0.5, 2.0]], [[0.25, 0.0], [0.0, 0.5]]])
+
+# one instance per block kind, named "<table>/<kind>", and a few more forms
+CASES = {
+    "standard": lambda: StandardInstance(golden_model()),
+    "regularizer/entropy": lambda: _regularized(EntropyRegularizer(0.5)),
+    "regularizer/kl": lambda: _regularized(KlRegularizer(1.5, [0.25, 0.75])),
+    "regularizer/mmm": lambda: _regularized(MmmRegularizer([0.5, 0.25])),
+    "regularizer/covariance": lambda: _regularized(
+        CovarianceRegularizer(COV[0])),
+    "regularizer/chi_square_lagrange": lambda: _regularized(
+        ChiSquareLagrangeRegularizer(0.75, [0.5, 0.5], 0.125)),
+    "regularizer/zero": lambda: _regularized(ZeroRegularizer()),
+    "regularizer/scaled-offset-per-state": lambda: _regularized(
+        [ScaledRegularizer(EntropyRegularizer(1.0), 2.0),
+         OffsetRegularizer(ScaledRegularizer(KlRegularizer(0.5, [0.5, 0.5]),
+                                             0.25), -1.5)]),
+    "noise/gumbel_iid": lambda: _stochastic(GumbelIid(0.5, location=0.25)),
+    "noise/gumbel_iid-mean_zero": lambda: StochasticInstance(
+        golden_model(), GumbelIid.mean_zero(0.5), mc_samples=500,
+        method="closed_form"),
+    "noise/uniform": lambda: _stochastic(UniformPerEntry(
+        [[[-0.5, 0.5], [0.0, 1.0]], [[-1.0, -0.5], [0.25, 0.25]]])),
+    "noise/gaussian": lambda: _stochastic(GaussianJoint(COV)),
+    "family/exponential": lambda: _mdm(ExponentialInverseCdf(2.0)),
+    "family/uniform": lambda: _mdm(UniformInverseCdf(-1.0, 0.5)),
+    "family/gumbel": lambda: _mdm(GumbelInverseCdf(0.75)),
+    "family/tabulated": lambda: _mdm(TabulatedInverseCdf([0.25, 0.75],
+                                                         [-1.0, 1.5])),
+    "ambiguity/mmm": lambda: DistributionalInstance(
+        golden_model(), MarginalMomentModel([[0.5, 0.25], [0.0, 1.0]])),
+    "ambiguity/covariance": lambda: DistributionalInstance(
+        golden_model(), CovarianceModel(COV)),
+    "constraint/kl_ball": lambda: _constrained(KlBall([0.25, 0.75], 0.125)),
+    "constraint/l1_ball": lambda: _constrained(L1Ball([0.5, 0.5], 0.5)),
+    "constraint/l2_ball": lambda: _constrained(
+        L2ChiSquareBall([0.75, 0.25], 0.25)),
+    "constraint/singleton": lambda: _constrained(Singleton([0.125, 0.875])),
+    "constraint/full": lambda: _constrained(FullSimplex()),
+    "constraint/phi_ball": lambda: _constrained(
+        PhiBall(EntropyRegularizer(0.5), -0.25)),
+    "constraint/per-state": lambda: _constrained(
+        [KlBall([0.5, 0.5], 0.25), PhiBall(ZeroRegularizer(), 0.0)]),
+}
+
+TABLE_KINDS = [(t, kind) for t, (attr, _) in TABLES.items()
+               for kind in getattr(modelio, attr)]
+REQUIRED_FIELDS = [(t, kind, field[0]) for t, (attr, _) in TABLES.items()
+                   for kind, (_, fields) in getattr(modelio, attr).items()
+                   for field in fields if len(field) == 3]
+
+
+def test_cases_cover_every_table_kind():
+    assert {f"{t}/{kind}" for t, kind in TABLE_KINDS} \
+        == {name for name in CASES if "/" in name and "-" not in name}
+
+
+@pytest.mark.parametrize("table,kind", TABLE_KINDS)
+def test_every_table_kind_round_trips(table, kind):
+    inst = CASES[f"{table}/{kind}"]()
+    data = instance_to_dict(inst)
+    block = data["framework"][TABLES[table][1]]
+    assert block["family" if table == "family" else "kind"] == kind
+    again = roundtrip(inst)
+    assert type(again) is type(inst)
+    assert instance_to_dict(again) == data
+
+
+@pytest.mark.parametrize("table,kind,key", REQUIRED_FIELDS)
+def test_missing_field_message_names_the_field(table, kind, key):
+    data = instance_to_dict(CASES[f"{table}/{kind}"]())
+    del data["framework"][TABLES[table][1]][key]
+    with pytest.raises(ModelValidationError) as exc:
+        instance_from_dict(data)
+    assert str(exc.value) == f"{kind} block is missing required field {key!r}"
+
+
+def test_mean_zero_location_still_requires_eta():
+    d = model_to_dict(base_model())
+    d["framework"] = {"name": "stochastic",
+                      "noise": {"kind": "gumbel_iid", "location": "mean_zero"}}
+    with pytest.raises(ModelValidationError,
+                       match="gumbel_iid block is missing required field 'eta'"):
+        instance_from_dict(d)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_saved_file_matches_frozen_text(name, tmp_path):
+    # a table entry that writes another key, value or nesting than the
+    # frozen file fails here; loading the frozen file and saving it again
+    # gives the same bytes
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    path = tmp_path / "inst.json"
+    save_instance(CASES[name](), path)
+    assert path.read_bytes() == golden.encode("utf-8")
+    path.write_bytes(golden.encode("utf-8"))
+    save_instance(load_instance(path), path)
+    assert path.read_bytes() == golden.encode("utf-8")
