@@ -25,7 +25,8 @@ import numpy as np
 
 from .constrained import (L1Ball, L2ChiSquareBall, l1_dual_discrepancy,
                           l2_dual_discrepancy)
-from .core import ConvergenceError, ModelValidationError, q_vector, random_mdp
+from .core import (ConvergenceError, ModelValidationError, _per_state,
+                   q_vector, random_mdp)
 from .equivalence import (ConstrainedInstance, RegularizedInstance,
                           StructureMismatchError, check_equivalence,
                           counterexample_suite, interior_policy_sweep)
@@ -109,15 +110,10 @@ def _ensure_out_dir(out):
 
 
 def _check_config(args):
-    problems = []
-    if getattr(args, "tol", 1.0) <= 0:
-        problems.append(f"--tol must be positive, got {args.tol}")
-    if getattr(args, "max_iter", 1) <= 0:
-        problems.append(f"--max-iter must be positive, got {args.max_iter}")
-    if getattr(args, "mc_samples", 1) <= 0:
-        problems.append(f"--mc-samples must be positive, got {args.mc_samples}")
-    if getattr(args, "trials", 1) <= 0:
-        problems.append(f"--trials must be positive, got {args.trials}")
+    problems = [f"--{key.replace('_', '-')} must be positive, got "
+                f"{getattr(args, key)}"
+                for key in ("tol", "max_iter", "mc_samples", "trials")
+                if getattr(args, key) <= 0]
     if problems:
         raise ModelValidationError(problems)
 
@@ -125,16 +121,12 @@ def _check_config(args):
 def _config_echo(args):
     # the output path is deliberately not echoed: reports must be
     # byte-identical for a fixed (config, seed) wherever they are written
-    echo = {}
-    for key in ("tol", "max_iter", "mc_samples", "seed", "trials"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
-    return echo
+    return {key: getattr(args, key)
+            for key in ("tol", "max_iter", "mc_samples", "seed", "trials")}
 
 
 def _load(path, args):
-    return load_instance(path, mc_samples=getattr(args, "mc_samples", 100000),
-                         seed=getattr(args, "seed", 0))
+    return load_instance(path, mc_samples=args.mc_samples, seed=args.seed)
 
 
 def _value_csv(value):
@@ -155,7 +147,7 @@ def _discrepancy_notes(instance, result):
     sets = instance.constraints
     notes = []
     for s, w in enumerate(q_vector(instance.model, result.value)):
-        con = sets[s] if isinstance(sets, (list, tuple)) else sets
+        con = sets[s] if _per_state(sets) else sets
         if not isinstance(con, (L1Ball, L2ChiSquareBall)):
             continue
         if isinstance(con, L1Ball):

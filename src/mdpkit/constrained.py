@@ -7,7 +7,9 @@ and regularizer level sets {p : -phi(p) <= radius} ("phi balls", used by the
 regularized-to-constrained conversion).  The KL ball is the level set of
 phi = -KL(.||ref), so KL and phi balls share one multiplier search: the
 backup at multiplier lam is the regularized backup with lam*phi, and lam is
-found by safeguarded regula falsi until the duality gap is certified.
+found by `core._falsi`, the safeguarded regula falsi that also solves the
+stationarity root of the separable ambiguity sets, until the duality gap
+is certified.
 
 The published dual expressions for the L1 and L2 balls are evaluated
 verbatim by `l1_dual_discrepancy` / `l2_dual_discrepancy` and reported next
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MdpModel, _float_or_array, q_vector, rowwise_operator,
-                   standard_backup, value_iteration)
+from .core import (_EPS, MdpModel, _falsi, _float_or_array, _per_state,
+                   q_vector, rowwise_operator, standard_backup,
+                   value_iteration)
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
                           _clean_reference, kl_divergence,
@@ -153,20 +156,22 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
     """max w.p subject to -phi(p) <= radius, by a search on its multiplier.
 
     p(lam) is the conjugate argmax of lam*phi at w, and h(lam) =
-    -phi(p(lam)) - radius falls as lam rises.  A hard-max row inside the set
-    is returned with multiplier 0.  Otherwise lam is bracketed by doubling
-    from 1 (ValueError without a Slater point) and narrowed by Illinois
-    steps (regula falsi; midpoint when a step leaves the bracket) until the
-    feasible end has duality gap lam_hi*(radius + phi(p_hi)) <= tol.
+    -phi(p(lam)) - radius falls as lam rises; |h| <= 4 eps max(1, |radius|)
+    counts as a root.  A hard-max row inside the set is returned with
+    multiplier 0.  Otherwise lam is bracketed by doubling from 1 (ValueError
+    without a Slater point) and narrowed by `core._falsi` until the feasible
+    end has duality gap lam_hi*(radius + phi(p_hi)) <= tol.
     """
     w = np.asarray(w, dtype=float)
     evals = 0
+    flat = 4 * _EPS * max(1.0, abs(radius))
 
     def probe(lam):
         nonlocal evals
         evals += 1
         res = solve_conjugate(w, ScaledRegularizer(phi, lam))
-        return res, -phi.value(res.argmax) - radius
+        h = -phi.value(res.argmax) - radius
+        return (0.0 if abs(h) <= flat else h), res
 
     val0, row0 = standard_backup(w)
     h_lo = -phi.value(row0) - radius
@@ -174,30 +179,16 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
         return CtBackupResult(value=val0, policy=row0, multiplier=0.0,
                               dual_value=val0)
     lam_lo, lam_hi = 0.0, 1.0
-    res_hi, h_hi = probe(lam_hi)
+    h_hi, res_hi = probe(lam_hi)
     while h_hi > 0.0:
         if lam_hi >= 2.0 ** 60:
             raise ValueError("constraint admits no Slater point: phi stays "
                              f"below {-radius} on the simplex")
         lam_lo, h_lo = lam_hi, h_hi
         lam_hi *= 2.0
-        res_hi, h_hi = probe(lam_hi)
-    f_lo, f_hi, kept = h_lo, h_hi, 0
-    for _ in range(200):
-        if -lam_hi * h_hi <= tol:
-            break
-        lam = lam_hi - f_hi * (lam_hi - lam_lo) / (f_hi - f_lo)
-        if not lam_lo < lam < lam_hi:
-            lam = 0.5 * (lam_lo + lam_hi)
-        res, h = probe(lam)
-        if h > 0.0:
-            lam_lo, f_lo = lam, h
-            f_hi = 0.5 * f_hi if kept == 1 else f_hi
-            kept = 1
-        else:
-            lam_hi, res_hi, h_hi, f_hi = lam, res, h, h
-            f_lo = 0.5 * f_lo if kept == -1 else f_lo
-            kept = -1
+        h_hi, res_hi = probe(lam_hi)
+    lam_hi, _, res_hi = _falsi(probe, lam_lo, lam_hi, h_lo, h_hi, None, res_hi,
+                               lambda lam, h: -lam * h <= tol)[3:]
     p = res_hi.argmax
     return CtBackupResult(value=float(w @ p), policy=p, multiplier=lam_hi,
                           dual_value=float(lam_hi * radius + res_hi.value),
@@ -458,9 +449,10 @@ def constrained_backup(w, constraint, tol=1e-12) -> CtBackupResult:
 
 def ct_backup_operator(constraints, tol=1e-12):
     """Backup operator from per-state constraint sets (or one broadcast set)."""
+    each = _per_state(constraints)
+
     def backup(w, state):
-        c = constraints[state] if isinstance(constraints, (list, tuple)) \
-            else constraints
+        c = constraints[state] if each else constraints
         res = constrained_backup(w, c, tol=tol)
         return res.value, res.policy
 
@@ -527,12 +519,13 @@ def r_to_ct_convert(model, phi_per_state, solve_tol=1e-10) -> CtConversion:
     around uniform, respectively c_s/eta around the reference); any other
     regularizer produces its own level set.
     """
+    S = model.num_states
+    phis = phi_per_state if _per_state(phi_per_state, S, "regularizer") \
+        else [phi_per_state] * S
     base = value_iteration(model, regularized_backup_operator(phi_per_state),
                            tol=solve_tol)
-    phis = phi_per_state if isinstance(phi_per_state, (list, tuple)) \
-        else [phi_per_state] * model.num_states
-    constants = np.array([-phis[s].value(base.policy[s])
-                          for s in range(model.num_states)])
+    constants = np.array([-phi.value(row)
+                          for phi, row in zip(phis, base.policy)])
     constraints = []
     for s, phi in enumerate(phis):
         c = float(constants[s])
@@ -545,8 +538,7 @@ def r_to_ct_convert(model, phi_per_state, solve_tol=1e-10) -> CtConversion:
         else:
             constraints.append(PhiBall(phi, c))
     reward = model.reward - constants[:, None]
-    ct_model = MdpModel(num_states=model.num_states,
-                        num_actions=model.num_actions,
+    ct_model = MdpModel(num_states=S, num_actions=model.num_actions,
                         transition=model.transition, reward=reward,
                         discount=model.discount)
     return CtConversion(ct_model=ct_model, constraints=constraints,
@@ -574,8 +566,9 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
     (radius > 0) for ball constraints; L1 balls (non-smooth) and singletons
     (no interior) are rejected.
     """
-    sets = constraints if isinstance(constraints, (list, tuple)) \
-        else [constraints] * model.num_states
+    S = model.num_states
+    sets = constraints if _per_state(constraints, S, "constraint") \
+        else [constraints] * S
     for s, con in enumerate(sets):
         if isinstance(con, (L1Ball, Singleton)):
             raise ValueError(
@@ -584,9 +577,7 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
         if isinstance(con, (KlBall, L2ChiSquareBall)) and con.radius <= 0:
             raise ValueError(f"state {s}: radius 0 admits no Slater point")
     sol = value_iteration(model, ct_backup_operator(sets), tol=tol)
-    multipliers = np.zeros(model.num_states)
-    regs = []
-    slack = np.zeros(model.num_states)
+    multipliers, slack, regs = np.zeros(S), np.zeros(S), []
     for s, (con, w) in enumerate(zip(sets, q_vector(model, sol.value))):
         # tol 1e-14 certifies the KL multiplier; phi balls floor it at 1e-12
         lam = constrained_backup(w, con, tol=1e-14).multiplier

@@ -32,6 +32,40 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12
 POLICY_ROW_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+
+
+def _falsi(f, lo, hi, g_lo, g_hi, x_lo, x_hi, done=lambda x, g: False):
+    """Narrow a bracket g_lo > 0 > g_hi of the root of a falling f.
+
+    f(x) returns (g, payload), g = 0.0 within rounding of the root; x_lo
+    and x_hi are the ends' payloads.  Anderson-Bjorck regula falsi steps,
+    bisected when a step leaves the bracket or, as in Brent's method, is
+    not half the step before last (at a kink the secant creeps).  Stops on
+    a root, a bracket closed to rounding, done(hi, g_hi) or 200 steps, and
+    returns (lo, g_lo, x_lo, hi, g_hi, x_hi).
+    """
+    f_lo, f_hi, kept = g_lo, g_hi, 0
+    last, step, prev = hi, np.inf, np.inf
+    for _ in range(200):
+        if (not g_lo > 0.0 > g_hi or done(hi, g_hi)
+                or hi - lo <= 4 * _EPS * max(1.0, abs(lo), abs(hi))):
+            break
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi or abs(x - last) > 0.5 * prev:
+            x = 0.5 * (lo + hi)
+        last, prev, step = x, step, abs(x - last)
+        g, payload = f(x)
+        if g > 0.0:
+            # Anderson-Bjorck: shrink the weight of the end kept twice
+            m = 1.0 - g / g_lo if kept == 1 else 1.0
+            f_hi *= m if m > 0.0 else 0.5
+            lo, x_lo, g_lo, f_lo, kept = x, payload, g, g, 1
+        else:
+            m = 1.0 - g / g_hi if kept == -1 else 1.0
+            f_lo *= m if m > 0.0 else 0.5
+            hi, x_hi, g_hi, f_hi, kept = x, payload, g, g, -1
+    return lo, g_lo, x_lo, hi, g_hi, x_hi
 
 
 class ModelValidationError(ValueError):
@@ -183,6 +217,20 @@ def q_vector(model, value, state=None) -> np.ndarray:
 def _float_or_array(x):
     """A 0-d result as a Python float; a result over table rows as is."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _per_state(x, num_states=None, what=None):
+    """Whether x holds one entry per state: a list, tuple or array does.
+
+    Anything else is one object for every state.  Given num_states, a
+    per-state x of another length raises ModelValidationError.
+    """
+    if not isinstance(x, (list, tuple, np.ndarray)):
+        return False
+    if num_states is not None and len(x) != num_states:
+        raise ModelValidationError([f"per-state {what} list has {len(x)} "
+                                    f"entries for {num_states} states"])
+    return True
 
 
 def standard_backup(w):

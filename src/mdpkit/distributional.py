@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_rng, standard_backup
+from .core import _EPS, _falsi, derive_rng, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator, solve_conjugate)
 from .stochastic import (EULER_GAMMA, GaussianJoint, _emax_estimate,
                          _require_psd)
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
-_EPS = float(np.finfo(float).eps)
 
 
 def _e1(z):
@@ -242,8 +241,8 @@ def _stationary_root(w, phi, cdf, quantile) -> ConjugateResult:
 
     Stationarity gives p_a(nu) = 1 - F_a(nu - w_a), whose sum falls as nu
     rises.  Action a takes exactly 1/A at nu_a = w_a + F_a^-1(1 - 1/A), so
-    [min_a nu_a, max_a nu_a] brackets the root.  Anderson-Bjorck steps narrow
-    it until the row sums to 1 to rounding.  Where an atom of some F_a makes
+    [min_a nu_a, max_a nu_a] brackets the root.  `core._falsi` narrows it
+    until the row sums to 1 to rounding.  Where an atom of some F_a makes
     the sum jump over 1, the bracket closes around the jump and the leftover
     mass goes inside it, between the two end rows.  `cdf` and `quantile`
     apply F_a and F_a^-1 to entry a of a length-A array.
@@ -256,33 +255,15 @@ def _stationary_root(w, phi, cdf, quantile) -> ConjugateResult:
         p_lo, p_hi = 1.0 - cdf(lo - w), 1.0 - cdf(hi - w)
         # the actions that set an end take 1/A there, inside any jump
         p_lo[edge == lo] = p_hi[edge == hi] = 1.0 / n
-        g_lo, g_hi = float(p_lo.sum()) - 1.0, float(p_hi.sum()) - 1.0
-        f_lo, f_hi, kept = g_lo, g_hi, 0
-        last, step, prev = hi, np.inf, np.inf
-        for _ in range(200):
-            if not (g_lo > 0.0 > g_hi
-                    and hi - lo > 4 * _EPS * max(1.0, abs(lo), abs(hi))):
-                break
-            nu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            # bisect when the step leaves the bracket or, as in Brent's
-            # method, is not half the step before last: at a kink of the
-            # sum, where some F_a reaches 0 or 1, the secant creeps
-            if not lo < nu < hi or abs(nu - last) > 0.5 * prev:
-                nu = 0.5 * (lo + hi)
-            last, prev, step = nu, step, abs(nu - last)
+
+        def excess(nu):
             row = 1.0 - cdf(nu - w)
             g = float(row.sum()) - 1.0
-            if abs(g) <= n * _EPS:
-                p_hi, g_hi = row, 0.0
-            elif g > 0.0:
-                # Anderson-Bjorck: shrink the weight of the end kept twice
-                m = 1.0 - g / g_lo if kept == 1 else 1.0
-                f_hi *= m if m > 0.0 else 0.5
-                lo, p_lo, g_lo, f_lo, kept = nu, row, g, g, 1
-            else:
-                m = 1.0 - g / g_hi if kept == -1 else 1.0
-                f_lo *= m if m > 0.0 else 0.5
-                hi, p_hi, g_hi, f_hi, kept = nu, row, g, g, -1
+            return (0.0 if abs(g) <= n * _EPS else g), row
+
+        _, g_lo, p_lo, _, g_hi, p_hi = _falsi(
+            excess, lo, hi, float(p_lo.sum()) - 1.0, float(p_hi.sum()) - 1.0,
+            p_lo, p_hi)
         if g_hi >= 0.0:
             p = p_hi
         elif g_lo <= 0.0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constrained import Singleton, ct_backup_operator
-from .core import (MdpModel, SolveResult, derive_rng, q_vector,
+from .core import (MdpModel, SolveResult, _per_state, derive_rng, q_vector,
                    standard_backup_operator, value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
@@ -82,6 +82,7 @@ class StandardInstance(FrameworkInstance):
 class RegularizedInstance(FrameworkInstance):
     def __init__(self, model, phi_per_state):
         super().__init__(model)
+        _per_state(phi_per_state, model.num_states, "regularizer")
         self.phi_per_state = phi_per_state
 
     def operator(self):
@@ -144,6 +145,7 @@ class DistributionalInstance(FrameworkInstance):
 class ConstrainedInstance(FrameworkInstance):
     def __init__(self, model, constraints):
         super().__init__(model)
+        _per_state(constraints, model.num_states, "constraint")
         self.constraints = constraints
 
     def operator(self):

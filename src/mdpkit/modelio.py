@@ -29,7 +29,7 @@ import numpy as np
 from .constrained import (ChiSquareLagrangeRegularizer, FullSimplex, KlBall,
                           L1Ball, L2ChiSquareBall, PhiBall, Singleton,
                           ZeroRegularizer)
-from .core import MdpModel, ModelValidationError
+from .core import MdpModel, ModelValidationError, _per_state
 from .distributional import (CovarianceModel, CovarianceRegularizer,
                              ExponentialInverseCdf, GumbelInverseCdf,
                              MarginalDistributionModel, MarginalMomentModel,
@@ -236,13 +236,11 @@ def constraint_to_dict(constraint) -> dict:
 
 # -- framework instances -------------------------------------------------
 
-def _per_state(block, parse, num_states, what):
-    if isinstance(block, list):
-        if len(block) != num_states:
-            _fail(f"per-state {what} list has {len(block)} entries "
-                  f"for {num_states} states")
-        return [parse(b) for b in block]
-    return parse(block)
+def _each(convert, block, num_states=None, what=None):
+    """convert of each entry of a per-state block, or of the one block."""
+    if _per_state(block, num_states, what):
+        return [convert(b) for b in block]
+    return convert(block)
 
 
 def instance_from_dict(data, mc_samples=100000, seed=0) -> FrameworkInstance:
@@ -252,9 +250,9 @@ def instance_from_dict(data, mc_samples=100000, seed=0) -> FrameworkInstance:
     if name == "standard":
         return StandardInstance(model)
     if name == "regularized":
-        phis = _per_state(_require(framework, "regularizer", "framework"),
-                          regularizer_from_dict, model.num_states,
-                          "regularizer")
+        phis = _each(regularizer_from_dict,
+                     _require(framework, "regularizer", "framework"),
+                     model.num_states, "regularizer")
         return RegularizedInstance(model, phis)
     if name == "stochastic":
         noise = noise_from_dict(_require(framework, "noise", "framework"))
@@ -269,8 +267,9 @@ def instance_from_dict(data, mc_samples=100000, seed=0) -> FrameworkInstance:
             model.num_states, model.num_actions)
         return DistributionalInstance(model, ambiguity)
     if name == "constrained":
-        sets = _per_state(_require(framework, "constraint", "framework"),
-                          constraint_from_dict, model.num_states, "constraint")
+        sets = _each(constraint_from_dict,
+                     _require(framework, "constraint", "framework"),
+                     model.num_states, "constraint")
         return ConstrainedInstance(model, sets)
     _fail(f"unknown framework name {name!r}")
 
@@ -280,10 +279,8 @@ def instance_to_dict(instance) -> dict:
     if isinstance(instance, StandardInstance):
         data["framework"] = {"name": "standard"}
     elif isinstance(instance, RegularizedInstance):
-        phis = instance.phi_per_state
-        block = [regularizer_to_dict(p) for p in phis] \
-            if isinstance(phis, (list, tuple)) else regularizer_to_dict(phis)
-        data["framework"] = {"name": "regularized", "regularizer": block}
+        data["framework"] = {"name": "regularized", "regularizer": _each(
+            regularizer_to_dict, instance.phi_per_state)}
     elif isinstance(instance, StochasticInstance):
         data["framework"] = {"name": "stochastic",
                              "noise": noise_to_dict(instance.noise),
@@ -293,10 +290,8 @@ def instance_to_dict(instance) -> dict:
         data["framework"] = {"name": "distributional",
                              "ambiguity": ambiguity_to_dict(instance.ambiguity)}
     elif isinstance(instance, ConstrainedInstance):
-        sets = instance.constraints
-        block = [constraint_to_dict(c) for c in sets] \
-            if isinstance(sets, (list, tuple)) else constraint_to_dict(sets)
-        data["framework"] = {"name": "constrained", "constraint": block}
+        data["framework"] = {"name": "constrained", "constraint": _each(
+            constraint_to_dict, instance.constraints)}
     else:
         raise ValueError(f"{type(instance).__name__} has no file form")
     return data

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, _float_or_array, rowwise_operator
+from .core import (ConvergenceError, _float_or_array, _per_state,
+                   rowwise_operator)
 
 _FLOOR = 1e-16
 _REF_FLOOR = 1e-12
@@ -277,12 +278,13 @@ def solve_conjugate(w, phi, tol=1e-12) -> ConjugateResult:
 def regularized_backup_operator(phi_per_state, tol=1e-12):
     """Backup operator using each state's regularizer.
 
-    `phi_per_state` is a sequence of Regularizer objects (one per state) or a
-    single Regularizer applied to every state.  A single `batched`
-    regularizer backs up the whole table in one `conjugate` call; otherwise
-    `solve_conjugate` backs up each row.
+    `phi_per_state` is a list, tuple or array of Regularizer objects (one
+    per state) or a single Regularizer applied to every state.  A single
+    `batched` regularizer backs up the whole table in one `conjugate` call;
+    otherwise `solve_conjugate` backs up each row.
     """
-    if isinstance(phi_per_state, Regularizer) and phi_per_state.batched:
+    each = _per_state(phi_per_state)
+    if not each and phi_per_state.batched:
         def op(table, states, sweep):
             res = phi_per_state.conjugate(table)
             return res.value, res.argmax
@@ -290,8 +292,7 @@ def regularized_backup_operator(phi_per_state, tol=1e-12):
         return op
 
     def backup(w, state):
-        phi = phi_per_state if isinstance(phi_per_state, Regularizer) \
-            else phi_per_state[state]
+        phi = phi_per_state[state] if each else phi_per_state
         res = solve_conjugate(w, phi, tol=tol)
         return res.value, res.argmax
 

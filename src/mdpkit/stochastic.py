@@ -24,9 +24,9 @@ EULER_GAMMA = float(np.euler_gamma)
 class NoiseModel:
     """Per-state sampler for an additive noise vector over actions.
 
-    `sample(state, n, rng)` returns an (n, num_actions) array; `mean(state)`
-    returns the per-action expected noise.  Sampling must be a pure function
-    of (state, n, rng) so streams can be split per (seed, state, sweep).
+    `sample(state, n, rng)` returns an (n, num_actions) array.  Sampling
+    must be a pure function of (state, n, rng) so streams can be split per
+    (seed, state, sweep).
 
     The Monte Carlo backups store the draws as C-contiguous (num_actions, n)
     columns.  The built-in laws draw in that layout and return its `.T`
@@ -35,9 +35,6 @@ class NoiseModel:
     """
 
     def sample(self, state, n, rng) -> np.ndarray:
-        raise NotImplementedError
-
-    def mean(self, state) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -76,11 +73,6 @@ class GumbelIid(NoiseModel):
         cols += self.location
         return cols.T
 
-    def mean(self, state):
-        if self.num_actions is None:
-            raise ValueError("num_actions unknown; construct with num_actions=")
-        return np.full(self.num_actions, self.location + self.eta * EULER_GAMMA)
-
 
 class UniformPerEntry(NoiseModel):
     """Independent Uniform[lo, hi] noise per (state, action); lo == hi allowed."""
@@ -100,9 +92,6 @@ class UniformPerEntry(NoiseModel):
         cols *= hi - lo
         cols += lo
         return cols.T
-
-    def mean(self, state):
-        return self.bounds[state].mean(axis=1)
 
 
 def _require_psd(matrices):
@@ -139,9 +128,6 @@ class GaussianJoint(NoiseModel):
     def sample(self, state, n, rng):
         factor = self.factor[state]
         return (factor @ rng.standard_normal((factor.shape[1], n))).T
-
-    def mean(self, state):
-        return np.zeros(self.cov.shape[1])
 
 
 @dataclass
