@@ -5,7 +5,9 @@ prefix (MDPKIT_TOL, MDPKIT_MAX_ITER, MDPKIT_MC_SAMPLES, MDPKIT_SEED,
 MDPKIT_TRIALS, MDPKIT_OUT); explicit flags win.  Numeric fields in CSV files
 use 17-significant-digit formatting so doubles round-trip exactly, report
 files are JSON with sorted keys, and wall-clock timings go to stderr only,
-which keeps every artifact byte-identical for a fixed (config, seed).
+which keeps every artifact byte-identical for a fixed (config, seed) at a
+fixed BLAS thread count (the Newton steps' linear solves may round
+differently at another).
 
 Exit codes: 0 success, 2 validation failure, 3 shape mismatch between
 compared instances, 4 conversion precondition failure, 5 non-convergence.
@@ -41,6 +43,21 @@ EXIT_CONVERSION = 4
 EXIT_NON_CONVERGENCE = 5
 
 ENV_PREFIX = "MDPKIT_"
+
+# flag -> (type, fallback, help).  Every command takes the _COMMON flags;
+# compare also takes --gap-tol.  Flags left unset parse to None and take
+# MDPKIT_<FLAG> or the fallback when a command runs, so the parser is built
+# once per process and still sees the current environment
+_FLAGS = {
+    "tol": (float, 1e-10, "solver tolerance (default 1e-10)"),
+    "max_iter": (int, 100000, "value-iteration sweep cap"),
+    "mc_samples": (int, 100000, "Monte Carlo draws per backup"),
+    "seed": (int, 0, "root seed for every random stream"),
+    "trials": (int, 50, "reward tables per comparison"),
+    "out": (str, None, "output directory (gen: output file)"),
+    "gap_tol": (float, 1e-8, "value/policy gap tolerance for the verdict"),
+}
+_COMMON = ("tol", "max_iter", "mc_samples", "seed", "trials", "out")
 
 
 def _env_default(name, cast, fallback):
@@ -110,10 +127,11 @@ def _ensure_out_dir(out):
 
 
 def _check_config(args):
+    # a flag whose fallback is positive must be positive
     problems = [f"--{key.replace('_', '-')} must be positive, got "
                 f"{getattr(args, key)}"
-                for key in ("tol", "max_iter", "mc_samples", "trials")
-                if getattr(args, key) <= 0]
+                for key in _COMMON
+                if (_FLAGS[key][1] or 0) > 0 and not getattr(args, key) > 0]
     if problems:
         raise ModelValidationError(problems)
 
@@ -121,8 +139,7 @@ def _check_config(args):
 def _config_echo(args):
     # the output path is deliberately not echoed: reports must be
     # byte-identical for a fixed (config, seed) wherever they are written
-    return {key: getattr(args, key)
-            for key in ("tol", "max_iter", "mc_samples", "seed", "trials")}
+    return {key: getattr(args, key) for key in _COMMON if key != "out"}
 
 
 def _load(path, args):
@@ -211,7 +228,7 @@ def cmd_compare(args):
     start = time.perf_counter()
     report = check_equivalence(x, y, offset=offset, trials=args.trials,
                                seed=args.seed, tol=args.gap_tol,
-                               solve_tol=args.tol)
+                               solve_tol=args.tol, max_iter=args.max_iter)
     _timing("compare", start)
     payload = {"command": "compare",
                "config": _config_echo(args),
@@ -338,36 +355,19 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-# flag -> (type, fallback).  Flags left unset parse to None and take
-# MDPKIT_<FLAG> or the fallback when a command runs, so the parser is built
-# once per process and still sees the current environment
-_FALLBACKS = {"tol": (float, 1e-10), "max_iter": (int, 100000),
-              "mc_samples": (int, 100000), "seed": (int, 0),
-              "trials": (int, 50), "out": (str, None),
-              "gap_tol": (float, 1e-8)}
-
-
 def _fill_env_defaults(args):
-    for key, (cast, fallback) in _FALLBACKS.items():
+    for key, (cast, fallback, _) in _FLAGS.items():
         if key in vars(args) and getattr(args, key) is None:
             if key == "trials" and args.command == "figure1":
                 fallback = 20
             setattr(args, key, _env_default(key.upper(), cast, fallback))
 
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float,
-                        help="solver tolerance (default 1e-10)")
-    parser.add_argument("--max-iter", type=int,
-                        help="value-iteration sweep cap")
-    parser.add_argument("--mc-samples", type=int,
-                        help="Monte Carlo draws per backup")
-    parser.add_argument("--seed", type=int,
-                        help="root seed for every random stream")
-    parser.add_argument("--trials", type=int,
-                        help="reward tables per comparison")
-    parser.add_argument("--out",
-                        help="output directory (gen: output file)")
+def _add_flags(parser, keys=_COMMON):
+    for key in keys:
+        cast, _, text = _FLAGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), type=cast,
+                            help=text)
 
 
 @functools.cache
@@ -380,7 +380,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="value-iterate one framework instance")
     p.add_argument("model", help="framework-instance JSON file")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare",
@@ -389,21 +389,19 @@ def build_parser():
     p.add_argument("model_y")
     p.add_argument("--offset", default=None,
                    help="constant reward offset: scalar or JSON array file")
-    p.add_argument("--gap-tol", type=float,
-                   help="value/policy gap tolerance for the verdict")
-    _add_common(p)
+    _add_flags(p, ("gap_tol",) + _COMMON)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure1",
                        help="run the nested-relation counterexample suite")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("convert",
                        help="convert between regularized and constrained form")
     p.add_argument("model")
     p.add_argument("--direction", choices=("r2ct", "ct2r"), required=True)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("gen", help="write a random dense model file")
@@ -412,7 +410,7 @@ def build_parser():
     p.add_argument("--discount", type=float, default=0.9)
     p.add_argument("--reward-min", type=float, default=-1.0)
     p.add_argument("--reward-max", type=float, default=1.0)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_gen)
     return parser
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_EPS, MdpModel, _falsi, _float_or_array, _per_state,
-                   q_vector, rowwise_operator, standard_backup,
+from .core import (_EPS, MdpModel, _falsi, _float_or_array, _param,
+                   _per_state, q_vector, rowwise_operator, standard_backup,
                    value_iteration)
 from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
                           OffsetRegularizer, Regularizer, ScaledRegularizer,
@@ -36,11 +36,24 @@ from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
 
 
 def _simplex_row(row):
+    """row clipped at 0 and renormalized, if a finite probability row."""
     row = np.asarray(row, dtype=float)
-    if np.any(row < -1e-10) or abs(row.sum() - 1.0) > 1e-10:
+    # entries >= -1e-10 summing to 1 within 1e-10: NaN fails both tests, and
+    # an infinite entry the sum's
+    if not (row.min() >= -1e-10 and abs(row.sum() - 1.0) <= 1e-10):
         raise ValueError("row is not a probability vector")
     row = np.clip(row, 0.0, None)
     return row / row.sum()
+
+
+def _ball_args(reference, radius):
+    """The cleaned reference and radius of a KL or chi-square ball."""
+    return _clean_reference(reference), _param(radius, "radius", 0.0)
+
+
+def _l1_args(reference, radius):
+    """The reference and radius of an L1 ball: a probability row, [0, 2]."""
+    return _simplex_row(reference), _param(radius, "radius", 0.0, 2.0)
 
 
 @dataclass
@@ -51,9 +64,7 @@ class KlBall:
     radius: float
 
     def __post_init__(self):
-        self.reference = _clean_reference(self.reference)
-        if self.radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        self.reference, self.radius = _ball_args(self.reference, self.radius)
 
 
 @dataclass
@@ -64,9 +75,7 @@ class L1Ball:
     radius: float
 
     def __post_init__(self):
-        self.reference = _simplex_row(self.reference)
-        if not 0.0 <= self.radius <= 2.0:
-            raise ValueError(f"radius must lie in [0, 2], got {self.radius}")
+        self.reference, self.radius = _l1_args(self.reference, self.radius)
 
 
 @dataclass
@@ -77,9 +86,7 @@ class L2ChiSquareBall:
     radius: float
 
     def __post_init__(self):
-        self.reference = _clean_reference(self.reference)
-        if self.radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        self.reference, self.radius = _ball_args(self.reference, self.radius)
 
 
 @dataclass
@@ -107,6 +114,9 @@ class PhiBall:
 
     phi: Regularizer
     radius: float
+
+    def __post_init__(self):
+        self.radius = _param(self.radius, "radius")
 
 
 def chi_square(p, reference):
@@ -203,9 +213,7 @@ def _ball_exit(w, reference, radius, face_divergence):
     the argmax set, m its reference mass and face_divergence(m) the ball's
     divergence of ref_S / m.  It is None where the ball is active.
     """
-    ref = _clean_reference(reference)
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    ref, radius = _ball_args(reference, radius)
     w = np.asarray(w, dtype=float)
     if radius == 0.0:
         return w, ref, CtBackupResult(value=float(w @ ref), policy=ref)
@@ -252,9 +260,7 @@ def l1_constrained_backup(w, reference, radius) -> CtBackupResult:
     same amount from the worst actions upward (ties resolved toward lower
     indices).
     """
-    ref = _simplex_row(reference)
-    if not 0.0 <= radius <= 2.0:
-        raise ValueError(f"radius must lie in [0, 2], got {radius}")
+    ref, radius = _l1_args(reference, radius)
     w = np.asarray(w, dtype=float)
     best = int(np.argmax(w))
     budget = min(radius / 2.0, 1.0 - ref[best])
@@ -463,11 +469,9 @@ class ChiSquareLagrangeRegularizer(Regularizer):
     """phi(p) = -lam * (chi_square(p, ref) - radius), with a closed-form conjugate."""
 
     def __init__(self, lam, reference, radius):
-        if lam <= 0:
-            raise ValueError("multiplier must be positive")
-        self.lam = float(lam)
+        self.lam = _param(lam, "multiplier", 0.0, strict=True)
         self.reference = _clean_reference(reference)
-        self.radius = float(radius)
+        self.radius = _param(radius, "radius")
 
     def value(self, p):
         return -self.lam * (chi_square(p, self.reference) - self.radius)

@@ -12,7 +12,9 @@ np.arange(S), sweep)`; the table's row s may differ from the one-state
 last axis of the whole table; a backup with no batched form runs through
 `rowwise_operator`, the one per-row loop.  `states` is what per-state
 structure (regularizer or constraint lists, Monte Carlo draws) keys on, so
-an operator can also be called on any subset of rows.
+an operator can also be called on any subset of rows.  No built-in
+operator reads `sweep`; it stays in the protocol because wrappers pass it
+on (the traced wrapper of `bench/spans.py` does).
 
 A backup's row maximizes sup_p {w.p + phi(p)}, so it is the gradient of its
 value in w (Danskin): `value_iteration` takes Newton (policy iteration) steps
@@ -219,6 +221,21 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _param(x, name, low=-math.inf, high=math.inf, strict=False):
+    """float(x) if finite and in [low, high], low excluded when `strict`.
+
+    The one check of a scalar parameter: anything else, NaN included,
+    raises ValueError naming the parameter and its range.
+    """
+    x = float(x)
+    if math.isfinite(x) and (low < x if strict else low <= x) and x <= high:
+        return x
+    where = "" if (low, high) == (-math.inf, math.inf) else (
+        f" in {'(' if strict else '['}{low:g}, {high:g}"
+        f"{']' if high < math.inf else ')'}")
+    raise ValueError(f"{name} must be a finite number{where}, got {x}")
+
+
 def _per_state(x, num_states=None, what=None):
     """Whether x holds one entry per state: a list, tuple or array does.
 
@@ -315,8 +332,7 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
     result as `best`) if max_iter sweeps do not reach the tolerance, or at
     once on a sweep whose residual is not a finite number.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _param(tol, "tol", 0.0, strict=True)
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     gamma = model.discount

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EPS, _falsi, derive_rng, standard_backup
+from .core import _EPS, _falsi, _param, derive_rng, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator, solve_conjugate)
 from .stochastic import (EULER_GAMMA, GaussianJoint, _emax_estimate,
@@ -91,9 +91,7 @@ class ExponentialInverseCdf(InverseCdf):
     """Exponential(rate) marginal: F^-1(t) = -ln(1 - t) / rate."""
 
     def __init__(self, rate=1.0):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
+        self.rate = _param(rate, "rate", 0.0, strict=True)
 
     def __call__(self, t):
         return -np.log1p(-np.asarray(t, dtype=float)) / self.rate
@@ -110,10 +108,8 @@ class ExponentialInverseCdf(InverseCdf):
 
 class UniformInverseCdf(InverseCdf):
     def __init__(self, lo=0.0, hi=1.0):
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo = _param(lo, "lo")
+        self.hi = _param(hi, "hi", self.lo, strict=True)
 
     def __call__(self, t):
         return self.lo + (self.hi - self.lo) * np.asarray(t, dtype=float)
@@ -130,9 +126,7 @@ class GumbelInverseCdf(InverseCdf):
     """Location-0 Gumbel marginal: F^-1(t) = -scale * ln(-ln t)."""
 
     def __init__(self, scale=1.0):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        self.scale = float(scale)
+        self.scale = _param(scale, "scale", 0.0, strict=True)
 
     def __call__(self, t):
         return -self.scale * np.log(-np.log(np.asarray(t, dtype=float)))
@@ -209,15 +203,21 @@ class MarginalDistributionModel:
         self.num_actions = len(rows[0])
 
 
+def _sigma(sigma):
+    """sigma as an array, or ValueError unless finite and nonnegative."""
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all((sigma >= 0) & (sigma < np.inf)):
+        raise ValueError("sigma entries must be finite and nonnegative")
+    return sigma
+
+
 class MarginalMomentModel:
     """Mean-zero noise with per-(state, action) standard deviation bounds."""
 
     def __init__(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = _sigma(sigma)
         if sigma.ndim != 2:
             raise ValueError(f"sigma must be (S, A), got shape {sigma.shape}")
-        if np.any(sigma < 0) or not np.all(np.isfinite(sigma)):
-            raise ValueError("sigma entries must be finite and nonnegative")
         self.sigma = sigma
         self.num_states, self.num_actions = sigma.shape
 
@@ -226,14 +226,11 @@ class CovarianceModel:
     """Mean-zero noise with a fixed per-state covariance matrix."""
 
     def __init__(self, matrices):
-        matrices = np.asarray(matrices, dtype=float)
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise ValueError(f"matrices must be (S, A, A), got {matrices.shape}")
-        self.matrices = matrices
         # the joint Gaussian with these covariances, a member of the set;
-        # building it checks that every matrix is PSD
+        # building it checks the matrices (`stochastic._require_psd`)
         self.gaussian = GaussianJoint(matrices)
-        self.num_states, self.num_actions = matrices.shape[:2]
+        self.matrices = self.gaussian.cov
+        self.num_states, self.num_actions = self.matrices.shape[:2]
 
 
 def _stationary_root(w, phi, cdf, quantile) -> ConjugateResult:
@@ -313,10 +310,7 @@ class MmmRegularizer(Regularizer):
     """
 
     def __init__(self, sigma_row):
-        sigma = np.asarray(sigma_row, dtype=float)
-        if np.any(sigma < 0):
-            raise ValueError("sigma entries must be nonnegative")
-        self.sigma = sigma
+        self.sigma = _sigma(sigma_row)
 
     def value(self, p):
         return float(self.values(np.asarray(p, dtype=float)))
@@ -363,8 +357,6 @@ class CovarianceRegularizer(Regularizer):
 
     def __init__(self, cov):
         cov = np.asarray(cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {cov.shape}")
         _require_psd(cov[None])
         self.cov = cov
         # per k: the other actions, and the symmetric square root of the

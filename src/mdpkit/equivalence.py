@@ -18,12 +18,12 @@ of feasible-set models with regularized ones.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constrained import Singleton, ct_backup_operator
-from .core import (MdpModel, SolveResult, _per_state, derive_rng, q_vector,
+from .core import (SolveResult, _param, _per_state, derive_rng, q_vector,
                    standard_backup_operator, value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
@@ -40,14 +40,6 @@ class StructureMismatchError(ValueError):
     """Compared instances do not share (S, A, transition, discount)."""
 
 
-def _replace_rewards(model, reward):
-    reward = np.broadcast_to(np.asarray(reward, dtype=float),
-                             (model.num_states, model.num_actions))
-    return MdpModel(num_states=model.num_states, num_actions=model.num_actions,
-                    transition=model.transition, reward=reward,
-                    discount=model.discount)
-
-
 class FrameworkInstance:
     """One tagged model: a base MdpModel plus framework-specific structure."""
 
@@ -58,8 +50,10 @@ class FrameworkInstance:
 
     def with_rewards(self, reward):
         """This instance, its structure shared, on another reward table."""
+        m = self.model
         twin = copy.copy(self)
-        twin.model = _replace_rewards(self.model, reward)
+        twin.model = replace(m, reward=np.broadcast_to(
+            np.asarray(reward, dtype=float), (m.num_states, m.num_actions)))
         return twin
 
     def operator(self):
@@ -98,6 +92,9 @@ class StochasticInstance(FrameworkInstance):
 
     def __init__(self, model, noise, mc_samples=100000, seed=0, method="auto"):
         super().__init__(model)
+        if not (isinstance(mc_samples, (int, np.integer)) and mc_samples > 0):
+            raise ValueError("mc_samples must be a positive integer, got "
+                             f"{mc_samples}")
         self.noise = noise
         self.mc_samples = int(mc_samples)
         self.seed = int(seed)
@@ -163,7 +160,6 @@ class EquivalenceReport:
     mc_backed: bool
     tol_inflation: float
     witness: dict | None = None
-    rewards: list = field(default_factory=list)
 
 
 def _trial_rewards(shape, trials, seed):
@@ -183,14 +179,16 @@ def _trial_rewards(shape, trials, seed):
 
 
 def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
-                      solve_tol=1e-10) -> EquivalenceReport:
+                      solve_tol=1e-10, max_iter=100000) -> EquivalenceReport:
     """Definition-style randomized comparison: x under r vs y under r - offset.
 
     Deterministic gaps above tol refute (with a stored witness).  When either
     side is Monte Carlo the tolerance is inflated by 4x the aggregate std
     error (plus the sampling scale for policies) and a breach is reported as
-    inconclusive rather than refuted.
+    inconclusive rather than refuted.  Every solve runs to solve_tol within
+    max_iter sweeps, or raises ConvergenceError.
     """
+    tol = _param(tol, "tol", 0.0)
     mx, my = x.model, y.model
     if (mx.num_states, mx.num_actions) != (my.num_states, my.num_actions):
         raise StructureMismatchError(
@@ -208,17 +206,18 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
     for side in (x, y):
         if getattr(side, "monte_carlo", False):
             policy_noise += 4.0 / np.sqrt(side.mc_samples)
-    value_gaps, policy_gaps, rewards = [], [], []
+    value_gaps, policy_gaps = [], []
     witness = None
     worst_inflation = 0.0
     for r in _trial_rewards(shape, trials, seed):
-        rx, ex = x.with_rewards(r).solve_with_error(tol=solve_tol)
-        ry, ey = y.with_rewards(r - offset).solve_with_error(tol=solve_tol)
+        rx, ex = x.with_rewards(r).solve_with_error(tol=solve_tol,
+                                                    max_iter=max_iter)
+        ry, ey = y.with_rewards(r - offset).solve_with_error(
+            tol=solve_tol, max_iter=max_iter)
         vgap = float(np.max(np.abs(rx.value - ry.value)))
         pgap = float(np.max(np.abs(rx.policy - ry.policy)))
         value_gaps.append(vgap)
         policy_gaps.append(pgap)
-        rewards.append(r)
         inflation = 4.0 * (ex + ey)
         worst_inflation = max(worst_inflation, inflation)
         breached = vgap > tol + inflation or pgap > tol + policy_noise + inflation
@@ -231,11 +230,10 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
         verdict = "inconclusive"
     else:
         verdict = "refuted"
-    return EquivalenceReport(verdict=verdict, trials=len(rewards),
+    return EquivalenceReport(verdict=verdict, trials=len(value_gaps),
                              offset=offset, tol=tol, value_gaps=value_gaps,
                              policy_gaps=policy_gaps, mc_backed=mc_backed,
-                             tol_inflation=worst_inflation, witness=witness,
-                             rewards=rewards)
+                             tol_inflation=worst_inflation, witness=witness)
 
 
 @dataclass
@@ -354,13 +352,8 @@ def _random_base_model(seed):
 def _r_equals_ds_edge(base, seed):
     mdm = MarginalDistributionModel(
         [[ExponentialInverseCdf(1.0)] * base.num_actions] * base.num_states)
-    ds = DistributionalInstance(base, mdm)
-    reg = RegularizedInstance(
-        base, OffsetRegularizer(EntropyRegularizer(1.0), 1.0))
-    ds_sol = ds.solve()
-    reg_sol = reg.solve()
-    bit_identical = bool(np.array_equal(ds_sol.value, reg_sol.value)
-                         and np.array_equal(ds_sol.policy, reg_sol.policy))
+    ds_sol, bit_identical = _same_path_check(
+        base, mdm, OffsetRegularizer(EntropyRegularizer(1.0), 1.0))
     # cross-path check: numeric mirror ascent on the same regularizer
     w = q_vector(base, ds_sol.value, 0)
     closed = MdmRegularizer(mdm.inverse_cdfs[0]).conjugate(w)
@@ -368,7 +361,8 @@ def _r_equals_ds_edge(base, seed):
                                 tol=1e-13)
     cross_gap = abs(closed.value - numeric.value)
     mmm = MarginalMomentModel(np.full((base.num_states, base.num_actions), 0.7))
-    mmm_bit = _same_path_check(base, mmm)
+    mmm_bit = _same_path_check(
+        base, mmm, [regularizer_for(mmm, s) for s in range(base.num_states)])[1]
     ok = bit_identical and cross_gap < 1e-6 and mmm_bit
     return EdgeReport(
         name="regularized-equals-distributionally-robust",
@@ -383,12 +377,12 @@ def _r_equals_ds_edge(base, seed):
                          "operator on the equivalent phi (same code path)"})
 
 
-def _same_path_check(base, ambiguity):
-    phis = [regularizer_for(ambiguity, s) for s in range(base.num_states)]
+def _same_path_check(base, ambiguity, phi):
+    """The robust solve, and whether the solve under phi matches its bits."""
     a = DistributionalInstance(base, ambiguity).solve()
-    b = RegularizedInstance(base, phis).solve()
-    return bool(np.array_equal(a.value, b.value)
-                and np.array_equal(a.policy, b.policy))
+    b = RegularizedInstance(base, phi).solve()
+    return a, bool(np.array_equal(a.value, b.value)
+                   and np.array_equal(a.policy, b.policy))
 
 
 def _ct_incomparability_edge(seed):

@@ -162,10 +162,10 @@ def regularizer_from_dict(block):
     phi = _read(_REGULARIZERS, block, "regularizer")
     scale = block.get("scale", 1.0)
     if scale != 1.0:
-        phi = ScaledRegularizer(phi, float(scale))
+        phi = ScaledRegularizer(phi, scale)
     offset = block.get("offset", 0.0)
     if offset:
-        phi = OffsetRegularizer(phi, float(offset))
+        phi = OffsetRegularizer(phi, offset)
     return phi
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConvergenceError, _float_or_array, _per_state,
+from .core import (ConvergenceError, _float_or_array, _param, _per_state,
                    rowwise_operator)
 
 _FLOOR = 1e-16
@@ -102,9 +102,7 @@ class EntropyRegularizer(Regularizer):
     batched = True
 
     def __init__(self, eta):
-        if eta <= 0:
-            raise ValueError(f"temperature must be positive, got {eta}")
-        self.eta = float(eta)
+        self.eta = _param(eta, "eta", 0.0, strict=True)
 
     def value(self, p):
         return -self.eta * kl_divergence(p, 1.0)
@@ -123,9 +121,7 @@ class KlRegularizer(Regularizer):
     batched = True
 
     def __init__(self, eta, reference):
-        if eta <= 0:
-            raise ValueError(f"temperature must be positive, got {eta}")
-        self.eta = float(eta)
+        self.eta = _param(eta, "eta", 0.0, strict=True)
         self.reference = _clean_reference(reference)
 
     def value(self, p):
@@ -143,10 +139,8 @@ class ScaledRegularizer(Regularizer):
     """scale * phi, with the conjugate identity conj(w) = scale * conj_phi(w / scale)."""
 
     def __init__(self, base, scale):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
         self.base = base
-        self.scale = float(scale)
+        self.scale = _param(scale, "scale", 0.0, strict=True)
 
     @property
     def batched(self):
@@ -170,7 +164,7 @@ class OffsetRegularizer(Regularizer):
 
     def __init__(self, base, offset):
         self.base = base
-        self.offset = float(offset)
+        self.offset = _param(offset, "offset")
 
     @property
     def batched(self):
@@ -196,8 +190,7 @@ def entropy_backup(w, eta) -> ConjugateResult:
     rows are backed up in one call; the Gumbel expected max and the
     equal-rate exponential-marginal robust backup reuse this function.
     """
-    if eta <= 0:
-        raise ValueError(f"temperature must be positive, got {eta}")
+    eta = _param(eta, "eta", 0.0, strict=True)
     lse, row = _log_softmax(np.asarray(w, dtype=float) / eta)
     return ConjugateResult(value=_float_or_array(eta * lse), argmax=row)
 

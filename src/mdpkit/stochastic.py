@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, derive_rng, rowwise_operator
+from .core import MdpModel, _param, derive_rng, rowwise_operator
 from .regularized import entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -25,8 +25,8 @@ class NoiseModel:
     """Per-state sampler for an additive noise vector over actions.
 
     `sample(state, n, rng)` returns an (n, num_actions) array.  Sampling
-    must be a pure function of (state, n, rng) so streams can be split per
-    (seed, state, sweep).
+    must be a pure function of (state, n, rng), so that each (seed, state)
+    keys its own stream.
 
     The Monte Carlo backups store the draws as C-contiguous (num_actions, n)
     columns.  The built-in laws draw in that layout and return its `.T`
@@ -47,10 +47,8 @@ class GumbelIid(NoiseModel):
     """
 
     def __init__(self, eta, location=0.0, num_actions=None):
-        if eta <= 0:
-            raise ValueError(f"scale must be positive, got {eta}")
-        self.eta = float(eta)
-        self.location = float(location)
+        self.eta = _param(eta, "eta", 0.0, strict=True)
+        self.location = _param(location, "location")
         self.num_actions = num_actions
 
     @classmethod
@@ -81,8 +79,9 @@ class UniformPerEntry(NoiseModel):
         bounds = np.asarray(bounds, dtype=float)
         if bounds.ndim != 3 or bounds.shape[2] != 2:
             raise ValueError(f"bounds must have shape (S, A, 2), got {bounds.shape}")
-        if np.any(bounds[..., 0] > bounds[..., 1]):
-            raise ValueError("lower bound exceeds upper bound somewhere")
+        if not (np.all(np.isfinite(bounds))
+                and np.all(bounds[..., 0] <= bounds[..., 1])):
+            raise ValueError("bounds must be finite with lower <= upper")
         self.bounds = bounds
 
     def sample(self, state, n, rng):
@@ -99,9 +98,16 @@ def _require_psd(matrices):
 
     The one PSD rule of the package: a matrix is PSD unless its least
     eigenvalue is below -1e-10 * max(1, its largest), a bound relative to
-    its scale.  Raises ValueError naming the first state whose matrix is
-    not PSD.
+    its scale.  Raises ValueError on another shape, or naming the first
+    state whose matrix has a non-finite entry or is not PSD.
     """
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ValueError("covariance matrices must have shape (S, A, A), "
+                         f"got {matrices.shape}")
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"covariance for state {np.argmin(finite)} is not "
+                         "finite")
     vals, vecs = np.linalg.eigh(matrices)
     # eigh sorts each state's eigenvalues in ascending order
     bad = np.flatnonzero(vals[:, 0] < -1e-10 * np.maximum(1.0, vals[:, -1]))
@@ -118,11 +124,8 @@ class GaussianJoint(NoiseModel):
     """
 
     def __init__(self, cov):
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
-            raise ValueError(f"cov must have shape (S, A, A), got {cov.shape}")
-        vals, vecs = _require_psd(cov)
-        self.cov = cov
+        self.cov = np.asarray(cov, dtype=float)
+        vals, vecs = _require_psd(self.cov)
         self.factor = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
 
     def sample(self, state, n, rng):

@@ -361,10 +361,92 @@ def test_env_defaults_and_flag_priority(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 9
 
 
+NAN, INF = float("nan"), float("inf")
+REF = [0.5, 0.5]
+BOUNDS = [[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+# one bad field each: NaN, inf, or an mc_samples of 0
+BAD_PROBES = {
+    "entropy-eta": ("regularized", "regularizer",
+                    {"kind": "entropy", "eta": NAN}),
+    "kl-eta": ("regularized", "regularizer",
+               {"kind": "kl", "eta": INF, "reference": REF}),
+    "scale": ("regularized", "regularizer",
+              {"kind": "entropy", "eta": 0.5, "scale": NAN}),
+    "offset": ("regularized", "regularizer",
+               {"kind": "entropy", "eta": 0.5, "offset": INF}),
+    "mmm-sigma": ("regularized", "regularizer",
+                  {"kind": "mmm", "sigma": [NAN, 0.5]}),
+    "covariance-cov": ("regularized", "regularizer",
+                       {"kind": "covariance", "cov": [[1.0, NAN],
+                                                      [NAN, 1.0]]}),
+    "chi-square-multiplier": ("regularized", "regularizer",
+                              {"kind": "chi_square_lagrange",
+                               "multiplier": NAN, "reference": REF,
+                               "radius": 0.1}),
+    "chi-square-radius": ("regularized", "regularizer",
+                          {"kind": "chi_square_lagrange", "multiplier": 0.5,
+                           "reference": REF, "radius": INF}),
+    "gumbel-eta": ("stochastic", "noise", {"kind": "gumbel_iid", "eta": INF}),
+    "gumbel-location": ("stochastic", "noise",
+                        {"kind": "gumbel_iid", "eta": 0.5, "location": NAN}),
+    "uniform-bounds": ("stochastic", "noise",
+                       {"kind": "uniform",
+                        "bounds": [[[0.0, NAN], [0.0, 1.0]], BOUNDS[1]]}),
+    "gaussian-cov": ("stochastic", "noise",
+                     {"kind": "gaussian", "cov": [[[INF, 0.0], [0.0, 1.0]],
+                                                  EYE]}),
+    "mc-samples": ("stochastic", "noise", {"kind": "uniform",
+                                           "bounds": BOUNDS},
+                   {"mc_samples": 0}),
+    "mmm-ambiguity-sigma": ("distributional", "ambiguity",
+                            {"kind": "mmm", "sigma": [[0.5, INF],
+                                                      [0.5, 0.5]]}),
+    "covariance-matrices": ("distributional", "ambiguity",
+                            {"kind": "covariance",
+                             "matrices": [EYE, [[1.0, 0.0], [0.0, NAN]]]}),
+    "singleton-row": ("constrained", "constraint",
+                      {"kind": "singleton", "row": [NAN, 1.0]}),
+    "l1-reference": ("constrained", "constraint",
+                     {"kind": "l1_ball", "reference": [NAN, 1.0],
+                      "radius": 0.5}),
+    "kl-ball-radius": ("constrained", "constraint",
+                       {"kind": "kl_ball", "reference": REF, "radius": NAN}),
+    "l2-ball-radius": ("constrained", "constraint",
+                       {"kind": "l2_ball", "reference": REF, "radius": INF}),
+    "phi-ball-radius": ("constrained", "constraint",
+                        {"kind": "phi_ball", "radius": NAN,
+                         "phi": {"kind": "entropy", "eta": 0.5}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PROBES))
+def test_a_non_finite_model_parameter_is_a_validation_error(name, tmp_path,
+                                                            capsys):
+    framework, key, block, *extra = BAD_PROBES[name]
+    fw = {"name": framework, key: block, **(extra[0] if extra else {})}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_invalid_config_rejected(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", trivial_model_dict())
     code, out, _ = run_cli(capsys, "solve", path, "--tol", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--gap-tol"])
+def test_a_nan_tolerance_is_rejected(tmp_path, capsys, flag):
+    # NaN passes a `<= 0` test: a NaN --tol is never met, and no gap
+    # breaches a NaN --gap-tol, so any pair would read consistent
+    path = write_json(tmp_path / "m.json", chooser_model_dict())
+    code, out, _ = run_cli(capsys, "compare", path, path, flag, "nan")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
 
 
 def test_validation_error_record(tmp_path, capsys):
@@ -386,6 +468,18 @@ def test_non_convergence_exit_code(tmp_path, capsys):
     record = json.loads(out)["error"]
     assert record["kind"] == "non-convergence"
     assert record["residual"] > 0
+
+
+def test_compare_honours_max_iter(tmp_path, capsys):
+    fw = {"name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.5}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    # one sweep is too few for every trial solve, as it is for `solve`
+    code, out, _ = run_cli(capsys, "solve", path, "--max-iter", "1")
+    assert code == 5
+    code, out, _ = run_cli(capsys, "compare", path, path, "--trials", "2",
+                           "--max-iter", "1")
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "non-convergence"
 
 
 def test_missing_file_is_an_io_error(tmp_path, capsys):

@@ -856,3 +856,38 @@ def test_a_per_state_list_of_another_length_is_rejected(count):
         with pytest.raises(ModelValidationError, match=f"per-state {what} "
                            f"list has {count} entries for 3 states"):
             build()
+
+
+@pytest.mark.parametrize("ball, backup", [
+    (KlBall, kl_constrained_backup),
+    (L2ChiSquareBall, l2_constrained_backup),
+    (L1Ball, l1_constrained_backup),
+])
+def test_a_ball_and_its_backup_reject_the_same_radii(ball, backup):
+    ref, w = np.array([0.75, 0.25]), np.array([1.0, 0.0])
+    bad = [float("nan"), float("inf"), -0.125]
+    if ball is L1Ball:
+        bad.append(2.125)
+    for radius in bad:
+        with pytest.raises(ValueError, match="radius must be a finite number"):
+            ball(ref, radius)
+        with pytest.raises(ValueError, match="radius must be a finite number"):
+            backup(w, ref, radius)
+    assert ball(ref, 2).radius == 2.0
+    assert backup(w, ref, 2).value == 1.0
+
+
+@pytest.mark.parametrize("row", [[float("nan"), 1.0], [float("inf"), 0.0],
+                                 [1.5, -0.5]])
+def test_a_non_finite_or_negative_row_is_no_probability_row(row):
+    with pytest.raises(ValueError, match="not a probability vector"):
+        Singleton(np.array(row))
+    with pytest.raises(ValueError, match="not a probability vector"):
+        L1Ball(np.array(row), 0.5)
+
+
+def test_a_phi_ball_radius_may_be_negative_but_must_be_finite():
+    phi = EntropyRegularizer(0.5)
+    assert PhiBall(phi, -0.25).radius == -0.25
+    with pytest.raises(ValueError, match="radius must be a finite number"):
+        PhiBall(phi, float("nan"))

@@ -396,11 +396,9 @@ def test_non_finite_residual_stops_value_iteration_at_once():
     assert sweeps == [(0, [0, 1])]
     assert np.isnan(exc.value.residual)
     assert exc.value.best.iterations == 1
-    # a NaN temperature passes the eta <= 0 check; its first sweep stops
-    with pytest.raises(ConvergenceError) as exc:
-        value_iteration(m, regularized_backup_operator(
-            EntropyRegularizer(float("nan"))))
-    assert exc.value.best.iterations == 1
+    # a NaN temperature is rejected before any sweep
+    with pytest.raises(ValueError, match="eta must be a finite number"):
+        EntropyRegularizer(float("nan"))
 
 
 def test_newton_convergence_error_carries_the_last_sweep():
