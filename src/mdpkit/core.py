@@ -9,8 +9,9 @@ k backup values and k probability rows over actions.  Each sweep computes
 the (S, A) table in one product and makes one call, `op(table,
 np.arange(S), sweep)`; the table's row s may differ from the one-state
 `q_vector` in the last ulp (BLAS kernel shape).  Closed forms act on the
-last axis of the whole table; a backup with no batched form runs through
-`rowwise_operator`, the one per-row loop.  `states` is what per-state
+last axis of the whole table; the Monte Carlo backup spreads its states
+over threads (`stochastic.smdp_backup_operator`); any other backup runs
+through `rowwise_operator`, the one per-row loop.  `states` is what per-state
 structure (regularizer or constraint lists, Monte Carlo draws) keys on, so
 an operator can also be called on any subset of rows.  No built-in
 operator reads `sweep`; it stays in the protocol because wrappers pass it

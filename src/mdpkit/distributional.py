@@ -157,7 +157,7 @@ class TabulatedInverseCdf(InverseCdf):
         values = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != values.shape or t.shape[0] < 2:
             raise ValueError("need matching 1-d knot and value arrays, length >= 2")
-        if np.any(t <= 0) or np.any(t >= 1) or np.any(np.diff(t) <= 0):
+        if not (np.all(t > 0) and np.all(t < 1) and np.all(np.diff(t) > 0)):
             raise ValueError("knots must be strictly increasing inside (0, 1)")
         if not np.all(np.isfinite(values)) or np.any(np.diff(values) < 0):
             raise ValueError("values must be finite and nondecreasing")

@@ -31,7 +31,8 @@ from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
 from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate,
-                         _require_cache_fits, build_uniform_counterexample,
+                         _require_cache_fits, _state_map,
+                         build_uniform_counterexample,
                          mc_counterexample_ratio, refute_single_eta_fit,
                          smdp_backup_operator, uniform_counterexample_ratio)
 
@@ -125,9 +126,10 @@ class StochasticInstance(FrameworkInstance):
             return self.solve(tol=tol, max_iter=max_iter), 0.0
         op = self.operator()
         result = value_iteration(self.model, op, tol=tol, max_iter=max_iter)
-        worst = max(_emax_estimate(w, op.draws[s]).std_error
-                    for s, w in enumerate(q_vector(self.model, result.value)))
-        return result, worst / (1.0 - self.model.discount)
+        errors = _state_map(
+            lambda s, w: _emax_estimate(w, op.draws[s]).std_error,
+            enumerate(q_vector(self.model, result.value)))
+        return result, max(errors) / (1.0 - self.model.discount)
 
 
 class DistributionalInstance(FrameworkInstance):

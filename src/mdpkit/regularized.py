@@ -203,8 +203,9 @@ def kl_backup(w, eta, reference) -> ConjugateResult:
     ref_a exp(w_a / eta).
     """
     reference = np.asarray(reference, dtype=float)
-    if np.any(reference <= 0):
-        raise ValueError("reference policy must be strictly positive")
+    if not np.all((reference > 0) & np.isfinite(reference)):
+        raise ValueError("reference policy must be finite and strictly "
+                         "positive")
     return entropy_backup(np.asarray(w, dtype=float) + eta * np.log(reference), eta)
 
 

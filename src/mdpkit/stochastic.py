@@ -11,11 +11,12 @@ perturbed operator.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, _param, derive_rng, rowwise_operator
+from .core import MdpModel, _param, derive_rng
 from .regularized import entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -26,16 +27,33 @@ class NoiseModel:
 
     `sample(state, n, rng)` returns an (n, num_actions) array.  Sampling
     must be a pure function of (state, n, rng), so that each (seed, state)
-    keys its own stream.
+    keys its own stream.  The Monte Carlo backups draw their states on
+    worker threads, one state per thread at a time, which that contract
+    allows.
 
-    The Monte Carlo backups store the draws as C-contiguous (num_actions, n)
-    columns.  The built-in laws draw in that layout and return its `.T`
-    view, which the backups take without a copy; a C-ordered (n,
-    num_actions) return is copied into columns once.
+    The backups draw through `_fill(state, cols, rng)`, which writes the
+    draws into a given C-contiguous (num_actions, n) block of their cache.
+    Here it copies `sample`'s return into the block.  The built-in laws
+    draw straight into it, and their `sample` is `_fill` into a fresh
+    block, returned as its `.T` view.
     """
 
     def sample(self, state, n, rng) -> np.ndarray:
         raise NotImplementedError
+
+    def _fill(self, state, cols, rng):
+        draws = self.sample(state, cols.shape[1], rng)
+        if np.shape(draws) != cols.T.shape:
+            raise ValueError(f"noise drew shape {np.shape(draws)}, expected "
+                             f"{cols.T.shape} (samples, actions)")
+        cols.T[...] = draws
+
+
+def _drawn(noise, state, num_actions, n, rng):
+    """A fresh C-contiguous (num_actions, n) block of the noise's draws."""
+    cols = np.empty((num_actions, n))
+    noise._fill(state, cols, rng)
+    return cols
 
 
 class GumbelIid(NoiseModel):
@@ -59,17 +77,19 @@ class GumbelIid(NoiseModel):
         a = self.num_actions if num_actions is None else num_actions
         if a is None:
             raise ValueError("num_actions unknown; construct with num_actions=")
+        return _drawn(self, state, a, n, rng).T
+
+    def _fill(self, state, cols, rng):
         # location - eta * ln E is Gumbel(location, eta) for E ~ Exp(1)
         # (Devroye 1986); an exact zero E (probability about 2^-53) is drawn
         # again so that every draw is finite
-        cols = rng.standard_exponential((a, n))
+        rng.standard_exponential(out=cols)
         while not cols.all():
             zero = cols == 0.0
             cols[zero] = rng.standard_exponential(np.count_nonzero(zero))
         np.log(cols, out=cols)
         cols *= -self.eta
         cols += self.location
-        return cols.T
 
 
 class UniformPerEntry(NoiseModel):
@@ -85,12 +105,17 @@ class UniformPerEntry(NoiseModel):
         self.bounds = bounds
 
     def sample(self, state, n, rng):
+        return _drawn(self, state, self.bounds.shape[1], n, rng).T
+
+    def _fill(self, state, cols, rng):
         lo = self.bounds[state, :, :1]
         hi = self.bounds[state, :, 1:]
-        cols = rng.random((lo.shape[0], n))
+        if len(lo) != len(cols):
+            raise ValueError(f"noise has {len(lo)} actions, the action values "
+                             f"{len(cols)}")
+        rng.random(out=cols)
         cols *= hi - lo
         cols += lo
-        return cols.T
 
 
 def _require_psd(matrices):
@@ -121,6 +146,16 @@ class GaussianJoint(NoiseModel):
 
     Draws are F[s] @ z, z standard normal, for F[s] = U sqrt(max(L, 0)) from
     cov[s] = U L U^T: a singular covariance is sampled on its support.
+
+    The product is taken in place, over blocks of samples, so no second
+    (A, n) array exists.  Blocks start on multiples of 64 samples and
+    hold 128 KB (2,048 samples at 8 actions), the last one the remainder
+    too: each is at most 256 KB and 2^18 multiply-adds, below which
+    OpenBLAS runs on one thread, so the draws do not depend on its thread
+    count.  They equal the whole `F[s] @ z` bit for bit, except that with
+    OpenBLAS at 12 actions or more the last n mod 8 samples can differ in
+    the last bits (as the whole product's own do between OpenBLAS thread
+    counts).
     """
 
     def __init__(self, cov):
@@ -129,8 +164,21 @@ class GaussianJoint(NoiseModel):
         self.factor = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
 
     def sample(self, state, n, rng):
+        return _drawn(self, state, self.factor.shape[1], n, rng).T
+
+    def _fill(self, state, cols, rng):
         factor = self.factor[state]
-        return (factor @ rng.standard_normal((factor.shape[1], n))).T
+        rng.standard_normal(out=cols)
+        num_actions, n = cols.shape
+        step = max(64, min(2 ** 14 // num_actions,
+                           2 ** 17 // num_actions ** 2) // 64 * 64)
+        blocks = max(1, n // step)
+        buf = np.empty((num_actions, n - (blocks - 1) * step))
+        for k in range(blocks):
+            lo, hi = k * step, (n if k == blocks - 1 else (k + 1) * step)
+            block, out = cols[:, lo:hi], buf[:, :hi - lo]
+            np.matmul(factor, block, out=out)
+            block[...] = out
 
 
 @dataclass
@@ -152,19 +200,6 @@ class EvBackup:
     value: float
     policy: np.ndarray
     gumbel_location: float
-
-
-def _draw_columns(w, noise, samples, rng, state):
-    """The noise's (n, A) draws as (A, n) contiguous columns, one per action.
-
-    The built-in laws return a view of such columns, taken as they are; a
-    row-major return is copied, and freed as soon as the copy exists.
-    """
-    if isinstance(noise, GumbelIid):
-        draws = noise.sample(state, samples, rng, num_actions=len(w))
-    else:
-        draws = noise.sample(state, samples, rng)
-    return np.ascontiguousarray(draws.T)
 
 
 # samples per pass of `_column_emax`: a block's sums, maxima and maximizers
@@ -215,20 +250,25 @@ def _emax_estimate(w, cols) -> EmaxEstimate:
     """E[max_a (w_a + eps_a)] and its standard error over (A, n) draw columns."""
     m, _ = _column_emax(w, cols)
     n = cols.shape[1]
-    return EmaxEstimate(float(m.mean()), float(m.std(ddof=1) / np.sqrt(n)), n)
+    mean = m.mean()
+    # m.std(ddof=1), bit for bit, without its n-entry temporary
+    m -= mean
+    np.square(m, out=m)
+    std = np.sqrt(m.sum() / (n - 1))
+    return EmaxEstimate(float(mean), float(std / np.sqrt(n)), n)
 
 
 def mc_emax(w, noise, samples, seed, state=0) -> EmaxEstimate:
     """Monte Carlo estimate of E[max_a (w_a + eps_a)] with its standard error."""
     w = np.asarray(w, dtype=float)
-    cols = _draw_columns(w, noise, samples, derive_rng(seed, state), state)
+    cols = _drawn(noise, state, len(w), samples, derive_rng(seed, state))
     return _emax_estimate(w, cols)
 
 
 def mc_policy(w, noise, samples, seed, state=0) -> np.ndarray:
     """Empirical argmax frequencies under the noise (lowest index on ties)."""
     w = np.asarray(w, dtype=float)
-    cols = _draw_columns(w, noise, samples, derive_rng(seed, state), state)
+    cols = _drawn(noise, state, len(w), samples, derive_rng(seed, state))
     return _shares(_column_emax(w, cols)[1], len(w))
 
 
@@ -242,6 +282,29 @@ def ev_backup(w, eta) -> EvBackup:
     res = entropy_backup(w, eta)
     return EvBackup(value=res.value, policy=res.argmax,
                     gumbel_location=-eta * EULER_GAMMA)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _state_map(fn, items):
+    """[fn(*item) for item in items], on up to `_cpus()` threads.
+
+    For per-state Monte Carlo work: numpy's fills and ufuncs release the
+    GIL, so the states run in parallel.  The threads live for this call
+    only, and an exception in one of them is raised here.
+    """
+    items = list(items)
+    workers = min(_cpus(), len(items))
+    if workers <= 1:
+        return [fn(*item) for item in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda item: fn(*item), items))
 
 
 def smdp_backup_operator(noise, samples, seed):
@@ -258,31 +321,56 @@ def smdp_backup_operator(noise, samples, seed):
     `mc_emax(...).mean` and `mc_policy(...)` for the same (w, seed, state)
     bit for bit.
 
-    Draws are cached per state as a contiguous (num_actions, samples)
-    float64 array, one row per action: samples * num_actions * 8 bytes per
-    state (24 MB at 10^6 samples and 3 actions).  The built-in laws draw
-    straight into that array, with no row-major transient (the Gaussian
-    holds its standard normals while it applies the factor); a custom
-    law's row-major draws are freed once their column copy exists.  Each
-    state's backup adds a float64 and a uint8 array of `samples` entries,
-    and about 160 KB of per-block buffers, all freed when it returns, before
-    the next state's are allocated.  The cache is `op.draws`, {state:
-    columns}, for reuse after a solve.  `StochasticInstance` checks the
-    size of the whole cache against physical memory
+    A table operator: the states of a call are spread over the CPUs this
+    process may run on (`_state_map`), each state drawn from its own
+    `derive_rng(seed, state)` stream, and the values and rows come back in
+    row order, the same whatever the number of threads.  Draws are cached
+    per state as a contiguous (num_actions, samples) float64 array, one row
+    per action: samples * num_actions * 8 bytes per state (24 MB at 10^6
+    samples and 3 actions).  The states a call draws first share one
+    block, allocated in the calling thread (arrays that worker threads
+    allocate fragment their per-thread malloc arenas), which the workers
+    fill through `NoiseModel._fill`; the built-in laws draw straight into
+    it.  While it backs up a state, a worker holds a float64 and a uint8
+    array of `samples` entries and at most 256 KB of block buffers, all
+    freed when it moves on.  The cache is `op.draws`, {state: columns},
+    for reuse after a solve.  `StochasticInstance` checks the size of the
+    whole cache and those buffers against physical memory
     (`_require_cache_fits`) before the first draw.
     """
     cache = {}
 
-    def backup(w, state):
-        cols = cache.get(state)
-        if cols is None:
-            cols = _draw_columns(w, noise, samples, derive_rng(seed, state),
-                                 state)
-            cache[state] = cols
-        m, first = _column_emax(w, cols)
-        return float(m.mean()), _shares(first, len(w))
+    def op(table, states, sweep):
+        table = np.asarray(table, dtype=float)
+        values = np.empty(len(states))
+        rows = np.empty(table.shape)
+        rows_of = {}
+        for i, state in enumerate(states):
+            rows_of.setdefault(int(state), []).append(i)
+        jobs = [(state, index, state not in cache)
+                for state, index in rows_of.items()]
+        fresh = [state for state, _, new in jobs if new]
+        cache.update(zip(fresh, np.empty((len(fresh), table.shape[1],
+                                          samples))))
 
-    op = rowwise_operator(backup)
+        def backup(state, index, new):
+            cols = cache[state]
+            if new:
+                noise._fill(state, cols, derive_rng(seed, state))
+            for i in index:
+                m, first = _column_emax(table[i], cols)
+                values[i] = m.mean()
+                del m  # freed before `_shares` allocates its masks
+                rows[i] = _shares(first, len(cols))
+
+        try:
+            _state_map(backup, jobs)
+        except BaseException:
+            for state in fresh:
+                del cache[state]
+            raise
+        return values, rows
+
     op.draws = cache
     return op
 
@@ -299,17 +387,24 @@ def _require_cache_fits(num_states, num_actions, samples):
     """Raise ValueError if a common-random-number draw cache cannot fit.
 
     The cache of `smdp_backup_operator` over a whole model holds
-    num_states * num_actions * samples float64 draws.  Checked against
-    physical memory, before anything is drawn, so that a solve too large
-    for the machine fails at once instead of swapping or being killed.
+    num_states * num_actions * samples float64 draws, and each of its
+    min(CPUs, num_states) workers a float64 and an index array of `samples`
+    entries (9 bytes per sample up to 256 actions) and 256 KB of block
+    buffers.  Checked against physical memory, before anything is drawn,
+    so that a solve too large for the machine fails at once instead of
+    swapping or being killed.
     """
-    need = num_states * num_actions * samples * 8
+    cache = num_states * num_actions * samples * 8
+    workers = min(_cpus(), num_states)
+    index = np.min_scalar_type(num_actions - 1).itemsize
+    need = cache + workers * ((8 + index) * samples + 2 ** 18)
     have = _physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
             f"Monte Carlo draw cache needs {need} bytes ({num_states} states "
-            f"x {num_actions} actions x {samples} samples x 8), more than "
-            f"the {have} bytes of physical memory; lower mc_samples")
+            f"x {num_actions} actions x {samples} samples x 8, and {workers} "
+            f"workers' buffers), more than the {have} bytes of physical "
+            "memory; lower mc_samples")
 
 
 def build_uniform_counterexample(r1, r2, discount=0.9):

@@ -57,6 +57,9 @@ def test_inverse_cdf_validation():
         TabulatedInverseCdf([0.2, 0.8], [1.0, 0.5])  # decreasing values
     with pytest.raises(ValueError):
         TabulatedInverseCdf([0.0, 0.5], [0.0, 1.0])  # knot at 0
+    for knots in ([np.nan, 0.5], [0.2, np.nan], [0.2, np.nan, 0.8]):
+        with pytest.raises(ValueError, match="knots must be"):
+            TabulatedInverseCdf(knots, [0.0, 1.0, 2.0][:len(knots)])
 
 
 def test_exponential_draw_is_inverse_transform():

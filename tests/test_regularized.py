@@ -109,6 +109,12 @@ def test_kl_backup_rejects_zero_reference_entries():
         kl_backup(W, 1.0, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kl_backup_rejects_non_finite_reference_entries(bad):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        kl_backup(W, 1.0, np.array([bad, 0.5, 0.5]))
+
+
 def test_scaled_regularizer_composes_with_entropy():
     # s * entropy(eta) is the same function as entropy(s * eta).
     phi = ScaledRegularizer(EntropyRegularizer(0.5), 3.0)

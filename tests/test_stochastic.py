@@ -3,6 +3,11 @@ counterexample showing general noise escapes every softmax temperature."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from mdpkit import (
     mc_counterexample_ratio,
     mc_emax,
     mc_policy,
+    random_mdp,
     refute_single_eta_fit,
     smdp_backup_operator,
     uniform_counterexample_ratio,
@@ -28,8 +34,9 @@ from mdpkit import (
 )
 from mdpkit.cli import main
 from mdpkit.modelio import save_instance
-from mdpkit.stochastic import (EMAX_BLOCK, NoiseModel, _column_emax,
-                               _draw_columns)
+from mdpkit.stochastic import EMAX_BLOCK, NoiseModel, _column_emax
+
+from util import tracemalloc_peak
 
 EULER_GAMMA = float(np.euler_gamma)
 W = np.array([1.0, 0.0, -1.0])
@@ -77,12 +84,12 @@ class _ExponentialZeros:
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def standard_exponential(self, size):
-        out = self.rng.standard_exponential(size)
+    def standard_exponential(self, size=None, out=None):
+        draws = self.rng.standard_exponential(size, out=out)
         if self.calls < 2:
-            out.reshape(-1)[::3] = 0.0
+            draws.reshape(-1)[::3] = 0.0
         self.calls += 1
-        return out
+        return draws
 
 
 def test_gumbel_sample_redraws_exact_zero_exponentials():
@@ -150,25 +157,40 @@ def test_gaussian_joint_samples_a_singular_covariance_on_its_support():
 
 
 def test_builtin_laws_draw_straight_into_the_column_cache():
+    # `_fill` writes `sample`'s draws into the given block bit for bit; the
+    # built-in laws draw there and allocate nothing near the block's size,
+    # while a custom law's row-major draws are copied in
     class RowMajor(NoiseModel):
         def sample(self, state, n, rng):
             return rng.random((n, 3))
 
+    n = 50000
     for noise in _tie_prone_noises() + [RowMajor()]:
-        returned = []
-        draw = noise.sample
-
-        def capture(*args, draw=draw, **kwargs):
-            returned.append(draw(*args, **kwargs))
-            return returned[-1]
-
-        noise.sample = capture
-        cols = _draw_columns(W, noise, 500, derive_rng(4), 1)
-        assert cols.shape == (3, 500) and cols.flags.c_contiguous
-        assert np.array_equal(cols, returned[0].T)
+        cols = np.empty((3, n))
+        _, peak = tracemalloc_peak(noise._fill, 1, cols, derive_rng(4))
+        assert np.array_equal(cols, noise.sample(1, n, derive_rng(4)).T)
         builtin = not isinstance(noise, RowMajor)
-        assert returned[0].T.flags.c_contiguous == builtin
-        assert np.shares_memory(cols, returned[0]) == builtin
+        assert (peak <= cols.nbytes // 2) == builtin
+
+
+@pytest.mark.parametrize("num_actions", range(2, 17))
+def test_gaussian_block_product_equals_the_whole_product(num_actions):
+    b = derive_rng(43, num_actions).normal(size=(1, num_actions, num_actions))
+    noise = GaussianJoint(b @ b.transpose(0, 2, 1))
+    factor = noise.factor[0]
+    # one block, several blocks with a wider last one, and the benchmark's
+    # sample count; n mod 8 == 0, see GaussianJoint on the last n mod 8
+    for n in (960, 40064, 200000):
+        cols = np.empty((num_actions, n))
+        noise._fill(0, cols, derive_rng(5))
+        whole = factor @ derive_rng(5).standard_normal((num_actions, n))
+        assert np.array_equal(cols, whole)
+    n = 40067
+    cols = np.empty((num_actions, n))
+    noise._fill(0, cols, derive_rng(6))
+    z = derive_rng(6).standard_normal((num_actions, n))
+    bound = num_actions * np.finfo(float).eps * (np.abs(factor) @ np.abs(z))
+    assert np.all(np.abs(cols - factor @ z) <= bound)
 
 
 # ------------------------------------------------------- closed form vs MC
@@ -228,8 +250,6 @@ def test_mc_policy_matches_softmax():
 
 
 def test_smdp_operator_with_common_random_numbers_converges():
-    from mdpkit import random_mdp
-
     m = random_mdp(4, 3, seed=10, discount=0.85)
     noise = GumbelIid.mean_zero(0.5, num_actions=3)
     op = smdp_backup_operator(noise, samples=20000, seed=0)
@@ -325,16 +345,18 @@ def test_smdp_operator_first_sweep_equals_mc_emax_and_mc_policy():
 def test_mc_draw_cache_is_checked_against_physical_memory_first(
         monkeypatch, tmp_path, capsys):
     calls = []
-    draw = UniformPerEntry.sample
+    fill = UniformPerEntry._fill
 
-    def counting(self, state, n, rng):
+    def counting(self, state, cols, rng):
         calls.append(state)
-        return draw(self, state, n, rng)
+        return fill(self, state, cols, rng)
 
-    monkeypatch.setattr(UniformPerEntry, "sample", counting)
+    monkeypatch.setattr(UniformPerEntry, "_fill", counting)
+    monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
     model, noise = build_uniform_counterexample(0.0, 0.25)
     samples = 1000
-    need = 3 * 2 * samples * 8
+    # the cache, and two workers' float64 and uint8 arrays and block buffers
+    need = 3 * 2 * samples * 8 + 2 * (9 * samples + 2 ** 18)
     inst = StochasticInstance(model, noise, mc_samples=samples)
     path = tmp_path / "m.json"
     save_instance(inst, path)
@@ -352,7 +374,90 @@ def test_mc_draw_cache_is_checked_against_physical_memory_first(
     monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need)
     inst.solve()
     assert main(["solve", str(path)]) == 0
-    assert sorted(set(calls)) == [0, 1, 2]
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]  # each state once per solve
+
+
+@pytest.mark.parametrize("noise", _tie_prone_noises(),
+                         ids=["gumbel", "uniform", "gaussian"])
+def test_the_worker_count_changes_no_output(monkeypatch, noise):
+    # three workers on three states, more than the cores of a small
+    # machine, switching threads every microsecond: a lost or misplaced
+    # row would change the solve
+    model = random_mdp(3, 3, seed=44, discount=0.8)
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(stochastic, "_cpus", lambda: workers)
+            inst = StochasticInstance(model, noise, mc_samples=3000, seed=9,
+                                      method="mc")
+            running = threading.active_count()
+            solved = value_iteration(model, inst.operator(), tol=1e-10)
+            result, err = inst.solve_with_error(tol=1e-10)
+            assert threading.active_count() == running  # none outlives a call
+            outs.append((solved, result, err))
+    finally:
+        sys.setswitchinterval(interval)
+    first, _, error = outs[0]
+    for solved, result, err in outs:
+        for x in (solved, result):
+            assert np.array_equal(x.value, first.value)
+            assert np.array_equal(x.policy, first.policy)
+            assert x.iterations == first.iterations
+        assert err == error
+
+
+def test_a_failed_draw_leaves_no_state_in_the_cache(monkeypatch):
+    class Failing(NoiseModel):
+        def sample(self, state, n, rng):
+            if state == 1:
+                raise RuntimeError("no draws for state 1")
+            return rng.random((n, 3))
+
+    monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+    op = smdp_backup_operator(Failing(), samples=100, seed=0)
+    with pytest.raises(RuntimeError, match="state 1"):
+        op(np.zeros((3, 3)), np.arange(3), 0)
+    assert op.draws == {}
+    op(np.zeros((2, 3)), [0, 2], 0)
+    assert sorted(op.draws) == [0, 2]
+
+
+def test_mc_solve_holds_the_cache_and_the_workers_buffers(monkeypatch):
+    # a worker backing up a state holds a float64 and a uint8 array of
+    # `samples` entries and the max's 144 KB of blocks; the Gaussian draws
+    # need no (actions, samples) transient beside the cache
+    states, actions, n = 4, 8, 50000
+    model = random_mdp(states, actions, seed=45, discount=0.5)
+    b = derive_rng(46).normal(size=(states, actions, actions))
+    inst = StochasticInstance(model, GaussianJoint(b @ b.transpose(0, 2, 1)),
+                              mc_samples=n, seed=1)
+    _, peak = tracemalloc_peak(inst.solve_with_error, tol=1e-8)
+    cache = states * actions * n * 8
+    workers = min(stochastic._cpus(), states)
+    assert peak <= cache + workers * (9 * n + 160 * 1024) + 2 ** 20
+
+
+def test_cli_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 12 actions and an odd sample count: the sizes at which the whole
+    # product of the Gaussian factor changes with OpenBLAS's thread count
+    model = random_mdp(2, 12, seed=47, discount=0.5)
+    b = derive_rng(48).normal(size=(2, 12, 12))
+    inst = StochasticInstance(model, GaussianJoint(b @ b.transpose(0, 2, 1)),
+                              mc_samples=20001, seed=2)
+    path = tmp_path / "gaussian.json"
+    save_instance(inst, path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "mdpkit.cli", "solve",
+                               str(path)], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
 
 
 # ------------------------------------------------- the ratio counterexample
