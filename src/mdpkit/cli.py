@@ -107,6 +107,10 @@ def _write_csv(path, header, rows):
 
 
 def _error_record(code, kind, message, **extra):
+    # strict JSON has no NaN or infinity, so a non-finite residual is null
+    if extra.get("residual") is not None \
+            and not np.isfinite(extra["residual"]):
+        extra["residual"] = None
     record = {"error": {"code": code, "kind": kind, "message": message,
                         **extra}}
     sys.stdout.write(_dump_report(record))

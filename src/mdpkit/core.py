@@ -8,12 +8,14 @@ action-value rows, `states` their k state indices, and the operator returns
 k backup values and k probability rows over actions.  Each sweep computes
 the (S, A) table in one product and makes one call, `op(table,
 np.arange(S), sweep)`; the table's row s may differ from the one-state
-`q_vector` in the last ulp (BLAS kernel shape).  Closed forms act on the
-last axis of the whole table; the Monte Carlo backup spreads its states
-over threads (`stochastic.smdp_backup_operator`); any other backup runs
-through `rowwise_operator`, the one per-row loop.  `states` is what per-state
-structure (regularizer or constraint lists, Monte Carlo draws) keys on, so
-an operator can also be called on any subset of rows.  No built-in
+`q_vector` in the last ulp (BLAS kernel shape).  A stack of N reward
+tables on one kernel sweeps as one (N*S, A) table, its states repeated.
+Closed forms act on the last axis of the whole table; the Monte Carlo
+backup spreads its states over threads (`stochastic.smdp_backup_operator`);
+any other backup runs through `rowwise_operator`, the one per-row loop.
+`states` is what per-state structure (regularizer or constraint lists,
+Monte Carlo draws) keys on, so an operator can also be called on any subset
+of rows, or on a row more than once.  No built-in
 operator reads `sweep`; it stays in the protocol because wrappers pass it
 on (the traced wrapper of `bench/spans.py` does).
 
@@ -83,13 +85,15 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative routine exhausts its budget.
 
     Carries the last residual and, when available, the best iterate so the
-    caller can inspect how close the run came.
+    caller can inspect how close the run came; a stacked `value_iteration`
+    also names the failing reward table as `trial`.
     """
 
-    def __init__(self, message, residual=None, best=None):
+    def __init__(self, message, residual=None, best=None, trial=None):
         super().__init__(message)
         self.residual = residual
         self.best = best
+        self.trial = trial
 
 
 def _frozen(a):
@@ -156,9 +160,7 @@ def validate_model(model) -> list:
         v.append(f"reward shape {model.reward.shape} != {(S, A)}")
     if v:
         return v
-    if not np.all(np.isfinite(model.reward)):
-        bad = np.argwhere(~np.isfinite(model.reward))[0]
-        v.append(f"reward not finite at (s={bad[0]}, a={bad[1]})")
+    v += _reward_violations(model.reward)
     # reductions, no kernel-sized temporaries: min and max propagate NaN
     # and +-inf, so both are finite iff every entry is
     low, high = model.transition.min(), model.transition.max()
@@ -179,6 +181,15 @@ def validate_model(model) -> list:
     if not (0.0 <= model.discount < 1.0):
         v.append(f"discount {model.discount:.17g} outside [0, 1)")
     return v
+
+
+def _reward_violations(reward) -> list:
+    """The first non-finite entry of a reward table, or of the lowest table
+    of an (n, S, A) stack, as a one-item list of violations; else []."""
+    if np.all(np.isfinite(reward)):
+        return []
+    bad = np.argwhere(~np.isfinite(reward))[0]
+    return [f"reward not finite at (s={bad[-2]}, a={bad[-1]})"]
 
 
 def validate_policy_matrix(probs, num_states=None, num_actions=None) -> list:
@@ -204,17 +215,22 @@ def validate_policy_matrix(probs, num_states=None, num_actions=None) -> list:
     return v
 
 
-def q_vector(model, value, state=None) -> np.ndarray:
-    """Action values r + discount * P @ value: the (S, A) table, or one row.
+def q_vector(model, value, state=None, reward=None) -> np.ndarray:
+    """Action values reward + discount * P @ value: the (S, A) table, or one row.
 
-    The table is one (S*A, S) product, whose row s may differ from the
-    one-state form in the last ulp (BLAS uses other kernel shapes).
+    `reward` defaults to the model's.  An (n, S) stack of values with an
+    (n, S, A) stack of rewards gives the (n, S, A) stack of tables, each the
+    one its value and reward give alone, bit for bit: the product is one
+    (S*A, S) matrix-vector product per value.  A table's row s may differ
+    from the one-state form in the last ulp (BLAS uses other kernel shapes).
     """
+    reward = model.reward if reward is None else reward
     if state is None:
         S, A = model.num_states, model.num_actions
-        q = model.transition.reshape(S * A, S) @ value
-        return model.reward + model.discount * q.reshape(S, A)
-    return model.reward[state] + model.discount * (model.transition[state] @ value)
+        value = np.asarray(value, dtype=float)
+        q = np.matmul(model.transition.reshape(S * A, S), value[..., None])
+        return reward + model.discount * q.reshape(value.shape[:-1] + (S, A))
+    return reward[state] + model.discount * (model.transition[state] @ value)
 
 
 def _float_or_array(x):
@@ -286,39 +302,55 @@ def rowwise_operator(backup):
     return op
 
 
-def bellman_sweep(model, backup, value, sweep=0):
+def bellman_sweep(model, backup, value, sweep=0, reward=None):
     """One synchronous sweep: returns (new value vector, policy matrix).
 
     One call backs up the whole table: `backup(q_vector(model, value),
-    np.arange(S), sweep)`.
+    np.arange(S), sweep)`.  An (n, S) stack of values, each under its table
+    of an (n, S, A) `reward` stack, is one call too, on the (n*S, A) table
+    with states `np.tile(np.arange(S), n)`; it returns (n, S) values and
+    (n, S, A) rows.
     """
-    return backup(q_vector(model, value), np.arange(model.num_states), sweep)
+    q = q_vector(model, value, reward=reward)
+    S, A = model.num_states, model.num_actions
+    values, rows = backup(q.reshape(-1, A), np.arange(q.size // A) % S,
+                          sweep)
+    return (np.asarray(values).reshape(q.shape[:-1]),
+            np.asarray(rows).reshape(q.shape))
 
 
 def _evaluation_matrix(model, policy):
-    """I - gamma P_pi, P_pi the kernel under `policy`, in one (S, S) buffer.
+    """I - gamma P_pi, P_pi the kernel under `policy`, in one buffer.
 
-    When every row of `policy` has one nonzero, P_pi is the kernel rows it
-    picks, scaled by their weights: a gather of S rows, not a product over
-    all S*A of them.  Either way it equals np.eye(S) - gamma * P_pi
-    exactly.
+    (S, S) for an (S, A) policy, (k, S, S) for a (k, S, A) stack.  When
+    every row of every policy has one nonzero, P_pi is the kernel rows they
+    pick, scaled by their weights: a gather of S rows per policy, not a
+    product over all S*A of them.  Otherwise each P_pi is that product,
+    broadcast over the stack.  Either way it equals np.eye(S) - gamma * P_pi
+    exactly: a one-hot row's product adds only exact zeros to the gather.
     """
-    S = model.num_states
+    S, A = model.num_states, model.num_actions
     nonzero = policy != 0
-    if np.all(np.count_nonzero(nonzero, axis=1) == 1):
-        states = np.arange(S)
-        actions = np.argmax(nonzero, axis=1)
-        mat = model.transition[states, actions]
-        mat *= policy[states, actions][:, None]
+    if np.all(nonzero.sum(axis=-1) == 1):
+        # a one-hot row sums to its one weight exactly
+        mat = model.transition.reshape(S * A, S)[
+            np.arange(S) * A + np.argmax(nonzero, axis=-1)]
+        mat *= policy.sum(axis=-1)[..., None]
     else:
-        mat = np.matmul(policy[:, None, :], model.transition)[:, 0, :]
+        mat = np.matmul(policy[..., None, :], model.transition).reshape(
+            policy.shape[:-1] + (S,))
     mat *= -model.discount
-    mat.flat[::S + 1] += 1.0
+    mat.reshape(-1, S * S)[:, ::S + 1] += 1.0  # C-ordered, so a view
     return mat
 
 
+# a stacked Newton step builds and solves at most this many bytes of
+# (S, S) matrices at once (at least one matrix)
+_NEWTON_CHUNK_BYTES = 16 * 2**20
+
+
 def value_iteration(model, backup, tol=1e-10, max_iter=100000,
-                    newton=True) -> SolveResult:
+                    newton=True, rewards=None):
     """Iterate synchronous sweeps until the sup-norm residual |TV - V| <= tol.
 
     Returns TV with that sweep's rows.  A sweep that misses tol steps to
@@ -329,38 +361,90 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
     more than tol (rows that are not the gradient), the steps are the plain
     V <- TV, as they all are with `newton=False`.
 
-    Raises ConvergenceError (carrying the last residual and the last sweep's
-    result as `best`) if max_iter sweeps do not reach the tolerance, or at
-    once on a sweep whose residual is not a finite number.
+    `rewards`, an (N, S, A) stack of reward tables on the model's kernel,
+    solves them together and returns a list of N results; the model's own
+    reward is the one-table case.  Each sweep is one `bellman_sweep` of the
+    open tables, each table keeps its own residual, stop test and Newton
+    switch, and a table that meets tol is frozen with its result.  The
+    Newton steps of a sweep are one stacked linear solve, in chunks of
+    (S, S) matrices of at most 16 MB.  Each result equals the one solve of
+    its table alone, bit for bit.
+
+    Raises ConvergenceError (carrying the last residual, the last sweep's
+    result as `best`, and the table's index as `trial`) if max_iter sweeps
+    do not reach the tolerance, or on a sweep whose residual is not a finite
+    number: for a stack, the error of the lowest table that fails.  A stack
+    with a non-finite entry raises ModelValidationError first.
     """
     tol = _param(tol, "tol", 0.0, strict=True)
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    gamma = model.discount
-    value = np.zeros(model.num_states)
+    S, A, gamma = model.num_states, model.num_actions, model.discount
+    stack = model.reward[None]
+    if rewards is not None:
+        stack = np.asarray(rewards, dtype=float)
+        bad = ([f"reward stack shape {stack.shape} != (N, {S}, {A})"]
+               if stack.ndim != 3 or stack.shape[1:] != (S, A)
+               else _reward_violations(stack))
+        if bad:
+            raise ModelValidationError(bad)
+        if not len(stack):
+            return []
+    value = np.zeros((len(stack), S))
+    live = list(range(len(stack)))  # the index of each open table
+    stepping = [bool(newton)] * len(stack)
+    results = [None] * len(stack)
+    failure = None
+    chunk = max(1, _NEWTON_CHUNK_BYTES // (8 * S * S))
+
+    def result(i):
+        r = residual[i]
+        return SolveResult(value=new_value[i], policy=policy[i],
+                           iterations=sweep, residual=r,
+                           error_bound=gamma / (1.0 - gamma) * r)
+
     for sweep in range(1, max_iter + 1):
-        new_value, policy = bellman_sweep(model, backup, value, sweep - 1)
-        step = new_value - value
-        residual = float(np.max(np.abs(step)))
-        result = SolveResult(value=new_value, policy=policy, iterations=sweep,
-                             residual=residual,
-                             error_bound=gamma / (1.0 - gamma) * residual)
-        if residual <= tol:
-            return result
-        if not np.isfinite(residual):
-            raise ConvergenceError(
-                f"value iteration residual is {residual} at sweep {sweep}",
-                residual=residual, best=result)
-        newton = newton and (sweep == 1 or np.min(step) >= -tol)
-        if newton:
-            value = value + np.linalg.solve(
-                _evaluation_matrix(model, policy), step)
-        else:
-            value = new_value
-    raise ConvergenceError(
-        f"value iteration did not reach tol={tol} in {max_iter} sweeps "
-        f"(last residual {residual})",
-        residual=residual, best=result)
+        new_value, policy = bellman_sweep(model, backup, value, sweep - 1,
+                                          stack)
+        # a sweep that is not finite raises below, with no warning here
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = new_value - value
+        residual = np.abs(step).max(axis=1).tolist()
+        lowest = step.min(axis=1).tolist()
+        keep = []
+        for i, r in enumerate(residual):
+            if r <= tol:
+                results[live[i]] = result(i)
+            elif sweep == max_iter or not math.isfinite(r):
+                failure = ConvergenceError(
+                    f"value iteration did not reach tol={tol} in {max_iter} "
+                    f"sweeps (last residual {r})" if math.isfinite(r) else
+                    f"value iteration residual is {r} at sweep {sweep}",
+                    residual=r, best=result(i), trial=live[i])
+                break  # the tables after the lowest failure change nothing
+            else:
+                keep.append(i)
+                stepping[i] = stepping[i] and (sweep == 1
+                                               or lowest[i] >= -tol)
+        if not keep:
+            break
+        # plain steps V <- TV; the Newton steps overwrite their rows
+        value, old = new_value.copy(), value
+        stepped = [i for i in keep if stepping[i]]
+        for lo in range(0, len(stepped), chunk):
+            rows = stepped[lo:lo + chunk]
+            if len(rows) == len(value):
+                rows = slice(None)  # every table: views, not copies
+            value[rows] = old[rows] + np.linalg.solve(
+                _evaluation_matrix(model, policy[rows]),
+                step[rows][..., None])[..., 0]
+        if len(keep) < len(live):
+            value, stack = value.take(keep, axis=0), stack.take(keep, axis=0)
+            live = [live[i] for i in keep]
+            stepping = [stepping[i] for i in keep]
+    if failure is not None:
+        raise failure
+    return results[0] if rewards is None else results
 
 
 def policy_evaluation_exact(model, policy) -> np.ndarray:

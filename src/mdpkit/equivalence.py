@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constrained import Singleton, ct_backup_operator
-from .core import (SolveResult, _param, _per_state, derive_rng, q_vector,
-                   standard_backup_operator, value_iteration)
+from .core import (ConvergenceError, SolveResult, _param, _per_state,
+                   derive_rng, q_vector, standard_backup_operator,
+                   value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
                              ds_backup_operator, regularizer_for)
@@ -66,7 +67,15 @@ class FrameworkInstance:
 
     def solve_with_error(self, tol=1e-10, max_iter=100000):
         """(SolveResult, aggregate MC std error); the error is 0 when exact."""
-        return self.solve(tol=tol, max_iter=max_iter), 0.0
+        return self._solve_rewards(self.model.reward[None], tol, max_iter)[0]
+
+    def _solve_rewards(self, rewards, tol, max_iter):
+        """[(SolveResult, MC std error)] for an (N, S, A) stack of reward
+        tables on this kernel: one stacked `value_iteration` with one
+        operator, each entry equal to `with_rewards(r).solve_with_error`."""
+        results = value_iteration(self.model, self.operator(), tol=tol,
+                                  max_iter=max_iter, rewards=rewards)
+        return [(r, 0.0) for r in results]
 
 
 class StandardInstance(FrameworkInstance):
@@ -121,15 +130,25 @@ class StochasticInstance(FrameworkInstance):
                            self.mc_samples)
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)
 
-    def solve_with_error(self, tol=1e-10, max_iter=100000):
+    # its own entry in the class namespace, which bench/spans.py wraps
+    solve_with_error = FrameworkInstance.solve_with_error
+
+    def _solve_rewards(self, rewards, tol, max_iter):
         if not self.monte_carlo:
-            return self.solve(tol=tol, max_iter=max_iter), 0.0
+            return super()._solve_rewards(rewards, tol, max_iter)
+        # one operator, so each state is drawn once for the whole stack
         op = self.operator()
-        result = value_iteration(self.model, op, tol=tol, max_iter=max_iter)
+        results = value_iteration(self.model, op, tol=tol, max_iter=max_iter,
+                                  rewards=rewards)
+        S, A = self.model.num_states, self.model.num_actions
+        q = q_vector(self.model, np.array([r.value for r in results]),
+                     reward=rewards)
         errors = _state_map(
             lambda s, w: _emax_estimate(w, op.draws[s]).std_error,
-            enumerate(q_vector(self.model, result.value)))
-        return result, max(errors) / (1.0 - self.model.discount)
+            zip(np.tile(np.arange(S), len(results)), q.reshape(-1, A)))
+        worst = np.reshape(errors, (len(results), S)).max(axis=1)
+        return [(r, float(e) / (1.0 - self.model.discount))
+                for r, e in zip(results, worst)]
 
 
 class DistributionalInstance(FrameworkInstance):
@@ -188,7 +207,10 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
     side is Monte Carlo the tolerance is inflated by 4x the aggregate std
     error (plus the sampling scale for policies) and a breach is reported as
     inconclusive rather than refuted.  Every solve runs to solve_tol within
-    max_iter sweeps, or raises ConvergenceError.
+    max_iter sweeps, or raises ConvergenceError: the one that solving x and
+    then y under each table in turn would raise first.  Each side solves
+    all its tables as one stacked `value_iteration` with one operator, so a
+    Monte Carlo side draws each state once.
     """
     tol = _param(tol, "tol", 0.0)
     mx, my = x.model, y.model
@@ -208,14 +230,20 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
     for side in (x, y):
         if getattr(side, "monte_carlo", False):
             policy_noise += 4.0 / np.sqrt(side.mc_samples)
+    rewards = np.array(_trial_rewards(shape, trials, seed))
+    try:
+        solved_x = x._solve_rewards(rewards, solve_tol, max_iter)
+    except ConvergenceError as exc:
+        # trial by trial, y's trials before x's failing one come first
+        if exc.trial:
+            y._solve_rewards(rewards[:exc.trial] - offset, solve_tol,
+                             max_iter)
+        raise
+    solved_y = y._solve_rewards(rewards - offset, solve_tol, max_iter)
     value_gaps, policy_gaps = [], []
     witness = None
     worst_inflation = 0.0
-    for r in _trial_rewards(shape, trials, seed):
-        rx, ex = x.with_rewards(r).solve_with_error(tol=solve_tol,
-                                                    max_iter=max_iter)
-        ry, ey = y.with_rewards(r - offset).solve_with_error(
-            tol=solve_tol, max_iter=max_iter)
+    for r, (rx, ex), (ry, ey) in zip(rewards, solved_x, solved_y):
         vgap = float(np.max(np.abs(rx.value - ry.value)))
         pgap = float(np.max(np.abs(rx.policy - ry.policy)))
         value_gaps.append(vgap)

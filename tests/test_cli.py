@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdpkit import entropy_backup, q_vector
+from mdpkit import entropy_backup, q_vector, random_mdp
 from mdpkit.cli import main
 from mdpkit.modelio import load_instance, load_model, save_model
-from mdpkit.core import MdpModel
+from mdpkit.core import ConvergenceError, MdpModel
+from mdpkit.equivalence import _trial_rewards
 
 
 def write_json(path, data):
@@ -480,6 +482,57 @@ def test_compare_honours_max_iter(tmp_path, capsys):
                            "--max-iter", "1")
     assert code == 5
     assert json.loads(out)["error"]["kind"] == "non-convergence"
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_residual_is_null_in_the_error_record(tmp_path, capsys):
+    # a valid model whose rewards overflow the Newton step: the second
+    # sweep's step is inf - inf, which stops the solve with no warning
+    kernel = random_mdp(3, 2, seed=4).transition
+    path = str(tmp_path / "m.json")
+    save_model(MdpModel(num_states=3, num_actions=2, transition=kernel,
+                        reward=np.full((3, 2), 1e308), discount=0.9), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "solve", path)
+    assert code == 5
+    record = _strict_json(out)["error"]
+    assert record["message"] == "value iteration residual is nan at sweep 2"
+    assert record["residual"] is None
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf", "file"])
+def test_compare_rejects_a_non_finite_offset(tmp_path, capsys, offset):
+    path = write_json(tmp_path / "m.json", chooser_model_dict())
+    if offset == "file":
+        offset = write_json(tmp_path / "off.json", [[NAN, 0.0], [0.0, 0.0]])
+    code, out, _ = run_cli(capsys, "compare", path, path, "--offset", offset)
+    assert code == 2
+    assert _strict_json(out)["error"]["message"] == \
+        "reward not finite at (s=0, a=0)"
+
+
+def test_compare_budget_error_is_the_first_trial_of_x(tmp_path, capsys):
+    er = {"name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.5}}
+    px = write_json(tmp_path / "x.json", chooser_model_dict(er))
+    py = write_json(tmp_path / "y.json", chooser_model_dict())
+    code, out, _ = run_cli(capsys, "compare", px, py, "--trials", "3",
+                           "--max-iter", "1")
+    assert code == 5
+    x = load_instance(px)
+    first = x.with_rewards(_trial_rewards((2, 2), 3, 0)[0])
+    with pytest.raises(ConvergenceError) as exc:
+        first.solve(max_iter=1)
+    assert out == json.dumps(
+        {"error": {"code": 5, "kind": "non-convergence",
+                   "message": str(exc.value),
+                   "residual": exc.value.residual}},
+        indent=2, sort_keys=True) + "\n"
 
 
 def test_missing_file_is_an_io_error(tmp_path, capsys):

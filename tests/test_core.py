@@ -21,6 +21,7 @@ from mdpkit import (
     RegularizedInstance,
     StandardInstance,
     StochasticInstance,
+    UniformPerEntry,
     bellman_sweep,
     derive_rng,
     policy_evaluation_exact,
@@ -442,20 +443,34 @@ def test_error_bound_bounds_the_distance_to_the_policy_value(newton, eta):
     assert np.max(np.abs(res.value - exact)) <= res.error_bound + 1e-12
 
 
-@pytest.mark.parametrize("rows", ["one-hot", "scaled", "mixed"])
+def _policies(kind, rng, states=30, actions=4):
+    """A one-hot policy, its weights scaled, every third row soft, or soft."""
+    policy = np.zeros((states, actions))
+    picks = rng.integers(actions, size=states)
+    policy[np.arange(states), picks] = 1.0
+    if kind == "scaled":
+        policy[np.arange(states), picks] = rng.uniform(0.5, 1.5, size=states)
+    elif kind == "mixed":
+        policy[::3] = rng.dirichlet(np.ones(actions), size=states // 3)
+    elif kind == "soft":
+        policy = rng.dirichlet(np.ones(actions), size=states)
+    return policy
+
+
+@pytest.mark.parametrize("rows", ["one-hot", "scaled", "mixed",
+                                  "one-hot+scaled+one-hot",
+                                  "one-hot+soft+mixed+scaled", "soft+mixed"])
 def test_evaluation_matrix_equals_the_batched_product(rows):
+    # "+" joins the policies of a (k, S, A) stack; one soft policy makes
+    # the whole stack a product, which adds only exact zeros to a one-hot row
     m = random_mdp(30, 4, seed=12, discount=0.9)
     rng = derive_rng(12, 1)
-    policy = np.zeros((30, 4))
-    picks = rng.integers(4, size=30)
-    policy[np.arange(30), picks] = 1.0
-    if rows == "scaled":
-        policy[np.arange(30), picks] = rng.uniform(0.5, 1.5, size=30)
-    elif rows == "mixed":
-        policy[::3] = rng.dirichlet(np.ones(4), size=10)
-    p_pi = np.matmul(policy[:, None, :], m.transition)[:, 0, :]
-    assert np.array_equal(_evaluation_matrix(m, policy),
-                          np.eye(30) - m.discount * p_pi)
+    policies = [_policies(kind, rng) for kind in rows.split("+")]
+    mats = _evaluation_matrix(m, np.array(policies) if "+" in rows
+                              else policies[0])
+    for policy, mat in zip(policies, mats if "+" in rows else [mats]):
+        p_pi = np.matmul(policy[:, None, :], m.transition)[:, 0, :]
+        assert np.array_equal(mat, np.eye(30) - m.discount * p_pi)
 
 
 def test_newton_keeps_stepping_when_the_residual_grows():
@@ -492,6 +507,113 @@ def test_newton_safeguard_rescues_rows_that_are_not_the_gradient():
     res = value_iteration(m, wrong_rows, tol=1e-12, max_iter=1000)
     assert res.iterations <= plain.iterations + 2
     assert np.max(np.abs(res.value - plain.value)) <= 2.0 * plain.error_bound
+
+
+# ------------------------------------------------- stacked reward tables
+
+
+def _stack_operators(m):
+    rng = derive_rng(7, 1)
+    ref = rng.dirichlet(np.full(3, 2.0))
+    moments = MarginalMomentModel(rng.uniform(0.2, 1.0, (5, 3)))
+    half = rng.uniform(0.3, 1.5, (5, 3))
+    noise = UniformPerEntry(np.stack([-half, half], axis=-1))
+    return {
+        "standard": standard_backup_operator,
+        "entropy": lambda: regularized_backup_operator(EntropyRegularizer(0.5)),
+        "kl": lambda: regularized_backup_operator(KlRegularizer(0.5, ref)),
+        "mmm-rowwise": DistributionalInstance(m, moments).operator,
+        "kl-ball": ConstrainedInstance(m, KlBall(ref, 0.2)).operator,
+        "monte-carlo": StochasticInstance(m, noise, mc_samples=500,
+                                          seed=3).operator,
+    }
+
+
+# small tables converge in 1-5 sweeps; at 3e4 the Newton step's rounding
+# exceeds tol, so on some of them a later sweep lowers a value and the
+# safeguard switches that table to plain sweeps
+STACK = np.array([np.zeros((5, 3))]
+                 + [derive_rng(7, 2, k).uniform(-5.0, 5.0, (5, 3))
+                    for k in range(3)]
+                 + [derive_rng(7, 2, k).uniform(-3e4, 3e4, (5, 3))
+                    for k in (4, 6, 8, 24, 27)])
+
+
+@pytest.mark.parametrize("family", ["standard", "entropy", "kl",
+                                    "mmm-rowwise", "kl-ball", "monte-carlo"])
+def test_stacked_solve_equals_one_solve_per_table(family, monkeypatch):
+    import mdpkit.core as core
+
+    m = random_mdp(5, 3, seed=7, discount=0.95)
+    make = _stack_operators(m)[family]
+    steps, evaluate = [], core._evaluation_matrix
+    monkeypatch.setattr(core, "_evaluation_matrix", lambda model, policy: (
+        steps.append(len(policy) if policy.ndim == 3 else 1)
+        or evaluate(model, policy)))
+    alone = []
+    for reward in STACK:
+        steps.clear()
+        twin = MdpModel(num_states=5, num_actions=3, transition=m.transition,
+                        reward=reward, discount=0.95)
+        alone.append((value_iteration(twin, make(), tol=1e-10), sum(steps)))
+    stacked = value_iteration(m, make(), tol=1e-10, rewards=STACK)
+    assert len(stacked) == len(STACK)
+    for (one, _), res in zip(alone, stacked):
+        assert np.array_equal(res.value, one.value)
+        assert np.array_equal(res.policy, one.policy)
+        assert res.iterations == one.iterations
+        assert res.residual == one.residual
+        assert res.error_bound == one.error_bound
+    # the tables stop at different sweeps; one switches to plain sweeps
+    # (fewer Newton steps than sweeps after the first) while others step
+    assert len({one.iterations for one, _ in alone}) >= 3
+    assert any(n < one.iterations - 1 for one, n in alone)
+    assert any(n == one.iterations - 1 >= 2 for one, n in alone)
+
+
+def test_stacked_solve_raises_the_error_of_the_lowest_failing_table():
+    # within a two-sweep budget the 1e308 table overflows (its second
+    # sweep is inf - inf) and STACK[5] runs out of sweeps; one table at a
+    # time, the first of them to fail is the error
+    m = random_mdp(5, 3, seed=7, discount=0.95)
+    stack = np.array([np.zeros((5, 3)), STACK[5], np.full((5, 3), 1e308)])
+    for order in ([0, 1, 2], [0, 2, 1]):
+        tables = stack[order]
+        errors = []
+        for trial, reward in enumerate(tables):
+            twin = MdpModel(num_states=5, num_actions=3,
+                            transition=m.transition, reward=reward,
+                            discount=0.95)
+            try:
+                value_iteration(twin, standard_backup_operator(), max_iter=2)
+            except ConvergenceError as exc:
+                errors.append((trial, exc))
+        assert [trial for trial, _ in errors] == [1, 2]
+        trial, first = errors[0]
+        with pytest.raises(ConvergenceError) as exc:
+            value_iteration(m, standard_backup_operator(), max_iter=2,
+                            rewards=tables)
+        assert exc.value.trial == trial
+        assert str(exc.value) == str(first)
+        assert np.array_equal(exc.value.residual, first.residual,
+                              equal_nan=True)
+        assert np.array_equal(exc.value.best.value, first.best.value,
+                              equal_nan=True)
+        assert exc.value.best.iterations == first.best.iterations
+
+
+def test_stacked_solve_checks_its_reward_tables():
+    m = random_mdp(5, 3, seed=7, discount=0.95)
+    stack = np.zeros((3, 5, 3))
+    stack[1, 2, 1] = np.inf
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(ModelValidationError,
+                       match=r"^reward not finite at \(s=2, a=1\)$"):
+        value_iteration(m, standard_backup_operator(), rewards=stack)
+    with pytest.raises(ModelValidationError, match="reward stack shape"):
+        value_iteration(m, standard_backup_operator(), rewards=stack[0])
+    assert value_iteration(m, standard_backup_operator(),
+                           rewards=stack[:0]) == []
 
 
 def test_iteration_count_shrinks_with_looser_tol():

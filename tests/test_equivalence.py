@@ -1,8 +1,11 @@
 """Cross-framework comparison: randomized equivalence checks, the offset
 convention, Monte Carlo inflation, and the nested-relation suite."""
 
+import threading
+
 import numpy as np
 import pytest
+from util import tracemalloc_peak
 
 from mdpkit import (
     ConstrainedInstance,
@@ -160,6 +163,72 @@ def test_mc_std_error_reuses_the_draws_of_the_solve():
                   for s in range(4))
     assert err == redrawn / (1.0 - 0.7)
     assert np.array_equal(result.value, inst.solve(tol=1e-10).value)
+
+
+def _one_table_at_a_time(x, y, offset, trials, seed, tol):
+    """check_equivalence's gaps, inflation and witness, from one
+    `with_rewards(r).solve_with_error` per table and side."""
+    value_gaps, policy_gaps, inflation, witness = [], [], 0.0, None
+    noise = sum(4.0 / np.sqrt(side.mc_samples) for side in (x, y)
+                if side.monte_carlo)
+    for r in _trial_rewards((3, 2), trials, seed):
+        rx, ex = x.with_rewards(r).solve_with_error()
+        ry, ey = y.with_rewards(r - offset).solve_with_error()
+        vgap = float(np.max(np.abs(rx.value - ry.value)))
+        pgap = float(np.max(np.abs(rx.policy - ry.policy)))
+        value_gaps.append(vgap)
+        policy_gaps.append(pgap)
+        inflation = max(inflation, 4.0 * (ex + ey))
+        breached = (vgap > tol + 4.0 * (ex + ey)
+                    or pgap > tol + noise + 4.0 * (ex + ey))
+        if breached and witness is None:
+            witness = {"reward": r, "value_gap": vgap, "policy_gap": pgap,
+                       "policy_x": rx.policy, "policy_y": ry.policy}
+    return value_gaps, policy_gaps, inflation, witness
+
+
+def test_mc_sides_draw_each_state_once_per_check():
+    m = base_model()
+    bounds = np.zeros((3, 2, 2))
+    bounds[:, :, 1] = 2.0
+    x = StochasticInstance(m, UniformPerEntry(bounds), mc_samples=3000,
+                           seed=1)
+    y = StochasticInstance(m, GumbelIid.mean_zero(1.0), mc_samples=3000,
+                           seed=2, method="mc")
+    lock, calls = threading.Lock(), {id(x): [], id(y): []}
+
+    def counted(side):
+        fill = side.noise._fill
+
+        def count(state, cols, rng):
+            with lock:
+                calls[id(side)].append(state)
+            return fill(state, cols, rng)
+        return count
+
+    x.noise._fill, y.noise._fill = counted(x), counted(y)
+    rep = check_equivalence(x, y, offset=0.25, trials=4, seed=8)
+    # one operator per side: each state drawn once, not once per table
+    assert sorted(calls[id(x)]) == sorted(calls[id(y)]) == [0, 1, 2]
+    gaps_v, gaps_p, inflation, witness = _one_table_at_a_time(
+        x, y, 0.25, 4, 8, rep.tol)
+    assert len(calls[id(x)]) == 3 * (1 + 7)
+    assert rep.value_gaps == gaps_v and rep.policy_gaps == gaps_p
+    assert rep.tol_inflation == inflation
+    assert rep.verdict == "inconclusive" and witness is not None
+    assert rep.witness.keys() == witness.keys()
+    for key in witness:
+        assert np.array_equal(rep.witness[key], witness[key])
+
+
+def test_compare_solves_its_newton_steps_in_bounded_chunks():
+    # 13 tables of (700, 700) evaluation matrices would hold 51 MB at once
+    m = random_mdp(700, 2, seed=5, discount=0.9)
+    x = RegularizedInstance(m, EntropyRegularizer(1.0))
+    y = StandardInstance(m)
+    rep, peak = tracemalloc_peak(check_equivalence, x, y, trials=10, seed=3)
+    assert rep.verdict == "refuted"
+    assert peak < 32 * 2**20
 
 
 def test_mismatched_temperatures_are_refuted_with_witness():
