@@ -11,6 +11,9 @@ differently at another).
 
 Exit codes: 0 success, 2 validation failure, 3 shape mismatch between
 compared instances, 4 conversion precondition failure, 5 non-convergence.
+Every failure, a bad flag or MDPKIT_ value included, prints one error record
+on stdout and nothing else.  With --out, every file is written before the
+report is printed, and the report's own file is written last.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (ConvergenceError, ModelValidationError, _per_state,
 from .equivalence import (ConstrainedInstance, RegularizedInstance,
                           StructureMismatchError, check_equivalence,
                           counterexample_suite, interior_policy_sweep)
-from .modelio import (instance_to_dict, load_instance, save_instance,
+from .modelio import (framework_to_dict, load_instance, save_instance,
                       save_model)
 from .stochastic import mc_counterexample_ratio, uniform_counterexample_ratio
 
@@ -43,6 +46,11 @@ EXIT_CONVERSION = 4
 EXIT_NON_CONVERGENCE = 5
 
 ENV_PREFIX = "MDPKIT_"
+
+
+class ConversionError(ValueError):
+    """A model does not meet a conversion's precondition (exit code 4)."""
+
 
 # flag -> (type, fallback, help).  Every command takes the _COMMON flags;
 # compare also takes --gap-tol.  Flags left unset parse to None and take
@@ -60,39 +68,17 @@ _FLAGS = {
 _COMMON = ("tol", "max_iter", "mc_samples", "seed", "trials", "out")
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(
-            f"environment variable {ENV_PREFIX + name}={raw!r} is not "
-            f"a valid {cast.__name__}")
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _jsonify(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonify(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+def _encode(obj):
+    """The JSON form of a dataclass, an array or a numpy scalar."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
 def _dump_report(obj) -> str:
-    return json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, default=_encode, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path, text):
@@ -100,10 +86,15 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv(header, rows):
+    """A writer of one CSV file, its numbers in 17 significant digits.
+
+    `rows` is read when the file is written, so a generator of rows costs
+    nothing unless --out is given.
+    """
+    return lambda path: _write_text(path, "\n".join(
+        [",".join(header),
+         *(",".join("%.17g" % x for x in row) for row in rows)]) + "\n")
 
 
 def _error_record(code, kind, message, **extra):
@@ -121,21 +112,52 @@ def _timing(label, start):
     sys.stderr.write(f"{label}: {time.perf_counter() - start:.3f}s\n")
 
 
-def _ensure_out_dir(out):
-    if out is None:
-        return None
-    os.makedirs(out, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise ModelValidationError([f"output path {out!r} is not writable"])
-    return out
+def _emit(args, report, name, files):
+    """Write the --out files in order, then the report as `name`; print it.
+
+    `files` are (file name, writer) pairs, a writer taking the file's path.
+    Every file is written before anything is printed, and the report's own
+    file last, so a failed write leaves its error record alone on stdout
+    and no report file behind.
+    """
+    text = _dump_report(report)
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        if not os.access(args.out, os.W_OK):
+            raise ModelValidationError(
+                [f"output path {args.out!r} is not writable"])
+        for file, write in files:
+            write(os.path.join(args.out, file))
+        _write_text(os.path.join(args.out, name), text)
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
-def _check_config(args):
-    # a flag whose fallback is positive must be positive
-    problems = [f"--{key.replace('_', '-')} must be positive, got "
-                f"{getattr(args, key)}"
-                for key in _COMMON
-                if (_FLAGS[key][1] or 0) > 0 and not getattr(args, key) > 0]
+def _configure(args):
+    """Give each unset flag MDPKIT_<FLAG> or its fallback, then check them.
+
+    A flag of every command (_COMMON) whose fallback is positive must be
+    positive.  Every problem raises, together, one ModelValidationError.
+    """
+    problems = []
+    for key, (cast, fallback, _) in _FLAGS.items():
+        if key not in vars(args):
+            continue
+        if key == "trials" and args.command == "figure1":
+            fallback = 20
+        if getattr(args, key) is None:
+            raw = os.environ.get(ENV_PREFIX + key.upper())
+            try:
+                setattr(args, key, fallback if raw is None else cast(raw))
+            except ValueError:
+                problems.append(f"environment variable {ENV_PREFIX}"
+                                f"{key.upper()}={raw!r} is not a valid "
+                                f"{cast.__name__}")
+                continue
+        value = getattr(args, key)
+        if key in _COMMON and (fallback or 0) > 0 and not value > 0:
+            problems.append(f"--{key.replace('_', '-')} must be positive, "
+                            f"got {value}")
     if problems:
         raise ModelValidationError(problems)
 
@@ -150,17 +172,6 @@ def _load(path, args):
     return load_instance(path, mc_samples=args.mc_samples, seed=args.seed)
 
 
-def _value_csv(value):
-    return (("state", "value"),
-            [(str(s), _fmt(v)) for s, v in enumerate(value)])
-
-
-def _policy_csv(policy):
-    rows = [(str(s), str(a), _fmt(policy[s, a]))
-            for s in range(policy.shape[0]) for a in range(policy.shape[1])]
-    return ("state", "action", "probability"), rows
-
-
 def _discrepancy_notes(instance, result):
     """Published-dual discrepancy reports for L1/L2 feasible sets, per state."""
     if not isinstance(instance, ConstrainedInstance):
@@ -169,17 +180,14 @@ def _discrepancy_notes(instance, result):
     notes = []
     for s, w in enumerate(q_vector(instance.model, result.value)):
         con = sets[s] if _per_state(sets) else sets
-        if not isinstance(con, (L1Ball, L2ChiSquareBall)):
-            continue
-        if isinstance(con, L1Ball):
-            rep = l1_dual_discrepancy(w, con.reference, con.radius)
-            kind = "l1"
-        else:
-            rep = l2_dual_discrepancy(w, con.reference, con.radius)
-            kind = "l2"
-        notes.append({"state": s, "kind": kind, "value": rep.value,
-                      "paper_dual_value": rep.paper_dual_value,
-                      "gap": rep.gap, "note": rep.note})
+        if isinstance(con, (L1Ball, L2ChiSquareBall)):
+            l1 = isinstance(con, L1Ball)
+            rep = (l1_dual_discrepancy if l1 else l2_dual_discrepancy)(
+                w, con.reference, con.radius)
+            notes.append({"state": s, "kind": "l1" if l1 else "l2",
+                          "value": rep.value,
+                          "paper_dual_value": rep.paper_dual_value,
+                          "gap": rep.gap, "note": rep.note})
     return notes
 
 
@@ -190,23 +198,18 @@ def cmd_solve(args):
     _timing("solve", start)
     report = {"command": "solve",
               "config": _config_echo(args),
-              "framework": instance_to_dict(instance)["framework"],
+              "framework": framework_to_dict(instance),
               "value": result.value,
               "policy": result.policy,
               "iterations": result.iterations,
               "residual": result.residual,
               "error_bound": result.error_bound,
               "discrepancy_notes": _discrepancy_notes(instance, result)}
-    text = _dump_report(report)
-    sys.stdout.write(text)
-    out = _ensure_out_dir(args.out)
-    if out:
-        _write_text(os.path.join(out, "report.json"), text)
-        header, rows = _value_csv(result.value)
-        _write_csv(os.path.join(out, "value.csv"), header, rows)
-        header, rows = _policy_csv(result.policy)
-        _write_csv(os.path.join(out, "policy.csv"), header, rows)
-    return EXIT_OK
+    rows = ((s, a, p) for s, row in enumerate(result.policy)
+            for a, p in enumerate(row))
+    return _emit(args, report, "report.json", [
+        ("value.csv", _csv(("state", "value"), enumerate(result.value))),
+        ("policy.csv", _csv(("state", "action", "probability"), rows))])
 
 
 def _parse_offset(raw):
@@ -245,17 +248,9 @@ def cmd_compare(args):
                "max_policy_gap": max(report.policy_gaps),
                "offset": report.offset,
                "witness": report.witness}
-    text = _dump_report(payload)
-    sys.stdout.write(text)
-    out = _ensure_out_dir(args.out)
-    if out:
-        _write_text(os.path.join(out, "report.json"), text)
-        rows = [(str(t), _fmt(v), _fmt(p))
-                for t, (v, p) in enumerate(zip(report.value_gaps,
-                                               report.policy_gaps))]
-        _write_csv(os.path.join(out, "trials.csv"),
-                   ("trial", "value_gap", "policy_gap"), rows)
-    return EXIT_OK
+    rows = zip(range(report.trials), report.value_gaps, report.policy_gaps)
+    return _emit(args, payload, "report.json", [
+        ("trials.csv", _csv(("trial", "value_gap", "policy_gap"), rows))])
 
 
 def cmd_figure1(args):
@@ -268,24 +263,15 @@ def cmd_figure1(args):
                "seed": report.seed,
                "all_expected": report.all_expected(),
                "edges": report.edges}
-    text = _dump_report(payload)
-    sys.stdout.write(text)
-    out = _ensure_out_dir(args.out)
-    if out:
-        _write_text(os.path.join(out, "edges.json"), text)
-        ts = np.linspace(0.05, 0.95, 19)
-        rows = [(_fmt(t), _fmt(uniform_counterexample_ratio(0.0, t)),
-                 _fmt(mc_counterexample_ratio(0.0, t,
-                                              samples=args.mc_samples,
-                                              seed=args.seed)))
-                for t in ts]
-        _write_csv(os.path.join(out, "prop2_ratio.csv"),
-                   ("t", "ratio_printed", "ratio_mc"), rows)
-        gaps, probs = interior_policy_sweep(eta=1.0, settings=50)
-        _write_csv(os.path.join(out, "theorem3_sweep.csv"),
-                   ("reward_gap", "first_action_probability"),
-                   [(_fmt(g), _fmt(p)) for g, p in zip(gaps, probs)])
-    return EXIT_OK
+    ratios = ((t, uniform_counterexample_ratio(0.0, t),
+               mc_counterexample_ratio(0.0, t, samples=args.mc_samples,
+                                       seed=args.seed))
+              for t in np.linspace(0.05, 0.95, 19))
+    sweep = zip(*interior_policy_sweep(eta=1.0, settings=50))
+    return _emit(args, payload, "edges.json", [
+        ("prop2_ratio.csv", _csv(("t", "ratio_printed", "ratio_mc"), ratios)),
+        ("theorem3_sweep.csv",
+         _csv(("reward_gap", "first_action_probability"), sweep))])
 
 
 def cmd_convert(args):
@@ -295,10 +281,8 @@ def cmd_convert(args):
     start = time.perf_counter()
     if args.direction == "r2ct":
         if not isinstance(instance, RegularizedInstance):
-            return _error_record(
-                EXIT_CONVERSION, "conversion-precondition",
-                "r2ct needs a regularized framework file, got "
-                + type(instance).__name__)
+            raise ConversionError("r2ct needs a regularized framework file, "
+                                  "got " + type(instance).__name__)
         conv = r_to_ct_convert(instance.model, instance.phi_per_state,
                                solve_tol=args.tol)
         converted = ConstrainedInstance(conv.ct_model, conv.constraints)
@@ -313,16 +297,13 @@ def cmd_convert(args):
         }
     else:
         if not isinstance(instance, ConstrainedInstance):
-            return _error_record(
-                EXIT_CONVERSION, "conversion-precondition",
-                "ct2r needs a constrained framework file, got "
-                + type(instance).__name__)
+            raise ConversionError("ct2r needs a constrained framework file, "
+                                  "got " + type(instance).__name__)
         try:
             conv = ct_to_r_convert(instance.model, instance.constraints,
                                    tol=args.tol)
         except ValueError as exc:
-            return _error_record(EXIT_CONVERSION, "conversion-precondition",
-                                 str(exc))
+            raise ConversionError(str(exc)) from exc
         converted = RegularizedInstance(instance.model, conv.regularizers)
         check = converted.solve(tol=args.tol, max_iter=args.max_iter)
         verification = {
@@ -335,16 +316,13 @@ def cmd_convert(args):
             "max_slackness": float(np.max(np.abs(conv.slackness))),
         }
     _timing("convert", start)
-    text = _dump_report({"command": "convert",
-                         "config": _config_echo(args),
-                         "verification": verification})
-    out = _ensure_out_dir(args.out)
-    if out:
-        # a converted model with no file form fails here, before any report
-        save_instance(converted, os.path.join(out, "converted.json"))
-        _write_text(os.path.join(out, "verification.json"), text)
-    sys.stdout.write(text)
-    return EXIT_OK
+    # a converted model with no file form fails before any report
+    return _emit(args, {"command": "convert",
+                        "config": _config_echo(args),
+                        "verification": verification},
+                 "verification.json",
+                 [("converted.json",
+                   lambda path: save_instance(converted, path))])
 
 
 def cmd_gen(args):
@@ -359,14 +337,6 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _fill_env_defaults(args):
-    for key, (cast, fallback, _) in _FLAGS.items():
-        if key in vars(args) and getattr(args, key) is None:
-            if key == "trials" and args.command == "figure1":
-                fallback = 20
-            setattr(args, key, _env_default(key.upper(), cast, fallback))
-
-
 def _add_flags(parser, keys=_COMMON):
     for key in keys:
         cast, _, text = _FLAGS[key]
@@ -374,9 +344,17 @@ def _add_flags(parser, keys=_COMMON):
                             help=text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ModelValidationError([message])
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdpkit",
         description="Tabular MDP solvers across regularized, noisy-reward, "
                     "robust, and feasible-set frameworks.")
@@ -420,25 +398,28 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _fill_env_defaults(args)
     try:
-        _check_config(args)
+        args = build_parser().parse_args(argv)
+        _configure(args)
         return args.func(args)
     except ModelValidationError as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return _error_record(EXIT_VALIDATION, "validation", str(exc),
-                             violations=list(getattr(exc, "violations", [])))
+                             violations=exc.violations)
     except StructureMismatchError as exc:
         sys.stderr.write(f"shape mismatch: {exc}\n")
         return _error_record(EXIT_SHAPE_MISMATCH, "shape-mismatch", str(exc))
+    except ConversionError as exc:
+        sys.stderr.write(f"conversion precondition failure: {exc}\n")
+        return _error_record(EXIT_CONVERSION, "conversion-precondition",
+                             str(exc))
     except ValueError as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return _error_record(EXIT_VALIDATION, "validation", str(exc))
     except ConvergenceError as exc:
         sys.stderr.write(f"did not converge: {exc}\n")
         return _error_record(EXIT_NON_CONVERGENCE, "non-convergence", str(exc),
-                             residual=getattr(exc, "residual", None))
+                             residual=exc.residual)
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return _error_record(EXIT_VALIDATION, "io", str(exc))

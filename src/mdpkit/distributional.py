@@ -192,8 +192,14 @@ class MarginalDistributionModel:
         rows = [list(row) for row in inverse_cdfs]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("inverse_cdfs must be a rectangular (S, A) table")
+        # a file's "mdm" block shares one object across the table: each
+        # distinct object is probed once, at the first entry that holds it
+        checked = set()
         for s, row in enumerate(rows):
             for a, cdf in enumerate(row):
+                if id(cdf) in checked:
+                    continue
+                checked.add(id(cdf))
                 try:
                     cdf.validate()
                 except ValueError as exc:

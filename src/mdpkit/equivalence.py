@@ -31,8 +31,7 @@ from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              ds_backup_operator, regularizer_for)
 from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
-from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate,
-                         _require_cache_fits, _state_map,
+from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate, _state_map,
                          build_uniform_counterexample,
                          mc_counterexample_ratio, refute_single_eta_fit,
                          smdp_backup_operator, uniform_counterexample_ratio)
@@ -126,8 +125,6 @@ class StochasticInstance(FrameworkInstance):
             bias = self.noise.location + eta * EULER_GAMMA
             return regularized_backup_operator(
                 OffsetRegularizer(EntropyRegularizer(eta), bias))
-        _require_cache_fits(self.model.num_states, self.model.num_actions,
-                           self.mc_samples)
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)
 
     # its own entry in the class namespace, which bench/spans.py wraps

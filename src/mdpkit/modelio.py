@@ -274,27 +274,28 @@ def instance_from_dict(data, mc_samples=100000, seed=0) -> FrameworkInstance:
     _fail(f"unknown framework name {name!r}")
 
 
-def instance_to_dict(instance) -> dict:
-    data = model_to_dict(instance.model)
+def framework_to_dict(instance) -> dict:
+    """The "framework" block of an instance's file form."""
     if isinstance(instance, StandardInstance):
-        data["framework"] = {"name": "standard"}
-    elif isinstance(instance, RegularizedInstance):
-        data["framework"] = {"name": "regularized", "regularizer": _each(
+        return {"name": "standard"}
+    if isinstance(instance, RegularizedInstance):
+        return {"name": "regularized", "regularizer": _each(
             regularizer_to_dict, instance.phi_per_state)}
-    elif isinstance(instance, StochasticInstance):
-        data["framework"] = {"name": "stochastic",
-                             "noise": noise_to_dict(instance.noise),
-                             "mc_samples": instance.mc_samples,
-                             "method": instance.method}
-    elif isinstance(instance, DistributionalInstance):
-        data["framework"] = {"name": "distributional",
-                             "ambiguity": ambiguity_to_dict(instance.ambiguity)}
-    elif isinstance(instance, ConstrainedInstance):
-        data["framework"] = {"name": "constrained", "constraint": _each(
+    if isinstance(instance, StochasticInstance):
+        return {"name": "stochastic", "noise": noise_to_dict(instance.noise),
+                "mc_samples": instance.mc_samples, "method": instance.method}
+    if isinstance(instance, DistributionalInstance):
+        return {"name": "distributional",
+                "ambiguity": ambiguity_to_dict(instance.ambiguity)}
+    if isinstance(instance, ConstrainedInstance):
+        return {"name": "constrained", "constraint": _each(
             constraint_to_dict, instance.constraints)}
-    else:
-        raise ValueError(f"{type(instance).__name__} has no file form")
-    return data
+    raise ValueError(f"{type(instance).__name__} has no file form")
+
+
+def instance_to_dict(instance) -> dict:
+    return {**model_to_dict(instance.model),
+            "framework": framework_to_dict(instance)}
 
 
 def load_instance(path, mc_samples=100000, seed=0) -> FrameworkInstance:

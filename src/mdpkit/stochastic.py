@@ -334,9 +334,9 @@ def smdp_backup_operator(noise, samples, seed):
     it.  While it backs up a state, a worker holds a float64 and a uint8
     array of `samples` entries and at most 256 KB of block buffers, all
     freed when it moves on.  The cache is `op.draws`, {state: columns},
-    for reuse after a solve.  `StochasticInstance` checks the size of the
-    whole cache and those buffers against physical memory
-    (`_require_cache_fits`) before the first draw.
+    for reuse after a solve.  A call that draws new states first checks
+    the cache it will hold after the call, and its workers' buffers,
+    against physical memory (`_require_cache_fits`).
     """
     cache = {}
 
@@ -350,6 +350,9 @@ def smdp_backup_operator(noise, samples, seed):
         jobs = [(state, index, state not in cache)
                 for state, index in rows_of.items()]
         fresh = [state for state, _, new in jobs if new]
+        if fresh:
+            _require_cache_fits(len(cache) + len(fresh), table.shape[1],
+                                samples, min(_cpus(), len(jobs)))
         cache.update(zip(fresh, np.empty((len(fresh), table.shape[1],
                                           samples))))
 
@@ -383,19 +386,17 @@ def _physical_memory_bytes():
         return None
 
 
-def _require_cache_fits(num_states, num_actions, samples):
+def _require_cache_fits(num_states, num_actions, samples, workers):
     """Raise ValueError if a common-random-number draw cache cannot fit.
 
-    The cache of `smdp_backup_operator` over a whole model holds
+    The cache of `smdp_backup_operator` over num_states states holds
     num_states * num_actions * samples float64 draws, and each of its
-    min(CPUs, num_states) workers a float64 and an index array of `samples`
-    entries (9 bytes per sample up to 256 actions) and 256 KB of block
-    buffers.  Checked against physical memory, before anything is drawn,
-    so that a solve too large for the machine fails at once instead of
-    swapping or being killed.
+    workers a float64 and an index array of `samples` entries (9 bytes per
+    sample up to 256 actions) and 256 KB of block buffers.  Checked against
+    physical memory, before anything is drawn, so that a solve too large
+    for the machine fails at once instead of swapping or being killed.
     """
     cache = num_states * num_actions * samples * 8
-    workers = min(_cpus(), num_states)
     index = np.min_scalar_type(num_actions - 1).itemsize
     need = cache + workers * ((8 + index) * samples + 2 ** 18)
     have = _physical_memory_bytes()

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdpkit import entropy_backup, q_vector, random_mdp
+import mdpkit.modelio as modelio
+from mdpkit import (entropy_backup, l2_constrained_backup, q_vector,
+                    random_mdp)
 from mdpkit.cli import main
 from mdpkit.modelio import load_instance, load_model, save_model
 from mdpkit.core import ConvergenceError, MdpModel
@@ -103,6 +105,23 @@ def test_solve_constrained_emits_discrepancy_notes(tmp_path, capsys):
         assert note["gap"] >= -1e-12
         assert note["note"]
         assert note["value"] >= note["paper_dual_value"] - 1e-12
+
+
+def test_solve_chi_square_ball_emits_l2_notes(tmp_path, capsys):
+    ref, radius = [0.3, 0.7], 0.4
+    fw = {"name": "constrained",
+          "constraint": {"kind": "l2_ball", "reference": ref,
+                         "radius": radius}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 0
+    report = json.loads(out)
+    w = q_vector(load_model(path), np.array(report["value"]))
+    notes = report["discrepancy_notes"]
+    assert [(n["state"], n["kind"]) for n in notes] == [(0, "l2"), (1, "l2")]
+    for s, note in enumerate(notes):
+        assert note["value"] == l2_constrained_backup(w[s], ref, radius).value
+        assert note["gap"] == note["value"] - note["paper_dual_value"]
 
 
 def test_solve_determinism(tmp_path, capsys):
@@ -535,6 +554,139 @@ def test_compare_budget_error_is_the_first_trial_of_x(tmp_path, capsys):
         indent=2, sort_keys=True) + "\n"
 
 
+def _one_error(out):
+    # json.loads refuses a second document after the first
+    return json.loads(out)["error"]
+
+
+def _command_argv(tmp_path, command):
+    fw = {"name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.7}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    return {"solve": ["solve", path],
+            "compare": ["compare", path, path, "--trials", "2"],
+            "figure1": ["figure1", "--trials", "2", "--mc-samples", "2000"],
+            "convert": ["convert", path, "--direction", "r2ct"]}[command]
+
+
+COMMANDS = ("solve", "compare", "figure1", "convert")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_at_an_existing_file_prints_one_error_record(tmp_path, capsys,
+                                                         command):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, _ = run_cli(capsys, *_command_argv(tmp_path, command),
+                           "--out", str(target))
+    assert code == 2
+    assert _one_error(out)["kind"] == "io"
+    assert target.read_text() == ""
+
+
+# the first file each command writes, and the report's own file
+FILES = {"solve": ("value.csv", "report.json"),
+         "compare": ("trials.csv", "report.json"),
+         "figure1": ("prop2_ratio.csv", "edges.json"),
+         "convert": ("converted.json", "verification.json")}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_failed_write_leaves_no_report_file(tmp_path, capsys, command):
+    first, report = FILES[command]
+    out_dir = tmp_path / "out"
+    (out_dir / first).mkdir(parents=True)
+    code, out, _ = run_cli(capsys, *_command_argv(tmp_path, command),
+                           "--out", str(out_dir))
+    assert code == 2
+    assert _one_error(out)["kind"] == "io"
+    assert sorted(p.name for p in out_dir.iterdir()) == [first]
+    # and with the directory free, the report's own file is there
+    (out_dir / first).rmdir()
+    code, out, _ = run_cli(capsys, *_command_argv(tmp_path, command),
+                           "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / report).read_text() == out
+
+
+@pytest.mark.parametrize("name, raw, kind", [
+    ("MDPKIT_TOL", "abc", "float"), ("MDPKIT_MAX_ITER", "1.5", "int"),
+    ("MDPKIT_SEED", "", "int")])
+def test_a_bad_environment_value_is_a_validation_error(tmp_path, capsys,
+                                                       monkeypatch, name,
+                                                       raw, kind):
+    path = write_json(tmp_path / "m.json", trivial_model_dict())
+    monkeypatch.setenv(name, raw)
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert record["violations"] == [
+        f"environment variable {name}={raw!r} is not a valid {kind}"]
+
+
+def test_every_config_problem_is_in_one_record(tmp_path, capsys,
+                                               monkeypatch):
+    path = write_json(tmp_path / "m.json", trivial_model_dict())
+    monkeypatch.setenv("MDPKIT_TRIALS", "x")
+    code, out, _ = run_cli(capsys, "solve", path, "--tol", "0",
+                           "--max-iter", "-1")
+    assert code == 2
+    assert _one_error(out)["violations"] == [
+        "--tol must be positive, got 0.0",
+        "--max-iter must be positive, got -1",
+        "environment variable MDPKIT_TRIALS='x' is not a valid int"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["--max-iter", "1.5"], "argument --max-iter: invalid int value: '1.5'"),
+    (["--bogus"], "unrecognized arguments: --bogus")],
+    ids=["tol", "max-iter", "unknown-flag"])
+def test_a_bad_flag_is_a_validation_error(tmp_path, capsys, argv, message):
+    path = write_json(tmp_path / "m.json", trivial_model_dict())
+    code, out, err = run_cli(capsys, "solve", path, *argv)
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert record["violations"] == [message]
+    assert err.startswith("usage: mdpkit")
+
+
+@pytest.mark.parametrize("argv", [[], ["solve"], ["compare", "m.json"],
+                                  ["convert", "m.json"], ["frobnicate"]],
+                         ids=["command", "model", "model_y", "direction",
+                              "unknown-command"])
+def test_a_missing_argument_is_a_validation_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert _one_error(out)["kind"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]],
+                         ids=["mdpkit", "solve"])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mdpkit")
+
+
+def test_solve_builds_no_model_dict(tmp_path, capsys, monkeypatch):
+    fw = {"name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.7}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    code, expected, _ = run_cli(capsys, "solve", path)
+    assert code == 0
+
+    def refuse(model):
+        raise AssertionError("solve turned the model into lists")
+
+    monkeypatch.setattr(modelio, "model_to_dict", refuse)
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 0
+    assert out == expected
+    assert json.loads(out)["framework"] == fw
+
+
 def test_missing_file_is_an_io_error(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", str(tmp_path / "nope.json"))
     assert code == 2
@@ -560,6 +712,25 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["value"] == [pytest.approx(2.0, abs=1e-9)]
     # timings go to stderr, never stdout
     assert "seconds" not in proc.stdout
+
+
+def test_cli_reports_tool_runs_every_cli_op(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "tools" / "cli_reports.py"),
+                           str(root), str(tmp_path), "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    exits = {p.stem: p.read_text() for p in tmp_path.glob("*.exit")}
+    assert len(exits) == 15
+    assert set(exits.values()) == {"0\n"}
+    for name in exits:
+        report = json.loads((tmp_path / f"{name}.stdout").read_text())
+        assert report["command"] == name.split("-")[0]
+        own = {"solve": "report.json", "compare": "report.json",
+               "figure1": "edges.json",
+               "convert": "verification.json"}[report["command"]]
+        assert (tmp_path / name / own).read_text() == \
+            (tmp_path / f"{name}.stdout").read_text()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -698,6 +698,32 @@ def test_marginal_model_validation():
     with pytest.raises(ValueError):
         MarginalDistributionModel([[ExponentialInverseCdf(1.0)],
                                    [ExponentialInverseCdf(1.0)] * 2])
+
+
+def test_marginal_model_validates_each_object_once(monkeypatch):
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+
+    monkeypatch.setattr(GumbelInverseCdf, "validate", counting)
+    cdf = GumbelInverseCdf(1.0)
+    MarginalDistributionModel([[cdf] * 4] * 6)
+    assert calls == [cdf]
+    calls.clear()
+    table = [[GumbelInverseCdf(1.0) for _ in range(4)] for _ in range(6)]
+    MarginalDistributionModel(table)
+    assert calls == [c for row in table for c in row]
+
+
+def test_a_shared_bad_marginal_is_named_at_its_first_entry():
+    class Bad(ExponentialInverseCdf):
+        def __call__(self, t):
+            return -super().__call__(t)
+
+    good, bad = ExponentialInverseCdf(1.0), Bad(1.0)
+    with pytest.raises(ValueError, match=r"^inverse CDF at \(s=1, a=0\)"):
+        MarginalDistributionModel([[good, good], [bad, good], [bad, bad]])
     with pytest.raises(ValueError):
         MarginalMomentModel(np.array([[0.3, -0.2]]))
     with pytest.raises(ValueError):

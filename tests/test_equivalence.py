@@ -9,6 +9,7 @@ from util import tracemalloc_peak
 
 from mdpkit import (
     ConstrainedInstance,
+    ConvergenceError,
     DistributionalInstance,
     EntropyRegularizer,
     ExponentialInverseCdf,
@@ -229,6 +230,28 @@ def test_compare_solves_its_newton_steps_in_bounded_chunks():
     rep, peak = tracemalloc_peak(check_equivalence, x, y, trials=10, seed=3)
     assert rep.verdict == "refuted"
     assert peak < 32 * 2**20
+
+
+def test_an_earlier_failure_of_y_wins_over_a_later_one_of_x():
+    # in two sweeps the standard side fails first at trial 2 (a Newton step
+    # settles trial 0) and the entropy side already at trial 0: trial by
+    # trial, y's trial 0 comes before x's trial 2
+    m = random_mdp(3, 2, seed=1)
+    x = StandardInstance(m)
+    y = RegularizedInstance(m, EntropyRegularizer(0.5))
+    rewards = _trial_rewards((3, 2), 1, 0)
+    errors = {}
+    for name, side, r in (("x", x, rewards[2]), ("y", y, rewards[0] - 0.5)):
+        with pytest.raises(ConvergenceError) as exc:
+            side.with_rewards(r).solve(max_iter=2)
+        errors[name] = exc.value
+    x.with_rewards(rewards[0]).solve(max_iter=2)
+    with pytest.raises(ConvergenceError) as exc:
+        check_equivalence(x, y, offset=0.5, trials=1, max_iter=2)
+    assert exc.value.trial == 0
+    assert str(exc.value) == str(errors["y"])
+    assert exc.value.residual == errors["y"].residual != errors["x"].residual
+    assert np.array_equal(exc.value.best.value, errors["y"].best.value)
 
 
 def test_mismatched_temperatures_are_refuted_with_witness():

@@ -377,6 +377,43 @@ def test_mc_draw_cache_is_checked_against_physical_memory_first(
     assert sorted(calls) == [0, 0, 1, 1, 2, 2]  # each state once per solve
 
 
+def test_a_directly_built_mc_operator_checks_its_cache_first(monkeypatch):
+    calls = []
+    fill = UniformPerEntry._fill
+
+    def counting(self, state, cols, rng):
+        calls.append(state)
+        return fill(self, state, cols, rng)
+
+    monkeypatch.setattr(UniformPerEntry, "_fill", counting)
+    monkeypatch.setattr(stochastic, "_cpus", lambda: 2)
+    model, noise = build_uniform_counterexample(0.0, 0.25)
+    samples = 1000
+    op = smdp_backup_operator(noise, samples=samples, seed=0)
+    table = np.zeros((3, 2))
+    # state 1 alone: a cache of one state and one worker's buffers
+    need = 2 * samples * 8 + 9 * samples + 2 ** 18
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        op(table[:1], [1], 0)
+    assert calls == [] and op.draws == {}
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need)
+    op(table[:1], [1], 0)
+    assert calls == [1]
+    # the whole model, two workers: the cache it would hold after the call
+    need = 3 * 2 * samples * 8 + 2 * (9 * samples + 2 ** 18)
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        op(table, [0, 1, 2], 0)
+    assert calls == [1] and list(op.draws) == [1]
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need)
+    op(table, [0, 1, 2], 0)
+    assert sorted(calls) == [0, 1, 2]
+    # nothing new to draw: no check
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: 0)
+    op(table, [0, 1, 2], 1)
+
+
 @pytest.mark.parametrize("noise", _tie_prone_noises(),
                          ids=["gumbel", "uniform", "gaussian"])
 def test_the_worker_count_changes_no_output(monkeypatch, noise):
