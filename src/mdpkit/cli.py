@@ -28,8 +28,6 @@ import time
 
 import numpy as np
 
-from .constrained import (L1Ball, L2ChiSquareBall, l1_dual_discrepancy,
-                          l2_dual_discrepancy)
 from .core import (ConvergenceError, ModelValidationError, _per_state,
                    q_vector, random_mdp)
 from .equivalence import (ConstrainedInstance, RegularizedInstance,
@@ -137,7 +135,8 @@ def _configure(args):
     """Give each unset flag MDPKIT_<FLAG> or its fallback, then check them.
 
     A flag of every command (_COMMON) whose fallback is positive must be
-    positive.  Every problem raises, together, one ModelValidationError.
+    positive, and --gap-tol finite and nonnegative.  Every problem raises,
+    together, one ModelValidationError.
     """
     problems = []
     for key, (cast, fallback, _) in _FLAGS.items():
@@ -154,10 +153,11 @@ def _configure(args):
                                 f"{key.upper()}={raw!r} is not a valid "
                                 f"{cast.__name__}")
                 continue
-        value = getattr(args, key)
-        if key in _COMMON and (fallback or 0) > 0 and not value > 0:
-            problems.append(f"--{key.replace('_', '-')} must be positive, "
-                            f"got {value}")
+        value, flag = getattr(args, key), "--" + key.replace("_", "-")
+        if key == "gap_tol" and not 0 <= value < np.inf:
+            problems.append(f"{flag} must be a finite number >= 0, got {value}")
+        elif key in _COMMON and (fallback or 0) > 0 and not value > 0:
+            problems.append(f"{flag} must be positive, got {value}")
     if problems:
         raise ModelValidationError(problems)
 
@@ -173,22 +173,14 @@ def _load(path, args):
 
 
 def _discrepancy_notes(instance, result):
-    """Published-dual discrepancy reports for L1/L2 feasible sets, per state."""
+    """Each state's published-dual note, where its feasible set has one."""
     if not isinstance(instance, ConstrainedInstance):
         return []
     sets = instance.constraints
-    notes = []
-    for s, w in enumerate(q_vector(instance.model, result.value)):
-        con = sets[s] if _per_state(sets) else sets
-        if isinstance(con, (L1Ball, L2ChiSquareBall)):
-            l1 = isinstance(con, L1Ball)
-            rep = (l1_dual_discrepancy if l1 else l2_dual_discrepancy)(
-                w, con.reference, con.radius)
-            notes.append({"state": s, "kind": "l1" if l1 else "l2",
-                          "value": rep.value,
-                          "paper_dual_value": rep.paper_dual_value,
-                          "gap": rep.gap, "note": rep.note})
-    return notes
+    q = q_vector(instance.model, result.value)
+    return [{"state": s, **con.dual_note(w)} for s, (con, w) in enumerate(
+        zip(sets if _per_state(sets) else [sets] * len(q), q))
+        if hasattr(con, "dual_note")]
 
 
 def cmd_solve(args):

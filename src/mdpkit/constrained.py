@@ -16,13 +16,20 @@ verbatim by `l1_dual_discrepancy` / `l2_dual_discrepancy` and reported next
 to the primal solutions; their orientation does not match a direct
 derivation, so no equality is asserted anywhere.
 
+Each feasible-set kind owns its operations, so no caller branches on the
+kind: `violation(p)` (l(p) - radius on the last axis, <= 0 inside) and
+`backup(w, tol)` on every kind; `penalty(lam)`, the regularizer
+-lam (l(p) - radius) of its Lagrangian, on the kinds that `ct_to_r_convert`
+accepts (KL, chi-square and phi balls, the full simplex); `dual_note(w)`,
+the published-dual report, on the L1 and chi-square balls.
+
 `grid_oracle_backup` brute-forces small instances on a barycentric grid and
 is the reference the analytic routines are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,36 +64,70 @@ def _l1_args(reference, radius):
 
 
 @dataclass
-class KlBall:
+class _Ball:
+    """{ p : l(p) <= radius } around a probability row `reference`.
+
+    Each kind's `_args` rule cleans and checks both fields.
+    """
+
+    reference: np.ndarray
+    radius: float
+    _args = staticmethod(_ball_args)
+
+    def __post_init__(self):
+        self.reference, self.radius = self._args(self.reference, self.radius)
+
+    @property
+    def interior(self):
+        """Whether the ball has a Slater point: radius > 0."""
+        return self.radius > 0
+
+
+class KlBall(_Ball):
     """{ p : KL(p || reference) <= radius }."""
 
-    reference: np.ndarray
-    radius: float
+    def violation(self, p):
+        return kl_divergence(p, self.reference) - self.radius
 
-    def __post_init__(self):
-        self.reference, self.radius = _ball_args(self.reference, self.radius)
+    def backup(self, w, tol):
+        return kl_constrained_backup(w, self.reference, self.radius, tol=tol)
+
+    def penalty(self, lam):
+        return OffsetRegularizer(KlRegularizer(lam, self.reference),
+                                 lam * self.radius)
 
 
-@dataclass
-class L1Ball:
+class L1Ball(_Ball):
     """{ p : sum |p - reference| <= radius }, radius in [0, 2]."""
 
-    reference: np.ndarray
-    radius: float
+    _args = staticmethod(_l1_args)
 
-    def __post_init__(self):
-        self.reference, self.radius = _l1_args(self.reference, self.radius)
+    def violation(self, p):
+        return _float_or_array(abs(p - self.reference).sum(-1) - self.radius)
+
+    def backup(self, w, tol):
+        return l1_constrained_backup(w, self.reference, self.radius)
+
+    def dual_note(self, w):
+        return {"kind": "l1", **asdict(
+            l1_dual_discrepancy(w, self.reference, self.radius))}
 
 
-@dataclass
-class L2ChiSquareBall:
+class L2ChiSquareBall(_Ball):
     """{ p : sum (p - ref)^2 / ref <= radius }."""
 
-    reference: np.ndarray
-    radius: float
+    def violation(self, p):
+        return chi_square(p, self.reference) - self.radius
 
-    def __post_init__(self):
-        self.reference, self.radius = _ball_args(self.reference, self.radius)
+    def backup(self, w, tol):
+        return l2_constrained_backup(w, self.reference, self.radius)
+
+    def penalty(self, lam):
+        return ChiSquareLagrangeRegularizer(lam, self.reference, self.radius)
+
+    def dual_note(self, w):
+        return {"kind": "l2", **asdict(
+            l2_dual_discrepancy(w, self.reference, self.radius))}
 
 
 @dataclass
@@ -98,10 +139,26 @@ class Singleton:
     def __post_init__(self):
         self.row = _simplex_row(self.row)
 
+    def violation(self, p):
+        return _float_or_array(np.max(np.abs(p - self.row), axis=-1))
+
+    def backup(self, w, tol):
+        return CtBackupResult(value=float(self.row @ w), policy=self.row)
+
 
 @dataclass
 class FullSimplex:
     """No constraint beyond the simplex itself."""
+
+    def violation(self, p):
+        return _float_or_array(np.zeros(np.shape(p)[:-1]))
+
+    def backup(self, w, tol):
+        val, row = standard_backup(w)
+        return CtBackupResult(value=val, policy=row)
+
+    def penalty(self, lam):
+        return ZeroRegularizer()
 
 
 @dataclass
@@ -109,14 +166,28 @@ class PhiBall:
     """{ p : -phi(p) <= radius } for a concave regularizer phi.
 
     The radius may be negative (a superlevel set of phi); the set is convex
-    and is how regularizer level sets round-trip through conversion.
+    and is how regularizer level sets round-trip through conversion.  The
+    grid oracle admits points within 1e-10 of it, for phi's rounding.
     """
 
     phi: Regularizer
     radius: float
+    grid_tol = 1e-10
 
     def __post_init__(self):
         self.radius = _param(self.radius, "radius")
+
+    def violation(self, p):
+        value = self.phi.value if np.ndim(p) == 1 else self.phi.values
+        return -value(p) - self.radius
+
+    def backup(self, w, tol):
+        return generic_phi_ball_backup(w, self.phi, self.radius,
+                                       tol=max(tol, 1e-12))
+
+    def penalty(self, lam):
+        return OffsetRegularizer(ScaledRegularizer(self.phi, lam),
+                                 lam * self.radius)
 
 
 def chi_square(p, reference):
@@ -132,23 +203,7 @@ def constraint_violation(constraint, p):
 
     Acts on the last axis: a row gives a float, an (n, A) array n values.
     """
-    p = np.asarray(p, dtype=float)
-    if isinstance(constraint, KlBall):
-        return kl_divergence(p, constraint.reference) - constraint.radius
-    if isinstance(constraint, L1Ball):
-        return _float_or_array(np.abs(p - constraint.reference).sum(axis=-1)) \
-            - constraint.radius
-    if isinstance(constraint, L2ChiSquareBall):
-        return chi_square(p, constraint.reference) - constraint.radius
-    if isinstance(constraint, Singleton):
-        return _float_or_array(np.max(np.abs(p - constraint.row), axis=-1))
-    if isinstance(constraint, FullSimplex):
-        return _float_or_array(np.zeros(p.shape[:-1]))
-    if isinstance(constraint, PhiBall):
-        phi = constraint.phi
-        return -(phi.value(p) if p.ndim == 1 else phi.values(p)) \
-            - constraint.radius
-    raise TypeError(f"unknown constraint {type(constraint).__name__}")
+    return constraint.violation(np.asarray(p, dtype=float))
 
 
 @dataclass
@@ -409,7 +464,7 @@ def grid_oracle_backup(w, constraint, resolution=None):
         pts = np.column_stack([p0, p1, 1.0 - p0 - p1])
     else:
         raise ValueError("grid oracle supports at most 3 actions")
-    tol = 1e-10 if isinstance(constraint, PhiBall) else 1e-12
+    tol = getattr(constraint, "grid_tol", 1e-12)
     cands = pts[constraint_violation(constraint, pts) <= tol]
     extra = getattr(constraint, "reference", None)
     if extra is not None:
@@ -431,26 +486,8 @@ def generic_phi_ball_backup(w, phi, radius, tol=1e-10) -> CtBackupResult:
 
 
 def constrained_backup(w, constraint, tol=1e-12) -> CtBackupResult:
-    """Dispatch one backup on any supported constraint kind."""
-    if isinstance(constraint, FullSimplex):
-        val, row = standard_backup(w)
-        return CtBackupResult(value=val, policy=row)
-    if isinstance(constraint, Singleton):
-        w = np.asarray(w, dtype=float)
-        return CtBackupResult(value=float(w @ constraint.row),
-                              policy=constraint.row)
-    if isinstance(constraint, KlBall):
-        return kl_constrained_backup(w, constraint.reference,
-                                     constraint.radius, tol=tol)
-    if isinstance(constraint, L1Ball):
-        return l1_constrained_backup(w, constraint.reference, constraint.radius)
-    if isinstance(constraint, L2ChiSquareBall):
-        return l2_constrained_backup(w, constraint.reference,
-                                     constraint.radius)
-    if isinstance(constraint, PhiBall):
-        return generic_phi_ball_backup(w, constraint.phi, constraint.radius,
-                                       tol=max(tol, 1e-12))
-    raise TypeError(f"unknown constraint {type(constraint).__name__}")
+    """One backup over any feasible-set kind: the kind's own `backup`."""
+    return constraint.backup(w, tol)
 
 
 def ct_backup_operator(constraints, tol=1e-12):
@@ -458,8 +495,7 @@ def ct_backup_operator(constraints, tol=1e-12):
     each = _per_state(constraints)
 
     def backup(w, state):
-        c = constraints[state] if each else constraints
-        res = constrained_backup(w, c, tol=tol)
+        res = (constraints[state] if each else constraints).backup(w, tol)
         return res.value, res.policy
 
     return rowwise_operator(backup)
@@ -566,19 +602,20 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
 
     Solves the constrained model, then per state reads the Lagrange
     multiplier of the single smooth constraint at the optimal action values
-    and forms phi_s(p) = -lam_s * (l_s(p) - c_s).  Requires a Slater point
-    (radius > 0) for ball constraints; L1 balls (non-smooth) and singletons
-    (no interior) are rejected.
+    and forms the set's `penalty`, phi_s(p) = -lam_s * (l_s(p) - c_s).
+    Requires a Slater point (radius > 0) for ball constraints; a set with no
+    penalty, an L1 ball (non-smooth) or a singleton (no interior), is
+    rejected.
     """
     S = model.num_states
     sets = constraints if _per_state(constraints, S, "constraint") \
         else [constraints] * S
     for s, con in enumerate(sets):
-        if isinstance(con, (L1Ball, Singleton)):
+        if not hasattr(con, "penalty"):
             raise ValueError(
                 f"state {s}: conversion needs a single smooth constraint "
                 f"with interior, not {type(con).__name__}")
-        if isinstance(con, (KlBall, L2ChiSquareBall)) and con.radius <= 0:
+        if not getattr(con, "interior", True):
             raise ValueError(f"state {s}: radius 0 admits no Slater point")
     sol = value_iteration(model, ct_backup_operator(sets), tol=tol)
     multipliers, slack, regs = np.zeros(S), np.zeros(S), []
@@ -586,17 +623,7 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
         # tol 1e-14 certifies the KL multiplier; phi balls floor it at 1e-12
         lam = constrained_backup(w, con, tol=1e-14).multiplier
         multipliers[s] = lam = float(lam or 0.0)
-        if lam == 0.0:
-            reg = ZeroRegularizer()
-        elif isinstance(con, KlBall):
-            reg = OffsetRegularizer(KlRegularizer(lam, con.reference),
-                                    lam * con.radius)
-        elif isinstance(con, L2ChiSquareBall):
-            reg = ChiSquareLagrangeRegularizer(lam, con.reference, con.radius)
-        else:
-            reg = OffsetRegularizer(ScaledRegularizer(con.phi, lam),
-                                    lam * con.radius)
-        regs.append(reg)
+        regs.append(con.penalty(lam) if lam else ZeroRegularizer())
         slack[s] = abs(lam * constraint_violation(con, sol.policy[s]))
     return LagrangeConversion(multipliers=multipliers, regularizers=regs,
                               ct_value=sol.value, ct_policy=sol.policy,

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constrained import Singleton, ct_backup_operator
-from .core import (ConvergenceError, SolveResult, _param, _per_state,
-                   derive_rng, q_vector, standard_backup_operator,
-                   value_iteration)
+from .core import (ConvergenceError, ModelValidationError, SolveResult,
+                   _param, _per_state, derive_rng, q_vector,
+                   standard_backup_operator, value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
                              ds_backup_operator, regularizer_for)
@@ -56,6 +56,17 @@ class FrameworkInstance:
         twin.model = replace(m, reward=np.broadcast_to(
             np.asarray(reward, dtype=float), (m.num_states, m.num_actions)))
         return twin
+
+    def _fits(self, what, table):
+        """ModelValidationError unless a per-state table is the model's (S, A).
+
+        A table with `num_states` None (a law without one) fits any model.
+        """
+        have = (table.num_states, table.num_actions)
+        want = (self.model.num_states, self.model.num_actions)
+        if have[0] is not None and have != want:
+            raise ModelValidationError(
+                [f"{what} table is (S, A) = {have}, the model is {want}"])
 
     def operator(self):
         raise NotImplementedError
@@ -101,9 +112,11 @@ class StochasticInstance(FrameworkInstance):
 
     def __init__(self, model, noise, mc_samples=100000, seed=0, method="auto"):
         super().__init__(model)
-        if not (isinstance(mc_samples, (int, np.integer)) and mc_samples > 0):
+        if not (isinstance(mc_samples, (int, np.integer)) and mc_samples > 0
+                and not isinstance(mc_samples, bool)):
             raise ValueError("mc_samples must be a positive integer, got "
                              f"{mc_samples}")
+        self._fits("noise", noise)
         self.noise = noise
         self.mc_samples = int(mc_samples)
         self.seed = int(seed)
@@ -151,6 +164,7 @@ class StochasticInstance(FrameworkInstance):
 class DistributionalInstance(FrameworkInstance):
     def __init__(self, model, ambiguity):
         super().__init__(model)
+        self._fits("ambiguity", ambiguity)
         self.ambiguity = ambiguity
 
     def operator(self):

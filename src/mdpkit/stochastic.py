@@ -36,7 +36,12 @@ class NoiseModel:
     Here it copies `sample`'s return into the block.  The built-in laws
     draw straight into it, and their `sample` is `_fill` into a fresh
     block, returned as its `.T` view.
+
+    A law with a per-state table sets `num_states` and `num_actions` to the
+    table's (S, A); one with none leaves `num_states` None.
     """
+
+    num_states = num_actions = None
 
     def sample(self, state, n, rng) -> np.ndarray:
         raise NotImplementedError
@@ -103,6 +108,7 @@ class UniformPerEntry(NoiseModel):
                 and np.all(bounds[..., 0] <= bounds[..., 1])):
             raise ValueError("bounds must be finite with lower <= upper")
         self.bounds = bounds
+        self.num_states, self.num_actions = bounds.shape[:2]
 
     def sample(self, state, n, rng):
         return _drawn(self, state, self.bounds.shape[1], n, rng).T
@@ -162,6 +168,7 @@ class GaussianJoint(NoiseModel):
         self.cov = np.asarray(cov, dtype=float)
         vals, vecs = _require_psd(self.cov)
         self.factor = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+        self.num_states, self.num_actions = self.cov.shape[:2]
 
     def sample(self, state, n, rng):
         return _drawn(self, state, self.factor.shape[1], n, rng).T
@@ -247,9 +254,14 @@ def _shares(first, num_actions):
 
 
 def _emax_estimate(w, cols) -> EmaxEstimate:
-    """E[max_a (w_a + eps_a)] and its standard error over (A, n) draw columns."""
-    m, _ = _column_emax(w, cols)
+    """E[max_a (w_a + eps_a)] and its standard error over (A, n) draw columns.
+
+    A standard error needs n >= 2 draws: ValueError below that.
+    """
     n = cols.shape[1]
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+    m, _ = _column_emax(w, cols)
     mean = m.mean()
     # m.std(ddof=1), bit for bit, without its n-entry temporary
     m -= mean

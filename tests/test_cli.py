@@ -745,3 +745,90 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
     for path in (src / "mdpkit").glob("*.py"):
         assert "scipy" not in path.read_text(), path.name
+
+
+# ------------------------------------------------ model-fit and flag checks
+
+def _model_file(tmp_path, name, states, actions, framework=None):
+    data = modelio.model_to_dict(random_mdp(states, actions, seed=3))
+    if framework:
+        data["framework"] = framework
+    return write_json(tmp_path / name, data)
+
+
+@pytest.mark.parametrize("samples", [1, True])
+def test_a_monte_carlo_standard_error_needs_two_samples(tmp_path, capsys,
+                                                        samples):
+    # one draw has no standard error: its NaN compared False with every
+    # breach test, so a pair whose values differ by 1.5 read "consistent"
+    bounds = np.tile([-1.0, 1.0], (4, 3, 1)).tolist()
+    mc = _model_file(tmp_path, "mc.json", 4, 3, {
+        "name": "stochastic", "noise": {"kind": "uniform", "bounds": bounds},
+        "mc_samples": samples})
+    std = _model_file(tmp_path, "std.json", 4, 3)
+    code, out, _ = run_cli(capsys, "compare", mc, std, "--trials", "5")
+    assert code == 2
+    assert _one_error(out)["kind"] == "validation"
+
+
+def _tables(states, actions):
+    eye = np.tile(np.eye(actions), (states, 1, 1)).tolist()
+    return {
+        "mmm": ("distributional", "ambiguity",
+                {"kind": "mmm", "sigma": np.full((states, actions),
+                                                 0.5).tolist()}),
+        "covariance": ("distributional", "ambiguity",
+                       {"kind": "covariance", "matrices": eye}),
+        "uniform": ("stochastic", "noise",
+                    {"kind": "uniform",
+                     "bounds": np.tile([-1.0, 1.0],
+                                       (states, actions, 1)).tolist()}),
+        "gaussian": ("stochastic", "noise", {"kind": "gaussian", "cov": eye}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["mmm", "covariance", "uniform", "gaussian"])
+@pytest.mark.parametrize("states, actions", [(3, 4), (7, 4), (5, 3)])
+def test_a_per_state_table_must_fit_the_model(tmp_path, capsys, kind, states,
+                                              actions):
+    # a 5x4 model: a short table raised IndexError mid-solve (exit 1, no
+    # record), a long one solved on its first 5 rows
+    name, key, block = _tables(states, actions)[kind]
+    path = _model_file(tmp_path, "m.json", 5, 4, {"name": name, key: block})
+    code, out, _ = run_cli(capsys, "solve", path, "--mc-samples", "1000")
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert f"{(states, actions)}" in record["message"]
+    assert "(5, 4)" in record["message"]
+
+
+def test_the_gap_tol_message_names_the_flag(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", chooser_model_dict())
+    code, out, _ = run_cli(capsys, "compare", path, path, "--gap-tol", "-1")
+    assert code == 2
+    record = _one_error(out)
+    assert record["violations"] == [
+        "--gap-tol must be a finite number >= 0, got -1.0"]
+    code, out, _ = run_cli(capsys, "compare", path, path, "--gap-tol", "0",
+                           "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["tol"] == 0.0
+
+
+def test_a_files_mc_samples_wins_over_the_flag(tmp_path, capsys):
+    fw = {"name": "stochastic", "mc_samples": 500,
+          "noise": {"kind": "uniform", "bounds": [[[0.0, 1.0], [0.0, 1.0]],
+                                                  [[0.0, 1.0], [0.0, 1.0]]]}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    code, out, _ = run_cli(capsys, "solve", path, "--mc-samples", "700")
+    assert code == 0
+    report = json.loads(out)
+    assert report["framework"]["mc_samples"] == 500
+    assert report["config"]["mc_samples"] == 700
+    # a file written without the key still holds the count it was loaded at
+    del fw["mc_samples"]
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    saved = tmp_path / "saved.json"
+    modelio.save_instance(load_instance(path, mc_samples=700), saved)
+    assert json.loads(saved.read_text())["framework"]["mc_samples"] == 700

@@ -42,6 +42,7 @@ from mdpkit import (
     standard_backup,
     value_iteration,
 )
+import mdpkit.modelio as modelio
 from mdpkit.constrained import kl_divergence, chi_square
 from util import central_fd
 
@@ -800,6 +801,61 @@ def test_ct_to_r_multipliers_are_the_per_kind_backups():
     ]
     assert conv.multipliers.tolist() == expected
     assert np.all(conv.multipliers[:3] > 0)
+
+
+class _EntropyWithoutConjugate(EntropyRegularizer):
+    """A user phi: the entropy, with no closed-form conjugate."""
+
+    batched = False
+
+    def conjugate(self, w):
+        return None
+
+
+def test_ct_to_r_phi_ball_whose_phi_has_no_conjugate():
+    # the multiplier search and the penalty's regularized solve both reach
+    # the Scaled/Offset conjugates' fall-through to `numeric_conjugate`; one
+    # state, as each of its backups runs mirror ascent at every probe
+    m = random_mdp(1, 2, seed=33, discount=0.5)
+    con = PhiBall(_EntropyWithoutConjugate(1.0), -0.5)
+    conv = ct_to_r_convert(m, con, tol=1e-12)
+    assert np.all(conv.multipliers > 0)
+    back = value_iteration(m, regularized_backup_operator(conv.regularizers),
+                           tol=1e-12)
+    assert np.max(np.abs(back.value - conv.ct_value)) < 1e-6
+    assert np.max(np.abs(back.policy - conv.ct_policy)) < 1e-4
+    assert np.max(conv.slackness) < 1e-6
+
+
+_KIND_BLOCKS = {
+    "kl_ball": {"reference": [0.5, 0.5], "radius": 0.1},
+    "l1_ball": {"reference": [0.5, 0.5], "radius": 0.4},
+    "l2_ball": {"reference": [0.5, 0.5], "radius": 0.1},
+    "singleton": {"row": [0.25, 0.75]},
+    "full": {},
+    "phi_ball": {"phi": {"kind": "entropy", "eta": 0.5}, "radius": -0.2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_BLOCKS))
+def test_every_file_kind_owns_its_violation_backup_and_penalty(kind):
+    assert set(_KIND_BLOCKS) == set(modelio._CONSTRAINTS)
+    con = modelio.constraint_from_dict({"kind": kind, **_KIND_BLOCKS[kind]})
+    w = np.array([1.0, -0.5])
+    res = con.backup(w, 1e-12)
+    assert res.value == pytest.approx(float(w @ res.policy), abs=1e-12)
+    assert con.violation(res.policy) <= 1e-9
+    assert con.violation(np.array([res.policy] * 2)).shape == (2,)
+    assert hasattr(con, "dual_note") == (kind in ("l1_ball", "l2_ball"))
+    m = random_mdp(2, 2, seed=34, discount=0.8)
+    if hasattr(con, "penalty"):
+        ct_to_r_convert(m, con)
+    else:
+        assert kind in ("l1_ball", "singleton")
+        with pytest.raises(ValueError, match="conversion needs a single "
+                           f"smooth constraint with interior, not "
+                           f"{type(con).__name__}"):
+            ct_to_r_convert(m, con)
 
 
 def test_ct_to_r_wide_ball_recovers_zero_regularizer():

@@ -1,6 +1,8 @@
 """Ambiguity-set backups: marginal-CDF, marginal-moment, and covariance
 families, each checked against an independent route."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ from mdpkit import (
     ConvergenceError,
     CovarianceModel,
     CovarianceRegularizer,
+    DistributionalInstance,
     EntropyRegularizer,
     ExponentialInverseCdf,
     GumbelInverseCdf,
@@ -16,6 +19,7 @@ from mdpkit import (
     MarginalMomentModel,
     MdmRegularizer,
     MmmRegularizer,
+    ModelValidationError,
     TabulatedInverseCdf,
     UniformInverseCdf,
     ds_backup,
@@ -728,3 +732,13 @@ def test_a_shared_bad_marginal_is_named_at_its_first_entry():
         MarginalMomentModel(np.array([[0.3, -0.2]]))
     with pytest.raises(ValueError):
         CovarianceModel(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+
+
+def test_an_ambiguity_table_must_fit_the_model():
+    model = random_mdp(3, 2, seed=0)
+    for ambiguity in (MarginalMomentModel(np.ones((3, 4))),
+                      CovarianceModel(np.tile(np.eye(2), (5, 1, 1)))):
+        shape = (ambiguity.num_states, ambiguity.num_actions)
+        with pytest.raises(ModelValidationError, match=re.escape(
+                f"ambiguity table is (S, A) = {shape}, the model is (3, 2)")):
+            DistributionalInstance(model, ambiguity)

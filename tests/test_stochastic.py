@@ -17,6 +17,7 @@ import mdpkit.stochastic as stochastic
 from mdpkit import (
     GaussianJoint,
     GumbelIid,
+    ModelValidationError,
     StochasticInstance,
     UniformPerEntry,
     build_uniform_counterexample,
@@ -598,3 +599,28 @@ def test_mc_ratio_reproducible_and_positive():
     b = mc_counterexample_ratio(0.0, 0.4, samples=50000, seed=3)
     assert a == b
     assert a > 0
+
+
+def test_a_standard_error_needs_two_samples():
+    # with one draw the n - 1 divisor is 0 and the error NaN, which no
+    # breach test of an equivalence check ever trips
+    noise = UniformPerEntry(np.tile([-1.0, 1.0], (1, 2, 1)))
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        mc_emax(np.zeros(2), noise, samples=1, seed=0)
+    assert mc_emax(np.zeros(2), noise, samples=2, seed=0).samples == 2
+    model = random_mdp(1, 2, seed=0)
+    with pytest.raises(ValueError, match="mc_samples must be a positive"):
+        StochasticInstance(model, noise, mc_samples=True)
+
+
+def test_a_noise_table_must_fit_the_model():
+    model = random_mdp(3, 2, seed=0)
+    eye = np.tile(np.eye(2), (4, 1, 1))
+    for noise in (UniformPerEntry(np.tile([-1.0, 1.0], (4, 2, 1))),
+                  GaussianJoint(eye)):
+        with pytest.raises(ModelValidationError, match=r"noise table is "
+                           r"\(S, A\) = \(4, 2\), the model is \(3, 2\)"):
+            StochasticInstance(model, noise)
+    # a law without a per-state table fits any model
+    assert GumbelIid(1.0, num_actions=5).num_states is None
+    StochasticInstance(model, GumbelIid(1.0, num_actions=5))
