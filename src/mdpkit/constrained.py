@@ -21,7 +21,9 @@ kind: `violation(p)` (l(p) - radius on the last axis, <= 0 inside) and
 `backup(w, tol)` on every kind; `penalty(lam)`, the regularizer
 -lam (l(p) - radius) of its Lagrangian, on the kinds that `ct_to_r_convert`
 accepts (KL, chi-square and phi balls, the full simplex); `dual_note(w)`,
-the published-dual report, on the L1 and chi-square balls.
+the published-dual report, on the L1 and chi-square balls.  Each kind's
+`num_actions` is the length of the row it holds (reference or row; a
+scalar counts as one), its phi's for a phi ball, None for the full simplex.
 
 `grid_oracle_backup` brute-forces small instances on a barycentric grid and
 is the reference the analytic routines are tested against.
@@ -76,6 +78,7 @@ class _Ball:
 
     def __post_init__(self):
         self.reference, self.radius = self._args(self.reference, self.radius)
+        self.num_actions = np.size(self.reference)
 
     @property
     def interior(self):
@@ -138,6 +141,7 @@ class Singleton:
 
     def __post_init__(self):
         self.row = _simplex_row(self.row)
+        self.num_actions = np.size(self.row)
 
     def violation(self, p):
         return _float_or_array(np.max(np.abs(p - self.row), axis=-1))
@@ -149,6 +153,8 @@ class Singleton:
 @dataclass
 class FullSimplex:
     """No constraint beyond the simplex itself."""
+
+    num_actions = None
 
     def violation(self, p):
         return _float_or_array(np.zeros(np.shape(p)[:-1]))
@@ -176,6 +182,7 @@ class PhiBall:
 
     def __post_init__(self):
         self.radius = _param(self.radius, "radius")
+        self.num_actions = self.phi.num_actions
 
     def violation(self, p):
         value = self.phi.value if np.ndim(p) == 1 else self.phi.values
@@ -507,6 +514,7 @@ class ChiSquareLagrangeRegularizer(Regularizer):
     def __init__(self, lam, reference, radius):
         self.lam = _param(lam, "multiplier", 0.0, strict=True)
         self.reference = _clean_reference(reference)
+        self.num_actions = np.size(self.reference)
         self.radius = _param(radius, "radius")
 
     def value(self, p):

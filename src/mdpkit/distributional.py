@@ -14,8 +14,12 @@ the smoothed-Bellman machinery solves them:
 The first two are separable: one scalar root of their stationarity
 condition solves the backup.  The covariance backup is a Newton ascent.
 
-`ds_lower_bound_check` draws from one member distribution of the set and
-verifies the Monte Carlo expected max stays below the robust value.
+Each ambiguity set owns `regularizer(state)`, its equivalent regularizer
+at a state, and `_fill(state, cols, rng)`, the draw of one member
+distribution of the set through the noise laws' draw method
+(`stochastic.NoiseModel._fill`).  `ds_lower_bound_check` estimates the
+member's expected max with `stochastic.mc_emax` and verifies it stays
+below the robust value.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EPS, _falsi, _param, derive_rng, standard_backup
+from .core import _EPS, _falsi, _param, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator, solve_conjugate)
-from .stochastic import (EULER_GAMMA, GaussianJoint, _emax_estimate,
-                         _require_psd)
+from .stochastic import EULER_GAMMA, GaussianJoint, _require_psd, mc_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
@@ -208,6 +211,15 @@ class MarginalDistributionModel:
         self.num_states = len(rows)
         self.num_actions = len(rows[0])
 
+    def regularizer(self, state):
+        return MdmRegularizer(self.inverse_cdfs[state])
+
+    def _fill(self, state, cols, rng):
+        # the member: independent inverse-CDF draws, one per action
+        rng.random(out=cols)
+        for cdf, col in zip(self.inverse_cdfs[state], cols, strict=True):
+            col[...] = cdf.draw(col)
+
 
 def _sigma(sigma):
     """sigma as an array, or ValueError unless finite and nonnegative."""
@@ -227,6 +239,15 @@ class MarginalMomentModel:
         self.sigma = sigma
         self.num_states, self.num_actions = sigma.shape
 
+    def regularizer(self, state):
+        return MmmRegularizer(self.sigma[state])
+
+    def _fill(self, state, cols, rng):
+        # the member: independent +-sigma two-point noise
+        sigma = self.sigma[state][:, None]
+        rng.random(out=cols)
+        cols[...] = np.where(cols < 0.5, -sigma, sigma)
+
 
 class CovarianceModel:
     """Mean-zero noise with a fixed per-state covariance matrix."""
@@ -237,6 +258,13 @@ class CovarianceModel:
         self.gaussian = GaussianJoint(matrices)
         self.matrices = self.gaussian.cov
         self.num_states, self.num_actions = self.matrices.shape[:2]
+
+    def regularizer(self, state):
+        return CovarianceRegularizer(self.matrices[state])
+
+    def _fill(self, state, cols, rng):
+        # the member: the joint Gaussian
+        self.gaussian._fill(state, cols, rng)
 
 
 def _stationary_root(w, phi, cdf, quantile) -> ConjugateResult:
@@ -282,6 +310,7 @@ class MdmRegularizer(Regularizer):
 
     def __init__(self, cdf_row):
         self.cdfs = list(cdf_row)
+        self.num_actions = len(self.cdfs)
 
     def value(self, p):
         p = np.asarray(p, dtype=float)
@@ -317,6 +346,7 @@ class MmmRegularizer(Regularizer):
 
     def __init__(self, sigma_row):
         self.sigma = _sigma(sigma_row)
+        self.num_actions = np.size(self.sigma)
 
     def value(self, p):
         return float(self.values(np.asarray(p, dtype=float)))
@@ -367,7 +397,7 @@ class CovarianceRegularizer(Regularizer):
         self.cov = cov
         # per k: the other actions, and the symmetric square root of the
         # covariance of their differences eps_a - eps_k
-        n = cov.shape[0]
+        self.num_actions = n = cov.shape[0]
         self._rest, self._diff_root = [], []
         for k in range(n):
             rest = np.flatnonzero(np.arange(n) != k)
@@ -469,13 +499,7 @@ class CovarianceRegularizer(Regularizer):
 
 def regularizer_for(ambiguity, state) -> Regularizer:
     """The concave regularizer equivalent to `ambiguity` at `state`."""
-    if isinstance(ambiguity, MarginalDistributionModel):
-        return MdmRegularizer(ambiguity.inverse_cdfs[state])
-    if isinstance(ambiguity, MarginalMomentModel):
-        return MmmRegularizer(ambiguity.sigma[state])
-    if isinstance(ambiguity, CovarianceModel):
-        return CovarianceRegularizer(ambiguity.matrices[state])
-    raise TypeError(f"unknown ambiguity model {type(ambiguity).__name__}")
+    return ambiguity.regularizer(state)
 
 
 def ds_backup(w, ambiguity, state=0, tol=1e-12) -> ConjugateResult:
@@ -501,35 +525,16 @@ class LowerBoundCheck:
     ok: bool
 
 
-def _member_draws(ambiguity, state, n, rng):
-    """n draws of the lower-bound member, as (A, n) contiguous columns."""
-    if isinstance(ambiguity, MarginalDistributionModel):
-        row = ambiguity.inverse_cdfs[state]
-        cols = rng.random((len(row), n))
-        for a, c in enumerate(row):
-            cols[a] = c.draw(cols[a])
-        return cols
-    if isinstance(ambiguity, MarginalMomentModel):
-        sigma = ambiguity.sigma[state]
-        signs = rng.random((sigma.shape[0], n)) < 0.5
-        return np.where(signs, -sigma[:, None], sigma[:, None])
-    if isinstance(ambiguity, CovarianceModel):
-        return ambiguity.gaussian.sample(state, n, rng).T
-    raise TypeError(f"unknown ambiguity model {type(ambiguity).__name__}")
-
-
 def ds_lower_bound_check(w, ambiguity, seed, state=0,
                          samples=1000000) -> LowerBoundCheck:
     """Sanity check: E[max] under one member distribution <= robust value.
 
     The member is independent inverse-CDF sampling (marginal-CDF family),
     independent +/- sigma two-point noise (marginal-moment family), or the
-    joint Gaussian (covariance family).  `ok` allows 3 standard errors of
-    Monte Carlo slack.
+    joint Gaussian (covariance family), each drawn by the set's `_fill`.
+    `ok` allows 3 standard errors of Monte Carlo slack.
     """
-    w = np.asarray(w, dtype=float)
-    rng = derive_rng(seed, state)
-    est = _emax_estimate(w, _member_draws(ambiguity, state, samples, rng))
+    est = mc_emax(w, ambiguity, samples, seed, state)
     ds = ds_backup(w, ambiguity, state=state).value
     return LowerBoundCheck(mc_value=est.mean, mc_std_error=est.std_error,
                            ds_value=ds,

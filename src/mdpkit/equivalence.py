@@ -31,8 +31,7 @@ from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              ds_backup_operator, regularizer_for)
 from .regularized import (EntropyRegularizer, OffsetRegularizer,
                           numeric_conjugate, regularized_backup_operator)
-from .stochastic import (EULER_GAMMA, GumbelIid, _emax_estimate, _state_map,
-                         build_uniform_counterexample,
+from .stochastic import (GumbelIid, build_uniform_counterexample,
                          mc_counterexample_ratio, refute_single_eta_fit,
                          smdp_backup_operator, uniform_counterexample_ratio)
 
@@ -68,6 +67,22 @@ class FrameworkInstance:
             raise ModelValidationError(
                 [f"{what} table is (S, A) = {have}, the model is {want}"])
 
+    def _rows_fit(self, what, objs):
+        """ModelValidationError unless each object's row has the model's A
+        entries (`num_actions`; None fits any A).
+
+        `objs` is one object for every state, or one per state (`_per_state`
+        checks the count).
+        """
+        each = _per_state(objs, self.model.num_states, what)
+        want = self.model.num_actions
+        for s, obj in enumerate(objs if each else [objs]):
+            if obj.num_actions not in (None, want):
+                at = f" at state {s}" if each else ""
+                raise ModelValidationError(
+                    [f"{what} {type(obj).__name__}{at} has "
+                     f"{obj.num_actions} actions, the model has {want}"])
+
     def operator(self):
         raise NotImplementedError
 
@@ -82,10 +97,24 @@ class FrameworkInstance:
     def _solve_rewards(self, rewards, tol, max_iter):
         """[(SolveResult, MC std error)] for an (N, S, A) stack of reward
         tables on this kernel: one stacked `value_iteration` with one
-        operator, each entry equal to `with_rewards(r).solve_with_error`."""
-        results = value_iteration(self.model, self.operator(), tol=tol,
-                                  max_iter=max_iter, rewards=rewards)
-        return [(r, 0.0) for r in results]
+        operator, each entry equal to `with_rewards(r).solve_with_error`.
+
+        The error is 0 unless the operator has `std_errors` (the Monte
+        Carlo one, over the draws of the solve, so each state is drawn
+        once for the whole stack): then it is the worst state's standard
+        error at the solved values, over 1 - discount.
+        """
+        m, op = self.model, self.operator()
+        results = value_iteration(m, op, tol=tol, max_iter=max_iter,
+                                  rewards=rewards)
+        if not hasattr(op, "std_errors"):
+            return [(r, 0.0) for r in results]
+        q = q_vector(m, np.array([r.value for r in results]), reward=rewards)
+        states = np.tile(np.arange(m.num_states), len(results))
+        errors = op.std_errors(q.reshape(len(states), -1), states)
+        worst = errors.reshape(len(results), -1).max(axis=1)
+        return [(r, float(e) / (1.0 - m.discount))
+                for r, e in zip(results, worst)]
 
 
 class StandardInstance(FrameworkInstance):
@@ -96,7 +125,7 @@ class StandardInstance(FrameworkInstance):
 class RegularizedInstance(FrameworkInstance):
     def __init__(self, model, phi_per_state):
         super().__init__(model)
-        _per_state(phi_per_state, model.num_states, "regularizer")
+        self._rows_fit("regularizer", phi_per_state)
         self.phi_per_state = phi_per_state
 
     def operator(self):
@@ -104,10 +133,11 @@ class RegularizedInstance(FrameworkInstance):
 
 
 class StochasticInstance(FrameworkInstance):
-    """Noisy-reward instance; Gumbel noise solves in closed form by default.
+    """Noisy-reward instance; a noise law with a regularizer (i.i.d.
+    Gumbel) solves in closed form by default.
 
-    method: "auto" (closed form for Gumbel noise, Monte Carlo otherwise),
-    "closed_form", or "mc".
+    method: "auto" (closed form when the noise law has a regularizer,
+    Monte Carlo otherwise), "closed_form", or "mc".
     """
 
     def __init__(self, model, noise, mc_samples=100000, seed=0, method="auto"):
@@ -116,13 +146,16 @@ class StochasticInstance(FrameworkInstance):
                 and not isinstance(mc_samples, bool)):
             raise ValueError("mc_samples must be a positive integer, got "
                              f"{mc_samples}")
+        if method not in ("auto", "closed_form", "mc"):
+            raise ValueError("method must be 'auto', 'closed_form' or 'mc', "
+                             f"got {method!r}")
         self._fits("noise", noise)
         self.noise = noise
         self.mc_samples = int(mc_samples)
         self.seed = int(seed)
         if method == "auto":
-            method = "closed_form" if isinstance(noise, GumbelIid) else "mc"
-        if method == "closed_form" and not isinstance(noise, GumbelIid):
+            method = "mc" if noise.regularizer is None else "closed_form"
+        if method == "closed_form" and noise.regularizer is None:
             raise ValueError("closed form requires i.i.d. Gumbel noise")
         self.method = method
 
@@ -132,33 +165,11 @@ class StochasticInstance(FrameworkInstance):
 
     def operator(self):
         if self.method == "closed_form":
-            # E[max] is the soft backup plus the location's offset from the
-            # mean-zero convention
-            eta = self.noise.eta
-            bias = self.noise.location + eta * EULER_GAMMA
-            return regularized_backup_operator(
-                OffsetRegularizer(EntropyRegularizer(eta), bias))
+            return regularized_backup_operator(self.noise.regularizer())
         return smdp_backup_operator(self.noise, self.mc_samples, self.seed)
 
     # its own entry in the class namespace, which bench/spans.py wraps
     solve_with_error = FrameworkInstance.solve_with_error
-
-    def _solve_rewards(self, rewards, tol, max_iter):
-        if not self.monte_carlo:
-            return super()._solve_rewards(rewards, tol, max_iter)
-        # one operator, so each state is drawn once for the whole stack
-        op = self.operator()
-        results = value_iteration(self.model, op, tol=tol, max_iter=max_iter,
-                                  rewards=rewards)
-        S, A = self.model.num_states, self.model.num_actions
-        q = q_vector(self.model, np.array([r.value for r in results]),
-                     reward=rewards)
-        errors = _state_map(
-            lambda s, w: _emax_estimate(w, op.draws[s]).std_error,
-            zip(np.tile(np.arange(S), len(results)), q.reshape(-1, A)))
-        worst = np.reshape(errors, (len(results), S)).max(axis=1)
-        return [(r, float(e) / (1.0 - self.model.discount))
-                for r, e in zip(results, worst)]
 
 
 class DistributionalInstance(FrameworkInstance):
@@ -174,7 +185,7 @@ class DistributionalInstance(FrameworkInstance):
 class ConstrainedInstance(FrameworkInstance):
     def __init__(self, model, constraints):
         super().__init__(model)
-        _per_state(constraints, model.num_states, "constraint")
+        self._rows_fit("constraint", constraints)
         self.constraints = constraints
 
     def operator(self):
@@ -235,11 +246,10 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
             "compared instances must share transitions and discount")
     shape = (mx.num_states, mx.num_actions)
     offset = np.broadcast_to(np.asarray(offset, dtype=float), shape)
-    mc_backed = bool(getattr(x, "monte_carlo", False)
-                     or getattr(y, "monte_carlo", False))
+    mc_backed = x.monte_carlo or y.monte_carlo
     policy_noise = 0.0
     for side in (x, y):
-        if getattr(side, "monte_carlo", False):
+        if side.monte_carlo:
             policy_noise += 4.0 / np.sqrt(side.mc_samples)
     rewards = np.array(_trial_rewards(shape, trials, seed))
     try:

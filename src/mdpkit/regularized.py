@@ -77,9 +77,13 @@ class Regularizer:
     to `numeric_conjugate`.  `values` evaluates many rows at once.
     `batched` is true where `conjugate` also takes an (n, A) table, acting on
     its last axis; the backup operator then makes one call per sweep.
+    `num_actions` is the number of entries of the per-action row it holds
+    (a reference, sigma or covariance; a scalar counts as one), None where
+    it holds none and fits any action count.
     """
 
     batched = False
+    num_actions = None
 
     def value(self, p) -> float:
         raise NotImplementedError
@@ -123,6 +127,7 @@ class KlRegularizer(Regularizer):
     def __init__(self, eta, reference):
         self.eta = _param(eta, "eta", 0.0, strict=True)
         self.reference = _clean_reference(reference)
+        self.num_actions = np.size(self.reference)
 
     def value(self, p):
         return -self.eta * kl_divergence(p, self.reference)
@@ -141,6 +146,7 @@ class ScaledRegularizer(Regularizer):
     def __init__(self, base, scale):
         self.base = base
         self.scale = _param(scale, "scale", 0.0, strict=True)
+        self.num_actions = base.num_actions
 
     @property
     def batched(self):
@@ -165,6 +171,7 @@ class OffsetRegularizer(Regularizer):
     def __init__(self, base, offset):
         self.base = base
         self.offset = _param(offset, "offset")
+        self.num_actions = base.num_actions
 
     @property
     def batched(self):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MdpModel, _param, derive_rng
-from .regularized import entropy_backup
+from .regularized import EntropyRegularizer, OffsetRegularizer, entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -39,9 +39,14 @@ class NoiseModel:
 
     A law with a per-state table sets `num_states` and `num_actions` to the
     table's (S, A); one with none leaves `num_states` None.
+
+    A law whose expected max has a closed form defines `regularizer()`,
+    the regularizer whose backup is that expected max; the others leave
+    `regularizer` None and are backed up by Monte Carlo.
     """
 
     num_states = num_actions = None
+    regularizer = None
 
     def sample(self, state, n, rng) -> np.ndarray:
         raise NotImplementedError
@@ -78,11 +83,19 @@ class GumbelIid(NoiseModel):
     def mean_zero(cls, eta, num_actions=None):
         return cls(eta, location=-eta * EULER_GAMMA, num_actions=num_actions)
 
-    def sample(self, state, n, rng, num_actions=None):
-        a = self.num_actions if num_actions is None else num_actions
-        if a is None:
+    def regularizer(self):
+        """Entropy at eta plus the noise mean, location + eta * euler_gamma.
+
+        Its backup is E[max]: the soft backup is the expected max under
+        mean-zero noise, and the mean shifts every action alike.
+        """
+        return OffsetRegularizer(EntropyRegularizer(self.eta),
+                                 self.location + self.eta * EULER_GAMMA)
+
+    def sample(self, state, n, rng):
+        if self.num_actions is None:
             raise ValueError("num_actions unknown; construct with num_actions=")
-        return _drawn(self, state, a, n, rng).T
+        return _drawn(self, state, self.num_actions, n, rng).T
 
     def _fill(self, state, cols, rng):
         # location - eta * ln E is Gumbel(location, eta) for E ~ Exp(1)
@@ -271,7 +284,11 @@ def _emax_estimate(w, cols) -> EmaxEstimate:
 
 
 def mc_emax(w, noise, samples, seed, state=0) -> EmaxEstimate:
-    """Monte Carlo estimate of E[max_a (w_a + eps_a)] with its standard error."""
+    """Monte Carlo estimate of E[max_a (w_a + eps_a)] with its standard error.
+
+    `noise` is anything that draws through `_fill`: a noise law, or an
+    ambiguity set of `distributional`, which draws its lower-bound member.
+    """
     w = np.asarray(w, dtype=float)
     cols = _drawn(noise, state, len(w), samples, derive_rng(seed, state))
     return _emax_estimate(w, cols)
@@ -346,9 +363,12 @@ def smdp_backup_operator(noise, samples, seed):
     it.  While it backs up a state, a worker holds a float64 and a uint8
     array of `samples` entries and at most 256 KB of block buffers, all
     freed when it moves on.  The cache is `op.draws`, {state: columns},
-    for reuse after a solve.  A call that draws new states first checks
-    the cache it will hold after the call, and its workers' buffers,
-    against physical memory (`_require_cache_fits`).
+    for reuse after a solve: `op.std_errors(table, states)` gives the
+    standard error of each row's sample-average max over its state's
+    cached draws (`_emax_estimate`), on the same threads.  A call that
+    draws new states first checks the cache it will hold after the call,
+    and its workers' buffers, against physical memory
+    (`_require_cache_fits`).
     """
     cache = {}
 
@@ -386,7 +406,12 @@ def smdp_backup_operator(noise, samples, seed):
             raise
         return values, rows
 
+    def std_errors(table, states):
+        return np.array(_state_map(lambda state, w: _emax_estimate(
+            w, cache[state]).std_error, zip(states, table)))
+
     op.draws = cache
+    op.std_errors = std_errors
     return op
 
 

@@ -721,8 +721,9 @@ def test_cli_reports_tool_runs_every_cli_op(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     exits = {p.stem: p.read_text() for p in tmp_path.glob("*.exit")}
-    assert len(exits) == 15
+    assert len(exits) == 17
     assert set(exits.values()) == {"0\n"}
+    assert {"solve-mc-uniform", "compare-mc-uniform-mmm"} <= set(exits)
     for name in exits:
         report = json.loads((tmp_path / f"{name}.stdout").read_text())
         assert report["command"] == name.split("-")[0]
@@ -801,6 +802,92 @@ def test_a_per_state_table_must_fit_the_model(tmp_path, capsys, kind, states,
     assert record["kind"] == "validation"
     assert f"{(states, actions)}" in record["message"]
     assert "(5, 4)" in record["message"]
+
+
+def _row_block(kind, n):
+    """(framework name, key, block) whose per-action row has n entries."""
+    row = np.full(n, 1.0 / n).tolist()
+    regularizers = {
+        "kl": {"kind": "kl", "eta": 0.5, "reference": row},
+        "mmm": {"kind": "mmm", "sigma": [0.5] * n},
+        "covariance": {"kind": "covariance", "cov": np.eye(n).tolist()},
+        "chi_square_lagrange": {"kind": "chi_square_lagrange",
+                                "multiplier": 1.0, "reference": row,
+                                "radius": 0.1},
+    }
+    if kind in regularizers:
+        return "regularized", "regularizer", regularizers[kind]
+    if kind == "phi_ball":
+        return "constrained", "constraint", {
+            "kind": "phi_ball", "phi": regularizers["mmm"], "radius": -0.1}
+    if kind == "singleton":
+        return "constrained", "constraint", {"kind": "singleton", "row": row}
+    return "constrained", "constraint", {"kind": kind, "reference": row,
+                                         "radius": 0.1}
+
+
+_WRONG_ROWS = [("covariance", 2), ("chi_square_lagrange", 1),
+               ("chi_square_lagrange", 2), ("kl_ball", 2), ("kl_ball", 4),
+               ("l2_ball", 2), ("l2_ball", 4), ("kl", 2), ("kl", 4),
+               ("mmm", 2), ("l1_ball", 2), ("l1_ball", 4), ("singleton", 2),
+               ("singleton", 4), ("phi_ball", 2), ("kl", 1), ("mmm", 1),
+               ("phi_ball", 1)]
+
+
+@pytest.mark.parametrize("kind, n", _WRONG_ROWS)
+def test_a_row_must_fit_the_models_action_count(tmp_path, capsys, kind, n):
+    # a 4x3 model: a short row raised IndexError mid-solve (exit 1, no
+    # record) or numpy's broadcast message, and a length-1 row broadcast
+    # over every action
+    name, key, block = _row_block(kind, n)
+    path = _model_file(tmp_path, "m.json", 4, 3, {"name": name, key: block})
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert record["violations"][0].endswith(
+        f" has {n} actions, the model has 3")
+
+
+@pytest.mark.parametrize("kind", sorted({kind for kind, _ in _WRONG_ROWS}))
+def test_rows_of_the_models_action_count_solve(tmp_path, capsys, kind):
+    name, key, block = _row_block(kind, 3)
+    path = _model_file(tmp_path, "m.json", 4, 3,
+                       {"name": name, key: [block] * 4})
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 0, out
+    assert json.loads(out)["command"] == "solve"
+
+
+def test_a_short_row_names_its_state(tmp_path, capsys):
+    blocks = [_row_block("l1_ball", 3)[2]] * 4
+    blocks[2] = _row_block("l1_ball", 2)[2]
+    path = _model_file(tmp_path, "m.json", 4, 3,
+                       {"name": "constrained", "constraint": blocks})
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    assert _one_error(out)["violations"] == [
+        "constraint L1Ball at state 2 has 2 actions, the model has 3"]
+
+
+@pytest.mark.parametrize("method", ["bogus", 3, None])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_an_unknown_method_is_a_validation_error(tmp_path, capsys, method,
+                                                 command):
+    # it solved by Monte Carlo without being flagged so: a compare then
+    # read "refuted", which no Monte Carlo side may conclude
+    bounds = np.tile([-1.0, 1.0], (4, 3, 1)).tolist()
+    mc = _model_file(tmp_path, "mc.json", 4, 3, {
+        "name": "stochastic", "noise": {"kind": "uniform", "bounds": bounds},
+        "method": method})
+    std = _model_file(tmp_path, "std.json", 4, 3)
+    argv = {"solve": [mc], "compare": [mc, std, "--trials", "2"]}[command]
+    code, out, _ = run_cli(capsys, command, *argv, "--mc-samples", "1000")
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert record["message"] == ("method must be 'auto', 'closed_form' or "
+                                 f"'mc', got {method!r}")
 
 
 def test_the_gap_tol_message_names_the_flag(tmp_path, capsys):

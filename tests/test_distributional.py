@@ -32,8 +32,9 @@ from mdpkit import (
     regularizer_for,
     value_iteration,
 )
+from mdpkit import stochastic
 from mdpkit.core import derive_rng, standard_backup
-from mdpkit.distributional import InverseCdf, _e1, _member_draws
+from mdpkit.distributional import InverseCdf, _e1
 from util import central_fd, random_interior, tangential_fd
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -681,7 +682,7 @@ def test_lower_bound_check_is_the_row_major_expected_max(ambiguity):
     # noise tie too
     w = np.array([0.2, 0.2, -0.1])
     check = ds_lower_bound_check(w, ambiguity, seed=5, samples=20000)
-    eps = _member_draws(ambiguity, 0, 20000, derive_rng(5, 0)).T
+    eps = stochastic._drawn(ambiguity, 0, 3, 20000, derive_rng(5, 0)).T
     m = (w + eps).max(axis=1)
     assert check.mc_value == float(m.mean())
     assert check.mc_std_error == float(m.std(ddof=1) / np.sqrt(20000))

@@ -36,6 +36,7 @@ from mdpkit import (
     value_iteration,
 )
 from mdpkit.equivalence import _trial_rewards
+from mdpkit.stochastic import NoiseModel
 
 
 def base_model(seed=40):
@@ -97,6 +98,23 @@ def test_entropy_vs_gumbel_closed_form_is_bit_exact():
     assert max(rep.value_gaps) == 0.0
     assert max(rep.policy_gaps) == 0.0
     assert rep.trials == 11
+
+
+def test_a_noise_law_with_a_regularizer_solves_in_closed_form():
+    # the instance asks the law for its regularizer, not for its class
+    class SoftNoise(NoiseModel):
+        def regularizer(self):
+            return EntropyRegularizer(0.5)
+
+    m = base_model()
+    inst = StochasticInstance(m, SoftNoise())
+    assert inst.method == "closed_form" and not inst.monte_carlo
+    a = inst.solve()
+    b = RegularizedInstance(m, EntropyRegularizer(0.5)).solve()
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(a.policy, b.policy)
+    with pytest.raises(ValueError, match="closed form requires"):
+        StochasticInstance(m, NoiseModel(), method="closed_form")
 
 
 def test_closed_form_gumbel_is_ev_backup_plus_its_bias_bit_for_bit():
