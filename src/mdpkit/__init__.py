@@ -38,8 +38,8 @@ from .equivalence import (ConstrainedInstance, DistributionalInstance,
                           StandardInstance, StochasticInstance,
                           StructureMismatchError, check_equivalence,
                           counterexample_suite, interior_policy_sweep)
-from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
-                          OffsetRegularizer, Regularizer, ScaledRegularizer,
+from .regularized import (AffineRegularizer, ConjugateResult,
+                          EntropyRegularizer, KlRegularizer, Regularizer,
                           bregman_divergence, entropy_backup, kl_backup,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (EvBackup, GaussianJoint, GumbelIid, UniformPerEntry,

@@ -186,7 +186,8 @@ def _discrepancy_notes(instance, result):
 def cmd_solve(args):
     instance = _load(args.model, args)
     start = time.perf_counter()
-    result = instance.solve(tol=args.tol, max_iter=args.max_iter)
+    result, error = instance.solve_with_error(tol=args.tol,
+                                              max_iter=args.max_iter)
     _timing("solve", start)
     report = {"command": "solve",
               "config": _config_echo(args),
@@ -197,6 +198,8 @@ def cmd_solve(args):
               "residual": result.residual,
               "error_bound": result.error_bound,
               "discrepancy_notes": _discrepancy_notes(instance, result)}
+    if instance.monte_carlo:
+        report["mc_std_error"] = error
     rows = ((s, a, p) for s, row in enumerate(result.policy)
             for a, p in enumerate(row))
     return _emit(args, report, "report.json", [

@@ -6,10 +6,10 @@ by value, found in one pass over prefix sums), singletons, the full simplex,
 and regularizer level sets {p : -phi(p) <= radius} ("phi balls", used by the
 regularized-to-constrained conversion).  The KL ball is the level set of
 phi = -KL(.||ref), so KL and phi balls share one multiplier search: the
-backup at multiplier lam is the regularized backup with lam*phi, and lam is
-found by `core._falsi`, the safeguarded regula falsi that also solves the
-stationarity root of the separable ambiguity sets, until the duality gap
-is certified.
+backup at multiplier lam is the conjugate of lam*phi (an
+`AffineRegularizer`), and lam is found by `core._falsi`, the safeguarded
+regula falsi that also solves the stationarity root of the separable
+ambiguity sets, until the duality gap is certified.
 
 The published dual expressions for the L1 and L2 balls are evaluated
 verbatim by `l1_dual_discrepancy` / `l2_dual_discrepancy` and reported next
@@ -36,21 +36,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (_EPS, MdpModel, _falsi, _float_or_array, _param,
-                   _per_state, q_vector, rowwise_operator, standard_backup,
-                   value_iteration)
-from .regularized import (ConjugateResult, EntropyRegularizer, KlRegularizer,
-                          OffsetRegularizer, Regularizer, ScaledRegularizer,
+                   _per_state, _row, q_vector, rowwise_operator,
+                   standard_backup, value_iteration)
+from .regularized import (AffineRegularizer, ConjugateResult,
+                          EntropyRegularizer, KlRegularizer, Regularizer,
                           _clean_reference, kl_divergence,
-                          regularized_backup_operator, solve_conjugate)
+                          regularized_backup_operator)
 
 
-def _simplex_row(row):
+def _simplex_row(row, name):
     """row clipped at 0 and renormalized, if a finite probability row."""
-    row = np.asarray(row, dtype=float)
+    row = _row(row, name)
     # entries >= -1e-10 summing to 1 within 1e-10: NaN fails both tests, and
     # an infinite entry the sum's
     if not (row.min() >= -1e-10 and abs(row.sum() - 1.0) <= 1e-10):
-        raise ValueError("row is not a probability vector")
+        raise ValueError(f"{name} is not a probability vector")
     row = np.clip(row, 0.0, None)
     return row / row.sum()
 
@@ -62,7 +62,8 @@ def _ball_args(reference, radius):
 
 def _l1_args(reference, radius):
     """The reference and radius of an L1 ball: a probability row, [0, 2]."""
-    return _simplex_row(reference), _param(radius, "radius", 0.0, 2.0)
+    return (_simplex_row(reference, "reference"),
+            _param(radius, "radius", 0.0, 2.0))
 
 
 @dataclass
@@ -96,8 +97,8 @@ class KlBall(_Ball):
         return kl_constrained_backup(w, self.reference, self.radius, tol=tol)
 
     def penalty(self, lam):
-        return OffsetRegularizer(KlRegularizer(lam, self.reference),
-                                 lam * self.radius)
+        return AffineRegularizer(KlRegularizer(lam, self.reference),
+                                 offset=lam * self.radius)
 
 
 class L1Ball(_Ball):
@@ -140,7 +141,7 @@ class Singleton:
     row: np.ndarray
 
     def __post_init__(self):
-        self.row = _simplex_row(self.row)
+        self.row = _simplex_row(self.row, "row")
         self.num_actions = np.size(self.row)
 
     def violation(self, p):
@@ -193,8 +194,7 @@ class PhiBall:
                                        tol=max(tol, 1e-12))
 
     def penalty(self, lam):
-        return OffsetRegularizer(ScaledRegularizer(self.phi, lam),
-                                 lam * self.radius)
+        return AffineRegularizer(self.phi, lam, lam * self.radius)
 
 
 def chi_square(p, reference):
@@ -241,7 +241,7 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
     def probe(lam):
         nonlocal evals
         evals += 1
-        res = solve_conjugate(w, ScaledRegularizer(phi, lam))
+        res = AffineRegularizer(phi, lam).conjugate(w)
         h = -phi.value(res.argmax) - radius
         return (0.0 if abs(h) <= flat else h), res
 
@@ -346,7 +346,7 @@ def l1_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
     term vanishes, so it evaluates to w.ref; the greedy primal exceeds it
     whenever the budget buys anything.
     """
-    ref = _simplex_row(reference)
+    ref = _simplex_row(reference, "reference")
     w = np.asarray(w, dtype=float)
     primal = l1_constrained_backup(w, ref, radius).value
     mu = w.max() - w
@@ -367,7 +367,7 @@ def l2_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
     raised to c and Q = sum ref_a w_a^2 over the rest; the least value over
     these feasible candidates, v = w and v = max(w, 0) is the exact minimum.
     """
-    ref = _simplex_row(reference)
+    ref = _simplex_row(reference, "reference")
     w = np.asarray(w, dtype=float)
     primal = l2_constrained_backup(w, ref, radius).value
     rho = max(radius, 0.0)
@@ -486,7 +486,7 @@ def grid_oracle_backup(w, constraint, resolution=None):
 def generic_phi_ball_backup(w, phi, radius, tol=1e-10) -> CtBackupResult:
     """max w.p subject to -phi(p) <= radius, for any concave phi.
 
-    `_multiplier_search` over the conjugates of lam*phi (`solve_conjugate`);
+    `_multiplier_search` over the conjugates of lam*phi;
     ValueError when phi never exceeds -radius (no Slater point).
     """
     return _multiplier_search(w, phi, radius, tol)

@@ -253,6 +253,16 @@ def _param(x, name, low=-math.inf, high=math.inf, strict=False):
     raise ValueError(f"{name} must be a finite number{where}, got {x}")
 
 
+def _row(x, name):
+    """x as a float array of per-action entries: one row, or a scalar as
+    one entry; ValueError naming the field for more than one axis."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"{name} must be one row of per-action entries, "
+                         f"got shape {x.shape}")
+    return x
+
+
 def _per_state(x, num_states=None, what=None):
     """Whether x holds one entry per state: a list, tuple or array does.
 

@@ -12,7 +12,9 @@ the smoothed-Bellman machinery solves them:
   S^(1/2) (Diag(p) - p p^T) S^(1/2)).
 
 The first two are separable: one scalar root of their stationarity
-condition solves the backup.  The covariance backup is a Newton ascent.
+condition solves the backup.  The covariance backup is a Newton ascent;
+where it cannot run, the inherited `Regularizer.conjugate` (mirror ascent)
+answers, so every `conjugate` returns a backup.
 
 Each ambiguity set owns `regularizer(state)`, its equivalent regularizer
 at a state, and `_fill(state, cols, rng)`, the draw of one member
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EPS, _falsi, _param, standard_backup
+from .core import _EPS, _falsi, _param, _row, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
-                          regularized_backup_operator, solve_conjugate)
+                          regularized_backup_operator)
 from .stochastic import EULER_GAMMA, GaussianJoint, _require_psd, mc_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
@@ -68,7 +70,7 @@ class InverseCdf:
     block of the marginal-CDF regularizer.  `draw(u)` maps uniforms to
     samples (inverse-transform sampling).  `cdf(x)`, the forward CDF
     P(X <= x) on arrays, is optional: without it on every action the
-    robust backup falls back to the numeric conjugate.
+    robust backup is the inherited mirror ascent (`Regularizer.conjugate`).
     """
 
     def __call__(self, t):
@@ -329,7 +331,7 @@ class MdmRegularizer(Regularizer):
                 res = entropy_backup(w, eta)
                 return ConjugateResult(value=res.value + eta, argmax=res.argmax)
         if any(getattr(c, "cdf", None) is None for c in self.cdfs):
-            return None
+            return super().conjugate(w)
         return _stationary_root(
             np.asarray(w, dtype=float), self,
             lambda x: np.array([c.cdf(v) for c, v in zip(self.cdfs, x)]),
@@ -345,7 +347,7 @@ class MmmRegularizer(Regularizer):
     """
 
     def __init__(self, sigma_row):
-        self.sigma = _sigma(sigma_row)
+        self.sigma = _sigma(_row(sigma_row, "sigma"))
         self.num_actions = np.size(self.sigma)
 
     def value(self, p):
@@ -451,8 +453,8 @@ class CovarianceRegularizer(Regularizer):
         backtracked to Armijo ascent stop when the predicted ascent is at
         rounding level, after about ten steps at any data (mirror ascent
         takes 14 to 450).  The accepted trial's decomposition charts the
-        next step.  None, so `numeric_conjugate` runs, if X has a zero
-        eigenvalue or Newton stalls.
+        next step.  If X has a zero eigenvalue or Newton stalls, the
+        inherited mirror ascent (`Regularizer.conjugate`) answers.
         """
         w = np.asarray(w, dtype=float)
         n = w.shape[0]
@@ -463,7 +465,7 @@ class CovarianceRegularizer(Regularizer):
         for _ in range(100):
             k, r, lam, vecs = spec
             if np.count_nonzero(lam) < n - 1:
-                return None
+                break
             s, c, b = self._inverse_root(k, lam, vecs)
             rest = self._rest[k]
             grad = wc[rest] - wc[k] + 0.5 * np.diag(b) - b @ r
@@ -474,7 +476,7 @@ class CovarianceRegularizer(Regularizer):
             try:
                 dr = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
-                return None
+                break
             rise = float(grad @ dr)
             if abs(rise) <= 1e-14 * max(1.0, abs(f)):
                 return ConjugateResult(value=float(w.max()) + f, argmax=p)
@@ -492,9 +494,9 @@ class CovarianceRegularizer(Regularizer):
                     break
                 step *= 0.5
             else:
-                return None
+                break
             p, f = cand, fc
-        return None
+        return super().conjugate(w)
 
 
 def regularizer_for(ambiguity, state) -> Regularizer:
@@ -502,19 +504,19 @@ def regularizer_for(ambiguity, state) -> Regularizer:
     return ambiguity.regularizer(state)
 
 
-def ds_backup(w, ambiguity, state=0, tol=1e-12) -> ConjugateResult:
+def ds_backup(w, ambiguity, state=0) -> ConjugateResult:
     """Robust backup sup over the ambiguity set, via the regularizer conjugate."""
-    return solve_conjugate(w, regularizer_for(ambiguity, state), tol=tol)
+    return regularizer_for(ambiguity, state).conjugate(w)
 
 
-def ds_backup_operator(ambiguity, tol=1e-12):
+def ds_backup_operator(ambiguity):
     """Backup operator for robust value iteration.
 
     Deliberately the same code path as the regularized operator: robust value
     iteration is regularized value iteration under the equivalent phi.
     """
     phis = [regularizer_for(ambiguity, s) for s in range(ambiguity.num_states)]
-    return regularized_backup_operator(phis, tol=tol)
+    return regularized_backup_operator(phis)
 
 
 @dataclass

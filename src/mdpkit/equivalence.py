@@ -29,7 +29,7 @@ from .core import (ConvergenceError, ModelValidationError, SolveResult,
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
                              ds_backup_operator, regularizer_for)
-from .regularized import (EntropyRegularizer, OffsetRegularizer,
+from .regularized import (AffineRegularizer, EntropyRegularizer,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (GumbelIid, build_uniform_counterexample,
                          mc_counterexample_ratio, refute_single_eta_fit,
@@ -404,7 +404,7 @@ def _r_equals_ds_edge(base, seed):
     mdm = MarginalDistributionModel(
         [[ExponentialInverseCdf(1.0)] * base.num_actions] * base.num_states)
     ds_sol, bit_identical = _same_path_check(
-        base, mdm, OffsetRegularizer(EntropyRegularizer(1.0), 1.0))
+        base, mdm, AffineRegularizer(EntropyRegularizer(1.0), offset=1.0))
     # cross-path check: numeric mirror ascent on the same regularizer
     w = q_vector(base, ds_sol.value, 0)
     closed = MdmRegularizer(mdm.inverse_cdfs[0]).conjugate(w)

@@ -38,8 +38,8 @@ from .distributional import (CovarianceModel, CovarianceRegularizer,
 from .equivalence import (ConstrainedInstance, DistributionalInstance,
                           FrameworkInstance, RegularizedInstance,
                           StandardInstance, StochasticInstance)
-from .regularized import (EntropyRegularizer, KlRegularizer, OffsetRegularizer,
-                          Regularizer, ScaledRegularizer)
+from .regularized import (AffineRegularizer, EntropyRegularizer,
+                          KlRegularizer, Regularizer)
 from .stochastic import GaussianJoint, GumbelIid, UniformPerEntry
 
 
@@ -160,25 +160,21 @@ def _write(table, obj, tag="kind"):
 
 def regularizer_from_dict(block):
     phi = _read(_REGULARIZERS, block, "regularizer")
-    scale = block.get("scale", 1.0)
-    if scale != 1.0:
-        phi = ScaledRegularizer(phi, scale)
-    offset = block.get("offset", 0.0)
-    if offset:
-        phi = OffsetRegularizer(phi, offset)
+    scale, offset = block.get("scale", 1.0), block.get("offset", 0.0)
+    if scale != 1.0 or offset:
+        phi = AffineRegularizer(phi, scale, offset)
     return phi
 
 
 def regularizer_to_dict(phi) -> dict:
-    offset = scale = 0.0
-    if isinstance(phi, OffsetRegularizer):
-        offset = phi.offset
-        phi = phi.base
-    if isinstance(phi, ScaledRegularizer):
-        scale = phi.scale
+    """phi's block; nested affine wrappers fold into one "scale" and
+    "offset": s2 (s1 phi + c1) + c2 is s1 s2 phi + s2 c1 + c2."""
+    scale, offset = 1.0, 0.0
+    while isinstance(phi, AffineRegularizer):
+        scale, offset = scale * phi.scale, offset + scale * phi.offset
         phi = phi.base
     block = _write(_REGULARIZERS, phi)
-    if scale:
+    if scale != 1.0:
         block["scale"] = scale
     if offset:
         block["offset"] = offset

@@ -5,8 +5,10 @@ sup_p { w . p + phi(p) } over the probability simplex.  Entropy and
 KL-to-reference regularizers have closed forms (log-sum-exp / softmax); a
 regularizer may solve its own conjugate (the ambiguity-set regularizers of
 `distributional` do, by a stationarity root or Newton ascent).  Anything
-else goes through `numeric_conjugate`, an entropic mirror-ascent solver
-with a step-halving line search.
+else inherits `Regularizer.conjugate`, which runs `numeric_conjugate`, an
+entropic mirror-ascent solver with a step-halving line search.  So every
+`conjugate` call answers; `AffineRegularizer` (scale * phi + offset) passes
+the call on to its base.
 
 The closed forms act on the last axis, so one `conjugate` call backs up a
 whole (S, A) table; every other regularizer is backed up row by row.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConvergenceError, _float_or_array, _param, _per_state,
-                   rowwise_operator)
+                   _row, rowwise_operator)
 
 _FLOOR = 1e-16
 _REF_FLOOR = 1e-12
@@ -32,7 +34,7 @@ def _clean_reference(reference):
     Raises ValueError on a non-finite or negative entry, which no floor
     could turn into the row that was meant.
     """
-    ref = np.asarray(reference, dtype=float)
+    ref = _row(reference, "reference")
     if not np.all(np.isfinite(ref)) or np.any(ref < 0):
         raise ValueError("reference row must be finite and nonnegative")
     ref = np.clip(ref, _REF_FLOOR, None)
@@ -73,8 +75,8 @@ class Regularizer:
     """Concave function on the action simplex.
 
     Subclasses implement `value` and `gradient` (interior points); those with
-    a closed-form conjugate override `conjugate`, otherwise callers fall back
-    to `numeric_conjugate`.  `values` evaluates many rows at once.
+    a closed form, or a solver of their own, override `conjugate`, and the
+    rest inherit `numeric_conjugate`.  `values` evaluates many rows at once.
     `batched` is true where `conjugate` also takes an (n, A) table, acting on
     its last axis; the backup operator then makes one call per sweep.
     `num_actions` is the number of entries of the per-action row it holds
@@ -96,8 +98,10 @@ class Regularizer:
         return np.array([self.value(p) for p in rows])
 
     def conjugate(self, w):
-        """Closed-form sup_p { w.p + phi(p) }, or None when unavailable."""
-        return None
+        """sup_p { w.p + phi(p) } by `numeric_conjugate` (mirror ascent)."""
+        # the module global, read at call time, so that a wrapper of it
+        # (bench/spans.py counts its work) sees every call
+        return numeric_conjugate(w, self)
 
 
 class EntropyRegularizer(Regularizer):
@@ -140,36 +144,16 @@ class KlRegularizer(Regularizer):
         return kl_backup(w, self.eta, self.reference)
 
 
-class ScaledRegularizer(Regularizer):
-    """scale * phi, with the conjugate identity conj(w) = scale * conj_phi(w / scale)."""
+class AffineRegularizer(Regularizer):
+    """scale * phi + offset, with conj(w) = scale * conj_phi(w / scale) + offset.
 
-    def __init__(self, base, scale):
+    The offset shifts backup values without changing the argmax.  Nested
+    wrappers are kept as built; the file writer folds them into one.
+    """
+
+    def __init__(self, base, scale=1.0, offset=0.0):
         self.base = base
         self.scale = _param(scale, "scale", 0.0, strict=True)
-        self.num_actions = base.num_actions
-
-    @property
-    def batched(self):
-        return self.base.batched
-
-    def value(self, p):
-        return self.scale * self.base.value(p)
-
-    def gradient(self, p):
-        return self.scale * self.base.gradient(p)
-
-    def conjugate(self, w):
-        inner = self.base.conjugate(np.asarray(w, dtype=float) / self.scale)
-        if inner is None:
-            return None
-        return ConjugateResult(value=self.scale * inner.value, argmax=inner.argmax)
-
-
-class OffsetRegularizer(Regularizer):
-    """phi + constant; shifts backup values without changing the argmax."""
-
-    def __init__(self, base, offset):
-        self.base = base
         self.offset = _param(offset, "offset")
         self.num_actions = base.num_actions
 
@@ -178,16 +162,15 @@ class OffsetRegularizer(Regularizer):
         return self.base.batched
 
     def value(self, p):
-        return self.base.value(p) + self.offset
+        return self.scale * self.base.value(p) + self.offset
 
     def gradient(self, p):
-        return self.base.gradient(p)
+        return self.scale * self.base.gradient(p)
 
     def conjugate(self, w):
-        inner = self.base.conjugate(w)
-        if inner is None:
-            return None
-        return ConjugateResult(value=inner.value + self.offset, argmax=inner.argmax)
+        inner = self.base.conjugate(np.asarray(w, dtype=float) / self.scale)
+        return ConjugateResult(value=self.scale * inner.value + self.offset,
+                               argmax=inner.argmax)
 
 
 def entropy_backup(w, eta) -> ConjugateResult:
@@ -268,21 +251,13 @@ def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
     )
 
 
-def solve_conjugate(w, phi, tol=1e-12) -> ConjugateResult:
-    """phi's closed-form conjugate at w, else `numeric_conjugate` to tol."""
-    res = phi.conjugate(w)
-    if res is None:
-        res = numeric_conjugate(w, phi, tol=tol)
-    return res
-
-
-def regularized_backup_operator(phi_per_state, tol=1e-12):
+def regularized_backup_operator(phi_per_state):
     """Backup operator using each state's regularizer.
 
     `phi_per_state` is a list, tuple or array of Regularizer objects (one
     per state) or a single Regularizer applied to every state.  A single
     `batched` regularizer backs up the whole table in one `conjugate` call;
-    otherwise `solve_conjugate` backs up each row.
+    otherwise each row is backed up by its regularizer's `conjugate`.
     """
     each = _per_state(phi_per_state)
     if not each and phi_per_state.batched:
@@ -294,7 +269,7 @@ def regularized_backup_operator(phi_per_state, tol=1e-12):
 
     def backup(w, state):
         phi = phi_per_state[state] if each else phi_per_state
-        res = solve_conjugate(w, phi, tol=tol)
+        res = phi.conjugate(w)
         return res.value, res.argmax
 
     return rowwise_operator(backup)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MdpModel, _param, derive_rng
-from .regularized import EntropyRegularizer, OffsetRegularizer, entropy_backup
+from .regularized import AffineRegularizer, EntropyRegularizer, entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -89,8 +89,8 @@ class GumbelIid(NoiseModel):
         Its backup is E[max]: the soft backup is the expected max under
         mean-zero noise, and the mean shifts every action alike.
         """
-        return OffsetRegularizer(EntropyRegularizer(self.eta),
-                                 self.location + self.eta * EULER_GAMMA)
+        return AffineRegularizer(EntropyRegularizer(self.eta),
+                                 offset=self.location + self.eta * EULER_GAMMA)
 
     def sample(self, state, n, rng):
         if self.num_actions is None:

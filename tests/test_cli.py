@@ -721,9 +721,11 @@ def test_cli_reports_tool_runs_every_cli_op(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     exits = {p.stem: p.read_text() for p in tmp_path.glob("*.exit")}
-    assert len(exits) == 17
+    assert len(exits) == 19
     assert set(exits.values()) == {"0\n"}
     assert {"solve-mc-uniform", "compare-mc-uniform-mmm"} <= set(exits)
+    assert {"convert-ct2r-phi-ball-scaled",
+            "convert-ct2r-phi-ball-offset"} <= set(exits)
     for name in exits:
         report = json.loads((tmp_path / f"{name}.stdout").read_text())
         assert report["command"] == name.split("-")[0]
@@ -868,6 +870,60 @@ def test_a_short_row_names_its_state(tmp_path, capsys):
     assert code == 2
     assert _one_error(out)["violations"] == [
         "constraint L1Ball at state 2 has 2 actions, the model has 3"]
+
+
+_NESTED_REFERENCE = [[0.2, 0.3, 0.5]]
+_NESTED_SIGMA = {"kind": "mmm", "sigma": [[0.5, 0.5, 0.5]]}
+_NESTED_ROWS = {
+    "kl": ("regularizer", {"kind": "kl", "eta": 0.5,
+                           "reference": _NESTED_REFERENCE}, "reference"),
+    "mmm": ("regularizer", _NESTED_SIGMA, "sigma"),
+    "chi_square_lagrange": ("regularizer", {
+        "kind": "chi_square_lagrange", "multiplier": 1.0,
+        "reference": _NESTED_REFERENCE, "radius": 0.1}, "reference"),
+    "singleton": ("constraint", {"kind": "singleton",
+                                 "row": [[1.0], [0.0], [0.0]]}, "row"),
+    "kl_ball": ("constraint", {"kind": "kl_ball", "radius": 0.1,
+                               "reference": _NESTED_REFERENCE}, "reference"),
+    "l1_ball": ("constraint", {"kind": "l1_ball", "radius": 0.1,
+                               "reference": _NESTED_REFERENCE}, "reference"),
+    "l2_ball": ("constraint", {"kind": "l2_ball", "radius": 0.1,
+                               "reference": _NESTED_REFERENCE}, "reference"),
+    "phi_ball": ("constraint", {"kind": "phi_ball", "phi": _NESTED_SIGMA,
+                                "radius": -0.1}, "sigma"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED_ROWS))
+def test_a_per_action_row_must_be_one_row(tmp_path, capsys, kind):
+    # a nested row solved on a broadcast (kl), failed with numpy's matmul
+    # message (singleton, mmm), or raised mid-solve (exit 1, no record)
+    key, block, field = _NESTED_ROWS[kind]
+    name = {"regularizer": "regularized", "constraint": "constrained"}[key]
+    path = _model_file(tmp_path, "m.json", 4, 3, {"name": name, key: block})
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert record["message"].startswith(
+        f"{field} must be one row of per-action entries, got shape (")
+
+
+def test_solve_reports_the_monte_carlo_error(tmp_path, capsys):
+    bounds = np.tile([-1.0, 1.0], (4, 3, 1)).tolist()
+    mc = _model_file(tmp_path, "mc.json", 4, 3, {
+        "name": "stochastic", "noise": {"kind": "uniform", "bounds": bounds}})
+    code, out, _ = run_cli(capsys, "solve", mc, "--mc-samples", "2000")
+    assert code == 0
+    report = json.loads(out)
+    expected = load_instance(mc, mc_samples=2000).solve_with_error()
+    assert report["mc_std_error"] > 0
+    assert report["mc_std_error"] == expected[1]
+    assert report["value"] == expected[0].value.tolist()
+    code, out, _ = run_cli(capsys, "solve",
+                           _model_file(tmp_path, "std.json", 4, 3))
+    assert code == 0
+    assert "mc_std_error" not in json.loads(out)
 
 
 @pytest.mark.parametrize("method", ["bogus", 3, None])

@@ -17,8 +17,8 @@ from mdpkit import (
     MdpModel,
     MmmRegularizer,
     ModelValidationError,
-    OffsetRegularizer,
     PhiBall,
+    Regularizer,
     RegularizedInstance,
     Singleton,
     ZeroRegularizer,
@@ -807,14 +807,12 @@ class _EntropyWithoutConjugate(EntropyRegularizer):
     """A user phi: the entropy, with no closed-form conjugate."""
 
     batched = False
-
-    def conjugate(self, w):
-        return None
+    conjugate = Regularizer.conjugate
 
 
 def test_ct_to_r_phi_ball_whose_phi_has_no_conjugate():
     # the multiplier search and the penalty's regularized solve both reach
-    # the Scaled/Offset conjugates' fall-through to `numeric_conjugate`; one
+    # the inherited conjugate, `numeric_conjugate`, under the wrapper; one
     # state, as each of its backups runs mirror ascent at every probe
     m = random_mdp(1, 2, seed=33, discount=0.5)
     con = PhiBall(_EntropyWithoutConjugate(1.0), -0.5)
@@ -940,6 +938,15 @@ def test_a_non_finite_or_negative_row_is_no_probability_row(row):
         Singleton(np.array(row))
     with pytest.raises(ValueError, match="not a probability vector"):
         L1Ball(np.array(row), 0.5)
+
+
+def test_a_probability_row_message_names_its_field():
+    # an L1 ball's reference was reported as "row"
+    with pytest.raises(ValueError,
+                       match="^reference is not a probability vector$"):
+        L1Ball([0.5, 0.6], 0.1)
+    with pytest.raises(ValueError, match="^row is not a probability vector$"):
+        Singleton([0.5, 0.6])
 
 
 def test_a_phi_ball_radius_may_be_negative_but_must_be_finite():

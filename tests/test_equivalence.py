@@ -8,6 +8,7 @@ import pytest
 from util import tracemalloc_peak
 
 from mdpkit import (
+    AffineRegularizer,
     ConstrainedInstance,
     ConvergenceError,
     DistributionalInstance,
@@ -17,7 +18,6 @@ from mdpkit import (
     KlBall,
     MarginalDistributionModel,
     MarginalMomentModel,
-    OffsetRegularizer,
     RegularizedInstance,
     Singleton,
     StandardInstance,
@@ -156,7 +156,7 @@ def test_bit_identity_edges_hold_on_a_larger_table():
                                     method="closed_form").solve()
         robust = DistributionalInstance(m, mdm).solve()
         shifted = RegularizedInstance(
-            m, OffsetRegularizer(EntropyRegularizer(1.0), 1.0)).solve()
+            m, AffineRegularizer(EntropyRegularizer(1.0), offset=1.0)).solve()
         moment = DistributionalInstance(m, mmm).solve()
         moment_reg = RegularizedInstance(m, mmm_phis).solve()
         for a, b in ((soft, gumbel), (robust, shifted), (moment, moment_reg)):
@@ -304,7 +304,7 @@ def test_offset_shifts_the_second_instance():
     mdm = MarginalDistributionModel([[ExponentialInverseCdf(1.0)] * 2] * 3)
     ds = DistributionalInstance(m, mdm)
     er_shifted = RegularizedInstance(
-        m, OffsetRegularizer(EntropyRegularizer(1.0), 1.0))
+        m, AffineRegularizer(EntropyRegularizer(1.0), offset=1.0))
     direct = check_equivalence(ds, er_shifted, trials=5, seed=6)
     assert direct.verdict == "consistent"
 

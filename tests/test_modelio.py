@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from util import tracemalloc_peak
 
 from mdpkit import (
@@ -12,6 +14,7 @@ from mdpkit import (
     ConstrainedInstance,
     CovarianceRegularizer,
     DistributionalInstance,
+    AffineRegularizer,
     EntropyRegularizer,
     ExponentialInverseCdf,
     FullSimplex,
@@ -28,10 +31,8 @@ from mdpkit import (
     MdpModel,
     MmmRegularizer,
     ModelValidationError,
-    OffsetRegularizer,
     PhiBall,
     RegularizedInstance,
-    ScaledRegularizer,
     Singleton,
     StandardInstance,
     StochasticInstance,
@@ -39,6 +40,7 @@ from mdpkit import (
     UniformInverseCdf,
     UniformPerEntry,
     ZeroRegularizer,
+    ct_to_r_convert,
     random_mdp,
 )
 from mdpkit import modelio
@@ -132,7 +134,7 @@ def test_standard_instance_round_trip():
 def test_regularized_instance_round_trip_per_state():
     phis = [EntropyRegularizer(0.7),
             KlRegularizer(1.1, np.array([0.25, 0.75])),
-            OffsetRegularizer(EntropyRegularizer(0.4), -1.5)]
+            AffineRegularizer(EntropyRegularizer(0.4), offset=-1.5)]
     inst = RegularizedInstance(base_model(), phis)
     again = roundtrip(inst)
     assert isinstance(again, RegularizedInstance)
@@ -140,7 +142,7 @@ def test_regularized_instance_round_trip_per_state():
     assert isinstance(got[0], EntropyRegularizer) and got[0].eta == 0.7
     assert isinstance(got[1], KlRegularizer)
     assert np.allclose(got[1].reference, [0.25, 0.75])
-    assert isinstance(got[2], OffsetRegularizer) and got[2].offset == -1.5
+    assert isinstance(got[2], AffineRegularizer) and got[2].offset == -1.5
 
 
 def test_regularized_round_trip_mmm_and_covariance_kinds():
@@ -375,9 +377,9 @@ CASES = {
         ChiSquareLagrangeRegularizer(0.75, [0.5, 0.5], 0.125)),
     "regularizer/zero": lambda: _regularized(ZeroRegularizer()),
     "regularizer/scaled-offset-per-state": lambda: _regularized(
-        [ScaledRegularizer(EntropyRegularizer(1.0), 2.0),
-         OffsetRegularizer(ScaledRegularizer(KlRegularizer(0.5, [0.5, 0.5]),
-                                             0.25), -1.5)]),
+        [AffineRegularizer(EntropyRegularizer(1.0), 2.0),
+         AffineRegularizer(AffineRegularizer(KlRegularizer(0.5, [0.5, 0.5]),
+                                             0.25), offset=-1.5)]),
     "noise/gumbel_iid": lambda: _stochastic(GumbelIid(0.5, location=0.25)),
     "noise/gumbel_iid-mean_zero": lambda: StochasticInstance(
         golden_model(), GumbelIid.mean_zero(0.5), mc_samples=500,
@@ -459,3 +461,61 @@ def test_saved_file_matches_frozen_text(name, tmp_path):
     path.write_bytes(golden.encode("utf-8"))
     save_instance(load_instance(path), path)
     assert path.read_bytes() == golden.encode("utf-8")
+
+
+# ------------------------------------------------- affine wrapper file form
+
+# one regularizer of every kind at 3 actions; dyadic rows, so that the
+# reader's cleaning of a written row gives back its bits
+AFFINE_BASES = {
+    "entropy": EntropyRegularizer(0.5),
+    "kl": KlRegularizer(1.5, [0.25, 0.25, 0.5]),
+    "mmm": MmmRegularizer([0.5, 0.25, 0.75]),
+    "covariance": CovarianceRegularizer([[1.0, 0.5, 0.0], [0.5, 2.0, 0.25],
+                                         [0.0, 0.25, 0.5]]),
+    "chi_square_lagrange": ChiSquareLagrangeRegularizer(
+        0.75, [0.25, 0.25, 0.5], 0.125),
+    "zero": ZeroRegularizer(),
+}
+
+
+def test_affine_bases_cover_every_regularizer_kind():
+    assert set(AFFINE_BASES) == set(modelio._REGULARIZERS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(AFFINE_BASES)),
+       layers=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-5.0, 5.0)),
+                       min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_nested_affine_wrappers_write_one_block(kind, layers, seed):
+    # s2 (s1 phi + c1) + c2 is written as one "scale" and "offset"
+    phi = AFFINE_BASES[kind]
+    for scale, offset in layers:
+        phi = AffineRegularizer(phi, scale, offset)
+    block = json.loads(json.dumps(modelio.regularizer_to_dict(phi)))
+    assert block["kind"] == kind
+    again = modelio.regularizer_from_dict(block)
+    w = np.random.default_rng(seed).uniform(-5.0, 5.0, 3)
+    want, got = phi.conjugate(w), again.conjugate(w)
+    if len(layers) == 1:
+        assert got.value == want.value
+        assert np.array_equal(got.argmax, want.argmax)
+    assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
+    assert np.max(np.abs(got.argmax - want.argmax)) <= 1e-8
+
+
+def test_a_converted_affine_phi_ball_reads_back_and_solves(tmp_path):
+    # ct2r of a phi ball over scale * entropy + offset: its penalty nests
+    # two wrappers, which had no file form
+    m = random_mdp(3, 2, seed=5, discount=0.5)
+    phi = AffineRegularizer(EntropyRegularizer(0.5), 2.0, 0.1)
+    conv = ct_to_r_convert(m, PhiBall(phi, -0.6), tol=1e-12)
+    assert np.all(conv.multipliers > 0)
+    path = tmp_path / "converted.json"
+    save_instance(RegularizedInstance(m, conv.regularizers), path)
+    blocks = json.loads(path.read_text())["framework"]["regularizer"]
+    assert [sorted(b) for b in blocks] == [["eta", "kind", "offset",
+                                            "scale"]] * 3
+    back = load_instance(path).solve(tol=1e-12)
+    assert np.max(np.abs(back.value - conv.ct_value)) <= 1e-8

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdpkit import (
+    AffineRegularizer,
     ConvergenceError,
     EntropyRegularizer,
     ExponentialInverseCdf,
     GumbelIid,
     KlRegularizer,
     MdmRegularizer,
-    OffsetRegularizer,
-    ScaledRegularizer,
     StochasticInstance,
     bregman_divergence,
     entropy_backup,
@@ -117,7 +116,7 @@ def test_kl_backup_rejects_non_finite_reference_entries(bad):
 
 def test_scaled_regularizer_composes_with_entropy():
     # s * entropy(eta) is the same function as entropy(s * eta).
-    phi = ScaledRegularizer(EntropyRegularizer(0.5), 3.0)
+    phi = AffineRegularizer(EntropyRegularizer(0.5), 3.0)
     direct = entropy_backup(W, 1.5)
     res = phi.conjugate(W)
     assert res.value == pytest.approx(direct.value, abs=1e-12)
@@ -129,11 +128,11 @@ def test_scaled_regularizer_composes_with_entropy():
 
 def test_scaled_regularizer_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
-        ScaledRegularizer(EntropyRegularizer(1.0), 0.0)
+        AffineRegularizer(EntropyRegularizer(1.0), 0.0)
 
 
 def test_offset_regularizer_shifts_value_only():
-    phi = OffsetRegularizer(EntropyRegularizer(0.7), -2.5)
+    phi = AffineRegularizer(EntropyRegularizer(0.7), offset=-2.5)
     base = entropy_backup(W, 0.7)
     res = phi.conjugate(W)
     assert res.value == pytest.approx(base.value - 2.5, abs=1e-14)
@@ -149,8 +148,9 @@ def test_offset_regularizer_shifts_value_only():
 @pytest.mark.parametrize("phi", [
     EntropyRegularizer(0.7),
     KlRegularizer(1.2, np.array([0.5, 0.25, 0.25])),
-    ScaledRegularizer(EntropyRegularizer(0.5), 2.0),
-    OffsetRegularizer(KlRegularizer(0.8, np.array([0.4, 0.4, 0.2])), 1.0),
+    AffineRegularizer(EntropyRegularizer(0.5), 2.0),
+    AffineRegularizer(KlRegularizer(0.8, np.array([0.4, 0.4, 0.2])),
+                      offset=1.0),
 ])
 def test_gradient_matches_finite_differences(phi):
     rng = np.random.default_rng(0)

@@ -2,9 +2,10 @@
 
 Runs each `mdpkit` CLI op of the `small_inner_cli` workload (from
 `bench/workloads.py`, imported read-only) once, in-process, against the
-checkout at ROOT, then two Monte Carlo ops that no workload op covers (a
-`solve` of a 4x3 uniform-noise model and a `compare` of it against its
-marginal-moment robust twin), and writes under OUT:
+checkout at ROOT, then four ops that no workload op covers: two Monte Carlo
+ops (a `solve` of a 4x3 uniform-noise model and a `compare` of it against
+its marginal-moment robust twin) and two `convert --direction ct2r` ops of
+phi balls whose phi block carries "scale" or "offset"; it writes under OUT:
 
     <op>.exit, <op>.stdout   each op's exit code and stdout
     <op>/                    the --out files of each convert op, and of every
@@ -29,6 +30,16 @@ from pathlib import Path
 import numpy as np
 
 
+def _write_model(work, name, model, framework):
+    """The model file `<name>.json` under `work`, with this framework."""
+    from mdpkit.modelio import model_to_dict
+
+    path = str(Path(work, name + ".json"))
+    Path(path).write_text(json.dumps({**model_to_dict(model),
+                                      "framework": framework}))
+    return path
+
+
 def monte_carlo_ops(seed, work, workloads):
     """`solve-mc-uniform` and `compare-mc-uniform-mmm`, as workload ops.
 
@@ -37,7 +48,6 @@ def monte_carlo_ops(seed, work, workloads):
     entry's standard deviation; 20,000 Monte Carlo samples.
     """
     from mdpkit.core import random_mdp
-    from mdpkit.modelio import model_to_dict
 
     model = random_mdp(4, 3, seed=[seed, 24], discount=0.5)
     half = workloads._rng(seed, 24).uniform(0.2, 1.0, (4, 3))
@@ -48,11 +58,8 @@ def monte_carlo_ops(seed, work, workloads):
         "mmm": {"name": "distributional", "ambiguity": {
             "kind": "mmm", "sigma": (half / np.sqrt(3.0)).tolist()}},
     }
-    paths = {}
-    for name, framework in frameworks.items():
-        paths[name] = str(Path(work, name + ".json"))
-        Path(paths[name]).write_text(json.dumps(
-            {**model_to_dict(model), "framework": framework}))
+    paths = {name: _write_model(work, name, model, framework)
+             for name, framework in frameworks.items()}
     common = ["--mc-samples", "20000", "--tol", "1e-08", "--seed", str(seed)]
     argvs = {"solve-mc-uniform": ["solve", paths["mc-uniform"]],
              "compare-mc-uniform-mmm": ["compare", paths["mc-uniform"],
@@ -60,6 +67,32 @@ def monte_carlo_ops(seed, work, workloads):
     return [workloads.Op(name, lambda argv=argv + common:
                          workloads._cli_run(argv), None, cli=True)
             for name, argv in argvs.items()]
+
+
+def affine_convert_ops(seed, work, workloads):
+    """`convert-ct2r-phi-ball-scaled` and `convert-ct2r-phi-ball-offset`.
+
+    A 3x2 model drawn from SEED under one phi ball per state, over the
+    entropy at eta = 0.5 scaled by 2 at radius -0.5, or offset by 0.1 at
+    radius -0.35: both are the set {entropy >= 0.25}, which excludes every
+    one-hot row, so every state's multiplier is positive.
+    """
+    from mdpkit.core import random_mdp
+
+    model = random_mdp(3, 2, seed=[seed, 5], discount=0.5)
+    ops = []
+    for name, field, radius in (("scaled", {"scale": 2.0}, -0.5),
+                                ("offset", {"offset": 0.1}, -0.35)):
+        name = "convert-ct2r-phi-ball-" + name
+        ball = {"kind": "phi_ball", "radius": radius,
+                "phi": {"kind": "entropy", "eta": 0.5, **field}}
+        argv = ["convert", _write_model(work, name, model, {
+                    "name": "constrained", "constraint": [ball] * 3}),
+                "--direction", "ct2r", "--out", str(Path(work, "out", name)),
+                "--tol", repr(workloads.CLI_TOL), "--seed", str(seed)]
+        ops.append(workloads.Op(name, lambda argv=argv:
+                                workloads._cli_run(argv), None, cli=True))
+    return ops
 
 
 def main(argv):
@@ -80,7 +113,8 @@ def main(argv):
         cli.main = recording
         try:
             ops = [op for op in workloads.small_inner_cli(seed, work)
-                   if op.cli] + monte_carlo_ops(seed, work, workloads)
+                   if op.cli] + monte_carlo_ops(seed, work, workloads) \
+                + affine_convert_ops(seed, work, workloads)
             for op in ops:
                 code, text = op.run()
                 (out / f"{op.name}.exit").write_text(f"{code}\n")
