@@ -175,6 +175,8 @@ class PhiBall:
     The radius may be negative (a superlevel set of phi); the set is convex
     and is how regularizer level sets round-trip through conversion.  The
     grid oracle admits points within 1e-10 of it, for phi's rounding.
+    `violation` calls `phi.value` once on a row or a whole grid, so phi's
+    `value` must act on the last axis (every built-in one does).
     """
 
     phi: Regularizer
@@ -186,8 +188,7 @@ class PhiBall:
         self.num_actions = self.phi.num_actions
 
     def violation(self, p):
-        value = self.phi.value if np.ndim(p) == 1 else self.phi.values
-        return -value(p) - self.radius
+        return -self.phi.value(p) - self.radius
 
     def backup(self, w, tol):
         return generic_phi_ball_backup(w, self.phi, self.radius,
@@ -232,7 +233,12 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
     counts as a root.  A hard-max row inside the set is returned with
     multiplier 0.  Otherwise lam is bracketed by doubling from 1 (ValueError
     without a Slater point) and narrowed by `core._falsi` until the feasible
-    end has duality gap lam_hi*(radius + phi(p_hi)) <= tol.
+    end has duality gap lam_hi*(radius + phi(p_hi)) <= tol.  Where phi is
+    flat along a segment (an atom of an MDM marginal), p(lam) and h jump
+    over the level set and the bracket closes around the jump, its gap
+    above tol relative to the dual value; both end rows then maximize the
+    Lagrangian, so does the segment between them, and the optimum is its
+    point on the level set, where h is linear.
     """
     w = np.asarray(w, dtype=float)
     evals = 0
@@ -250,21 +256,23 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
     if h_lo <= 0.0:
         return CtBackupResult(value=val0, policy=row0, multiplier=0.0,
                               dual_value=val0)
-    lam_lo, lam_hi = 0.0, 1.0
+    lam_lo, lam_hi, res_lo = 0.0, 1.0, ConjugateResult(val0, row0)
     h_hi, res_hi = probe(lam_hi)
     while h_hi > 0.0:
         if lam_hi >= 2.0 ** 60:
             raise ValueError("constraint admits no Slater point: phi stays "
                              f"below {-radius} on the simplex")
-        lam_lo, h_lo = lam_hi, h_hi
+        lam_lo, h_lo, res_lo = lam_hi, h_hi, res_hi
         lam_hi *= 2.0
         h_hi, res_hi = probe(lam_hi)
-    lam_hi, _, res_hi = _falsi(probe, lam_lo, lam_hi, h_lo, h_hi, None, res_hi,
-                               lambda lam, h: -lam * h <= tol)[3:]
-    p = res_hi.argmax
+    _, h_lo, res_lo, lam_hi, h_hi, res_hi = _falsi(
+        probe, lam_lo, lam_hi, h_lo, h_hi, res_lo, res_hi,
+        lambda lam, h: -lam * h <= tol)
+    p, dual = res_hi.argmax, float(lam_hi * radius + res_hi.value)
+    if -lam_hi * h_hi > tol * max(1.0, abs(dual)):
+        p = p + h_hi / (h_hi - h_lo) * (res_lo.argmax - p)
     return CtBackupResult(value=float(w @ p), policy=p, multiplier=lam_hi,
-                          dual_value=float(lam_hi * radius + res_hi.value),
-                          dual_evals=evals)
+                          dual_value=dual, dual_evals=evals)
 
 
 def _ball_exit(w, reference, radius, face_divergence):
@@ -447,7 +455,9 @@ def grid_oracle_backup(w, constraint, resolution=None):
 
     Resolution defaults to 1e5 intervals for two actions and 1e3 per
     dimension for three.  The reference row (or singleton row) is always
-    included as a candidate so the feasible set is never empty.
+    included as a candidate so the feasible set is never empty.  Membership
+    is one `constraint_violation` call on the whole grid, so a `PhiBall`'s
+    phi must take an (n, A) array in `value`.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
@@ -536,7 +546,7 @@ class ZeroRegularizer(Regularizer):
     batched = True
 
     def value(self, p):
-        return 0.0
+        return _float_or_array(np.zeros(np.shape(p)[:-1]))
 
     def gradient(self, p):
         return np.zeros(np.asarray(p).shape[0])

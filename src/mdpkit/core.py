@@ -235,7 +235,7 @@ def q_vector(model, value, state=None, reward=None) -> np.ndarray:
 
 def _float_or_array(x):
     """A 0-d result as a Python float; a result over table rows as is."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def _param(x, name, low=-math.inf, high=math.inf, strict=False):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EPS, _falsi, _param, _row, standard_backup
+from .core import _EPS, _falsi, _float_or_array, _param, _row, standard_backup
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator)
 from .stochastic import EULER_GAMMA, GaussianJoint, _require_psd, mc_emax
@@ -67,8 +67,11 @@ class InverseCdf:
 
     `__call__` must map an array elementwise.  `mass_integral(p)` is the
     upper-tail integral of the inverse CDF from 1 - p to 1, the building
-    block of the marginal-CDF regularizer.  `draw(u)` maps uniforms to
-    samples (inverse-transform sampling).  `cdf(x)`, the forward CDF
+    block of the marginal-CDF regularizer: a float for a scalar p, and
+    elementwise on an array; 0 at p = 0.  A user marginal whose
+    `mass_integral` takes scalars only still serves one-row values, and so
+    every backup.  `draw(u)` maps uniforms to samples (inverse-transform
+    sampling).  `cdf(x)`, the forward CDF
     P(X <= x) on arrays, is optional: without it on every action the
     robust backup is the inherited mirror ascent (`Regularizer.conjugate`).
     """
@@ -76,7 +79,7 @@ class InverseCdf:
     def __call__(self, t):
         raise NotImplementedError
 
-    def mass_integral(self, p) -> float:
+    def mass_integral(self, p):
         raise NotImplementedError
 
     def draw(self, u):
@@ -105,10 +108,8 @@ class ExponentialInverseCdf(InverseCdf):
         return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
     def mass_integral(self, p):
-        p = float(p)
-        if p <= 0:
-            return 0.0
-        return (p - p * np.log(p)) / self.rate
+        q = p * (p > 0)  # p <= 0 gives 0, and ln 1 = 0 stands for ln 0
+        return (q - q * np.log(q + (q == 0))) / self.rate
 
 
 class UniformInverseCdf(InverseCdf):
@@ -123,7 +124,6 @@ class UniformInverseCdf(InverseCdf):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def mass_integral(self, p):
-        p = float(p)
         return self.lo * p + (self.hi - self.lo) * p * (2.0 - p) / 2.0
 
 
@@ -143,6 +143,10 @@ class GumbelInverseCdf(InverseCdf):
         # int_{1-p}^1 F^-1 = scale * (exp(-z) ln z + E1(z) + euler_gamma)
         # with z = -ln(1 - p) <= 37 for p < 1; the two-term expansion near
         # z = 0 avoids the ln z blowup.
+        if isinstance(p, np.ndarray):
+            # one entry at a time: E1's series and continued fraction
+            # vectorized cost a 4-action row about 70 times more
+            return np.vectorize(self.mass_integral, otypes=[float])(p)
         p = float(p)
         if p <= 0:
             return 0.0
@@ -168,6 +172,13 @@ class TabulatedInverseCdf(InverseCdf):
             raise ValueError("values must be finite and nondecreasing")
         self.t = t
         self.values = values
+        # the knots with 1 appended, F^-1 there, and the integral of F^-1
+        # from each up to 1: one trapezoid per segment, the clamped top end
+        # included, summed downward
+        self._knots = np.append(t, 1.0)
+        self._heights = np.append(values, values[-1])
+        seg = np.diff(self._knots) * (self._heights[1:] + self._heights[:-1])
+        self._tail = np.append(np.cumsum(seg[::-1] / 2.0)[::-1], 0.0)
 
     def __call__(self, t):
         return np.interp(np.asarray(t, dtype=float), self.t, self.values)
@@ -181,13 +192,13 @@ class TabulatedInverseCdf(InverseCdf):
 
     def mass_integral(self, p):
         # the trapezoid rule over the knots in [1 - p, 1], clamped ends
-        # included, is exact for a piecewise-linear function
-        p = float(p)
-        if p <= 0:
-            return 0.0
-        x = np.concatenate(([1.0 - p], self.t[self.t > 1.0 - p], [1.0]))
-        y = self(x)
-        return float(np.diff(x) @ (y[1:] + y[:-1])) / 2.0
+        # included, is exact for a piecewise-linear function: one trapezoid
+        # from 1 - p up to the next knot j, then j's tail.  p <= 0 gives 0,
+        # and a NaN, which sorts last, stays NaN
+        x = 1.0 - np.maximum(p, 0.0)
+        j = np.minimum(np.searchsorted(self._knots, x), self.t.size)
+        return self._tail[j] + (self._knots[j] - x) * (
+            self(x) + self._heights[j]) / 2.0
 
 
 class MarginalDistributionModel:
@@ -315,12 +326,18 @@ class MdmRegularizer(Regularizer):
         self.num_actions = len(self.cdfs)
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
-        return float(sum(c.mass_integral(pa) for c, pa in zip(self.cdfs, p)))
+        # one row passes each marginal its entry, a table its column
+        cols = zip(self.cdfs, np.asarray(p, dtype=float).T, strict=True)
+        return _float_or_array(sum(c.mass_integral(col) for c, col in cols))
+
+    def _each(self, method, x):
+        """`method` of each action's marginal at that action's entry of x;
+        ValueError when x has another length."""
+        return np.array([getattr(c, method)(v)
+                         for c, v in zip(self.cdfs, x, strict=True)])
 
     def gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.array([c(1.0 - pa) for c, pa in zip(self.cdfs, p)])
+        return self._each("__call__", 1.0 - np.asarray(p, dtype=float))
 
     def conjugate(self, w):
         # equal-rate exponential marginals: entropy backup at 1/rate, + 1/rate
@@ -334,8 +351,7 @@ class MdmRegularizer(Regularizer):
             return super().conjugate(w)
         return _stationary_root(
             np.asarray(w, dtype=float), self,
-            lambda x: np.array([c.cdf(v) for c, v in zip(self.cdfs, x)]),
-            lambda t: np.array([c(v) for c, v in zip(self.cdfs, t)]))
+            lambda x: self._each("cdf", x), lambda t: self._each("__call__", t))
 
 
 class MmmRegularizer(Regularizer):
@@ -351,11 +367,9 @@ class MmmRegularizer(Regularizer):
         self.num_actions = np.size(self.sigma)
 
     def value(self, p):
-        return float(self.values(np.asarray(p, dtype=float)))
-
-    def values(self, rows):
-        inner = np.clip(rows * (1.0 - rows), 0.0, None)
-        return np.sum(self.sigma * np.sqrt(inner), axis=-1)
+        p = np.asarray(p, dtype=float)
+        inner = np.clip(p * (1.0 - p), 0.0, None)
+        return _float_or_array(np.sum(self.sigma * np.sqrt(inner), axis=-1))
 
     def gradient(self, p):
         p = np.asarray(p, dtype=float)
@@ -397,35 +411,37 @@ class CovarianceRegularizer(Regularizer):
         cov = np.asarray(cov, dtype=float)
         _require_psd(cov[None])
         self.cov = cov
-        # per k: the other actions, and the symmetric square root of the
-        # covariance of their differences eps_a - eps_k
+        # stacked over the charts k: the mask of the other actions, (A, A),
+        # and the symmetric square root of the covariance of their
+        # differences eps_a - eps_k, (A, A - 1, A - 1)
         self.num_actions = n = cov.shape[0]
-        self._rest, self._diff_root = [], []
-        for k in range(n):
-            rest = np.flatnonzero(np.arange(n) != k)
-            diff = cov - cov[:, [k]] - cov[[k], :] + cov[k, k]
-            vals, vecs = np.linalg.eigh(diff[np.ix_(rest, rest)])
-            self._rest.append(rest)
-            self._diff_root.append((vecs * np.sqrt(np.clip(vals, 0.0, None)))
-                                   @ vecs.T)
+        self._rest = ~np.eye(n, dtype=bool)
+        a = np.nonzero(self._rest)[1].reshape(n, n - 1)[..., None]
+        k, b = np.arange(n)[:, None, None], a.swapaxes(-1, -2)
+        lam, u = np.linalg.eigh(cov[a, b] - cov[a, k] - cov[k, b] + cov[k, k])
+        root = np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
+        self._diff_root = (u * root) @ u.swapaxes(-1, -2)
 
     def _spectrum(self, p):
         """(k, r, eigenvalues, eigenvectors of X) in the chart of p.
 
-        No entry of r exceeds 1/2, so no cancellation.  A singular
-        covariance has true zero eigenvalues, rounding noise of either sign
-        that the square root would lift to ~1e-8; they are flushed to zero.
+        On the last axis: a table gets one stacked `eigh`, each row in its
+        own chart.  No entry of r exceeds 1/2, so no cancellation.  A
+        singular covariance has true zero eigenvalues, rounding noise of
+        either sign that the square root would lift to ~1e-8; each row's
+        are flushed to zero.
         """
-        k = int(p.argmax())
-        r = p[self._rest[k]]
-        root = self._diff_root[k]
-        lam, vecs = np.linalg.eigh(root @ (np.diag(r) - np.outer(r, r)) @ root)
-        lam[lam < lam.max(initial=0.0) * 1e-14] = 0.0
+        k = p.argmax(-1)
+        r = p[self._rest[k]].reshape(k.shape + (self.num_actions - 1,))
+        root, col = self._diff_root[k], r[..., None]
+        lam, vecs = np.linalg.eigh(
+            root @ (col * np.eye(col.shape[-2]) - col * r[..., None, :]) @ root)
+        lam[lam < lam.max(-1, initial=0.0, keepdims=True) * 1e-14] = 0.0
         return k, r, lam, vecs
 
     def value(self, p):
         lam = self._spectrum(np.asarray(p, dtype=float))[2]
-        return float(np.sqrt(lam).sum())
+        return _float_or_array(np.sqrt(lam).sum(-1))
 
     def _inverse_root(self, k, lam, vecs):
         """s, C and B for the nonzero eigenvalues lam of X in chart k."""

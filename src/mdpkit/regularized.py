@@ -10,8 +10,10 @@ entropic mirror-ascent solver with a step-halving line search.  So every
 `conjugate` call answers; `AffineRegularizer` (scale * phi + offset) passes
 the call on to its base.
 
-The closed forms act on the last axis, so one `conjugate` call backs up a
-whole (S, A) table; every other regularizer is backed up row by row.
+Every built-in `value` acts on the last axis: one row gives a float, an
+(n, A) array n values.  The closed forms' `conjugate` acts on the last axis
+too, so one call backs up a whole (S, A) table; every other regularizer is
+backed up row by row.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ class Regularizer:
 
     Subclasses implement `value` and `gradient` (interior points); those with
     a closed form, or a solver of their own, override `conjugate`, and the
-    rest inherit `numeric_conjugate`.  `values` evaluates many rows at once.
+    rest inherit `numeric_conjugate`.  A backup calls `value` on one row;
+    the grid oracle and `constraint_violation` call it on an (n, A) array
+    and expect n values, so every built-in `value` acts on the last axis.
     `batched` is true where `conjugate` also takes an (n, A) table, acting on
     its last axis; the backup operator then makes one call per sweep.
     `num_actions` is the number of entries of the per-action row it holds
@@ -87,15 +91,11 @@ class Regularizer:
     batched = False
     num_actions = None
 
-    def value(self, p) -> float:
+    def value(self, p):
         raise NotImplementedError
 
     def gradient(self, p) -> np.ndarray:
         raise NotImplementedError
-
-    def values(self, rows) -> np.ndarray:
-        """`value` of every row of an (n, A) array; subclasses may batch it."""
-        return np.array([self.value(p) for p in rows])
 
     def conjugate(self, w):
         """sup_p { w.p + phi(p) } by `numeric_conjugate` (mirror ascent)."""

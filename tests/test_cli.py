@@ -721,9 +721,11 @@ def test_cli_reports_tool_runs_every_cli_op(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     exits = {p.stem: p.read_text() for p in tmp_path.glob("*.exit")}
-    assert len(exits) == 19
+    assert len(exits) == 21
     assert set(exits.values()) == {"0\n"}
     assert {"solve-mc-uniform", "compare-mc-uniform-mmm"} <= set(exits)
+    assert {"solve-robust-mdm-uniform",
+            "solve-robust-mdm-tabulated"} <= set(exits)
     assert {"convert-ct2r-phi-ball-scaled",
             "convert-ct2r-phi-ball-offset"} <= set(exits)
     for name in exits:

@@ -6,14 +6,19 @@ import pytest
 from scipy.optimize import minimize
 
 from mdpkit import (
+    AffineRegularizer,
     ChiSquareLagrangeRegularizer,
     ConstrainedInstance,
+    CovarianceRegularizer,
     EntropyRegularizer,
+    ExponentialInverseCdf,
     FullSimplex,
+    GumbelInverseCdf,
     KlBall,
     KlRegularizer,
     L1Ball,
     L2ChiSquareBall,
+    MdmRegularizer,
     MdpModel,
     MmmRegularizer,
     ModelValidationError,
@@ -21,11 +26,14 @@ from mdpkit import (
     Regularizer,
     RegularizedInstance,
     Singleton,
+    TabulatedInverseCdf,
+    UniformInverseCdf,
     ZeroRegularizer,
     constrained_backup,
     constraint_violation,
     ct_backup_operator,
     ct_to_r_convert,
+    derive_rng,
     generic_phi_ball_backup,
     grid_oracle_backup,
     kl_constrained_backup,
@@ -563,13 +571,68 @@ def test_phi_ball_without_slater_point_raises():
                                 -np.log(3.0) - 0.2)
 
 
+# one regularizer of every built-in kind on three actions
+REF3 = np.array([0.3, 0.3, 0.4])
+COV3 = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+MARGINALS = {"exponential": ExponentialInverseCdf(1.7),
+             "uniform": UniformInverseCdf(-1.0, 2.0),
+             "tabulated": TabulatedInverseCdf([0.2, 0.4, 0.6, 0.8],
+                                              [-1.0, 0.5, 0.5, 2.0]),
+             "gumbel": GumbelInverseCdf(0.8)}
+PHI_KINDS = {
+    "entropy": EntropyRegularizer(0.5),
+    "kl": KlRegularizer(0.5, REF3),
+    "mmm": MmmRegularizer(np.array([0.4, 0.1, 0.7])),
+    "chi2-lagrange": ChiSquareLagrangeRegularizer(0.7, UNIF3, 0.3),
+    "zero": ZeroRegularizer(),
+    "affine-kl": AffineRegularizer(KlRegularizer(0.5, REF3), 2.0, 0.1),
+    **{"mdm-" + name: MdmRegularizer([cdf] * 3)
+       for name, cdf in MARGINALS.items()},
+    "mdm-mixed": MdmRegularizer([MARGINALS["exponential"],
+                                 MARGINALS["tabulated"],
+                                 MARGINALS["gumbel"]]),
+    "covariance": CovarianceRegularizer(COV3),
+    "covariance-singular": CovarianceRegularizer(
+        np.outer([1.0, -0.5, 2.0], [1.0, -0.5, 2.0])),
+}
+
+
 def test_batched_regularizer_values_match_the_row_loop():
-    grid = np.array([[i, j, 40 - i - j] for i in range(41)
-                     for j in range(41 - i)]) / 40.0
-    for phi in (MmmRegularizer(np.array([0.4, 0.1, 0.7])),
-                EntropyRegularizer(0.5), KlRegularizer(0.5, UNIF3)):
+    # the grid oracle's own grid, whose last entries carry rounding such as
+    # 1 - 0.7 - 0.3 < 0, and a row next to a vertex
+    i, j = np.divmod(np.arange(41 * 41), 41)
+    keep = i + j <= 40
+    p0, p1 = i[keep] / 40.0, j[keep] / 40.0
+    grid = np.vstack([np.column_stack([p0, p1, 1.0 - p0 - p1]),
+                      [1.0 - 2e-9, 1e-9, 1e-9]])
+    assert np.any(grid < 0)
+    for kind, phi in PHI_KINDS.items():
         rows = np.array([phi.value(p) for p in grid])
-        assert np.array_equal(phi.values(grid), rows)
+        assert np.array_equal(phi.value(grid), rows), kind
+        assert type(phi.value(grid[0])) is float, kind
+
+
+@pytest.mark.parametrize("kind", ["entropy", "kl", "affine-kl",
+                                  "chi2-lagrange", "covariance",
+                                  "mdm-exponential", "mdm-uniform",
+                                  "mdm-tabulated", "mdm-gumbel"])
+def test_phi_ball_backup_of_every_kind_against_grid(kind):
+    # the radius lies between the uniform row's level and the lowest
+    # one-hot level, so the uniform row is a Slater point and every vertex
+    # is cut off; the tolerance is criterion 4's.  Gumbel's E1 is a scalar
+    # function, so its grid is coarser
+    phi = PHI_KINDS[kind]
+    res = 200 if kind == "mdm-gumbel" else 1000
+    inner = -phi.value(UNIF3)
+    outer = min(-phi.value(e) for e in np.eye(3))
+    for t in range(2):
+        rng = derive_rng(2600, t)
+        w = rng.uniform(-2.0, 2.0, 3)
+        radius = inner + float(rng.uniform(0.2, 0.8)) * (outer - inner)
+        value = generic_phi_ball_backup(w, phi, radius).value
+        gval, _ = grid_oracle_backup(w, PhiBall(phi, radius), resolution=res)
+        assert value >= gval - 1e-9, t
+        assert abs(value - gval) <= max(1e-5, 2.0 / res * np.max(np.abs(w))), t
 
 
 def test_phi_ball_mmm_level_set_against_grid():

@@ -436,7 +436,7 @@ def test_error_bound_bounds_the_distance_to_the_policy_value(newton, eta):
     assert res.error_bound == 0.95 / (1.0 - 0.95) * res.residual
     reward = m.reward
     if phi is not None:
-        reward = reward + phi.values(res.policy)[:, None]
+        reward = reward + phi.value(res.policy)[:, None]
     shifted = MdpModel(num_states=8, num_actions=3, transition=m.transition,
                        reward=reward, discount=0.95)
     exact = policy_evaluation_exact(shifted, res.policy)

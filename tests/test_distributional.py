@@ -193,6 +193,30 @@ def test_forward_cdf_inverts_the_quantile(cdf):
         assert cdf.cdf(2.0) == 1.0 and cdf.cdf(-1.0 - 1e-12) == 0.0
 
 
+@pytest.mark.parametrize("cdf", [
+    ExponentialInverseCdf(1.7),
+    UniformInverseCdf(-1.0, 2.0),
+    GumbelInverseCdf(0.8),
+    TabulatedInverseCdf([0.2, 0.4, 0.6, 0.8], [-1.0, 0.5, 0.5, 2.0]),
+], ids=["exponential", "uniform", "gumbel", "tabulated"])
+def test_mass_integral_acts_elementwise(cdf):
+    # p = -1e-16 is a grid oracle entry 1 - p0 - p1 after rounding
+    p = np.array([[0.0, 1.0, -1e-16, 1e-8],
+                  [0.2, 0.5, 0.6, 0.999]])
+    each = np.array([cdf.mass_integral(x) for x in p.ravel()])
+    assert np.array_equal(cdf.mass_integral(p), each.reshape(p.shape))
+    assert cdf.mass_integral(p[0, 0]) == 0.0
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_mdm_rejects_a_row_of_another_length(length):
+    phi = MdmRegularizer([GumbelInverseCdf(1.0)] * 3)
+    row = np.arange(1.0, length + 1.0) / 10.0
+    for call in (phi.value, phi.gradient, phi.conjugate):
+        with pytest.raises(ValueError):
+            call(row)
+
+
 def test_validate_catches_non_monotone_probe():
     class Bad(ExponentialInverseCdf):
         def __call__(self, t):

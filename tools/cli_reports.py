@@ -2,10 +2,11 @@
 
 Runs each `mdpkit` CLI op of the `small_inner_cli` workload (from
 `bench/workloads.py`, imported read-only) once, in-process, against the
-checkout at ROOT, then four ops that no workload op covers: two Monte Carlo
+checkout at ROOT, then six ops that no workload op covers: two Monte Carlo
 ops (a `solve` of a 4x3 uniform-noise model and a `compare` of it against
-its marginal-moment robust twin) and two `convert --direction ct2r` ops of
-phi balls whose phi block carries "scale" or "offset"; it writes under OUT:
+its marginal-moment robust twin), two `convert --direction ct2r` ops of
+phi balls whose phi block carries "scale" or "offset", and two robust
+`solve` ops under uniform and tabulated marginals; it writes under OUT:
 
     <op>.exit, <op>.stdout   each op's exit code and stdout
     <op>/                    the --out files of each convert op, and of every
@@ -95,6 +96,38 @@ def affine_convert_ops(seed, work, workloads):
     return ops
 
 
+def mdm_ops(seed, work, workloads):
+    """`solve-robust-mdm-uniform` and `solve-robust-mdm-tabulated`.
+
+    A 4x3 model drawn from SEED under one shared marginal block: uniform on
+    [-h, h], or tabulated on four knots whose middle two share a value (an
+    atom), both drawn from SEED.  Each solve runs the stationarity root,
+    and so the regularizer's `value`, on every row of every sweep.
+    """
+    from mdpkit.core import random_mdp
+
+    model = random_mdp(4, 3, seed=[seed, 26], discount=0.5)
+    rng = workloads._rng(seed, 26)
+    half = float(rng.uniform(0.2, 1.0))
+    values = np.sort(rng.uniform(-1.0, 2.0, 4))
+    values[2] = values[1]
+    families = {
+        "uniform": {"family": "uniform", "lo": -half, "hi": half},
+        "tabulated": {"family": "tabulated", "t": [0.2, 0.4, 0.6, 0.8],
+                      "values": values.tolist()},
+    }
+    ops = []
+    for name, family in families.items():
+        name = "solve-robust-mdm-" + name
+        argv = ["solve", _write_model(work, name, model, {
+                    "name": "distributional",
+                    "ambiguity": {"kind": "mdm", **family}}),
+                "--tol", repr(workloads.CLI_TOL), "--seed", str(seed)]
+        ops.append(workloads.Op(name, lambda argv=argv:
+                                workloads._cli_run(argv), None, cli=True))
+    return ops
+
+
 def main(argv):
     root, out = Path(argv[1]).resolve(), Path(argv[2])
     seed = int(argv[3]) if len(argv) > 3 else 1
@@ -114,7 +147,8 @@ def main(argv):
         try:
             ops = [op for op in workloads.small_inner_cli(seed, work)
                    if op.cli] + monte_carlo_ops(seed, work, workloads) \
-                + affine_convert_ops(seed, work, workloads)
+                + affine_convert_ops(seed, work, workloads) \
+                + mdm_ops(seed, work, workloads)
             for op in ops:
                 code, text = op.run()
                 (out / f"{op.name}.exit").write_text(f"{code}\n")
