@@ -135,8 +135,8 @@ def _configure(args):
     """Give each unset flag MDPKIT_<FLAG> or its fallback, then check them.
 
     A flag of every command (_COMMON) whose fallback is positive must be
-    positive, and --gap-tol finite and nonnegative.  Every problem raises,
-    together, one ModelValidationError.
+    positive, --seed nonnegative, and --gap-tol finite and nonnegative.
+    Every problem raises, together, one ModelValidationError.
     """
     problems = []
     for key, (cast, fallback, _) in _FLAGS.items():
@@ -156,6 +156,8 @@ def _configure(args):
         value, flag = getattr(args, key), "--" + key.replace("_", "-")
         if key == "gap_tol" and not 0 <= value < np.inf:
             problems.append(f"{flag} must be a finite number >= 0, got {value}")
+        elif key == "seed" and value < 0:
+            problems.append(f"{flag} must be >= 0, got {value}")
         elif key in _COMMON and (fallback or 0) > 0 and not value > 0:
             problems.append(f"{flag} must be positive, got {value}")
     if problems:

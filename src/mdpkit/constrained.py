@@ -9,7 +9,9 @@ phi = -KL(.||ref), so KL and phi balls share one multiplier search: the
 backup at multiplier lam is the conjugate of lam*phi (an
 `AffineRegularizer`), and lam is found by `core._falsi`, the safeguarded
 regula falsi that also solves the stationarity root of the separable
-ambiguity sets, until the duality gap is certified.
+ambiguity sets, until one fixed certificate holds: a feasible row with
+duality gap at most 1e-12.  No ball backup takes a tolerance, so a solve, a
+direct call and a conversion's multiplier read give the same row.
 
 The published dual expressions for the L1 and L2 balls are evaluated
 verbatim by `l1_dual_discrepancy` / `l2_dual_discrepancy` and reported next
@@ -18,7 +20,7 @@ derivation, so no equality is asserted anywhere.
 
 Each feasible-set kind owns its operations, so no caller branches on the
 kind: `violation(p)` (l(p) - radius on the last axis, <= 0 inside) and
-`backup(w, tol)` on every kind; `penalty(lam)`, the regularizer
+`backup(w)` on every kind; `penalty(lam)`, the regularizer
 -lam (l(p) - radius) of its Lagrangian, on the kinds that `ct_to_r_convert`
 accepts (KL, chi-square and phi balls, the full simplex); `dual_note(w)`,
 the published-dual report, on the L1 and chi-square balls.  Each kind's
@@ -35,8 +37,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (_EPS, MdpModel, _falsi, _float_or_array, _param,
-                   _per_state, _row, q_vector, rowwise_operator,
+from .core import (_EPS, MdpModel, _actions, _falsi, _float_or_array,
+                   _param, _per_state, _row, q_vector, rowwise_operator,
                    standard_backup, value_iteration)
 from .regularized import (AffineRegularizer, ConjugateResult,
                           EntropyRegularizer, KlRegularizer, Regularizer,
@@ -93,8 +95,8 @@ class KlBall(_Ball):
     def violation(self, p):
         return kl_divergence(p, self.reference) - self.radius
 
-    def backup(self, w, tol):
-        return kl_constrained_backup(w, self.reference, self.radius, tol=tol)
+    def backup(self, w):
+        return kl_constrained_backup(w, self.reference, self.radius)
 
     def penalty(self, lam):
         return AffineRegularizer(KlRegularizer(lam, self.reference),
@@ -109,7 +111,7 @@ class L1Ball(_Ball):
     def violation(self, p):
         return _float_or_array(abs(p - self.reference).sum(-1) - self.radius)
 
-    def backup(self, w, tol):
+    def backup(self, w):
         return l1_constrained_backup(w, self.reference, self.radius)
 
     def dual_note(self, w):
@@ -123,7 +125,7 @@ class L2ChiSquareBall(_Ball):
     def violation(self, p):
         return chi_square(p, self.reference) - self.radius
 
-    def backup(self, w, tol):
+    def backup(self, w):
         return l2_constrained_backup(w, self.reference, self.radius)
 
     def penalty(self, lam):
@@ -147,7 +149,7 @@ class Singleton:
     def violation(self, p):
         return _float_or_array(np.max(np.abs(p - self.row), axis=-1))
 
-    def backup(self, w, tol):
+    def backup(self, w):
         return CtBackupResult(value=float(self.row @ w), policy=self.row)
 
 
@@ -160,7 +162,7 @@ class FullSimplex:
     def violation(self, p):
         return _float_or_array(np.zeros(np.shape(p)[:-1]))
 
-    def backup(self, w, tol):
+    def backup(self, w):
         val, row = standard_backup(w)
         return CtBackupResult(value=val, policy=row)
 
@@ -190,9 +192,8 @@ class PhiBall:
     def violation(self, p):
         return -self.phi.value(p) - self.radius
 
-    def backup(self, w, tol):
-        return generic_phi_ball_backup(w, self.phi, self.radius,
-                                       tol=max(tol, 1e-12))
+    def backup(self, w):
+        return generic_phi_ball_backup(w, self.phi, self.radius)
 
     def penalty(self, lam):
         return AffineRegularizer(self.phi, lam, lam * self.radius)
@@ -225,20 +226,28 @@ class CtBackupResult:
     dual_evals: int = 0
 
 
-def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
+_GAP = 1e-12
+
+
+def _multiplier_search(w, phi, radius) -> CtBackupResult:
     """max w.p subject to -phi(p) <= radius, by a search on its multiplier.
 
     p(lam) is the conjugate argmax of lam*phi at w, and h(lam) =
-    -phi(p(lam)) - radius falls as lam rises; |h| <= 4 eps max(1, |radius|)
-    counts as a root.  A hard-max row inside the set is returned with
-    multiplier 0.  Otherwise lam is bracketed by doubling from 1 (ValueError
-    without a Slater point) and narrowed by `core._falsi` until the feasible
-    end has duality gap lam_hi*(radius + phi(p_hi)) <= tol.  Where phi is
-    flat along a segment (an atom of an MDM marginal), p(lam) and h jump
-    over the level set and the bracket closes around the jump, its gap
-    above tol relative to the dual value; both end rows then maximize the
-    Lagrangian, so does the segment between them, and the optimum is its
-    point on the level set, where h is linear.
+    -phi(p(lam)) - radius falls as lam rises.  A probe is the root when
+    |h| <= 4 eps max(1, |radius|), or when it is feasible (h < 0) with
+    duality gap lam*(radius + phi(p)) = -lam*h <= 1e-12 (`_GAP`); an
+    infeasible probe never is.  A hard-max row inside the set is returned
+    with multiplier 0.  Otherwise lam is bracketed by doubling from 1
+    (ValueError without a Slater point) and narrowed by `core._falsi` to a
+    root.  The certificate is absolute, so every backup's gap is at most
+    1e-12 whatever the scale of w; a relative one let the gap grow with the
+    dual value past the 1e-12 translation bound.  Where phi is flat along a
+    segment (an atom of an MDM marginal), p(lam) and h jump over the level
+    set and the bracket closes around the jump.  That test is relative,
+    -lam_hi*h_hi > 1e-12 max(1, |dual|), as a bracket closed to rounding
+    leaves a gap that scales with the dual value; both end rows then
+    maximize the Lagrangian, so does the segment between them, and the
+    optimum is its point on the level set, where h is linear.
     """
     w = np.asarray(w, dtype=float)
     evals = 0
@@ -249,7 +258,8 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
         evals += 1
         res = AffineRegularizer(phi, lam).conjugate(w)
         h = -phi.value(res.argmax) - radius
-        return (0.0 if abs(h) <= flat else h), res
+        root = abs(h) <= flat or (h < 0.0 and -lam * h <= _GAP)
+        return (0.0 if root else h), res
 
     val0, row0 = standard_backup(w)
     h_lo = -phi.value(row0) - radius
@@ -266,10 +276,9 @@ def _multiplier_search(w, phi, radius, tol) -> CtBackupResult:
         lam_hi *= 2.0
         h_hi, res_hi = probe(lam_hi)
     _, h_lo, res_lo, lam_hi, h_hi, res_hi = _falsi(
-        probe, lam_lo, lam_hi, h_lo, h_hi, res_lo, res_hi,
-        lambda lam, h: -lam * h <= tol)
+        probe, lam_lo, lam_hi, h_lo, h_hi, res_lo, res_hi)
     p, dual = res_hi.argmax, float(lam_hi * radius + res_hi.value)
-    if -lam_hi * h_hi > tol * max(1.0, abs(dual)):
+    if -lam_hi * h_hi > _GAP * max(1.0, abs(dual)):
         p = p + h_hi / (h_hi - h_lo) * (res_lo.argmax - p)
     return CtBackupResult(value=float(w @ p), policy=p, multiplier=lam_hi,
                           dual_value=dual, dual_evals=evals)
@@ -296,13 +305,13 @@ def _ball_exit(w, reference, radius, face_divergence):
     return w, ref, None
 
 
-def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
+def kl_constrained_backup(w, reference, radius) -> CtBackupResult:
     """max w.p over the KL ball, the level set of phi = -KL(.||ref).
 
     At multiplier y the maximizer p(y), proportional to ref_a exp(w_a/y), is
     one `kl_backup` (the KL dual of Nilim & El Ghaoui 2005 and Iyengar
     2005); `_multiplier_search` returns the feasible row with duality gap
-    y*(radius - KL) <= tol.  Radius 0 returns the reference, multiplier
+    y*(radius - KL) <= 1e-12.  Radius 0 returns the reference, multiplier
     None.  The limit y -> 0 is the reference restricted to the argmax set,
     ref_S / m with KL = -ln m; when it fits, the ball is slack: that row,
     multiplier 0 (`_ball_exit`).
@@ -310,7 +319,7 @@ def kl_constrained_backup(w, reference, radius, tol=1e-12) -> CtBackupResult:
     w, ref, res = _ball_exit(w, reference, radius, lambda m: -np.log(m))
     if res is not None:
         return res
-    return _multiplier_search(w, KlRegularizer(1.0, ref), radius, tol)
+    return _multiplier_search(w, KlRegularizer(1.0, ref), radius)
 
 
 @dataclass
@@ -493,26 +502,27 @@ def grid_oracle_backup(w, constraint, resolution=None):
     return float(vals[k]), cands[k]
 
 
-def generic_phi_ball_backup(w, phi, radius, tol=1e-10) -> CtBackupResult:
+def generic_phi_ball_backup(w, phi, radius) -> CtBackupResult:
     """max w.p subject to -phi(p) <= radius, for any concave phi.
 
-    `_multiplier_search` over the conjugates of lam*phi;
-    ValueError when phi never exceeds -radius (no Slater point).
+    `_multiplier_search` over the conjugates of lam*phi, to the feasible
+    row with duality gap <= 1e-12: the row `PhiBall(phi, radius).backup`
+    returns.  ValueError when phi never exceeds -radius (no Slater point).
     """
-    return _multiplier_search(w, phi, radius, tol)
+    return _multiplier_search(w, phi, radius)
 
 
-def constrained_backup(w, constraint, tol=1e-12) -> CtBackupResult:
+def constrained_backup(w, constraint) -> CtBackupResult:
     """One backup over any feasible-set kind: the kind's own `backup`."""
-    return constraint.backup(w, tol)
+    return constraint.backup(w)
 
 
-def ct_backup_operator(constraints, tol=1e-12):
+def ct_backup_operator(constraints):
     """Backup operator from per-state constraint sets (or one broadcast set)."""
     each = _per_state(constraints)
 
     def backup(w, state):
-        res = (constraints[state] if each else constraints).backup(w, tol)
+        res = (constraints[state] if each else constraints).backup(w)
         return res.value, res.policy
 
     return rowwise_operator(backup)
@@ -535,7 +545,7 @@ class ChiSquareLagrangeRegularizer(Regularizer):
         return -2.0 * self.lam * (p - self.reference) / self.reference
 
     def conjugate(self, w):
-        w = np.asarray(w, dtype=float)
+        w = _actions(w, self.num_actions)
         p, _ = _chi_square_kkt(w, self.reference, t=2.0 * self.lam)
         return ConjugateResult(value=float(w @ p) + self.value(p), argmax=p)
 
@@ -638,8 +648,7 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
     sol = value_iteration(model, ct_backup_operator(sets), tol=tol)
     multipliers, slack, regs = np.zeros(S), np.zeros(S), []
     for s, (con, w) in enumerate(zip(sets, q_vector(model, sol.value))):
-        # tol 1e-14 certifies the KL multiplier; phi balls floor it at 1e-12
-        lam = constrained_backup(w, con, tol=1e-14).multiplier
+        lam = constrained_backup(w, con).multiplier
         multipliers[s] = lam = float(lam or 0.0)
         regs.append(con.penalty(lam) if lam else ZeroRegularizer())
         slack[s] = abs(lam * constraint_violation(con, sol.policy[s]))

@@ -40,20 +40,21 @@ POLICY_ROW_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _falsi(f, lo, hi, g_lo, g_hi, x_lo, x_hi, done=lambda x, g: False):
+def _falsi(f, lo, hi, g_lo, g_hi, x_lo, x_hi):
     """Narrow a bracket g_lo > 0 > g_hi of the root of a falling f.
 
-    f(x) returns (g, payload), g = 0.0 within rounding of the root; x_lo
-    and x_hi are the ends' payloads.  Anderson-Bjorck regula falsi steps,
-    bisected when a step leaves the bracket or, as in Brent's method, is
-    not half the step before last (at a kink the secant creeps).  Stops on
-    a root, a bracket closed to rounding, done(hi, g_hi) or 200 steps, and
-    returns (lo, g_lo, x_lo, hi, g_hi, x_hi).
+    f(x) returns (g, payload), g = 0.0 at a point it accepts as the root:
+    within rounding of it, or, for the ball multiplier, an end certified
+    by its duality gap.  x_lo and x_hi are the ends' payloads.
+    Anderson-Bjorck regula falsi steps, bisected when a step leaves the
+    bracket or, as in Brent's method, is not half the step before last (at
+    a kink the secant creeps).  Stops on a root, a bracket closed to
+    rounding or 200 steps, and returns (lo, g_lo, x_lo, hi, g_hi, x_hi).
     """
     f_lo, f_hi, kept = g_lo, g_hi, 0
     last, step, prev = hi, np.inf, np.inf
     for _ in range(200):
-        if (not g_lo > 0.0 > g_hi or done(hi, g_hi)
+        if (not g_lo > 0.0 > g_hi
                 or hi - lo <= 4 * _EPS * max(1.0, abs(lo), abs(hi))):
             break
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -241,11 +242,16 @@ def _float_or_array(x):
 def _param(x, name, low=-math.inf, high=math.inf, strict=False):
     """float(x) if finite and in [low, high], low excluded when `strict`.
 
-    The one check of a scalar parameter: anything else, NaN included,
-    raises ValueError naming the parameter and its range.
+    The one check of a scalar parameter: anything else, NaN, None, a list
+    or an object included, raises ValueError naming the parameter and its
+    range.
     """
-    x = float(x)
-    if math.isfinite(x) and (low < x if strict else low <= x) and x <= high:
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        pass  # kept as given, for the message
+    if isinstance(x, float) and math.isfinite(x) and x <= high \
+            and (low < x if strict else low <= x):
         return x
     where = "" if (low, high) == (-math.inf, math.inf) else (
         f" in {'(' if strict else '['}{low:g}, {high:g}"
@@ -261,6 +267,16 @@ def _row(x, name):
         raise ValueError(f"{name} must be one row of per-action entries, "
                          f"got shape {x.shape}")
     return x
+
+
+def _actions(w, n):
+    """w as a float array of n action values on its last axis; ValueError
+    naming both counts otherwise.  A table's rows pass together."""
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} action values on the last axis, "
+                         f"got shape {w.shape}")
+    return w
 
 
 def _per_state(x, num_states=None, what=None):

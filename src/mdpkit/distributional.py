@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EPS, _falsi, _float_or_array, _param, _row, standard_backup
+from .core import (_EPS, _actions, _falsi, _float_or_array, _param, _row,
+                   standard_backup)
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator)
 from .stochastic import EULER_GAMMA, GaussianJoint, _require_psd, mc_emax
@@ -340,6 +341,7 @@ class MdmRegularizer(Regularizer):
         return self._each("__call__", 1.0 - np.asarray(p, dtype=float))
 
     def conjugate(self, w):
+        w = _actions(w, self.num_actions)
         # equal-rate exponential marginals: entropy backup at 1/rate, + 1/rate
         if all(isinstance(c, ExponentialInverseCdf) for c in self.cdfs):
             rates = {c.rate for c in self.cdfs}
@@ -349,9 +351,8 @@ class MdmRegularizer(Regularizer):
                 return ConjugateResult(value=res.value + eta, argmax=res.argmax)
         if any(getattr(c, "cdf", None) is None for c in self.cdfs):
             return super().conjugate(w)
-        return _stationary_root(
-            np.asarray(w, dtype=float), self,
-            lambda x: self._each("cdf", x), lambda t: self._each("__call__", t))
+        return _stationary_root(w, self, lambda x: self._each("cdf", x),
+                                lambda t: self._each("__call__", t))
 
 
 class MmmRegularizer(Regularizer):
@@ -377,7 +378,7 @@ class MmmRegularizer(Regularizer):
         return self.sigma * (1.0 - 2.0 * p) / (2.0 * np.sqrt(inner))
 
     def conjugate(self, w):
-        w = np.asarray(w, dtype=float)
+        w = _actions(w, self.num_actions)
         if np.all(self.sigma == 0):
             value, row = standard_backup(w)
             return ConjugateResult(value=value, argmax=row)

@@ -408,8 +408,7 @@ def _r_equals_ds_edge(base, seed):
     # cross-path check: numeric mirror ascent on the same regularizer
     w = q_vector(base, ds_sol.value, 0)
     closed = MdmRegularizer(mdm.inverse_cdfs[0]).conjugate(w)
-    numeric = numeric_conjugate(w, MdmRegularizer(mdm.inverse_cdfs[0]),
-                                tol=1e-13)
+    numeric = numeric_conjugate(w, MdmRegularizer(mdm.inverse_cdfs[0]))
     cross_gap = abs(closed.value - numeric.value)
     mmm = MarginalMomentModel(np.full((base.num_states, base.num_actions), 0.7))
     mmm_bit = _same_path_check(

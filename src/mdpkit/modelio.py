@@ -29,7 +29,7 @@ import numpy as np
 from .constrained import (ChiSquareLagrangeRegularizer, FullSimplex, KlBall,
                           L1Ball, L2ChiSquareBall, PhiBall, Singleton,
                           ZeroRegularizer)
-from .core import MdpModel, ModelValidationError, _per_state
+from .core import MdpModel, ModelValidationError, _param, _per_state
 from .distributional import (CovarianceModel, CovarianceRegularizer,
                              ExponentialInverseCdf, GumbelInverseCdf,
                              MarginalDistributionModel, MarginalMomentModel,
@@ -71,7 +71,8 @@ def model_from_dict(data) -> MdpModel:
     reward.setflags(write=False)
     return MdpModel(num_states=num_states, num_actions=num_actions,
                     transition=transition, reward=reward,
-                    discount=float(_require(data, "discount", "model")))
+                    discount=_param(_require(data, "discount", "model"),
+                                    "discount"))
 
 
 def model_to_dict(model) -> dict:
@@ -86,7 +87,8 @@ def model_to_dict(model) -> dict:
 #
 # Each table maps a kind to (class, fields).  A field is (file key,
 # attribute, parse) or (file key, attribute, parse, default).  The reader
-# passes the parsed fields to the class in order; the writer reads the
+# passes the parsed fields to the class in order, a scalar as given, so
+# that the class's `_param` check names it; the writer reads the
 # attributes back, arrays as lists and a nested regularizer as its block.
 
 def _array(x):
@@ -98,31 +100,31 @@ def _raw(x):
 
 
 _REGULARIZERS = {
-    "entropy": (EntropyRegularizer, [("eta", "eta", float)]),
-    "kl": (KlRegularizer, [("eta", "eta", float),
+    "entropy": (EntropyRegularizer, [("eta", "eta", _raw)]),
+    "kl": (KlRegularizer, [("eta", "eta", _raw),
                            ("reference", "reference", _raw)]),
     "mmm": (MmmRegularizer, [("sigma", "sigma", _array)]),
     "covariance": (CovarianceRegularizer, [("cov", "cov", _array)]),
     "chi_square_lagrange": (ChiSquareLagrangeRegularizer,
-                            [("multiplier", "lam", float),
+                            [("multiplier", "lam", _raw),
                              ("reference", "reference", _raw),
-                             ("radius", "radius", float)]),
+                             ("radius", "radius", _raw)]),
     "zero": (ZeroRegularizer, []),
 }
 
 _NOISES = {
     # "location": "mean_zero" is resolved by `noise_from_dict`
-    "gumbel_iid": (GumbelIid, [("eta", "eta", float),
-                               ("location", "location", float, 0.0)]),
+    "gumbel_iid": (GumbelIid, [("eta", "eta", _raw),
+                               ("location", "location", _raw, 0.0)]),
     "uniform": (UniformPerEntry, [("bounds", "bounds", _array)]),
     "gaussian": (GaussianJoint, [("cov", "cov", _array)]),
 }
 
 _FAMILIES = {
-    "exponential": (ExponentialInverseCdf, [("rate", "rate", float, 1.0)]),
-    "uniform": (UniformInverseCdf, [("lo", "lo", float, 0.0),
-                                    ("hi", "hi", float, 1.0)]),
-    "gumbel": (GumbelInverseCdf, [("scale", "scale", float, 1.0)]),
+    "exponential": (ExponentialInverseCdf, [("rate", "rate", _raw, 1.0)]),
+    "uniform": (UniformInverseCdf, [("lo", "lo", _raw, 0.0),
+                                    ("hi", "hi", _raw, 1.0)]),
+    "gumbel": (GumbelInverseCdf, [("scale", "scale", _raw, 1.0)]),
     "tabulated": (TabulatedInverseCdf, [("t", "t", _raw),
                                         ("values", "values", _raw)]),
 }
@@ -210,7 +212,7 @@ def ambiguity_to_dict(ambiguity) -> dict:
     return _write(_AMBIGUITIES, ambiguity)
 
 
-_BALL = [("reference", "reference", _array), ("radius", "radius", float)]
+_BALL = [("reference", "reference", _array), ("radius", "radius", _raw)]
 _CONSTRAINTS = {
     "kl_ball": (KlBall, _BALL),
     "l1_ball": (L1Ball, _BALL),
@@ -218,7 +220,7 @@ _CONSTRAINTS = {
     "singleton": (Singleton, [("row", "row", _array)]),
     "full": (FullSimplex, []),
     "phi_ball": (PhiBall, [("phi", "phi", regularizer_from_dict),
-                           ("radius", "radius", float)]),
+                           ("radius", "radius", _raw)]),
 }
 
 

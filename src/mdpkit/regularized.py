@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConvergenceError, _float_or_array, _param, _per_state,
-                   _row, rowwise_operator)
+from .core import (ConvergenceError, _actions, _float_or_array, _param,
+                   _per_state, _row, rowwise_operator)
 
 _FLOOR = 1e-16
 _REF_FLOOR = 1e-12
+_MAX_STEPS = 20000
 
 
 def _clean_reference(reference):
@@ -196,19 +197,21 @@ def kl_backup(w, eta, reference) -> ConjugateResult:
     if not np.all((reference > 0) & np.isfinite(reference)):
         raise ValueError("reference policy must be finite and strictly "
                          "positive")
-    return entropy_backup(np.asarray(w, dtype=float) + eta * np.log(reference), eta)
+    w = _actions(w, reference.size)
+    return entropy_backup(w + eta * np.log(reference), eta)
 
 
-def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
+def numeric_conjugate(w, phi) -> ConjugateResult:
     """Maximize w.p + phi(p) over the simplex by entropic mirror ascent.
 
     Multiplicative updates keep iterates strictly interior; a step-halving
     line search guarantees monotone objective ascent.  Returns once the
     objective improvement over 50 consecutive accepted steps falls below
-    tol (relative), or once no ascent step of any size improves; the
+    1e-12 max(1, |f|), or once no ascent step of any size improves; the
     halving stops early once a rejected step rounds back to the current row.
     The input is max-shifted first, so the result is translation-consistent to
-    floating-point accuracy.
+    floating-point accuracy.  ConvergenceError, carrying the best row, after
+    `_MAX_STEPS` accepted steps.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -221,7 +224,7 @@ def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
     step = 1.0
     history = deque(maxlen=51)
     history.append(f)
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         g = wc + phi.gradient(p)
         g = g - g.max()
         accepted = False
@@ -242,10 +245,10 @@ def numeric_conjugate(w, phi, tol=1e-12, max_steps=20000) -> ConjugateResult:
         p, f = cand, fc
         step = min(step * 2.0, 1e6)
         history.append(f)
-        if len(history) == 51 and f - history[0] <= tol * max(1.0, abs(f)):
+        if len(history) == 51 and f - history[0] <= 1e-12 * max(1.0, abs(f)):
             return ConjugateResult(value=shift + f, argmax=p)
     raise ConvergenceError(
-        f"numeric conjugate did not settle within {max_steps} steps",
+        f"numeric conjugate did not settle within {_MAX_STEPS} steps",
         residual=f - history[0] if len(history) > 1 else None,
         best=ConjugateResult(value=shift + f, argmax=p),
     )

@@ -98,7 +98,7 @@ def _operator_catalog(model, rng):
         ("ds-mdm", ds_backup_operator(mdm)),
         ("ds-mmm", ds_backup_operator(mmm)),
         ("ds-cov", ds_backup_operator(cov)),
-        ("ct-kl", ct_backup_operator(KlBall(uniform, 0.1), tol=1e-14)),
+        ("ct-kl", ct_backup_operator(KlBall(uniform, 0.1))),
         ("ct-l1", ct_backup_operator(L1Ball(uniform, 0.5))),
         ("ct-l2", ct_backup_operator(L2ChiSquareBall(uniform, 0.2))),
         ("ct-singleton", ct_backup_operator(Singleton(tilted))),

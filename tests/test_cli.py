@@ -470,6 +470,69 @@ def test_a_nan_tolerance_is_rejected(tmp_path, capsys, flag):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+# a field of the wrong JSON type: (field named in the message, the model
+# file's top-level fields, its framework block)
+WRONG_TYPE_PROBES = {
+    "discount-null": ("discount", {"discount": None}, None),
+    "kl-ball-radius-null": ("radius", {}, {
+        "name": "constrained",
+        "constraint": {"kind": "kl_ball", "reference": REF, "radius": None}}),
+    "eta-object": ("eta", {}, {
+        "name": "regularized", "regularizer": {"kind": "entropy",
+                                               "eta": {"a": 1}}}),
+    "eta-list": ("eta", {}, {
+        "name": "regularized", "regularizer": {"kind": "entropy",
+                                               "eta": [1, 2]}}),
+    "eta-string": ("eta", {}, {
+        "name": "regularized", "regularizer": {"kind": "entropy",
+                                               "eta": "abc"}}),
+    "rate-null": ("rate", {}, {
+        "name": "distributional",
+        "ambiguity": {"kind": "mdm", "family": "exponential", "rate": None}}),
+    "location-null": ("location", {}, {
+        "name": "stochastic",
+        "noise": {"kind": "gumbel_iid", "eta": 0.5, "location": None}}),
+    "offset-list": ("offset", {}, {
+        "name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.5,
+                                               "offset": [1]}}),
+    "scale-null": ("scale", {}, {
+        "name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.5,
+                                               "scale": None}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_PROBES))
+def test_a_wrong_type_in_a_numeric_field_is_a_validation_error(name, tmp_path,
+                                                               capsys):
+    field, top, framework = WRONG_TYPE_PROBES[name]
+    data = {**modelio.model_to_dict(random_mdp(3, 2, seed=41)), **top}
+    if framework:
+        data["framework"] = framework
+    code, out, _ = run_cli(capsys, "solve",
+                           write_json(tmp_path / "m.json", data))
+    assert code == 2
+    record = json.loads(out)["error"]
+    assert record["kind"] == "validation"
+    assert record["message"].startswith(field + " must be a finite number")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["figure1", "--seed", "-1"], None),
+    (["figure1"], "-2"),
+    (["gen", "--seed", "-3"], None),
+], ids=["figure1-flag", "figure1-env", "gen-flag"])
+def test_a_negative_seed_is_rejected_naming_the_flag(tmp_path, capsys,
+                                                     monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("MDPKIT_SEED", env)
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    seed = env or argv[-1]
+    assert json.loads(out)["error"]["message"] == \
+        f"--seed must be >= 0, got {seed}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_validation_error_record(tmp_path, capsys):
     bad = trivial_model_dict()
     bad["transition"] = [[[0.5]]]
@@ -721,7 +784,7 @@ def test_cli_reports_tool_runs_every_cli_op(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     exits = {p.stem: p.read_text() for p in tmp_path.glob("*.exit")}
-    assert len(exits) == 21
+    assert len(exits) == 22
     assert set(exits.values()) == {"0\n"}
     assert {"solve-mc-uniform", "compare-mc-uniform-mmm"} <= set(exits)
     assert {"solve-robust-mdm-uniform",

@@ -158,17 +158,10 @@ def test_kl_backup_wide_ball_acts_unconstrained():
 
 
 def test_kl_backup_solution_is_feasible_and_certified():
-    res = kl_constrained_backup(W3, UNIF3, 0.1, tol=1e-12)
+    res = kl_constrained_backup(W3, UNIF3, 0.1)
     assert kl_divergence(res.policy, UNIF3) <= 0.1 + 1e-10
     assert res.dual_value >= res.value - 1e-9
     assert res.dual_value - res.value <= 1e-9
-
-
-def test_kl_backup_work_scales_with_log_tolerance():
-    loose = kl_constrained_backup(W3, UNIF3, 0.1, tol=1e-4)
-    tight = kl_constrained_backup(W3, UNIF3, 0.1, tol=1e-12)
-    assert loose.dual_evals < tight.dual_evals
-    assert tight.dual_evals <= 200
 
 
 def kl_slsqp(w, ref, radius, start):
@@ -204,9 +197,8 @@ def test_kl_backup_is_feasible_certified_and_optimal(n):
 
 
 def test_ball_multiplier_search_takes_few_probes():
-    kl = kl_constrained_backup(W3, UNIF3, 0.1, tol=1e-12)
-    phi = generic_phi_ball_backup(W3, MmmRegularizer(np.full(3, 0.4)), -0.3,
-                                  tol=1e-12)
+    kl = kl_constrained_backup(W3, UNIF3, 0.1)
+    phi = generic_phi_ball_backup(W3, MmmRegularizer(np.full(3, 0.4)), -0.3)
     assert kl.dual_evals <= 15
     assert phi.dual_evals <= 15
 
@@ -226,8 +218,8 @@ def ball_rows(count, seed=0):
 
 def certified_probes(w, con):
     """dual_evals of a ball backup, checked feasible to rounding and
-    certified (duality gap <= tol = 1e-12)."""
-    res = constrained_backup(w, con, tol=1e-12)
+    certified (duality gap <= 1e-12)."""
+    res = constrained_backup(w, con)
     assert constraint_violation(con, res.policy) <= 1e-14
     assert res.dual_value - res.value <= 1e-12
     return res.dual_evals
@@ -239,6 +231,23 @@ def test_ball_multiplier_search_probe_count_on_random_rows():
     evals = np.array([[certified_probes(w, kl), certified_probes(w, mmm)]
                       for w, kl, mmm in ball_rows(200)])
     assert np.all(evals.mean(axis=0) <= 9.2)
+
+
+def _fields(res):
+    return (res.value, res.policy.tobytes(), res.multiplier, res.dual_value,
+            res.dual_evals)
+
+
+def test_every_route_to_a_ball_backup_gives_one_answer():
+    # one certificate, no tolerance: the direct functions, the kinds' own
+    # `backup` and `constrained_backup` agree to the bit, work included
+    for w, kl, mmm in ball_rows(200, seed=5):
+        direct = kl_constrained_backup(w, kl.reference, kl.radius)
+        assert _fields(kl.backup(w)) == _fields(direct)
+        assert _fields(constrained_backup(w, kl)) == _fields(direct)
+        direct = generic_phi_ball_backup(w, mmm.phi, mmm.radius)
+        assert _fields(mmm.backup(w)) == _fields(direct)
+        assert _fields(constrained_backup(w, mmm)) == _fields(direct)
 
 
 def test_ball_probe_within_rounding_of_the_boundary_ends_the_search():
@@ -846,9 +855,7 @@ def test_ct_to_r_l2_ball_round_trip_with_sixteen_actions():
 
 def test_ct_to_r_multipliers_are_the_per_kind_backups():
     # one state per kind: the conversion's multipliers are the ones each
-    # kind's own backup reports at the solved action values, to the bit; at
-    # this data a KL tolerance of 1e-12 or a phi tolerance of 1e-10 would
-    # stop the search at another multiplier
+    # kind's own backup reports at the solved action values, to the bit
     m = random_mdp(4, 3, seed=31, discount=0.8)
     ref = np.array([0.5, 0.3, 0.2])
     phi = EntropyRegularizer(1.0)
@@ -857,9 +864,9 @@ def test_ct_to_r_multipliers_are_the_per_kind_backups():
     conv = ct_to_r_convert(m, sets, tol=1e-12)
     w = q_vector(m, conv.ct_value)
     expected = [
-        kl_constrained_backup(w[0], ref, 0.02, tol=1e-14).multiplier,
+        kl_constrained_backup(w[0], ref, 0.02).multiplier,
         l2_constrained_backup(w[1], ref, 0.1).multiplier,
-        generic_phi_ball_backup(w[2], phi, -0.6, tol=1e-12).multiplier,
+        generic_phi_ball_backup(w[2], phi, -0.6).multiplier,
         0.0,
     ]
     assert conv.multipliers.tolist() == expected
@@ -903,7 +910,7 @@ def test_every_file_kind_owns_its_violation_backup_and_penalty(kind):
     assert set(_KIND_BLOCKS) == set(modelio._CONSTRAINTS)
     con = modelio.constraint_from_dict({"kind": kind, **_KIND_BLOCKS[kind]})
     w = np.array([1.0, -0.5])
-    res = con.backup(w, 1e-12)
+    res = con.backup(w)
     assert res.value == pytest.approx(float(w @ res.policy), abs=1e-12)
     assert con.violation(res.policy) <= 1e-9
     assert con.violation(np.array([res.policy] * 2)).shape == (2,)

@@ -11,8 +11,10 @@ from mdpkit import (
     EntropyRegularizer,
     ExponentialInverseCdf,
     GumbelIid,
+    ChiSquareLagrangeRegularizer,
     KlRegularizer,
     MdmRegularizer,
+    MmmRegularizer,
     StochasticInstance,
     bregman_divergence,
     entropy_backup,
@@ -20,6 +22,7 @@ from mdpkit import (
     kl_backup,
     numeric_conjugate,
     random_mdp,
+    regularized,
     regularized_backup_operator,
 )
 from util import central_fd, random_interior
@@ -211,15 +214,37 @@ def test_numeric_conjugate_translates_exactly():
         assert abs(b - (a + c)) <= 1e-12 * max(1.0, abs(a) + abs(c))
 
 
-def test_numeric_conjugate_budget_error_carries_best_iterate():
+def test_numeric_conjugate_budget_error_carries_best_iterate(monkeypatch):
     # small eta makes the ascent slow enough that 3 steps cannot finish
+    monkeypatch.setattr(regularized, "_MAX_STEPS", 3)
     phi = EntropyRegularizer(0.01)
     with pytest.raises(ConvergenceError) as exc:
-        numeric_conjugate(W, phi, tol=1e-15, max_steps=3)
+        numeric_conjugate(W, phi)
     best = exc.value.best
     assert best is not None
     assert best.argmax.shape == (3,)
     assert abs(best.argmax.sum() - 1.0) < 1e-12
+
+
+REF3 = [0.2, 0.3, 0.5]
+FIXED_LENGTH_CONJUGATES = {
+    "kl": lambda w: KlRegularizer(0.5, REF3).conjugate(w),
+    "kl-backup": lambda w: kl_backup(w, 0.5, np.array(REF3)),
+    "mmm": lambda w: MmmRegularizer(REF3).conjugate(w),
+    "chi-square-lagrange":
+        lambda w: ChiSquareLagrangeRegularizer(0.7, REF3, 0.3).conjugate(w),
+    "mdm-equal-rate": lambda w: MdmRegularizer(
+        [ExponentialInverseCdf(1.0)] * 3).conjugate(w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_LENGTH_CONJUGATES))
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_a_row_of_another_length_is_rejected(name, length):
+    # the regularizer holds 3 actions; a row of any other length has no
+    # answer, where zip or broadcasting would give one
+    with pytest.raises(ValueError, match=r"expected 3 action values"):
+        FIXED_LENGTH_CONJUGATES[name](np.ones(length))
 
 
 def test_numeric_conjugate_rejects_bad_input():

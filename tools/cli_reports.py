@@ -2,11 +2,13 @@
 
 Runs each `mdpkit` CLI op of the `small_inner_cli` workload (from
 `bench/workloads.py`, imported read-only) once, in-process, against the
-checkout at ROOT, then six ops that no workload op covers: two Monte Carlo
-ops (a `solve` of a 4x3 uniform-noise model and a `compare` of it against
-its marginal-moment robust twin), two `convert --direction ct2r` ops of
-phi balls whose phi block carries "scale" or "offset", and two robust
-`solve` ops under uniform and tabulated marginals; it writes under OUT:
+checkout at ROOT, then seven ops that no workload op covers: two Monte
+Carlo ops (a `solve` of a 4x3 uniform-noise model and a `compare` of it
+against its marginal-moment robust twin), two `convert --direction ct2r` ops
+of phi balls whose phi block carries "scale" or "offset", two robust
+`solve` ops under uniform and tabulated marginals, and a KL-ball `solve` at
+reward scale 3e4, where the multiplier search runs long; it writes under
+OUT:
 
     <op>.exit, <op>.stdout   each op's exit code and stdout
     <op>/                    the --out files of each convert op, and of every
@@ -128,6 +130,27 @@ def mdm_ops(seed, work, workloads):
     return ops
 
 
+def kl_scale_ops(seed, work, workloads):
+    """`solve-kl-ball-3e4`: a 4x3 model drawn from SEED with rewards in
+    [-3e4, 3e4] and one KL ball per state, its reference and radius drawn
+    from SEED.  Its multipliers run to about 1e4, so each backup's search
+    doubles from 1 about a dozen times before it narrows."""
+    from mdpkit.core import random_mdp
+
+    model = random_mdp(4, 3, seed=[seed, 30], reward_range=(-3e4, 3e4),
+                       discount=0.5)
+    rng = workloads._rng(seed, 30)
+    balls = [{"kind": "kl_ball",
+              "reference": rng.dirichlet(np.full(3, 2.0)).tolist(),
+              "radius": float(rng.uniform(0.05, 0.5))} for _ in range(4)]
+    name = "solve-kl-ball-3e4"
+    argv = ["solve", _write_model(work, name, model, {
+                "name": "constrained", "constraint": balls}),
+            "--tol", repr(workloads.CLI_TOL), "--seed", str(seed)]
+    return [workloads.Op(name, lambda: workloads._cli_run(argv), None,
+                         cli=True)]
+
+
 def main(argv):
     root, out = Path(argv[1]).resolve(), Path(argv[2])
     seed = int(argv[3]) if len(argv) > 3 else 1
@@ -148,7 +171,8 @@ def main(argv):
             ops = [op for op in workloads.small_inner_cli(seed, work)
                    if op.cli] + monte_carlo_ops(seed, work, workloads) \
                 + affine_convert_ops(seed, work, workloads) \
-                + mdm_ops(seed, work, workloads)
+                + mdm_ops(seed, work, workloads) \
+                + kl_scale_ops(seed, work, workloads)
             for op in ops:
                 code, text = op.run()
                 (out / f"{op.name}.exit").write_text(f"{code}\n")
