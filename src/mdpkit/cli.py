@@ -222,7 +222,7 @@ def _parse_offset(raw):
         except json.JSONDecodeError as exc:
             raise ModelValidationError(
                 [f"offset file {raw} is not valid JSON: {exc}"])
-    return np.asarray(data, dtype=float)
+    return data  # read by `check_equivalence`, which names the field
 
 
 def cmd_compare(args):

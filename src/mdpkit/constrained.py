@@ -529,24 +529,25 @@ def ct_backup_operator(constraints):
 
 
 class ChiSquareLagrangeRegularizer(Regularizer):
-    """phi(p) = -lam * (chi_square(p, ref) - radius), with a closed-form conjugate."""
+    """phi(p) = -multiplier * (chi_square(p, ref) - radius), with a
+    closed-form conjugate."""
 
-    def __init__(self, lam, reference, radius):
-        self.lam = _param(lam, "multiplier", 0.0, strict=True)
+    def __init__(self, multiplier, reference, radius):
+        self.multiplier = _param(multiplier, "multiplier", 0.0, strict=True)
         self.reference = _clean_reference(reference)
         self.num_actions = np.size(self.reference)
         self.radius = _param(radius, "radius")
 
     def value(self, p):
-        return -self.lam * (chi_square(p, self.reference) - self.radius)
+        return -self.multiplier * (chi_square(p, self.reference) - self.radius)
 
     def gradient(self, p):
         p = np.asarray(p, dtype=float)
-        return -2.0 * self.lam * (p - self.reference) / self.reference
+        return -2.0 * self.multiplier * (p - self.reference) / self.reference
 
     def conjugate(self, w):
         w = _actions(w, self.num_actions)
-        p, _ = _chi_square_kkt(w, self.reference, t=2.0 * self.lam)
+        p, _ = _chi_square_kkt(w, self.reference, t=2.0 * self.multiplier)
         return ConjugateResult(value=float(w @ p) + self.value(p), argmax=p)
 
 

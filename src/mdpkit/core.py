@@ -26,6 +26,12 @@ with the rows as the Jacobian, with no per-family code.
 The (S, A, S) kernel is the one large array, and it exists once: writeable
 inputs are copied, frozen ones are shared, so a model with new rewards or a
 converted model reuses its parent's kernel.
+
+Every parameter from outside the program is read by the class that holds
+it, through one rule per shape: `_param` for a scalar, `_array` for an
+array (`_row` for one per-action row).  A value of the wrong type or out
+of range raises ValueError naming its field, so a model file needs no
+reader of its own for them.
 """
 
 from __future__ import annotations
@@ -259,10 +265,29 @@ def _param(x, name, low=-math.inf, high=math.inf, strict=False):
     raise ValueError(f"{name} must be a finite number{where}, got {x}")
 
 
-def _row(x, name):
-    """x as a float array of per-action entries: one row, or a scalar as
-    one entry; ValueError naming the field for more than one axis."""
-    x = np.asarray(x, dtype=float)
+def _array(x, name, low=None):
+    """x as a float array, finite and at least `low` where `low` is given.
+
+    The one reader of an array from outside the program, as `_param` is of
+    a scalar: anything that is no array of numbers (an object, a string, a
+    ragged list) raises ValueError naming the field, and so does an entry
+    out of range.
+    """
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") \
+            from None
+    if low is not None and not np.all(np.isfinite(x) & (x >= low)):
+        where = "" if low == -math.inf else f" and >= {low:g}"
+        raise ValueError(f"{name} entries must be finite{where}")
+    return x
+
+
+def _row(x, name, low=None):
+    """`_array(x, name, low)` as per-action entries: one row, or a scalar
+    as one entry; ValueError naming the field for more than one axis."""
+    x = _array(x, name, low)
     if x.ndim > 1:
         raise ValueError(f"{name} must be one row of per-action entries, "
                          f"got shape {x.shape}")
@@ -494,6 +519,9 @@ def policy_evaluation_exact(model, policy) -> np.ndarray:
 def random_mdp(num_states, num_actions, seed, reward_range=(-1.0, 1.0),
                discount=0.9) -> MdpModel:
     """Random dense model: normalized positive transition rows, uniform rewards."""
+    for name, n in (("num_states", num_states), ("num_actions", num_actions)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"{name} must be a positive integer, got {n}")
     lo, hi = reward_range
     if not lo < hi:
         raise ValueError(f"empty reward range {reward_range}")

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_EPS, _actions, _falsi, _float_or_array, _param, _row,
-                   standard_backup)
+from .core import (_EPS, _actions, _array, _falsi, _float_or_array, _param,
+                   _row, standard_backup)
 from .regularized import (ConjugateResult, Regularizer, entropy_backup,
                           regularized_backup_operator)
 from .stochastic import EULER_GAMMA, GaussianJoint, _require_psd, mc_emax
@@ -71,8 +71,8 @@ class InverseCdf:
     block of the marginal-CDF regularizer: a float for a scalar p, and
     elementwise on an array; 0 at p = 0.  A user marginal whose
     `mass_integral` takes scalars only still serves one-row values, and so
-    every backup.  `draw(u)` maps uniforms to samples (inverse-transform
-    sampling).  `cdf(x)`, the forward CDF
+    every backup.  Applied to uniforms, `__call__` draws samples of the
+    marginal (inverse-transform sampling).  `cdf(x)`, the forward CDF
     P(X <= x) on arrays, is optional: without it on every action the
     robust backup is the inherited mirror ascent (`Regularizer.conjugate`).
     """
@@ -82,9 +82,6 @@ class InverseCdf:
 
     def mass_integral(self, p):
         raise NotImplementedError
-
-    def draw(self, u):
-        return self(u)
 
     def validate(self):
         vals = np.asarray(self(_PROBE_GRID), dtype=float)
@@ -163,14 +160,13 @@ class TabulatedInverseCdf(InverseCdf):
     """Piecewise-linear inverse CDF given on knots; clamped outside the knots."""
 
     def __init__(self, t, values):
-        t = np.asarray(t, dtype=float)
-        values = np.asarray(values, dtype=float)
+        t, values = _array(t, "t"), _array(values, "values", -np.inf)
         if t.ndim != 1 or t.shape != values.shape or t.shape[0] < 2:
             raise ValueError("need matching 1-d knot and value arrays, length >= 2")
         if not (np.all(t > 0) and np.all(t < 1) and np.all(np.diff(t) > 0)):
             raise ValueError("knots must be strictly increasing inside (0, 1)")
-        if not np.all(np.isfinite(values)) or np.any(np.diff(values) < 0):
-            raise ValueError("values must be finite and nondecreasing")
+        if np.any(np.diff(values) < 0):
+            raise ValueError("values must be nondecreasing")
         self.t = t
         self.values = values
         # the knots with 1 appended, F^-1 there, and the integral of F^-1
@@ -232,22 +228,14 @@ class MarginalDistributionModel:
         # the member: independent inverse-CDF draws, one per action
         rng.random(out=cols)
         for cdf, col in zip(self.inverse_cdfs[state], cols, strict=True):
-            col[...] = cdf.draw(col)
-
-
-def _sigma(sigma):
-    """sigma as an array, or ValueError unless finite and nonnegative."""
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all((sigma >= 0) & (sigma < np.inf)):
-        raise ValueError("sigma entries must be finite and nonnegative")
-    return sigma
+            col[...] = cdf(col)
 
 
 class MarginalMomentModel:
     """Mean-zero noise with per-(state, action) standard deviation bounds."""
 
     def __init__(self, sigma):
-        sigma = _sigma(sigma)
+        sigma = _array(sigma, "sigma", 0.0)
         if sigma.ndim != 2:
             raise ValueError(f"sigma must be (S, A), got shape {sigma.shape}")
         self.sigma = sigma
@@ -269,7 +257,7 @@ class CovarianceModel:
     def __init__(self, matrices):
         # the joint Gaussian with these covariances, a member of the set;
         # building it checks the matrices (`stochastic._require_psd`)
-        self.gaussian = GaussianJoint(matrices)
+        self.gaussian = GaussianJoint(_array(matrices, "matrices"))
         self.matrices = self.gaussian.cov
         self.num_states, self.num_actions = self.matrices.shape[:2]
 
@@ -364,7 +352,7 @@ class MmmRegularizer(Regularizer):
     """
 
     def __init__(self, sigma_row):
-        self.sigma = _sigma(_row(sigma_row, "sigma"))
+        self.sigma = _row(sigma_row, "sigma", 0.0)
         self.num_actions = np.size(self.sigma)
 
     def value(self, p):
@@ -409,7 +397,7 @@ class CovarianceRegularizer(Regularizer):
     """
 
     def __init__(self, cov):
-        cov = np.asarray(cov, dtype=float)
+        cov = _array(cov, "cov")
         _require_psd(cov[None])
         self.cov = cov
         # stacked over the charts k: the mask of the other actions, (A, A),

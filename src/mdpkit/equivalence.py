@@ -24,7 +24,7 @@ import numpy as np
 
 from .constrained import Singleton, ct_backup_operator
 from .core import (ConvergenceError, ModelValidationError, SolveResult,
-                   _param, _per_state, derive_rng, q_vector,
+                   _array, _param, _per_state, derive_rng, q_vector,
                    standard_backup_operator, value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
@@ -245,7 +245,12 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
         raise StructureMismatchError(
             "compared instances must share transitions and discount")
     shape = (mx.num_states, mx.num_actions)
-    offset = np.broadcast_to(np.asarray(offset, dtype=float), shape)
+    offset = _array(offset, "offset")
+    try:
+        offset = np.broadcast_to(offset, shape)
+    except ValueError:
+        raise ValueError(f"offset of shape {offset.shape} does not fit the "
+                         f"models' (S, A) = {shape}") from None
     mc_backed = x.monte_carlo or y.monte_carlo
     policy_noise = 0.0
     for side in (x, y):

@@ -12,12 +12,14 @@ one framework's structure:
     {"name": "distributional", "ambiguity": <block>}
     {"name": "constrained", "constraint": <block> | [<block> per state]}
 
-Each <block> is an object whose "kind" names a class; its fields are listed
-once, in the tables `_REGULARIZERS`, `_NOISES`, `_FAMILIES` (the marginal
-families of an "mdm" ambiguity block), `_AMBIGUITIES` and `_CONSTRAINTS`,
-which drive both the reader and the writer.  Loading re-validates
-everything and raises ModelValidationError on any violation, so malformed
-files surface as validation failures rather than stack traces.
+Each <block> is an object whose "kind" names a class; its field keys are
+listed once, in the tables `_REGULARIZERS`, `_NOISES`, `_FAMILIES` (the
+marginal families of an "mdm" ambiguity block), `_AMBIGUITIES` and
+`_CONSTRAINTS`, which drive both the reader and the writer.  A key is also
+the class's attribute, and the class reads its value: a scalar through
+`core._param`, an array through `core._array`.  Malformed files surface as
+validation failures (ModelValidationError, or the class's ValueError naming
+the field) rather than stack traces.
 """
 
 from __future__ import annotations
@@ -85,53 +87,40 @@ def model_to_dict(model) -> dict:
 
 # -- block schemas ------------------------------------------------------
 #
-# Each table maps a kind to (class, fields).  A field is (file key,
-# attribute, parse) or (file key, attribute, parse, default).  The reader
-# passes the parsed fields to the class in order, a scalar as given, so
-# that the class's `_param` check names it; the writer reads the
-# attributes back, arrays as lists and a nested regularizer as its block.
-
-def _array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _raw(x):
-    return x
-
+# Each table maps a kind to (class, fields).  A field is (key,) or (key,
+# default): the file key, which is also the class's attribute.  The reader
+# passes the fields to the class in order, as given, so that the class's
+# own `_param` or `_array` check reads each one and names it; the writer
+# reads the attributes back, arrays as lists and a nested regularizer as
+# its block.
 
 _REGULARIZERS = {
-    "entropy": (EntropyRegularizer, [("eta", "eta", _raw)]),
-    "kl": (KlRegularizer, [("eta", "eta", _raw),
-                           ("reference", "reference", _raw)]),
-    "mmm": (MmmRegularizer, [("sigma", "sigma", _array)]),
-    "covariance": (CovarianceRegularizer, [("cov", "cov", _array)]),
+    "entropy": (EntropyRegularizer, [("eta",)]),
+    "kl": (KlRegularizer, [("eta",), ("reference",)]),
+    "mmm": (MmmRegularizer, [("sigma",)]),
+    "covariance": (CovarianceRegularizer, [("cov",)]),
     "chi_square_lagrange": (ChiSquareLagrangeRegularizer,
-                            [("multiplier", "lam", _raw),
-                             ("reference", "reference", _raw),
-                             ("radius", "radius", _raw)]),
+                            [("multiplier",), ("reference",), ("radius",)]),
     "zero": (ZeroRegularizer, []),
 }
 
 _NOISES = {
     # "location": "mean_zero" is resolved by `noise_from_dict`
-    "gumbel_iid": (GumbelIid, [("eta", "eta", _raw),
-                               ("location", "location", _raw, 0.0)]),
-    "uniform": (UniformPerEntry, [("bounds", "bounds", _array)]),
-    "gaussian": (GaussianJoint, [("cov", "cov", _array)]),
+    "gumbel_iid": (GumbelIid, [("eta",), ("location", 0.0)]),
+    "uniform": (UniformPerEntry, [("bounds",)]),
+    "gaussian": (GaussianJoint, [("cov",)]),
 }
 
 _FAMILIES = {
-    "exponential": (ExponentialInverseCdf, [("rate", "rate", _raw, 1.0)]),
-    "uniform": (UniformInverseCdf, [("lo", "lo", _raw, 0.0),
-                                    ("hi", "hi", _raw, 1.0)]),
-    "gumbel": (GumbelInverseCdf, [("scale", "scale", _raw, 1.0)]),
-    "tabulated": (TabulatedInverseCdf, [("t", "t", _raw),
-                                        ("values", "values", _raw)]),
+    "exponential": (ExponentialInverseCdf, [("rate", 1.0)]),
+    "uniform": (UniformInverseCdf, [("lo", 0.0), ("hi", 1.0)]),
+    "gumbel": (GumbelInverseCdf, [("scale", 1.0)]),
+    "tabulated": (TabulatedInverseCdf, [("t",), ("values",)]),
 }
 
 _AMBIGUITIES = {
-    "mmm": (MarginalMomentModel, [("sigma", "sigma", _array)]),
-    "covariance": (CovarianceModel, [("matrices", "matrices", _array)]),
+    "mmm": (MarginalMomentModel, [("sigma",)]),
+    "covariance": (CovarianceModel, [("matrices",)]),
 }
 
 
@@ -140,17 +129,17 @@ def _read(table, block, what, tag="kind"):
     if not isinstance(kind, str) or kind not in table:
         _fail(f"unknown {what} {tag} {kind!r}")
     cls, fields = table[kind]
-    return cls(*[parse(block.get(key, *default) if default
-                       else _require(block, key, f"{kind} block"))
-                 for key, _, parse, *default in fields])
+    return cls(*[block.get(key, *default) if default
+                 else _require(block, key, f"{kind} block")
+                 for key, *default in fields])
 
 
 def _write(table, obj, tag="kind"):
     for kind, (cls, fields) in table.items():
         if isinstance(obj, cls):
             block = {tag: kind}
-            for key, attr, *_ in fields:
-                value = getattr(obj, attr)
+            for key, *_ in fields:
+                value = getattr(obj, key)
                 if isinstance(value, np.ndarray):
                     value = value.tolist()
                 elif isinstance(value, Regularizer):
@@ -160,8 +149,8 @@ def _write(table, obj, tag="kind"):
     raise ValueError(f"{type(obj).__name__} has no file form")
 
 
-def regularizer_from_dict(block):
-    phi = _read(_REGULARIZERS, block, "regularizer")
+def regularizer_from_dict(block, what="regularizer"):
+    phi = _read(_REGULARIZERS, block, what)
     scale, offset = block.get("scale", 1.0), block.get("offset", 0.0)
     if scale != 1.0 or offset:
         phi = AffineRegularizer(phi, scale, offset)
@@ -212,19 +201,22 @@ def ambiguity_to_dict(ambiguity) -> dict:
     return _write(_AMBIGUITIES, ambiguity)
 
 
-_BALL = [("reference", "reference", _array), ("radius", "radius", _raw)]
+_BALL = [("reference",), ("radius",)]
 _CONSTRAINTS = {
     "kl_ball": (KlBall, _BALL),
     "l1_ball": (L1Ball, _BALL),
     "l2_ball": (L2ChiSquareBall, _BALL),
-    "singleton": (Singleton, [("row", "row", _array)]),
+    "singleton": (Singleton, [("row",)]),
     "full": (FullSimplex, []),
-    "phi_ball": (PhiBall, [("phi", "phi", regularizer_from_dict),
-                           ("radius", "radius", _raw)]),
+    # the nested "phi" block is read by `constraint_from_dict`
+    "phi_ball": (PhiBall, [("phi",), ("radius",)]),
 }
 
 
 def constraint_from_dict(block):
+    if isinstance(block, dict) and block.get("kind") == "phi_ball" \
+            and "phi" in block:
+        block = {**block, "phi": regularizer_from_dict(block["phi"], "phi")}
     return _read(_CONSTRAINTS, block, "constraint")
 
 

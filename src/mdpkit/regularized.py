@@ -34,12 +34,10 @@ _MAX_STEPS = 20000
 def _clean_reference(reference):
     """The reference row floored at 1e-12 and renormalized to sum to 1.
 
-    Raises ValueError on a non-finite or negative entry, which no floor
-    could turn into the row that was meant.
+    Read by `core._row` with entries finite and nonnegative: no floor could
+    turn a negative or non-finite entry into the row that was meant.
     """
-    ref = _row(reference, "reference")
-    if not np.all(np.isfinite(ref)) or np.any(ref < 0):
-        raise ValueError("reference row must be finite and nonnegative")
+    ref = _row(reference, "reference", 0.0)
     ref = np.clip(ref, _REF_FLOOR, None)
     return ref / ref.sum()
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, _param, derive_rng
+from .core import MdpModel, _array, _param, derive_rng
 from .regularized import AffineRegularizer, EntropyRegularizer, entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -60,7 +60,9 @@ class NoiseModel:
 
 
 def _drawn(noise, state, num_actions, n, rng):
-    """A fresh C-contiguous (num_actions, n) block of the noise's draws."""
+    """A fresh C-contiguous (num_actions, n) block of the noise's draws,
+    checked against memory with one worker's buffers before it is made."""
+    _require_cache_fits(1, num_actions, n, 1)
     cols = np.empty((num_actions, n))
     noise._fill(state, cols, rng)
     return cols
@@ -114,12 +116,11 @@ class UniformPerEntry(NoiseModel):
     """Independent Uniform[lo, hi] noise per (state, action); lo == hi allowed."""
 
     def __init__(self, bounds):
-        bounds = np.asarray(bounds, dtype=float)
+        bounds = _array(bounds, "bounds", -np.inf)
         if bounds.ndim != 3 or bounds.shape[2] != 2:
             raise ValueError(f"bounds must have shape (S, A, 2), got {bounds.shape}")
-        if not (np.all(np.isfinite(bounds))
-                and np.all(bounds[..., 0] <= bounds[..., 1])):
-            raise ValueError("bounds must be finite with lower <= upper")
+        if not np.all(bounds[..., 0] <= bounds[..., 1]):
+            raise ValueError("bounds must have lower <= upper")
         self.bounds = bounds
         self.num_states, self.num_actions = bounds.shape[:2]
 
@@ -178,7 +179,7 @@ class GaussianJoint(NoiseModel):
     """
 
     def __init__(self, cov):
-        self.cov = np.asarray(cov, dtype=float)
+        self.cov = _array(cov, "cov")
         vals, vecs = _require_psd(self.cov)
         self.factor = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
         self.num_states, self.num_actions = self.cov.shape[:2]
@@ -432,6 +433,9 @@ def _require_cache_fits(num_states, num_actions, samples, workers):
     sample up to 256 actions) and 256 KB of block buffers.  Checked against
     physical memory, before anything is drawn, so that a solve too large
     for the machine fails at once instead of swapping or being killed.
+    Every other Monte Carlo draw runs the same check first, as one state
+    and one worker: `_drawn` (so `mc_emax`, `mc_policy` and the built-in
+    `sample`s) and `mc_counterexample_ratio`.
     """
     cache = num_states * num_actions * samples * 8
     index = np.min_scalar_type(num_actions - 1).itemsize
@@ -486,6 +490,7 @@ def uniform_counterexample_ratio(r1, r2, beta=0.0) -> float:
 
 def mc_counterexample_ratio(r1, r2, beta=0.0, samples=1000000, seed=0) -> float:
     """Monte Carlo pi(a1)/pi(a2) at the chooser state of the uniform model."""
+    _require_cache_fits(1, 1, samples, 1)
     rng = derive_rng(seed, 0)
     eps = rng.random(samples)
     wins = float(np.count_nonzero(r1 + eps >= r2 + beta))

@@ -599,6 +599,32 @@ def test_compare_rejects_a_non_finite_offset(tmp_path, capsys, offset):
         "reward not finite at (s=0, a=0)"
 
 
+@pytest.mark.parametrize("offset", [[1.0, 2.0, 3.0, 4.0], {"a": 1}, "ab",
+                                    [[1.0, 2.0], [3.0]]],
+                         ids=["wrong-shape", "object", "string", "ragged"])
+def test_a_bad_offset_file_names_the_offset(tmp_path, capsys, offset):
+    # a wrong shape printed numpy's broadcast message, and an object
+    # exited 1 with a TypeError and no record
+    path = _model_file(tmp_path, "m.json", 3, 2)
+    offs = write_json(tmp_path / "off.json", offset)
+    code, out, _ = run_cli(capsys, "compare", path, path, "--offset", offs)
+    assert code == 2
+    message = _one_error(out)["message"]
+    assert message.startswith("offset ")
+    if offset == [1.0, 2.0, 3.0, 4.0]:
+        assert message == ("offset of shape (4,) does not fit the models' "
+                           "(S, A) = (3, 2)")
+
+
+def test_gen_names_a_bad_size(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "gen", "--states", "-1",
+                           "--out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert _one_error(out)["message"] == \
+        "num_states must be a positive integer, got -1"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_compare_budget_error_is_the_first_trial_of_x(tmp_path, capsys):
     er = {"name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.5}}
     px = write_json(tmp_path / "x.json", chooser_model_dict(er))

@@ -644,6 +644,20 @@ def test_random_mdp_respects_bounds():
     assert m.discount == 0.7
 
 
+def test_random_mdp_names_a_bad_size():
+    # a float count raised numpy's TypeError, a negative one numpy's
+    # "negative dimensions are not allowed"
+    for args, message in [((2.5, 3), "num_states must be a positive integer, "
+                                     "got 2.5"),
+                          ((2, -1), "num_actions must be a positive integer, "
+                                    "got -1"),
+                          ((True, 3), "num_states must be a positive "
+                                      "integer, got True")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_mdp(*args, seed=0)
+    assert random_mdp(np.int64(2), np.int32(3), seed=0).num_actions == 3
+
+
 def test_derive_rng_streams():
     a = derive_rng(0, 1).random(4)
     b = derive_rng(0, 1).random(4)

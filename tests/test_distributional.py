@@ -70,7 +70,7 @@ def test_inverse_cdf_validation():
 def test_exponential_draw_is_inverse_transform():
     cdf = ExponentialInverseCdf(rate=2.0)
     u = np.array([0.1, 0.5, 0.9])
-    assert np.allclose(cdf.draw(u), -np.log1p(-u) / 2.0)
+    assert np.allclose(cdf(u), -np.log1p(-u) / 2.0)
 
 
 def test_mass_integral_frozen_oracles():

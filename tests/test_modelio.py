@@ -44,6 +44,7 @@ from mdpkit import (
     random_mdp,
 )
 from mdpkit import modelio
+from mdpkit.cli import main
 from mdpkit.modelio import (
     instance_from_dict,
     instance_to_dict,
@@ -154,7 +155,7 @@ def test_regularized_round_trip_mmm_and_covariance_kinds():
     assert isinstance(got[0], MmmRegularizer)
     assert np.allclose(got[0].sigma, [0.3, 0.5])
     assert isinstance(got[1], ChiSquareLagrangeRegularizer)
-    assert got[1].lam == 0.8 and got[1].radius == 0.2
+    assert got[1].multiplier == 0.8 and got[1].radius == 0.2
     assert isinstance(got[2], ZeroRegularizer)
 
 
@@ -412,7 +413,7 @@ TABLE_KINDS = [(t, kind) for t, (attr, _) in TABLES.items()
                for kind in getattr(modelio, attr)]
 REQUIRED_FIELDS = [(t, kind, field[0]) for t, (attr, _) in TABLES.items()
                    for kind, (_, fields) in getattr(modelio, attr).items()
-                   for field in fields if len(field) == 3]
+                   for field in fields if len(field) == 1]
 
 
 def test_cases_cover_every_table_kind():
@@ -438,6 +439,34 @@ def test_missing_field_message_names_the_field(table, kind, key):
     with pytest.raises(ModelValidationError) as exc:
         instance_from_dict(data)
     assert str(exc.value) == f"{kind} block is missing required field {key!r}"
+
+
+# every field of every block kind, scalars, arrays, defaulted fields and
+# the phi ball's nested block alike, read from the tables
+ALL_FIELDS = [(t, kind, field[0]) for t, (attr, _) in TABLES.items()
+              for kind, (_, fields) in getattr(modelio, attr).items()
+              for field in fields]
+WRONG_TYPES = {"object": {"a": 1}, "string": "ab", "ragged": [[1, 2], [3]],
+               "null": None}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_TYPES))
+@pytest.mark.parametrize("table,kind,key", ALL_FIELDS)
+def test_a_wrong_type_in_any_field_exits_2_with_one_record(table, kind, key,
+                                                           wrong, tmp_path,
+                                                           capsys):
+    # an object in an array field exited 1 with a TypeError and no record,
+    # and a string or a ragged list printed numpy's message, naming no field
+    data = instance_to_dict(CASES[f"{table}/{kind}"]())
+    data["framework"][TABLES[table][1]][key] = WRONG_TYPES[wrong]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    # json.loads refuses a second document after the first
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record["kind"] == "validation"
+    if wrong != "null":
+        assert record["message"].startswith(f"{key} ")
 
 
 def test_mean_zero_location_still_requires_eta():

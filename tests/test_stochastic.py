@@ -415,6 +415,22 @@ def test_a_directly_built_mc_operator_checks_its_cache_first(monkeypatch):
     op(table, [0, 1, 2], 1)
 
 
+def test_every_monte_carlo_draw_checks_memory_first(monkeypatch, capsys):
+    # mc_emax, mc_policy and the chooser ratio allocated their draws
+    # unchecked, and figure1 at a huge --mc-samples died of a MemoryError
+    _, noise = build_uniform_counterexample(0.0, 0.25)
+    monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: 10**6)
+    for draw in (lambda: mc_emax(np.zeros(2), noise, 10**5, seed=0),
+                 lambda: mc_policy(np.zeros(2), noise, 10**5, seed=0),
+                 lambda: mc_counterexample_ratio(0.0, 0.5, samples=10**5)):
+        with pytest.raises(ValueError, match="bytes of physical memory"):
+            draw()
+    code = main(["figure1", "--mc-samples", "100000", "--trials", "2"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert "bytes of physical memory" in record["message"]
+
+
 @pytest.mark.parametrize("noise", _tie_prone_noises(),
                          ids=["gumbel", "uniform", "gaussian"])
 def test_the_worker_count_changes_no_output(monkeypatch, noise):
