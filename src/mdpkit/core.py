@@ -8,8 +8,10 @@ action-value rows, `states` their k state indices, and the operator returns
 k backup values and k probability rows over actions.  Each sweep computes
 the (S, A) table in one product and makes one call, `op(table,
 np.arange(S), sweep)`; the table's row s may differ from the one-state
-`q_vector` in the last ulp (BLAS kernel shape).  A stack of N reward
-tables on one kernel sweeps as one (N*S, A) table, its states repeated.
+`q_vector` in the last ulp (BLAS kernel shape).  At V = 0, where every
+solve starts, the table is the reward, bit for bit, with no product.  A
+stack of N reward tables on one kernel sweeps as one (N*S, A) table, its
+states repeated.
 Closed forms act on the last axis of the whole table; the Monte Carlo
 backup spreads its states over threads (`stochastic.smdp_backup_operator`);
 any other backup runs through `rowwise_operator`, the one per-row loop.
@@ -230,11 +232,17 @@ def q_vector(model, value, state=None, reward=None) -> np.ndarray:
     one its value and reward give alone, bit for bit: the product is one
     (S*A, S) matrix-vector product per value.  A table's row s may differ
     from the one-state form in the last ulp (BLAS uses other kernel shapes).
+    At V = 0 (every entry +0.0, as every solve starts) there is no product:
+    P @ 0 is +0.0 for a finite, nonnegative kernel, so the result is
+    `reward + 0.0`, the table the product gives, bit for bit.
     """
     reward = model.reward if reward is None else reward
+    value = np.asarray(value, dtype=float)
+    S, A = model.num_states, model.num_actions
+    if not value.view(np.uint64).any():  # all bits 0: every entry +0.0
+        return (reward + np.zeros(value.shape[:-1] + (S, A)) if state is None
+                else reward[state] + 0.0)
     if state is None:
-        S, A = model.num_states, model.num_actions
-        value = np.asarray(value, dtype=float)
         q = np.matmul(model.transition.reshape(S * A, S), value[..., None])
         return reward + model.discount * q.reshape(value.shape[:-1] + (S, A))
     return reward[state] + model.discount * (model.transition[state] @ value)
@@ -270,9 +278,11 @@ def _array(x, name, low=None):
 
     The one reader of an array from outside the program, as `_param` is of
     a scalar: anything that is no array of numbers (an object, a string, a
-    ragged list) raises ValueError naming the field, and so does an entry
-    out of range.
+    ragged list, a JSON null) raises ValueError naming the field, and so
+    does an entry out of range.
     """
+    if x is None:  # np.asarray would read it as a 0-d NaN
+        raise ValueError(f"{name} must be an array of numbers, got null")
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -357,7 +367,8 @@ def bellman_sweep(model, backup, value, sweep=0, reward=None):
     """One synchronous sweep: returns (new value vector, policy matrix).
 
     One call backs up the whole table: `backup(q_vector(model, value),
-    np.arange(S), sweep)`.  An (n, S) stack of values, each under its table
+    np.arange(S), sweep)`; at V = 0 that table is the reward, made with no
+    kernel product.  An (n, S) stack of values, each under its table
     of an (n, S, A) `reward` stack, is one call too, on the (n*S, A) table
     with states `np.tile(np.arange(S), n)`; it returns (n, S) values and
     (n, S, A) rows.
@@ -386,7 +397,9 @@ def _evaluation_matrix(model, policy):
         # a one-hot row sums to its one weight exactly
         mat = model.transition.reshape(S * A, S)[
             np.arange(S) * A + np.argmax(nonzero, axis=-1)]
-        mat *= policy.sum(axis=-1)[..., None]
+        weight = policy.sum(axis=-1)
+        if np.any(weight != 1.0):  # x * 1.0 is x: no pass for 0/1 rows
+            mat *= weight[..., None]
     else:
         mat = np.matmul(policy[..., None, :], model.transition).reshape(
             policy.shape[:-1] + (S,))
@@ -418,8 +431,9 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
     open tables, each table keeps its own residual, stop test and Newton
     switch, and a table that meets tol is frozen with its result.  The
     Newton steps of a sweep are one stacked linear solve, in chunks of
-    (S, S) matrices of at most 16 MB.  Each result equals the one solve of
-    its table alone, bit for bit.
+    (S, S) matrices of at most 16 MB.  Every table starts at V = 0, so the
+    first sweep backs up the rewards themselves and reads no kernel.  Each
+    result equals the one solve of its table alone, bit for bit.
 
     Raises ConvergenceError (carrying the last residual, the last sweep's
     result as `best`, and the table's index as `trial`) if max_iter sweeps
@@ -433,7 +447,7 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
     S, A, gamma = model.num_states, model.num_actions, model.discount
     stack = model.reward[None]
     if rewards is not None:
-        stack = np.asarray(rewards, dtype=float)
+        stack = _array(rewards, "rewards")
         bad = ([f"reward stack shape {stack.shape} != (N, {S}, {A})"]
                if stack.ndim != 3 or stack.shape[1:] != (S, A)
                else _reward_violations(stack))
@@ -500,7 +514,7 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
 
 def policy_evaluation_exact(model, policy) -> np.ndarray:
     """Value of a fixed policy via the linear system (I - gamma P_pi) V = r_pi."""
-    policy = np.asarray(policy, dtype=float)
+    policy = _array(policy, "policy")
     bad = validate_policy_matrix(policy, model.num_states, model.num_actions)
     if bad:
         raise ModelValidationError(bad)

@@ -53,7 +53,7 @@ class FrameworkInstance:
         m = self.model
         twin = copy.copy(self)
         twin.model = replace(m, reward=np.broadcast_to(
-            np.asarray(reward, dtype=float), (m.num_states, m.num_actions)))
+            _array(reward, "reward"), (m.num_states, m.num_actions)))
         return twin
 
     def _fits(self, what, table):

@@ -62,7 +62,7 @@ class NoiseModel:
 def _drawn(noise, state, num_actions, n, rng):
     """A fresh C-contiguous (num_actions, n) block of the noise's draws,
     checked against memory with one worker's buffers before it is made."""
-    _require_cache_fits(1, num_actions, n, 1)
+    _require_draws_fit(num_actions, n)
     cols = np.empty((num_actions, n))
     noise._fill(state, cols, rng)
     return cols
@@ -369,7 +369,7 @@ def smdp_backup_operator(noise, samples, seed):
     cached draws (`_emax_estimate`), on the same threads.  A call that
     draws new states first checks the cache it will hold after the call,
     and its workers' buffers, against physical memory
-    (`_require_cache_fits`).
+    (`_require_draws_fit`).
     """
     cache = {}
 
@@ -384,8 +384,8 @@ def smdp_backup_operator(noise, samples, seed):
                 for state, index in rows_of.items()]
         fresh = [state for state, _, new in jobs if new]
         if fresh:
-            _require_cache_fits(len(cache) + len(fresh), table.shape[1],
-                                samples, min(_cpus(), len(jobs)))
+            _require_draws_fit(table.shape[1], samples, len(cache) + len(fresh),
+                               min(_cpus(), len(jobs)))
         cache.update(zip(fresh, np.empty((len(fresh), table.shape[1],
                                           samples))))
 
@@ -424,29 +424,32 @@ def _physical_memory_bytes():
         return None
 
 
-def _require_cache_fits(num_states, num_actions, samples, workers):
-    """Raise ValueError if a common-random-number draw cache cannot fit.
+def _require_draws_fit(num_actions, samples, num_states=None, workers=1):
+    """Raise ValueError if Monte Carlo draws cannot fit in memory.
 
-    The cache of `smdp_backup_operator` over num_states states holds
-    num_states * num_actions * samples float64 draws, and each of its
-    workers a float64 and an index array of `samples` entries (9 bytes per
-    sample up to 256 actions) and 256 KB of block buffers.  Checked against
-    physical memory, before anything is drawn, so that a solve too large
-    for the machine fails at once instead of swapping or being killed.
-    Every other Monte Carlo draw runs the same check first, as one state
-    and one worker: `_drawn` (so `mc_emax`, `mc_policy` and the built-in
-    `sample`s) and `mc_counterexample_ratio`.
+    One block of draws (no `num_states`) holds num_actions * samples
+    float64 draws: `_drawn` (so `mc_emax`, `mc_policy` and the built-in
+    `sample`s) and `mc_counterexample_ratio`.  The common-random-number
+    cache of `smdp_backup_operator` over num_states states holds
+    num_states such blocks.  Each of the `workers` adds a float64 and an
+    index array of `samples` entries (9 bytes per sample up to 256
+    actions) and 256 KB of block buffers.  Checked against physical
+    memory, before anything is drawn, so that a solve too large for the
+    machine fails at once instead of swapping or being killed.
     """
-    cache = num_states * num_actions * samples * 8
+    cache = (num_states or 1) * num_actions * samples * 8
     index = np.min_scalar_type(num_actions - 1).itemsize
     need = cache + workers * ((8 + index) * samples + 2 ** 18)
     have = _physical_memory_bytes()
     if have is not None and need > have:
-        raise ValueError(
-            f"Monte Carlo draw cache needs {need} bytes ({num_states} states "
-            f"x {num_actions} actions x {samples} samples x 8, and {workers} "
-            f"workers' buffers), more than the {have} bytes of physical "
-            "memory; lower mc_samples")
+        sizes = f"{num_actions} actions x {samples} samples x 8, and "
+        held = (f"draws need {need} bytes ({sizes}one worker's buffers)"
+                if num_states is None else
+                f"draw cache needs {need} bytes ({num_states} states x "
+                f"{sizes}{workers} workers' buffers)")
+        knob = "samples (--mc-samples)" if num_states is None else "mc_samples"
+        raise ValueError(f"Monte Carlo {held}, more than the {have} bytes "
+                         f"of physical memory; lower {knob}")
 
 
 def build_uniform_counterexample(r1, r2, discount=0.9):
@@ -490,7 +493,7 @@ def uniform_counterexample_ratio(r1, r2, beta=0.0) -> float:
 
 def mc_counterexample_ratio(r1, r2, beta=0.0, samples=1000000, seed=0) -> float:
     """Monte Carlo pi(a1)/pi(a2) at the chooser state of the uniform model."""
-    _require_cache_fits(1, 1, samples, 1)
+    _require_draws_fit(1, samples)
     rng = derive_rng(seed, 0)
     eps = rng.random(samples)
     wins = float(np.count_nonzero(r1 + eps >= r2 + beta))

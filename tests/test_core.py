@@ -254,6 +254,58 @@ def test_q_table_matches_stacked_rows(shape):
         assert np.max(np.abs(table - rows)) <= 1e-13 * (1.0 + np.max(np.abs(v)))
 
 
+def _signed_zero_model(seed, states=6, actions=3):
+    """A random model whose kernel and rewards hold -0.0 entries."""
+    rng = derive_rng(seed, 0)
+    transition = rng.random((states, actions, states))
+    transition[rng.random(transition.shape) < 0.3] = -0.0
+    transition[..., 0] += 0.5  # no row of zeros
+    transition /= transition.sum(axis=2, keepdims=True)
+    reward = rng.normal(size=(states, actions))
+    reward[rng.random(reward.shape) < 0.3] = -0.0
+    return MdpModel(states, actions, transition, reward, 0.9), rng
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_q_vector_at_zero_is_the_product_bit_for_bit(seed):
+    # at V = 0 q_vector skips the kernel; the table is still the product's
+    m, rng = _signed_zero_model(seed)
+    S, A = m.num_states, m.num_actions
+    assert np.any(np.signbit(m.transition)) and np.any(np.signbit(m.reward))
+    p_zero = (m.transition.reshape(S * A, S) @ np.zeros(S)).reshape(S, A)
+    table = q_vector(m, np.zeros(S))
+    assert _same_bits(table, m.reward + m.discount * p_zero)
+    assert not np.shares_memory(table, m.reward)
+    stack = rng.normal(size=(4, S, A))
+    stack[rng.random(stack.shape) < 0.3] = -0.0
+    assert _same_bits(q_vector(m, np.zeros((4, S)), reward=stack),
+                      stack + m.discount * p_zero)
+    for s in range(S):
+        assert _same_bits(q_vector(m, np.zeros(S), s),
+                          m.reward[s] + m.discount * (m.transition[s]
+                                                      @ np.zeros(S)))
+
+
+def test_a_solve_makes_no_kernel_product_at_v_zero(monkeypatch):
+    m = random_mdp(50, 4, seed=1)
+    products = []
+    matmul = np.matmul
+
+    def spy(a, *args, **kwargs):
+        products.append(np.shape(a) == (50 * 4, 50))
+        return matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    result = value_iteration(m, standard_backup_operator())
+    assert result.iterations == 3
+    assert products == [True, True]
+
+
 def test_fortran_ordered_kernel_is_stored_c_contiguous():
     base = random_mdp(5, 3, seed=4)
     m = MdpModel(5, 3, np.asfortranarray(base.transition),
@@ -614,6 +666,17 @@ def test_stacked_solve_checks_its_reward_tables():
         value_iteration(m, standard_backup_operator(), rewards=stack[0])
     assert value_iteration(m, standard_backup_operator(),
                            rewards=stack[:0]) == []
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda m: value_iteration(m, standard_backup_operator(), rewards="x"),
+     "rewards"),
+    (lambda m: policy_evaluation_exact(m, {"p": 1}), "policy"),
+])
+def test_outside_arrays_name_their_field(call, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an array of "
+                                         "numbers"):
+        call(random_mdp(5, 3, seed=7))
 
 
 def test_iteration_count_shrinks_with_looser_tol():

@@ -85,6 +85,14 @@ def test_trial_rewards_layout():
     assert all(np.array_equal(a, b) for a, b in zip(rewards, again))
 
 
+def test_with_rewards_names_its_field_and_still_broadcasts():
+    inst = StandardInstance(random_mdp(3, 2, seed=1))
+    with pytest.raises(ValueError, match="^reward must be an array of"):
+        inst.with_rewards({"a": 1})
+    assert np.array_equal(inst.with_rewards(1.5).model.reward,
+                          np.full((3, 2), 1.5))
+
+
 # --------------------------------------------------------------- verdicts
 
 

@@ -363,7 +363,8 @@ def test_mc_draw_cache_is_checked_against_physical_memory_first(
     save_instance(inst, path)
 
     monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: need - 1)
-    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+    with pytest.raises(ValueError, match=f"^Monte Carlo draw cache needs "
+                                         f"{need} bytes .*lower mc_samples$"):
         inst.solve()
     code = main(["solve", str(path)])
     record = json.loads(capsys.readouterr().out)["error"]
@@ -419,12 +420,21 @@ def test_every_monte_carlo_draw_checks_memory_first(monkeypatch, capsys):
     # mc_emax, mc_policy and the chooser ratio allocated their draws
     # unchecked, and figure1 at a huge --mc-samples died of a MemoryError
     _, noise = build_uniform_counterexample(0.0, 0.25)
+    # they hold one block of draws, no cache, and take `samples`
     monkeypatch.setattr(stochastic, "_physical_memory_bytes", lambda: 10**6)
-    for draw in (lambda: mc_emax(np.zeros(2), noise, 10**5, seed=0),
-                 lambda: mc_policy(np.zeros(2), noise, 10**5, seed=0),
-                 lambda: mc_counterexample_ratio(0.0, 0.5, samples=10**5)):
-        with pytest.raises(ValueError, match="bytes of physical memory"):
+    one_worker = 9 * 10**5 + 2 ** 18
+    for draw, actions in (
+            (lambda: mc_emax(np.zeros(2), noise, 10**5, seed=0), 2),
+            (lambda: mc_policy(np.zeros(2), noise, 10**5, seed=0), 2),
+            (lambda: noise.sample(0, 10**5, derive_rng(0, 0)), 2),
+            (lambda: mc_counterexample_ratio(0.0, 0.5, samples=10**5), 1)):
+        with pytest.raises(ValueError) as exc:
             draw()
+        need = actions * 8 * 10**5 + one_worker
+        assert str(exc.value) == (
+            f"Monte Carlo draws need {need} bytes ({actions} actions x "
+            "100000 samples x 8, and one worker's buffers), more than the "
+            "1000000 bytes of physical memory; lower samples (--mc-samples)")
     code = main(["figure1", "--mc-samples", "100000", "--trials", "2"])
     assert code == 2
     record = json.loads(capsys.readouterr().out)["error"]
