@@ -37,9 +37,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (_EPS, MdpModel, _actions, _falsi, _float_or_array,
-                   _param, _per_state, _row, q_vector, rowwise_operator,
-                   standard_backup, value_iteration)
+from .core import (_EPS, MdpModel, _actions, _count, _falsi,
+                   _float_or_array, _param, _per_state, _row, q_vector,
+                   rowwise_operator, standard_backup, value_iteration)
 from .regularized import (AffineRegularizer, ConjugateResult,
                           EntropyRegularizer, KlRegularizer, Regularizer,
                           _clean_reference, kl_divergence,
@@ -68,11 +68,20 @@ def _l1_args(reference, radius):
             _param(radius, "radius", 0.0, 2.0))
 
 
+def chi_square(p, reference):
+    """sum (p - ref)^2 / ref on the last axis: a float for one row."""
+    d = np.asarray(p, dtype=float) - reference
+    d *= d  # in place: a grid of rows holds one array of temporaries
+    d /= reference
+    return _float_or_array(d.sum(axis=-1))
+
+
 @dataclass
 class _Ball:
     """{ p : l(p) <= radius } around a probability row `reference`.
 
-    Each kind's `_args` rule cleans and checks both fields.
+    Each kind's `_args` rule cleans and checks both fields, and its
+    `_divergence(p, reference)` is l on the last axis.
     """
 
     reference: np.ndarray
@@ -83,6 +92,10 @@ class _Ball:
         self.reference, self.radius = self._args(self.reference, self.radius)
         self.num_actions = np.size(self.reference)
 
+    def violation(self, p):
+        d = self._divergence(_actions(p, self.num_actions), self.reference)
+        return _float_or_array(d - self.radius)
+
     @property
     def interior(self):
         """Whether the ball has a Slater point: radius > 0."""
@@ -92,8 +105,7 @@ class _Ball:
 class KlBall(_Ball):
     """{ p : KL(p || reference) <= radius }."""
 
-    def violation(self, p):
-        return kl_divergence(p, self.reference) - self.radius
+    _divergence = staticmethod(kl_divergence)
 
     def backup(self, w):
         return kl_constrained_backup(w, self.reference, self.radius)
@@ -107,9 +119,7 @@ class L1Ball(_Ball):
     """{ p : sum |p - reference| <= radius }, radius in [0, 2]."""
 
     _args = staticmethod(_l1_args)
-
-    def violation(self, p):
-        return _float_or_array(abs(p - self.reference).sum(-1) - self.radius)
+    _divergence = staticmethod(lambda p, reference: abs(p - reference).sum(-1))
 
     def backup(self, w):
         return l1_constrained_backup(w, self.reference, self.radius)
@@ -122,8 +132,7 @@ class L1Ball(_Ball):
 class L2ChiSquareBall(_Ball):
     """{ p : sum (p - ref)^2 / ref <= radius }."""
 
-    def violation(self, p):
-        return chi_square(p, self.reference) - self.radius
+    _divergence = staticmethod(chi_square)
 
     def backup(self, w):
         return l2_constrained_backup(w, self.reference, self.radius)
@@ -147,9 +156,11 @@ class Singleton:
         self.num_actions = np.size(self.row)
 
     def violation(self, p):
+        p = _actions(p, self.num_actions)
         return _float_or_array(np.max(np.abs(p - self.row), axis=-1))
 
     def backup(self, w):
+        w = _actions(w, self.num_actions)
         return CtBackupResult(value=float(self.row @ w), policy=self.row)
 
 
@@ -190,21 +201,13 @@ class PhiBall:
         self.num_actions = self.phi.num_actions
 
     def violation(self, p):
-        return -self.phi.value(p) - self.radius
+        return -self.phi.value(_actions(p, self.num_actions)) - self.radius
 
     def backup(self, w):
         return generic_phi_ball_backup(w, self.phi, self.radius)
 
     def penalty(self, lam):
         return AffineRegularizer(self.phi, lam, lam * self.radius)
-
-
-def chi_square(p, reference):
-    """sum (p - ref)^2 / ref on the last axis: a float for one row."""
-    d = np.asarray(p, dtype=float) - reference
-    d *= d  # in place: a grid of rows holds one array of temporaries
-    d /= reference
-    return _float_or_array(d.sum(axis=-1))
 
 
 def constraint_violation(constraint, p):
@@ -249,7 +252,7 @@ def _multiplier_search(w, phi, radius) -> CtBackupResult:
     maximize the Lagrangian, so does the segment between them, and the
     optimum is its point on the level set, where h is linear.
     """
-    w = np.asarray(w, dtype=float)
+    w = _actions(w, phi.num_actions)
     evals = 0
     flat = 4 * _EPS * max(1.0, abs(radius))
 
@@ -293,7 +296,7 @@ def _ball_exit(w, reference, radius, face_divergence):
     divergence of ref_S / m.  It is None where the ball is active.
     """
     ref, radius = _ball_args(reference, radius)
-    w = np.asarray(w, dtype=float)
+    w = _actions(w, ref.size)
     if radius == 0.0:
         return w, ref, CtBackupResult(value=float(w @ ref), policy=ref)
     val = float(w.max())
@@ -340,7 +343,7 @@ def l1_constrained_backup(w, reference, radius) -> CtBackupResult:
     indices).
     """
     ref, radius = _l1_args(reference, radius)
-    w = np.asarray(w, dtype=float)
+    w = _actions(w, ref.size)
     best = int(np.argmax(w))
     budget = min(radius / 2.0, 1.0 - ref[best])
     p = ref.copy()
@@ -364,7 +367,7 @@ def l1_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
     whenever the budget buys anything.
     """
     ref = _simplex_row(reference, "reference")
-    w = np.asarray(w, dtype=float)
+    w = _actions(w, ref.size)
     primal = l1_constrained_backup(w, ref, radius).value
     mu = w.max() - w
     shifted = w + mu
@@ -385,7 +388,7 @@ def l2_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
     these feasible candidates, v = w and v = max(w, 0) is the exact minimum.
     """
     ref = _simplex_row(reference, "reference")
-    w = np.asarray(w, dtype=float)
+    w = _actions(w, ref.size)
     primal = l2_constrained_backup(w, ref, radius).value
     rho = max(radius, 0.0)
     order = np.argsort(w)
@@ -468,8 +471,10 @@ def grid_oracle_backup(w, constraint, resolution=None):
     is one `constraint_violation` call on the whole grid, so a `PhiBall`'s
     phi must take an (n, A) array in `value`.
     """
-    w = np.asarray(w, dtype=float)
+    w = _actions(w, constraint.num_actions)
     n = w.shape[0]
+    res = ({2: 100000, 3: 1000}.get(n) if resolution is None
+           else _count(resolution, "resolution"))
     if isinstance(constraint, Singleton):
         return float(w @ constraint.row), constraint.row
     if isinstance(constraint, FullSimplex):
@@ -477,11 +482,9 @@ def grid_oracle_backup(w, constraint, resolution=None):
     if n == 1:
         return float(w[0]), np.ones(1)
     if n == 2:
-        res = 100000 if resolution is None else int(resolution)
         p0 = np.linspace(0.0, 1.0, res + 1)
         pts = np.column_stack([p0, 1.0 - p0])
     elif n == 3:
-        res = 1000 if resolution is None else int(resolution)
         i, j = np.meshgrid(np.arange(res + 1), np.arange(res + 1),
                            indexing="ij")
         keep = (i + j) <= res

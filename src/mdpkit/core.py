@@ -30,10 +30,10 @@ inputs are copied, frozen ones are shared, so a model with new rewards or a
 converted model reuses its parent's kernel.
 
 Every parameter from outside the program is read by the class that holds
-it, through one rule per shape: `_param` for a scalar, `_array` for an
-array (`_row` for one per-action row).  A value of the wrong type or out
-of range raises ValueError naming its field, so a model file needs no
-reader of its own for them.
+it, through one rule per shape: `_param` for a scalar, `_count` for a
+count or a seed, `_array` for an array (`_row` for one per-action row).  A
+value of the wrong type or out of range raises ValueError naming its
+field, so a model file needs no reader of its own for them.
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ class MdpModel:
     discount: float
 
     def __post_init__(self):
+        for name in ("num_states", "num_actions"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         object.__setattr__(self, "transition", _frozen(self.transition))
         object.__setattr__(self, "reward", _frozen(self.reward))
         violations = validate_model(self)
@@ -160,9 +162,6 @@ def validate_model(model) -> list:
     """Return a list of human-readable invariant violations (empty if valid)."""
     v = []
     S, A = model.num_states, model.num_actions
-    if S < 1 or A < 1:
-        v.append(f"need at least one state and one action, got ({S}, {A})")
-        return v
     if model.transition.shape != (S, A, S):
         v.append(f"transition shape {model.transition.shape} != {(S, A, S)}")
     if model.reward.shape != (S, A):
@@ -273,6 +272,19 @@ def _param(x, name, low=-math.inf, high=math.inf, strict=False):
     raise ValueError(f"{name} must be a finite number{where}, got {x}")
 
 
+def _count(x, name, low=1):
+    """int(x) for an int or numpy integer, not a bool, of at least `low`.
+
+    The one check of a count or a seed, as `_param` is of a scalar: a bool,
+    a float, a string, None or a number below `low` raises ValueError
+    naming the argument.
+    """
+    if type(x) is not bool and isinstance(x, (int, np.integer)) and x >= low:
+        return int(x)
+    kind = "positive" if low else "nonnegative"
+    raise ValueError(f"{name} must be a {kind} integer, got {x}")
+
+
 def _array(x, name, low=None):
     """x as a float array, finite and at least `low` where `low` is given.
 
@@ -306,9 +318,10 @@ def _row(x, name, low=None):
 
 def _actions(w, n):
     """w as a float array of n action values on its last axis; ValueError
-    naming both counts otherwise.  A table's rows pass together."""
+    naming both counts otherwise.  A table's rows pass together.  n None
+    (a feasible set or a phi that holds no row) takes any length."""
     w = np.asarray(w, dtype=float)
-    if w.shape[-1:] != (n,):
+    if n is not None and w.shape[-1:] != (n,):
         raise ValueError(f"expected {n} action values on the last axis, "
                          f"got shape {w.shape}")
     return w
@@ -442,8 +455,7 @@ def value_iteration(model, backup, tol=1e-10, max_iter=100000,
     with a non-finite entry raises ModelValidationError first.
     """
     tol = _param(tol, "tol", 0.0, strict=True)
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    max_iter = _count(max_iter, "max_iter")
     S, A, gamma = model.num_states, model.num_actions, model.discount
     stack = model.reward[None]
     if rewards is not None:
@@ -533,9 +545,8 @@ def policy_evaluation_exact(model, policy) -> np.ndarray:
 def random_mdp(num_states, num_actions, seed, reward_range=(-1.0, 1.0),
                discount=0.9) -> MdpModel:
     """Random dense model: normalized positive transition rows, uniform rewards."""
-    for name, n in (("num_states", num_states), ("num_actions", num_actions)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"{name} must be a positive integer, got {n}")
+    num_states = _count(num_states, "num_states")
+    num_actions = _count(num_actions, "num_actions")
     lo, hi = reward_range
     if not lo < hi:
         raise ValueError(f"empty reward range {reward_range}")
@@ -558,4 +569,5 @@ def derive_rng(seed, *key) -> np.random.Generator:
     length goes into the entropy so (0, 1) and (0, 1, 0) do not collide
     through SeedSequence zero padding.
     """
-    return np.random.default_rng([int(seed), len(key)] + [int(k) for k in key])
+    return np.random.default_rng([_count(seed, "seed", 0), len(key)]
+                                 + [int(k) for k in key])

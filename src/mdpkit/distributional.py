@@ -461,7 +461,7 @@ class CovarianceRegularizer(Regularizer):
         next step.  If X has a zero eigenvalue or Newton stalls, the
         inherited mirror ascent (`Regularizer.conjugate`) answers.
         """
-        w = np.asarray(w, dtype=float)
+        w = _actions(w, self.num_actions)
         n = w.shape[0]
         wc = w - w.max()
         p = np.full(n, 1.0 / n)

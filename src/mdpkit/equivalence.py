@@ -24,7 +24,7 @@ import numpy as np
 
 from .constrained import Singleton, ct_backup_operator
 from .core import (ConvergenceError, ModelValidationError, SolveResult,
-                   _array, _param, _per_state, derive_rng, q_vector,
+                   _array, _count, _param, _per_state, derive_rng, q_vector,
                    standard_backup_operator, value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
@@ -57,13 +57,15 @@ class FrameworkInstance:
         return twin
 
     def _fits(self, what, table):
-        """ModelValidationError unless a per-state table is the model's (S, A).
+        """ModelValidationError unless a law's counts are the model's (S, A).
 
-        A table with `num_states` None (a law without one) fits any model.
+        A count the law leaves None fits any model: a law with no table
+        fits every model, and one given only `num_actions` (i.i.d. Gumbel)
+        every model with that many actions.
         """
         have = (table.num_states, table.num_actions)
         want = (self.model.num_states, self.model.num_actions)
-        if have[0] is not None and have != want:
+        if any(h not in (None, w) for h, w in zip(have, want)):
             raise ModelValidationError(
                 [f"{what} table is (S, A) = {have}, the model is {want}"])
 
@@ -142,17 +144,13 @@ class StochasticInstance(FrameworkInstance):
 
     def __init__(self, model, noise, mc_samples=100000, seed=0, method="auto"):
         super().__init__(model)
-        if not (isinstance(mc_samples, (int, np.integer)) and mc_samples > 0
-                and not isinstance(mc_samples, bool)):
-            raise ValueError("mc_samples must be a positive integer, got "
-                             f"{mc_samples}")
+        self.mc_samples = _count(mc_samples, "mc_samples")
+        self.seed = _count(seed, "seed", 0)
         if method not in ("auto", "closed_form", "mc"):
             raise ValueError("method must be 'auto', 'closed_form' or 'mc', "
                              f"got {method!r}")
         self._fits("noise", noise)
         self.noise = noise
-        self.mc_samples = int(mc_samples)
-        self.seed = int(seed)
         if method == "auto":
             method = "mc" if noise.regularizer is None else "closed_form"
         if method == "closed_form" and noise.regularizer is None:
@@ -234,7 +232,7 @@ def check_equivalence(x, y, offset=0.0, trials=50, seed=0, tol=1e-8,
     all its tables as one stacked `value_iteration` with one operator, so a
     Monte Carlo side draws each state once.
     """
-    tol = _param(tol, "tol", 0.0)
+    tol, trials = _param(tol, "tol", 0.0), _count(trials, "trials", 0)
     mx, my = x.model, y.model
     if (mx.num_states, mx.num_actions) != (my.num_states, my.num_actions):
         raise StructureMismatchError(
@@ -316,7 +314,7 @@ def interior_policy_sweep(eta=1.0, settings=50):
     Every probability is interior and distinct, which is the sweep witness
     that no feasible-set model reproduces a soft backup.
     """
-    gaps = np.linspace(-3.0, 3.0, settings)
+    gaps = np.linspace(-3.0, 3.0, _count(settings, "settings"))
     return gaps, 1.0 / (1.0 + np.exp(-gaps / eta))
 
 

@@ -60,8 +60,6 @@ def _require(mapping, key, context):
 def model_from_dict(data) -> MdpModel:
     num_states = _require(data, "num_states", "model")
     num_actions = _require(data, "num_actions", "model")
-    if not isinstance(num_states, int) or not isinstance(num_actions, int):
-        _fail("num_states and num_actions must be integers")
     try:
         # fresh arrays, frozen, so the model shares them instead of copying
         transition = np.array(_require(data, "transition", "model"),

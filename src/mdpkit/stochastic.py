@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, _array, _param, derive_rng
+from .core import MdpModel, _array, _count, _param, derive_rng
 from .regularized import AffineRegularizer, EntropyRegularizer, entropy_backup
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -79,7 +79,8 @@ class GumbelIid(NoiseModel):
     def __init__(self, eta, location=0.0, num_actions=None):
         self.eta = _param(eta, "eta", 0.0, strict=True)
         self.location = _param(location, "location")
-        self.num_actions = num_actions
+        self.num_actions = (None if num_actions is None
+                            else _count(num_actions, "num_actions"))
 
     @classmethod
     def mean_zero(cls, eta, num_actions=None):
@@ -371,6 +372,7 @@ def smdp_backup_operator(noise, samples, seed):
     and its workers' buffers, against physical memory
     (`_require_draws_fit`).
     """
+    samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     cache = {}
 
     def op(table, states, sweep):
@@ -435,8 +437,10 @@ def _require_draws_fit(num_actions, samples, num_states=None, workers=1):
     index array of `samples` entries (9 bytes per sample up to 256
     actions) and 256 KB of block buffers.  Checked against physical
     memory, before anything is drawn, so that a solve too large for the
-    machine fails at once instead of swapping or being killed.
+    machine fails at once instead of swapping or being killed.  First of
+    all, `samples` must be a positive integer (`core._count`).
     """
+    samples = _count(samples, "samples")
     cache = (num_states or 1) * num_actions * samples * 8
     index = np.min_scalar_type(num_actions - 1).itemsize
     need = cache + workers * ((8 + index) * samples + 2 ** 18)

@@ -625,6 +625,16 @@ def test_gen_names_a_bad_size(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_solve_names_a_bad_count_in_the_model_file(tmp_path, capsys):
+    # "num_states": true loaded and solved as a one-state model
+    d = trivial_model_dict()
+    d["num_states"] = True
+    code, out, _ = run_cli(capsys, "solve", write_json(tmp_path / "m.json", d))
+    assert code == 2
+    assert _one_error(out)["message"] == \
+        "num_states must be a positive integer, got True"
+
+
 def test_compare_budget_error_is_the_first_trial_of_x(tmp_path, capsys):
     er = {"name": "regularized", "regularizer": {"kind": "entropy", "eta": 0.5}}
     px = write_json(tmp_path / "x.json", chooser_model_dict(er))

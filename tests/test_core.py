@@ -23,20 +23,27 @@ from mdpkit import (
     StochasticInstance,
     UniformPerEntry,
     bellman_sweep,
+    check_equivalence,
     derive_rng,
+    grid_oracle_backup,
+    interior_policy_sweep,
+    mc_counterexample_ratio,
+    mc_emax,
+    mc_policy,
     policy_evaluation_exact,
     q_vector,
     r_to_ct_convert,
     random_mdp,
     regularized_backup_operator,
     rowwise_operator,
+    smdp_backup_operator,
     standard_backup,
     standard_backup_operator,
     validate_model,
     validate_policy_matrix,
     value_iteration,
 )
-from mdpkit.core import _evaluation_matrix
+from mdpkit.core import _count, _evaluation_matrix
 
 
 def chain_model(discount=0.5):
@@ -145,7 +152,8 @@ def test_discount_and_policy_messages_print_17_digits():
 
 
 def test_random_mdp_holds_one_kernel():
-    model, peak = tracemalloc_peak(random_mdp, 200, 10, seed=1)
+    model, peak = tracemalloc_peak(random_mdp, 200, 10, seed=1,
+                                   warm=(5, 3, 1))
     assert peak <= 1.1 * model.transition.nbytes
     assert not model.transition.flags.writeable
 
@@ -730,6 +738,82 @@ def test_derive_rng_streams():
     # extra key levels give yet another stream
     d = derive_rng(0, 1, 0).random(4)
     assert not np.array_equal(a, d)
+
+
+# ------------------------------------------------------------------ counts
+
+M32 = random_mdp(3, 2, seed=1)
+# entry point: (argument name, least value, call on a count, a valid count,
+# whether None asks for the default); every count or seed from outside
+# goes through core._count
+COUNTS = {
+    "random_mdp-num_states": (
+        "num_states", 1, lambda n: random_mdp(n, 2, seed=1), 3, False),
+    "random_mdp-num_actions": (
+        "num_actions", 1, lambda n: random_mdp(3, n, seed=1), 2, False),
+    "MdpModel-num_states": ("num_states", 1, lambda n: MdpModel(
+        n, 2, M32.transition, M32.reward, 0.9), 3, False),
+    "MdpModel-num_actions": ("num_actions", 1, lambda n: MdpModel(
+        3, n, M32.transition, M32.reward, 0.9), 2, False),
+    "value_iteration-max_iter": ("max_iter", 1, lambda n: value_iteration(
+        M32, standard_backup_operator(), max_iter=n), 100, False),
+    "StochasticInstance-mc_samples": ("mc_samples", 1, lambda n:
+        StochasticInstance(M32, GumbelIid(1.0), mc_samples=n), 3, False),
+    "StochasticInstance-seed": ("seed", 0, lambda n:
+        StochasticInstance(M32, GumbelIid(1.0), seed=n), 0, False),
+    "mc_emax-samples": ("samples", 1, lambda n: mc_emax(
+        np.zeros(2), GumbelIid(1.0), samples=n, seed=0), 3, False),
+    "mc_policy-samples": ("samples", 1, lambda n: mc_policy(
+        np.zeros(2), GumbelIid(1.0), samples=n, seed=0), 3, False),
+    "GumbelIid.sample-samples": ("samples", 1, lambda n: GumbelIid(
+        1.0, num_actions=2).sample(0, n, derive_rng(0)), 3, False),
+    "smdp_backup_operator-samples": ("samples", 1, lambda n:
+        smdp_backup_operator(GumbelIid(1.0), n, 0), 3, False),
+    "smdp_backup_operator-seed": ("seed", 0, lambda n:
+        smdp_backup_operator(GumbelIid(1.0), 3, n), 0, False),
+    "mc_counterexample_ratio-samples": ("samples", 1, lambda n:
+        mc_counterexample_ratio(0.0, 0.25, samples=n), 3, False),
+    "check_equivalence-trials": ("trials", 0, lambda n: check_equivalence(
+        StandardInstance(M32), StandardInstance(M32), trials=n), 0, False),
+    "grid_oracle_backup-resolution": ("resolution", 1, lambda n:
+        grid_oracle_backup([1.0, 0.0], KlBall([0.5, 0.5], 0.1),
+                           resolution=n), 10, True),
+    "interior_policy_sweep-settings": ("settings", 1, lambda n:
+        interior_policy_sweep(settings=n), 3, False),
+    "GumbelIid-num_actions": ("num_actions", 1, lambda n:
+        GumbelIid(1.0, num_actions=n), 2, True),
+    "derive_rng-seed": ("seed", 0, lambda n: derive_rng(n, 1), 0, False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_every_count_is_read_by_one_rule(entry):
+    # before one rule: True ran one sweep or one draw, 2.5 and "3" raised
+    # TypeError or were cut to 2, -1 raised numpy's message, and 0 returned
+    # the reference row, inf or NaN shares
+    name, low, call, valid, none_ok = COUNTS[entry]
+    kind = "positive" if low else "nonnegative"
+    bad = [True, np.True_, 2.5, "3", -1] + [None] * (not none_ok) \
+        + [0] * low
+    for x in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be a {kind} "
+                                             f"integer, got {x}$"):
+            call(x)
+    for x in (valid, np.int64(valid), np.uint8(valid)):
+        call(x)
+
+
+def test_a_numpy_integer_count_is_stored_as_an_int():
+    counts = [_count(np.int64(3), "n"), _count(np.uint8(0), "seed", 0),
+              random_mdp(np.int64(3), np.int32(2), seed=1).num_states,
+              MdpModel(np.int64(3), np.int64(2), M32.transition, M32.reward,
+                       0.9).num_actions,
+              GumbelIid(1.0, num_actions=np.int64(2)).num_actions]
+    inst = StochasticInstance(M32, GumbelIid(1.0), mc_samples=np.int64(5),
+                              seed=np.int64(7))
+    counts += [inst.mc_samples, inst.seed]
+    assert [type(c) for c in counts] == [int] * len(counts)
+    assert counts == [3, 0, 3, 2, 2, 5, 7]
 
 
 # ------------------------------------------------------ operator properties

@@ -84,7 +84,8 @@ def test_model_round_trip_is_exact(tmp_path):
 
 def test_parsed_model_holds_one_kernel():
     data = model_to_dict(random_mdp(200, 10, seed=3))
-    model, peak = tracemalloc_peak(model_from_dict, data)
+    tiny = model_to_dict(random_mdp(5, 3, seed=1))
+    model, peak = tracemalloc_peak(model_from_dict, data, warm=(tiny,))
     assert peak <= 1.1 * model.transition.nbytes
     assert not model.transition.flags.writeable
 
@@ -113,6 +114,31 @@ def test_malformed_model_blocks_are_rejected(mutate, fragment):
         model_from_dict(d)
     if fragment:
         assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_states", True), ("num_states", 0), ("num_actions", 2.0),
+    ("num_actions", "2"), ("num_actions", None)])
+def test_a_bad_count_in_a_model_file_is_named(key, value):
+    # true loaded as a one-state model; 0 and 2.0 were rejected without
+    # the field's name
+    d = model_to_dict(base_model())
+    d[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be a positive "
+                                         f"integer, got {value}$"):
+        model_from_dict(d)
+
+
+def test_a_model_built_from_numpy_counts_saves_and_reloads(tmp_path):
+    # the counts were kept as np.int64, which json cannot write: save_model
+    # raised TypeError and left a truncated file
+    m = random_mdp(np.int64(3), np.int64(2), seed=1)
+    path = tmp_path / "m.json"
+    save_model(m, path)
+    again = load_model(path)
+    assert (again.num_states, again.num_actions) == (3, 2)
+    assert np.array_equal(again.transition, m.transition)
+    assert np.array_equal(again.reward, m.reward)
 
 
 def test_unknown_framework_name_is_rejected():

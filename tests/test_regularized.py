@@ -8,18 +8,33 @@ from hypothesis import strategies as st
 from mdpkit import (
     AffineRegularizer,
     ConvergenceError,
+    CovarianceRegularizer,
     EntropyRegularizer,
     ExponentialInverseCdf,
+    FullSimplex,
     GumbelIid,
     ChiSquareLagrangeRegularizer,
+    KlBall,
     KlRegularizer,
+    L1Ball,
+    L2ChiSquareBall,
     MdmRegularizer,
     MmmRegularizer,
+    PhiBall,
+    Singleton,
     StochasticInstance,
     bregman_divergence,
+    constraint_violation,
     entropy_backup,
     ev_backup,
+    generic_phi_ball_backup,
+    grid_oracle_backup,
     kl_backup,
+    kl_constrained_backup,
+    l1_constrained_backup,
+    l1_dual_discrepancy,
+    l2_constrained_backup,
+    l2_dual_discrepancy,
     numeric_conjugate,
     random_mdp,
     regularized,
@@ -227,7 +242,7 @@ def test_numeric_conjugate_budget_error_carries_best_iterate(monkeypatch):
 
 
 REF3 = [0.2, 0.3, 0.5]
-FIXED_LENGTH_CONJUGATES = {
+FIXED_LENGTH_CALLS = {
     "kl": lambda w: KlRegularizer(0.5, REF3).conjugate(w),
     "kl-backup": lambda w: kl_backup(w, 0.5, np.array(REF3)),
     "mmm": lambda w: MmmRegularizer(REF3).conjugate(w),
@@ -235,16 +250,52 @@ FIXED_LENGTH_CONJUGATES = {
         lambda w: ChiSquareLagrangeRegularizer(0.7, REF3, 0.3).conjugate(w),
     "mdm-equal-rate": lambda w: MdmRegularizer(
         [ExponentialInverseCdf(1.0)] * 3).conjugate(w),
+    "covariance": lambda w: CovarianceRegularizer(np.eye(3)).conjugate(w),
 }
+# every feasible-set kind that holds a row, its backup and its violation
+FIXED_LENGTH_SETS = {
+    "kl-ball": KlBall(REF3, 0.1),
+    "l1-ball": L1Ball(REF3, 0.1),
+    "chi-square-ball": L2ChiSquareBall(REF3, 0.1),
+    "singleton": Singleton(REF3),
+    "phi-ball": PhiBall(MmmRegularizer([0.5, 0.6, 0.7]), -0.3),
+}
+for _kind, _set in FIXED_LENGTH_SETS.items():
+    FIXED_LENGTH_CALLS[_kind + "-backup"] = _set.backup
+    FIXED_LENGTH_CALLS[_kind + "-violation"] = _set.violation
+    FIXED_LENGTH_CALLS[_kind + "-constraint-violation"] = (
+        lambda w, c=_set: constraint_violation(c, w))
+    FIXED_LENGTH_CALLS[_kind + "-grid-oracle"] = (
+        lambda w, c=_set: grid_oracle_backup(w, c, resolution=10))
+FIXED_LENGTH_CALLS.update({
+    "kl-constrained-backup": lambda w: kl_constrained_backup(w, REF3, 0.1),
+    "l1-constrained-backup": lambda w: l1_constrained_backup(w, REF3, 0.1),
+    "l2-constrained-backup": lambda w: l2_constrained_backup(w, REF3, 0.1),
+    "generic-phi-ball-backup": lambda w: generic_phi_ball_backup(
+        w, MmmRegularizer(REF3), -0.3),
+    "l1-dual-discrepancy": lambda w: l1_dual_discrepancy(w, REF3, 0.1),
+    "l2-dual-discrepancy": lambda w: l2_dual_discrepancy(w, REF3, 0.1),
+})
 
 
-@pytest.mark.parametrize("name", sorted(FIXED_LENGTH_CONJUGATES))
+@pytest.mark.parametrize("name", sorted(FIXED_LENGTH_CALLS))
 @pytest.mark.parametrize("length", [1, 2, 4])
 def test_a_row_of_another_length_is_rejected(name, length):
-    # the regularizer holds 3 actions; a row of any other length has no
-    # answer, where zip or broadcasting would give one
+    # the regularizer or set holds 3 actions; a row of any other length has
+    # no answer, where zip, broadcasting or a boolean index would give one
+    # or raise numpy's message
     with pytest.raises(ValueError, match=r"expected 3 action values"):
-        FIXED_LENGTH_CONJUGATES[name](np.ones(length))
+        FIXED_LENGTH_CALLS[name](np.ones(length))
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_a_set_that_holds_no_row_takes_any_length(length):
+    w = np.arange(length, dtype=float)
+    assert FullSimplex().backup(w).value == length - 1
+    assert FullSimplex().violation(w) == 0.0
+    ball = PhiBall(EntropyRegularizer(1.0), -0.1 * np.log(length))
+    assert ball.violation(np.full(length, 1.0 / length)) <= 0.0
+    assert ball.backup(w).value >= w.mean()
 
 
 def test_numeric_conjugate_rejects_bad_input():

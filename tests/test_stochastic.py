@@ -647,6 +647,17 @@ def test_a_noise_table_must_fit_the_model():
         with pytest.raises(ModelValidationError, match=r"noise table is "
                            r"\(S, A\) = \(4, 2\), the model is \(3, 2\)"):
             StochasticInstance(model, noise)
-    # a law without a per-state table fits any model
+    # a law without a per-state table fits any model with its action
+    # count, and one without an action count any model at all
     assert GumbelIid(1.0, num_actions=5).num_states is None
-    StochasticInstance(model, GumbelIid(1.0, num_actions=5))
+    StochasticInstance(model, GumbelIid(1.0, num_actions=2))
+    StochasticInstance(model, GumbelIid(1.0))
+
+
+def test_a_law_with_only_an_action_count_must_fit_the_model():
+    # the action count was skipped for a law without a state count: a
+    # 5-action Gumbel law solved a 3-action model, drawing 5 columns
+    with pytest.raises(ModelValidationError, match=r"^noise table is "
+                       r"\(S, A\) = \(None, 5\), the model is \(3, 3\)$"):
+        StochasticInstance(random_mdp(3, 3, seed=1),
+                           GumbelIid(1.0, num_actions=5), method="mc")

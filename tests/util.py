@@ -40,12 +40,17 @@ def random_interior(rng, n, floor=0.05):
     return p / p.sum()
 
 
-def tracemalloc_peak(fn, *args, **kwargs):
+def tracemalloc_peak(fn, *args, warm=None, **kwargs):
     """(fn(*args, **kwargs), peak bytes it held above what was live before).
 
     numpy reports its array buffers to tracemalloc, so the peak counts the
-    arrays the call allocated, temporaries included.
+    arrays the call allocated, temporaries included.  `warm`, a tuple of
+    arguments for a tiny input, makes one untraced call fn(*warm) first:
+    numpy's one-time first-call allocations then count in no peak, so the
+    peak does not depend on what ran earlier in the process.
     """
+    if warm is not None:
+        fn(*warm)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
