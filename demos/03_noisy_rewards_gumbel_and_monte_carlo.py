@@ -10,7 +10,7 @@ shows that one softmax temperature cannot explain every noise model.
 
 import numpy as np
 
-from mdpkit import (GumbelIid, entropy_backup, ev_backup, mc_emax,
+from mdpkit import (GumbelIid, entropy_backup, mc_emax,
                     mc_counterexample_ratio, random_mdp, refute_single_eta_fit,
                     smdp_backup_operator, uniform_counterexample_ratio,
                     value_iteration, regularized_backup_operator,
@@ -19,7 +19,9 @@ from mdpkit import (GumbelIid, entropy_backup, ev_backup, mc_emax,
 w = np.array([1.0, 0.0, -1.0])
 eta = 1.0
 
-closed = ev_backup(w, eta)
+# A Gumbel law's expected max is the backup of its regularizer, entropy
+# plus the noise mean; at mean zero that is the entropy backup itself.
+closed = GumbelIid.mean_zero(eta).regularizer().conjugate(w)
 soft = entropy_backup(w, eta)
 print("expected-max value:", closed.value)
 print("soft backup value :", soft.value, "(identical arithmetic)")

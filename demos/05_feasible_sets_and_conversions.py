@@ -21,12 +21,15 @@ from mdpkit import (EntropyRegularizer, KlBall, ct_backup_operator,
 w = np.array([1.0, 0.2, -0.5])
 ref = np.full(3, 1.0 / 3.0)
 
+# A ball backup is the conjugate of the ball's indicator, so it returns the
+# regularized backups' result: the value, the maximizing row `argmax`, and
+# here the ball's multiplier too.
 kl = kl_constrained_backup(w, ref, 0.1)
 print("KL ball   value:", kl.value, " multiplier:", round(kl.multiplier, 4))
 l1 = l1_constrained_backup(w, ref, 0.4)
-print("L1 ball   value:", l1.value, " policy:", np.round(l1.policy, 4))
+print("L1 ball   value:", l1.value, " policy:", np.round(l1.argmax, 4))
 l2 = l2_constrained_backup(w, ref, 0.2)
-print("chi2 ball value:", l2.value, " policy:", np.round(l2.policy, 4))
+print("chi2 ball value:", l2.value, " policy:", np.round(l2.argmax, 4))
 
 gval, _ = grid_oracle_backup(w, KlBall(ref, 0.1))
 print("grid oracle for the KL ball:", gval, " gap:", kl.value - gval)

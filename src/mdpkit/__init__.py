@@ -10,9 +10,9 @@ nested-relation map between the frameworks; `cli` exposes everything as
 the `mdpkit` command.
 """
 
-from .constrained import (ChiSquareLagrangeRegularizer, CtBackupResult,
-                          DualDiscrepancy, FullSimplex, KlBall, L1Ball,
-                          L2ChiSquareBall, PhiBall, Singleton, ZeroRegularizer,
+from .constrained import (ChiSquareLagrangeRegularizer, DualDiscrepancy,
+                          FullSimplex, KlBall, L1Ball, L2ChiSquareBall,
+                          PhiBall, Singleton, ZeroRegularizer,
                           constrained_backup, constraint_violation,
                           ct_backup_operator, ct_to_r_convert,
                           generic_phi_ball_backup, grid_oracle_backup,
@@ -42,8 +42,8 @@ from .regularized import (AffineRegularizer, ConjugateResult,
                           EntropyRegularizer, KlRegularizer, Regularizer,
                           bregman_divergence, entropy_backup, kl_backup,
                           numeric_conjugate, regularized_backup_operator)
-from .stochastic import (EvBackup, GaussianJoint, GumbelIid, UniformPerEntry,
-                         build_uniform_counterexample, ev_backup, mc_emax,
+from .stochastic import (GaussianJoint, GumbelIid, UniformPerEntry,
+                         build_uniform_counterexample, mc_emax,
                          mc_counterexample_ratio, mc_policy,
                          refute_single_eta_fit, smdp_backup_operator,
                          uniform_counterexample_ratio)

@@ -20,12 +20,14 @@ derivation, so no equality is asserted anywhere.
 
 Each feasible-set kind owns its operations, so no caller branches on the
 kind: `violation(p)` (l(p) - radius on the last axis, <= 0 inside) and
-`backup(w)` on every kind; `penalty(lam)`, the regularizer
--lam (l(p) - radius) of its Lagrangian, on the kinds that `ct_to_r_convert`
-accepts (KL, chi-square and phi balls, the full simplex); `dual_note(w)`,
-the published-dual report, on the L1 and chi-square balls.  Each kind's
-`num_actions` is the length of the row it holds (reference or row; a
-scalar counts as one), its phi's for a phi ball, None for the full simplex.
+`backup(w)`, the conjugate of the set's indicator and so a
+`ConjugateResult` with its multiplier, on every kind; `penalty(lam)`, the
+regularizer -lam (l(p) - radius) of its Lagrangian, on the kinds that
+`ct_to_r_convert` accepts (KL, chi-square and phi balls, the full
+simplex); `dual_note(w)`, the published-dual report, on the L1 and
+chi-square balls.  Each kind's `num_actions` is the length of the row it
+holds (reference or row; a scalar counts as one), its phi's for a phi
+ball, None for the full simplex.
 
 `grid_oracle_backup` brute-forces small instances on a barycentric grid and
 is the reference the analytic routines are tested against.
@@ -161,7 +163,7 @@ class Singleton:
 
     def backup(self, w):
         w = _actions(w, self.num_actions)
-        return CtBackupResult(value=float(self.row @ w), policy=self.row)
+        return ConjugateResult(value=float(self.row @ w), argmax=self.row)
 
 
 @dataclass
@@ -174,8 +176,7 @@ class FullSimplex:
         return _float_or_array(np.zeros(np.shape(p)[:-1]))
 
     def backup(self, w):
-        val, row = standard_backup(w)
-        return CtBackupResult(value=val, policy=row)
+        return ConjugateResult(*standard_backup(w))
 
     def penalty(self, lam):
         return ZeroRegularizer()
@@ -218,21 +219,10 @@ def constraint_violation(constraint, p):
     return constraint.violation(np.asarray(p, dtype=float))
 
 
-@dataclass
-class CtBackupResult:
-    """Value, maximizing row, and dual diagnostics for one constrained backup."""
-
-    value: float
-    policy: np.ndarray
-    multiplier: float | None = None
-    dual_value: float | None = None
-    dual_evals: int = 0
-
-
 _GAP = 1e-12
 
 
-def _multiplier_search(w, phi, radius) -> CtBackupResult:
+def _multiplier_search(w, phi, radius) -> ConjugateResult:
     """max w.p subject to -phi(p) <= radius, by a search on its multiplier.
 
     p(lam) is the conjugate argmax of lam*phi at w, and h(lam) =
@@ -267,8 +257,8 @@ def _multiplier_search(w, phi, radius) -> CtBackupResult:
     val0, row0 = standard_backup(w)
     h_lo = -phi.value(row0) - radius
     if h_lo <= 0.0:
-        return CtBackupResult(value=val0, policy=row0, multiplier=0.0,
-                              dual_value=val0)
+        return ConjugateResult(value=val0, argmax=row0, multiplier=0.0,
+                               dual_value=val0)
     lam_lo, lam_hi, res_lo = 0.0, 1.0, ConjugateResult(val0, row0)
     h_hi, res_hi = probe(lam_hi)
     while h_hi > 0.0:
@@ -283,8 +273,8 @@ def _multiplier_search(w, phi, radius) -> CtBackupResult:
     p, dual = res_hi.argmax, float(lam_hi * radius + res_hi.value)
     if -lam_hi * h_hi > _GAP * max(1.0, abs(dual)):
         p = p + h_hi / (h_hi - h_lo) * (res_lo.argmax - p)
-    return CtBackupResult(value=float(w @ p), policy=p, multiplier=lam_hi,
-                          dual_value=dual, dual_evals=evals)
+    return ConjugateResult(value=float(w @ p), argmax=p, multiplier=lam_hi,
+                           dual_value=dual, dual_evals=evals)
 
 
 def _ball_exit(w, reference, radius, face_divergence):
@@ -298,17 +288,18 @@ def _ball_exit(w, reference, radius, face_divergence):
     ref, radius = _ball_args(reference, radius)
     w = _actions(w, ref.size)
     if radius == 0.0:
-        return w, ref, CtBackupResult(value=float(w @ ref), policy=ref)
+        return w, ref, ConjugateResult(value=float(w @ ref), argmax=ref)
     val = float(w.max())
     top = w == val
     m = float(ref[top].sum())
     if face_divergence(m) <= radius:
-        return w, ref, CtBackupResult(value=val, multiplier=0.0, dual_value=val,
-                                      policy=np.where(top, ref, 0.0) / m)
+        return w, ref, ConjugateResult(
+            value=val, argmax=np.where(top, ref, 0.0) / m, multiplier=0.0,
+            dual_value=val)
     return w, ref, None
 
 
-def kl_constrained_backup(w, reference, radius) -> CtBackupResult:
+def kl_constrained_backup(w, reference, radius) -> ConjugateResult:
     """max w.p over the KL ball, the level set of phi = -KL(.||ref).
 
     At multiplier y the maximizer p(y), proportional to ref_a exp(w_a/y), is
@@ -335,7 +326,7 @@ class DualDiscrepancy:
     note: str = ""
 
 
-def l1_constrained_backup(w, reference, radius) -> CtBackupResult:
+def l1_constrained_backup(w, reference, radius) -> ConjugateResult:
     """Exact greedy optimum of max w.p over the L1 ball around `reference`.
 
     Move min(radius/2, 1 - ref[best]) mass onto the best action, draining the
@@ -355,7 +346,7 @@ def l1_constrained_backup(w, reference, radius) -> CtBackupResult:
         take = min(p[a], need)
         p[a] -= take
         need -= take
-    return CtBackupResult(value=float(w @ p), policy=p)
+    return ConjugateResult(value=float(w @ p), argmax=p)
 
 
 def l1_dual_discrepancy(w, reference, radius) -> DualDiscrepancy:
@@ -442,7 +433,7 @@ def _chi_square_kkt(w, ref, radius=None, t=None):
     return p / p.sum(), float(t[k - 1])
 
 
-def l2_constrained_backup(w, reference, radius) -> CtBackupResult:
+def l2_constrained_backup(w, reference, radius) -> ConjugateResult:
     """max w.p over the chi-square ball intersected with the simplex, exactly.
 
     When the argmax set S (mass m under the reference) fits in the ball,
@@ -458,8 +449,8 @@ def l2_constrained_backup(w, reference, radius) -> CtBackupResult:
         return res
     shift = float(w.max())
     p, t = _chi_square_kkt(w, ref, radius=radius)
-    return CtBackupResult(value=shift + float((w - shift) @ p), policy=p,
-                          multiplier=t / 2.0)
+    return ConjugateResult(value=shift + float((w - shift) @ p), argmax=p,
+                           multiplier=t / 2.0)
 
 
 def grid_oracle_backup(w, constraint, resolution=None):
@@ -505,7 +496,7 @@ def grid_oracle_backup(w, constraint, resolution=None):
     return float(vals[k]), cands[k]
 
 
-def generic_phi_ball_backup(w, phi, radius) -> CtBackupResult:
+def generic_phi_ball_backup(w, phi, radius) -> ConjugateResult:
     """max w.p subject to -phi(p) <= radius, for any concave phi.
 
     `_multiplier_search` over the conjugates of lam*phi, to the feasible
@@ -515,7 +506,7 @@ def generic_phi_ball_backup(w, phi, radius) -> CtBackupResult:
     return _multiplier_search(w, phi, radius)
 
 
-def constrained_backup(w, constraint) -> CtBackupResult:
+def constrained_backup(w, constraint) -> ConjugateResult:
     """One backup over any feasible-set kind: the kind's own `backup`."""
     return constraint.backup(w)
 
@@ -526,7 +517,7 @@ def ct_backup_operator(constraints):
 
     def backup(w, state):
         res = (constraints[state] if each else constraints).backup(w)
-        return res.value, res.policy
+        return res.value, res.argmax
 
     return rowwise_operator(backup)
 
@@ -566,8 +557,7 @@ class ZeroRegularizer(Regularizer):
         return np.zeros(np.asarray(p).shape[0])
 
     def conjugate(self, w):
-        val, row = standard_backup(w)
-        return ConjugateResult(value=val, argmax=row)
+        return ConjugateResult(*standard_backup(w))
 
 
 @dataclass

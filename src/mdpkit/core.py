@@ -277,12 +277,13 @@ def _count(x, name, low=1):
 
     The one check of a count or a seed, as `_param` is of a scalar: a bool,
     a float, a string, None or a number below `low` raises ValueError
-    naming the argument.
+    naming the argument, a string quoted.
     """
     if type(x) is not bool and isinstance(x, (int, np.integer)) and x >= low:
         return int(x)
     kind = "positive" if low else "nonnegative"
-    raise ValueError(f"{name} must be a {kind} integer, got {x}")
+    shown = repr(x) if isinstance(x, str) else x
+    raise ValueError(f"{name} must be a {kind} integer, got {shown}")
 
 
 def _array(x, name, low=None):

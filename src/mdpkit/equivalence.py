@@ -314,8 +314,10 @@ def interior_policy_sweep(eta=1.0, settings=50):
     Every probability is interior and distinct, which is the sweep witness
     that no feasible-set model reproduces a soft backup.
     """
+    eta = _param(eta, "eta", 0.0, strict=True)
     gaps = np.linspace(-3.0, 3.0, _count(settings, "settings"))
-    return gaps, 1.0 / (1.0 + np.exp(-gaps / eta))
+    with np.errstate(over="ignore"):  # exp(inf): a probability of 0
+        return gaps, 1.0 / (1.0 + np.exp(-gaps / eta))
 
 
 def counterexample_suite(seed=0, trials=20, mc_samples=200000) -> NestedRelationReport:

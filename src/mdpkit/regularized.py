@@ -34,10 +34,13 @@ _MAX_STEPS = 20000
 def _clean_reference(reference):
     """The reference row floored at 1e-12 and renormalized to sum to 1.
 
-    Read by `core._row` with entries finite and nonnegative: no floor could
-    turn a negative or non-finite entry into the row that was meant.
+    Read by `core._row` with entries finite and nonnegative, at least one
+    of them positive: no floor could turn a negative or non-finite entry,
+    or a row with no mass, into the row that was meant.
     """
     ref = _row(reference, "reference", 0.0)
+    if not ref.any():
+        raise ValueError("reference must have a positive entry")
     ref = np.clip(ref, _REF_FLOOR, None)
     return ref / ref.sum()
 
@@ -63,13 +66,20 @@ def kl_divergence(p, reference):
 
 @dataclass
 class ConjugateResult:
-    """Backup value and the maximizing probability row.
+    """Backup value and the maximizing probability row: every backup's result.
 
-    A closed form given an (n, A) table returns n values and n rows.
+    A closed form given an (n, A) table returns n values and n rows.  A
+    feasible-set backup, the conjugate of the set's indicator, also sets
+    the set's Lagrange `multiplier` (0 where it is slack, None where the
+    backup reads none), the `dual_value` of its multiplier search and
+    `dual_evals`, the number of conjugates that search took.
     """
 
     value: float
     argmax: np.ndarray
+    multiplier: float | None = None
+    dual_value: float | None = None
+    dual_evals: int = 0
 
 
 class Regularizer:

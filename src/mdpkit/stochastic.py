@@ -1,11 +1,11 @@
 """MDPs with additive reward noise: Monte Carlo E[max] backups.
 
 Per-state noise vectors perturb the action values before the max.  With
-i.i.d. Gumbel noise the expected-max backup has the log-sum-exp closed form
-(`ev_backup`), which is what ties this framework to the entropy-regularized
-one.  Other noise laws go through Monte Carlo with common random numbers so
-that value iteration still converges to a fixed point of the (fixed-draw)
-perturbed operator.
+i.i.d. Gumbel noise the expected-max backup has the log-sum-exp closed form:
+it is the entropy backup (`GumbelIid.regularizer`), which is what ties this
+framework to the entropy-regularized one.  Other noise laws go through
+Monte Carlo with common random numbers so that value iteration still
+converges to a fixed point of the (fixed-draw) perturbed operator.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, _array, _count, _param, derive_rng
-from .regularized import AffineRegularizer, EntropyRegularizer, entropy_backup
+from .core import MdpModel, _array, _count, _param, _row, derive_rng
+from .regularized import AffineRegularizer, EntropyRegularizer
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -72,8 +72,8 @@ class GumbelIid(NoiseModel):
     """I.i.d. Gumbel(location, scale eta) noise on every action.
 
     Location defaults to 0, whose mean is eta * euler_gamma; use
-    `GumbelIid.mean_zero(eta)` for the mean-zero convention that matches
-    `ev_backup` values directly.
+    `GumbelIid.mean_zero(eta)` for the mean-zero convention, whose
+    `regularizer()` backs up to `entropy_backup(w, eta)` bit for bit.
     """
 
     def __init__(self, eta, location=0.0, num_actions=None):
@@ -210,20 +210,6 @@ class EmaxEstimate:
     samples: int
 
 
-@dataclass
-class EvBackup:
-    """Closed-form Gumbel expected-max backup.
-
-    `gumbel_location` records the location convention the value corresponds
-    to (mean-zero, i.e. -eta * euler_gamma): Monte Carlo estimates taken with
-    location-0 samplers exceed `value` by eta * euler_gamma.
-    """
-
-    value: float
-    policy: np.ndarray
-    gumbel_location: float
-
-
 # samples per pass of `_column_emax`: a block's sums, maxima and maximizers
 # (about 300 KB) stay in cache while every action's column visits them
 EMAX_BLOCK = 16384
@@ -301,18 +287,6 @@ def mc_policy(w, noise, samples, seed, state=0) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     cols = _drawn(noise, state, len(w), samples, derive_rng(seed, state))
     return _shares(_column_emax(w, cols)[1], len(w))
-
-
-def ev_backup(w, eta) -> EvBackup:
-    """Exact Gumbel expected-max backup under the mean-zero convention.
-
-    value = eta * ln sum_a exp(w_a / eta); the choice probabilities are the
-    softmax row.  Both are `entropy_backup(w, eta)`'s, bit for bit.  With
-    location-0 noise the expected max is value plus eta * euler_gamma.
-    """
-    res = entropy_backup(w, eta)
-    return EvBackup(value=res.value, policy=res.argmax,
-                    gumbel_location=-eta * EULER_GAMMA)
 
 
 def _cpus():
@@ -487,7 +461,7 @@ def uniform_counterexample_ratio(r1, r2, beta=0.0) -> float:
     estimates that orientation empirically, and tests document that the two
     are reciprocals.
     """
-    t = r2 - r1 + beta
+    t = _param(r2, "r2") - _param(r1, "r1") + _param(beta, "beta")
     if t <= 0:
         return 0.0
     if t >= 1:
@@ -497,6 +471,7 @@ def uniform_counterexample_ratio(r1, r2, beta=0.0) -> float:
 
 def mc_counterexample_ratio(r1, r2, beta=0.0, samples=1000000, seed=0) -> float:
     """Monte Carlo pi(a1)/pi(a2) at the chooser state of the uniform model."""
+    r1, r2, beta = _param(r1, "r1"), _param(r2, "r2"), _param(beta, "beta")
     _require_draws_fit(1, samples)
     rng = derive_rng(seed, 0)
     eps = rng.random(samples)
@@ -526,10 +501,18 @@ def refute_single_eta_fit(deltas, ratios) -> FitResult:
     so its minimum lies at u = 0 or where two of the lines
     +-(ln r_i - delta_i u) cross; the least error over those candidates is
     the exact infimum.  When it lies at u = 0 (eta -> infinity) `eta` is inf.
+    Gaps are finite and ratios in [0, inf], one of each per pair; a ratio
+    of 0 or inf leaves no temperature to fit, and the residual is inf.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    logr = np.log(np.asarray(ratios, dtype=float))
+    deltas = _row(deltas, "deltas", -np.inf).reshape(-1)
+    ratios = _row(ratios, "ratios").reshape(-1)
+    if not np.all(ratios >= 0.0):
+        raise ValueError("ratios entries must be in [0, inf]")
+    if ratios.shape != deltas.shape:
+        raise ValueError(f"ratios has {ratios.size} entries, deltas "
+                         f"{deltas.size}: one ratio per gap")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logr = np.log(ratios)
         u = np.concatenate((
             ((logr[:, None] - logr) / (deltas[:, None] - deltas)).ravel(),
             ((logr[:, None] + logr) / (deltas[:, None] + deltas)).ravel()))

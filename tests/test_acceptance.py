@@ -377,9 +377,9 @@ def test_criterion_7_gradients_envelopes_and_duality_gaps_are_clean():
         ("ds-mdm", lambda w: ds_backup(w, mdm).value, ds_backup(w0, mdm).argmax),
         ("ds-mmm", lambda w: ds_backup(w, mmm).value, ds_backup(w0, mmm).argmax),
         ("ct-kl", lambda w: kl_constrained_backup(w, ref3, 0.15).value,
-         kl_constrained_backup(w0, ref3, 0.15).policy),
+         kl_constrained_backup(w0, ref3, 0.15).argmax),
         ("ct-l2", lambda w: l2_constrained_backup(w, ref3, 0.05).value,
-         l2_constrained_backup(w0, ref3, 0.05).policy),
+         l2_constrained_backup(w0, ref3, 0.05).argmax),
     ]
     for name, val_fn, policy in cases:
         fd = central_fd(val_fn, w0)

@@ -289,6 +289,18 @@ def test_nan_reference_in_a_model_file_is_a_validation_error(tmp_path,
     assert "reference" in record["message"]
 
 
+def test_a_reference_with_no_mass_in_a_model_file_is_named(tmp_path, capsys):
+    # the floor read [0, 0] as the uniform row and solved
+    fw = {"name": "constrained",
+          "constraint": {"kind": "kl_ball", "reference": [0.0, 0.0],
+                         "radius": 0.1}}
+    path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    assert _one_error(out)["message"] == \
+        "reference must have a positive entry"
+
+
 def test_convert_ct2r_phi_ball_writes_a_loadable_regularized_file(tmp_path,
                                                                  capsys):
     # the induced regularizers are offset, scaled MMM level-set multipliers

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from mdpkit import (
     AffineRegularizer,
     ChiSquareLagrangeRegularizer,
+    ConjugateResult,
     ConstrainedInstance,
     CovarianceRegularizer,
     EntropyRegularizer,
@@ -145,10 +146,21 @@ def test_reference_rows_are_floored_and_renormalized():
                                 2.0 / (4.0 + 1e-12)]
 
 
+def test_a_reference_with_no_mass_is_rejected():
+    # the floor made a row of zeros the uniform row
+    for make in (lambda r: KlBall(r, 0.1), lambda r: L2ChiSquareBall(r, 0.1),
+                 lambda r: KlRegularizer(0.5, r),
+                 lambda r: ChiSquareLagrangeRegularizer(1.0, r, 0.1)):
+        for ref in ([0.0, 0.0, 0.0], 0.0, []):
+            with pytest.raises(ValueError, match="^reference must have a "
+                                                 "positive entry$"):
+                make(ref)
+
+
 def test_kl_backup_zero_radius_returns_reference():
     res = kl_constrained_backup(W3, UNIF3, 0.0)
     assert res.value == pytest.approx(float(W3 @ UNIF3), abs=1e-15)
-    assert np.array_equal(res.policy, UNIF3)
+    assert np.array_equal(res.argmax, UNIF3)
     assert res.dual_evals == 0
 
 
@@ -159,7 +171,7 @@ def test_kl_backup_wide_ball_acts_unconstrained():
 
 def test_kl_backup_solution_is_feasible_and_certified():
     res = kl_constrained_backup(W3, UNIF3, 0.1)
-    assert kl_divergence(res.policy, UNIF3) <= 0.1 + 1e-10
+    assert kl_divergence(res.argmax, UNIF3) <= 0.1 + 1e-10
     assert res.dual_value >= res.value - 1e-9
     assert res.dual_value - res.value <= 1e-9
 
@@ -189,10 +201,10 @@ def test_kl_backup_is_feasible_certified_and_optimal(n):
         ref = rng.dirichlet(np.full(n, 2.0))
         radius = rng.uniform(0.05, 0.9) * -np.log(ref[np.argmax(w)])
         res = kl_constrained_backup(w, ref, radius)
-        assert kl_divergence(res.policy, ref) <= radius + 1e-10
+        assert kl_divergence(res.argmax, ref) <= radius + 1e-10
         assert res.dual_value - res.value <= 1e-9
         best = max(kl_slsqp(w, ref, radius, start)
-                   for start in (ref, res.policy))
+                   for start in (ref, res.argmax))
         assert res.value >= best - 1e-9
 
 
@@ -220,7 +232,7 @@ def certified_probes(w, con):
     """dual_evals of a ball backup, checked feasible to rounding and
     certified (duality gap <= 1e-12)."""
     res = constrained_backup(w, con)
-    assert constraint_violation(con, res.policy) <= 1e-14
+    assert constraint_violation(con, res.argmax) <= 1e-14
     assert res.dual_value - res.value <= 1e-12
     return res.dual_evals
 
@@ -234,7 +246,7 @@ def test_ball_multiplier_search_probe_count_on_random_rows():
 
 
 def _fields(res):
-    return (res.value, res.policy.tobytes(), res.multiplier, res.dual_value,
+    return (res.value, res.argmax.tobytes(), res.multiplier, res.dual_value,
             res.dual_evals)
 
 
@@ -277,11 +289,11 @@ def test_kl_backup_tied_face_inside_the_ball_has_multiplier_zero():
     res = kl_constrained_backup(np.array([1.0, 1.0, 0.0]), UNIF3, 0.5)
     assert res.multiplier == 0.0
     assert res.value == 1.0 == res.dual_value
-    assert np.allclose(res.policy, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(res.argmax, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
     # just outside the face the search runs and finds a positive multiplier
     res = kl_constrained_backup(np.array([1.0, 1.0, 0.0]), UNIF3, 0.4)
     assert res.multiplier > 0
-    assert kl_divergence(res.policy, UNIF3) <= 0.4 + 1e-12
+    assert kl_divergence(res.argmax, UNIF3) <= 0.4 + 1e-12
 
 
 def test_ct_to_r_tied_face_inside_the_kl_ball_gives_zero_regularizer():
@@ -315,13 +327,13 @@ def test_l1_backup_hand_case():
     # budget radius/2 = 0.2 moves onto action 0: p = [0.7, 0.3], value 0.7
     res = l1_constrained_backup(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 0.4)
     assert res.value == pytest.approx(0.7, abs=1e-15)
-    assert np.allclose(res.policy, [0.7, 0.3])
+    assert np.allclose(res.argmax, [0.7, 0.3])
 
 
 def test_l1_backup_budget_caps_at_the_vertex():
     res = l1_constrained_backup(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 2.0)
     assert res.value == pytest.approx(1.0)
-    assert np.allclose(res.policy, [1.0, 0.0])
+    assert np.allclose(res.argmax, [1.0, 0.0])
 
 
 def test_l1_backup_drains_worst_actions_first():
@@ -329,13 +341,13 @@ def test_l1_backup_drains_worst_actions_first():
     ref = np.array([0.2, 0.4, 0.4])
     res = l1_constrained_backup(w, ref, 0.6)
     # 0.3 of mass moves to action 0, all of it from action 2
-    assert np.allclose(res.policy, [0.5, 0.4, 0.1])
+    assert np.allclose(res.argmax, [0.5, 0.4, 0.1])
 
 
 def test_l1_backup_zero_radius_returns_reference():
     ref = np.array([0.25, 0.75])
     res = l1_constrained_backup(np.array([3.0, -1.0]), ref, 0.0)
-    assert np.array_equal(res.policy, ref)
+    assert np.array_equal(res.argmax, ref)
 
 
 def test_l1_backup_against_grid_oracle():
@@ -354,9 +366,9 @@ def test_l1_feasibility():
         ref = rng.dirichlet(np.ones(4))
         radius = rng.uniform(0.0, 2.0)
         res = l1_constrained_backup(w, ref, radius)
-        assert np.abs(res.policy - ref).sum() <= radius + 1e-12
-        assert res.policy.min() >= -1e-15
-        assert res.policy.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(res.argmax - ref).sum() <= radius + 1e-12
+        assert res.argmax.min() >= -1e-15
+        assert res.argmax.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------- chi-square balls
@@ -374,7 +386,7 @@ def test_l2_backup_interior_closed_form():
     res = l2_constrained_backup(W3, UNIF3, 0.2)
     assert res.value == pytest.approx(l2_interior_value(W3, UNIF3, 0.2),
                                       abs=1e-10)
-    assert chi_square(res.policy, UNIF3) <= 0.2 + 1e-9
+    assert chi_square(res.argmax, UNIF3) <= 0.2 + 1e-9
 
 
 def test_l2_backup_huge_ball_reaches_the_vertex():
@@ -384,7 +396,7 @@ def test_l2_backup_huge_ball_reaches_the_vertex():
 
 def test_l2_backup_zero_radius_returns_reference():
     res = l2_constrained_backup(W3, UNIF3, 0.0)
-    assert np.array_equal(res.policy, UNIF3)
+    assert np.array_equal(res.argmax, UNIF3)
     assert res.value == pytest.approx(float(W3 @ UNIF3), abs=1e-15)
 
 
@@ -416,7 +428,7 @@ def test_l2_backup_boundary_case_with_clipped_actions():
     gval, _ = grid_oracle_backup(w, L2ChiSquareBall(ref, 1.5))
     assert res.value == pytest.approx(gval, abs=1e-3 * np.max(np.abs(w)))
     assert res.value >= gval - 1e-9
-    assert chi_square(res.policy, ref) <= 1.5 + 1e-9
+    assert chi_square(res.argmax, ref) <= 1.5 + 1e-9
 
 
 def chi_square_slsqp(w, ref, radius, start):
@@ -449,14 +461,14 @@ def test_l2_backup_is_optimal_above_twelve_actions(n):
     for w, ref, radius in chi_square_draws(n, seed=n):
         res = l2_constrained_backup(w, ref, radius)
         best = max(chi_square_slsqp(w, ref, radius, start)
-                   for start in (ref, res.policy))
+                   for start in (ref, res.argmax))
         assert res.value >= best - 1e-9
-        assert chi_square(res.policy, ref) <= radius + 1e-9
+        assert chi_square(res.argmax, ref) <= radius + 1e-9
 
 
 def assert_chi_square_kkt(w, ref, radius, res):
     """KKT certificate of the ball solve, with multiplier lam = t/2."""
-    p, lam = res.policy, res.multiplier
+    p, lam = res.argmax, res.multiplier
     scale = max(1.0, float(np.max(np.abs(w))))
     assert p.min() >= 0.0
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -491,7 +503,7 @@ def test_l2_backup_row_is_the_lagrange_conjugate_row(n):
         assert res.multiplier > 0
         phi = ChiSquareLagrangeRegularizer(res.multiplier, ref, radius)
         row = phi.conjugate(w).argmax
-        assert np.max(np.abs(row - res.policy)) <= 1e-12
+        assert np.max(np.abs(row - res.argmax)) <= 1e-12
 
 
 def test_l2_backup_with_a_tied_maximum():
@@ -501,13 +513,13 @@ def test_l2_backup_with_a_tied_maximum():
     slack = l2_constrained_backup(w, ref, 1.5)
     assert slack.multiplier == 0.0
     assert slack.value == 1.0 == slack.dual_value
-    assert np.allclose(slack.policy, [0.4, 0.6, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(slack.argmax, [0.4, 0.6, 0.0], rtol=0, atol=1e-15)
     active = l2_constrained_backup(w, ref, 0.3)
     assert active.multiplier > 0
     assert_chi_square_kkt(w, ref, 0.3, active)
     # tied actions scale the reference alike
-    assert active.policy[0] / ref[0] == pytest.approx(
-        active.policy[1] / ref[1], rel=1e-12)
+    assert active.argmax[0] / ref[0] == pytest.approx(
+        active.argmax[1] / ref[1], rel=1e-12)
     gval, _ = grid_oracle_backup(w, L2ChiSquareBall(ref, 0.3))
     assert active.value >= gval - 1e-9
     assert active.value == pytest.approx(gval, abs=1e-3)
@@ -518,7 +530,7 @@ def test_l2_backup_with_a_tied_maximum():
     res = l2_constrained_backup(w16, ref16, 0.4)
     assert_chi_square_kkt(w16, ref16, 0.4, res)
     best = max(chi_square_slsqp(w16, ref16, 0.4, start)
-               for start in (ref16, res.policy))
+               for start in (ref16, res.argmax))
     assert res.value >= best - 1e-9
 
 
@@ -563,7 +575,7 @@ def test_phi_ball_entropy_level_set_equals_a_kl_ball():
     via_phi = generic_phi_ball_backup(W3, EntropyRegularizer(eta), c)
     via_kl = kl_constrained_backup(W3, UNIF3, np.log(n) + c / eta)
     assert via_phi.value == pytest.approx(via_kl.value, abs=1e-7)
-    assert np.max(np.abs(via_phi.policy - via_kl.policy)) < 1e-3
+    assert np.max(np.abs(via_phi.argmax - via_kl.argmax)) < 1e-3
 
 
 def test_phi_ball_inactive_when_vertices_are_feasible():
@@ -650,7 +662,7 @@ def test_phi_ball_mmm_level_set_against_grid():
     res = generic_phi_ball_backup(W3, phi, radius)
     gval, _ = grid_oracle_backup(W3, PhiBall(phi, radius))
     assert res.value == pytest.approx(gval, abs=1e-3)
-    assert -phi.value(res.policy) <= radius + 1e-8
+    assert -phi.value(res.argmax) <= radius + 1e-8
 
 
 def test_constrained_backup_dispatch_and_operator():
@@ -659,7 +671,7 @@ def test_constrained_backup_dispatch_and_operator():
     for con in cons + [FullSimplex(), Singleton(UNIF3.copy())]:
         res = constrained_backup(W3, con)
         assert np.isfinite(res.value)
-        assert constraint_violation(con, res.policy) <= 1e-8
+        assert constraint_violation(con, res.argmax) <= 1e-8
     m = random_mdp(3, 3, seed=12, discount=0.8)
     sol = value_iteration(m, ct_backup_operator(cons))
     assert sol.residual <= 1e-10
@@ -911,9 +923,13 @@ def test_every_file_kind_owns_its_violation_backup_and_penalty(kind):
     con = modelio.constraint_from_dict({"kind": kind, **_KIND_BLOCKS[kind]})
     w = np.array([1.0, -0.5])
     res = con.backup(w)
-    assert res.value == pytest.approx(float(w @ res.policy), abs=1e-12)
-    assert con.violation(res.policy) <= 1e-9
-    assert con.violation(np.array([res.policy] * 2)).shape == (2,)
+    # a feasible-set backup is the conjugate of the set's indicator: the
+    # regularizers' result, phi = 0 on the set
+    assert type(res) is ConjugateResult
+    assert res.value == pytest.approx(float(w @ res.argmax), abs=1e-12)
+    assert abs(res.value - w @ res.argmax) <= 1e-12 * max(1.0, abs(res.value))
+    assert con.violation(res.argmax) <= 1e-9
+    assert con.violation(np.array([res.argmax] * 2)).shape == (2,)
     assert hasattr(con, "dual_note") == (kind in ("l1_ball", "l2_ball"))
     m = random_mdp(2, 2, seed=34, discount=0.8)
     if hasattr(con, "penalty"):

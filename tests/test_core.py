@@ -796,8 +796,9 @@ def test_every_count_is_read_by_one_rule(entry):
     bad = [True, np.True_, 2.5, "3", -1] + [None] * (not none_ok) \
         + [0] * low
     for x in bad:
+        shown = repr(x) if isinstance(x, str) else x
         with pytest.raises(ValueError, match=f"^{name} must be a {kind} "
-                                             f"integer, got {x}$"):
+                                             f"integer, got {shown}$"):
             call(x)
     for x in (valid, np.int64(valid), np.uint8(valid)):
         call(x)

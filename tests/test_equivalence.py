@@ -27,7 +27,7 @@ from mdpkit import (
     check_equivalence,
     counterexample_suite,
     derive_rng,
-    ev_backup,
+    entropy_backup,
     interior_policy_sweep,
     mc_emax,
     q_vector,
@@ -125,7 +125,7 @@ def test_a_noise_law_with_a_regularizer_solves_in_closed_form():
         StochasticInstance(m, NoiseModel(), method="closed_form")
 
 
-def test_closed_form_gumbel_is_ev_backup_plus_its_bias_bit_for_bit():
+def test_closed_form_gumbel_is_entropy_backup_plus_its_bias_bit_for_bit():
     # location 0.3 is not the mean-zero -eta * euler_gamma, so the bias the
     # closed form adds to the soft backup is not zero
     m = random_mdp(8, 4, seed=12, discount=0.9)
@@ -133,8 +133,8 @@ def test_closed_form_gumbel_is_ev_backup_plus_its_bias_bit_for_bit():
     bias = location + eta * float(np.euler_gamma)
 
     def formula(w, state, sweep):
-        res = ev_backup(w, eta)
-        return res.value + bias, res.policy
+        res = entropy_backup(w, eta)
+        return res.value + bias, res.argmax
 
     inst = StochasticInstance(m, GumbelIid(eta, location=location),
                               method="closed_form")

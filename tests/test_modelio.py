@@ -11,6 +11,7 @@ from util import tracemalloc_peak
 
 from mdpkit import (
     ChiSquareLagrangeRegularizer,
+    ConjugateResult,
     ConstrainedInstance,
     CovarianceRegularizer,
     DistributionalInstance,
@@ -28,6 +29,7 @@ from mdpkit import (
     MarginalDistributionModel,
     MarginalMomentModel,
     CovarianceModel,
+    MdmRegularizer,
     MdpModel,
     MmmRegularizer,
     ModelValidationError,
@@ -124,8 +126,9 @@ def test_a_bad_count_in_a_model_file_is_named(key, value):
     # the field's name
     d = model_to_dict(base_model())
     d[key] = value
+    shown = repr(value) if isinstance(value, str) else value
     with pytest.raises(ValueError, match=f"^{key} must be a positive "
-                                         f"integer, got {value}$"):
+                                         f"integer, got {shown}$"):
         model_from_dict(d)
 
 
@@ -535,6 +538,29 @@ AFFINE_BASES = {
 
 def test_affine_bases_cover_every_regularizer_kind():
     assert set(AFFINE_BASES) == set(modelio._REGULARIZERS)
+
+
+# one marginal of every "mdm" family kind, each the marginal of all three
+# actions of one MdmRegularizer
+FAMILY_MARGINALS = {
+    "exponential": ExponentialInverseCdf(2.0),
+    "uniform": UniformInverseCdf(-1.0, 0.5),
+    "gumbel": GumbelInverseCdf(0.75),
+    "tabulated": TabulatedInverseCdf([0.25, 0.75], [-1.0, 1.5]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AFFINE_BASES) + [
+    "mdm-" + family for family in sorted(FAMILY_MARGINALS)])
+def test_every_regularizer_backup_returns_one_conjugate_result(kind):
+    assert set(FAMILY_MARGINALS) == set(modelio._FAMILIES)
+    phi = (AFFINE_BASES[kind] if kind in AFFINE_BASES
+           else MdmRegularizer([FAMILY_MARGINALS[kind[4:]]] * 3))
+    w = np.array([0.5, -1.25, 0.75])
+    res = phi.conjugate(w)
+    assert type(res) is ConjugateResult
+    want = float(w @ res.argmax) + phi.value(res.argmax)
+    assert abs(res.value - want) <= 1e-12 * max(1.0, abs(res.value))
 
 
 @settings(max_examples=100, deadline=None)

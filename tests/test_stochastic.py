@@ -23,7 +23,7 @@ from mdpkit import (
     build_uniform_counterexample,
     derive_rng,
     entropy_backup,
-    ev_backup,
+    interior_policy_sweep,
     mc_counterexample_ratio,
     mc_emax,
     mc_policy,
@@ -105,7 +105,7 @@ def test_gumbel_rejects_bad_scale():
     with pytest.raises(ValueError):
         GumbelIid(0.0)
     with pytest.raises(ValueError):
-        ev_backup(W, -1.0)
+        entropy_backup(W, -1.0)
 
 
 def test_uniform_noise_validation():
@@ -197,27 +197,31 @@ def test_gaussian_block_product_equals_the_whole_product(num_actions):
 # ------------------------------------------------------- closed form vs MC
 
 
-def test_ev_backup_matches_frozen_oracle():
-    res = ev_backup(W, 1.0)
+def test_gumbel_expected_max_matches_frozen_oracle():
+    res = entropy_backup(W, 1.0)
     assert res.value == pytest.approx(EV_ORACLE, abs=1e-14)
-    assert res.gumbel_location == -EULER_GAMMA
+    # the oracle is the expected max under mean-zero noise, location
+    # -eta * euler_gamma
+    law = GumbelIid.mean_zero(1.0)
+    assert law.location == -EULER_GAMMA
+    assert law.regularizer().conjugate(W).value == res.value
 
 
-def test_ev_backup_equals_entropy_backup():
+def test_gumbel_expected_max_equals_entropy_backup():
     # the Gumbel expected max and the entropy-smoothed max are the same
     # function of the action values, policy row included.
     for eta in (0.3, 1.0, 2.5):
-        ev = ev_backup(W, eta)
+        ev = GumbelIid.mean_zero(eta).regularizer().conjugate(W)
         ent = entropy_backup(W, eta)
         assert ev.value == ent.value
-        assert np.array_equal(ev.policy, ent.argmax)
+        assert np.array_equal(ev.argmax, ent.argmax)
 
 
 def test_mc_emax_agrees_with_closed_form():
     eta = 0.8
     noise = GumbelIid.mean_zero(eta, num_actions=3)
     est = mc_emax(W, noise, samples=400000, seed=4)
-    closed = ev_backup(W, eta).value
+    closed = entropy_backup(W, eta).value
     assert abs(est.mean - closed) <= 4.0 * est.std_error
     assert est.std_error > 0
 
@@ -226,7 +230,7 @@ def test_mc_emax_location_zero_is_biased_up_by_eta_gamma():
     eta = 0.8
     noise = GumbelIid(eta, num_actions=3)
     est = mc_emax(W, noise, samples=400000, seed=5)
-    closed = ev_backup(W, eta).value + eta * EULER_GAMMA
+    closed = entropy_backup(W, eta).value + eta * EULER_GAMMA
     assert abs(est.mean - closed) <= 4.0 * est.std_error
 
 
@@ -242,7 +246,7 @@ def test_mc_policy_matches_softmax():
     eta = 1.2
     noise = GumbelIid(eta, num_actions=3)  # location cancels in the argmax
     freq = mc_policy(W, noise, samples=400000, seed=8)
-    soft = ev_backup(W, eta).policy
+    soft = entropy_backup(W, eta).argmax
     assert freq.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(freq - soft)) < 4.0 / np.sqrt(400000)
 
@@ -258,7 +262,8 @@ def test_smdp_operator_with_common_random_numbers_converges():
     assert res.residual <= 1e-9
     # the fixed point tracks the closed form within Monte Carlo error
     closed = value_iteration(
-        m, lambda w, s, k: (ev_backup(w, 0.5).value, ev_backup(w, 0.5).policy),
+        m, lambda w, s, k: (entropy_backup(w, 0.5).value,
+                            entropy_backup(w, 0.5).argmax),
         tol=1e-10)
     assert np.max(np.abs(res.value - closed.value)) < 0.05
 
@@ -618,6 +623,46 @@ def test_refute_single_eta_fit_is_exact_and_attained():
     fit = refute_single_eta_fit(*cases[0])
     assert fit.eta == np.inf
     assert abs(fit.residual - math.log(3.0)) <= np.spacing(math.log(3.0))
+
+
+def test_figure1_helpers_read_their_scalars_and_rows_by_one_rule():
+    # before: eta = 0 raised numpy's divide warning, eta = -1 reversed the
+    # probabilities and NaN returned NaN; a NaN r2 returned nan and a NaN
+    # beta 0.0; rows of unequal length broadcast to a claimed exact fit
+    nan, inf = float("nan"), float("inf")
+    scalars = [
+        ("eta", lambda x: interior_policy_sweep(eta=x), (0.0, -1.0, nan)),
+        ("r1", lambda x: uniform_counterexample_ratio(x, 0.5), (nan, inf)),
+        ("r2", lambda x: uniform_counterexample_ratio(0.0, x), (nan, None)),
+        ("beta", lambda x: uniform_counterexample_ratio(0.0, 0.5, x),
+         (nan, "a")),
+        ("r1", lambda x: mc_counterexample_ratio(x, 0.5, samples=10),
+         (nan, -inf)),
+        ("r2", lambda x: mc_counterexample_ratio(0.0, x, samples=10),
+         (nan, [1.0])),
+        ("beta", lambda x: mc_counterexample_ratio(0.0, 0.5, beta=x,
+                                                   samples=10), (nan, inf)),
+    ]
+    for name, call, bad in scalars:
+        for x in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be a finite "
+                                                 "number"):
+                call(x)
+    with pytest.raises(ValueError, match="^ratios has 1 entries, deltas 2"):
+        refute_single_eta_fit([1.0, 2.0], [1.0])
+    for r in (-1.0, nan):
+        with pytest.raises(ValueError, match=r"^ratios entries must be in "
+                                             r"\[0, inf\]$"):
+            refute_single_eta_fit([1.0, 2.0], [r, 1.0])
+    with pytest.raises(ValueError, match="^deltas entries must be finite"):
+        refute_single_eta_fit([nan, 2.0], [1.0, 1.0])
+    # a ratio of 0 (the printed ratio for t <= 0) or inf leaves no
+    # temperature to fit, with no warning from its logarithm
+    for r in (0.0, inf):
+        assert refute_single_eta_fit([1.0, 2.0], [r, 2.0]).residual == inf
+    # a small eta saturates the chooser's probabilities without a warning
+    assert interior_policy_sweep(eta=1e-3, settings=3)[1].tolist() == \
+        [0.0, 0.5, 1.0]
 
 
 def test_mc_ratio_reproducible_and_positive():
