@@ -30,7 +30,9 @@ holds (reference or row; a scalar counts as one), its phi's for a phi
 ball, None for the full simplex.
 
 `grid_oracle_backup` brute-forces small instances on a barycentric grid and
-is the reference the analytic routines are tested against.
+is the reference the analytic routines are tested against.  It walks the
+grid in `core._blocks` of rows, one `constraint_violation` call per block,
+so its memory is bounded at any resolution.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (_EPS, MdpModel, _actions, _count, _falsi,
+from .core import (_EPS, MdpModel, _actions, _blocks, _count, _falsi,
                    _float_or_array, _param, _per_state, _row, q_vector,
                    rowwise_operator, standard_backup, value_iteration)
 from .regularized import (AffineRegularizer, ConjugateResult,
@@ -458,9 +460,13 @@ def grid_oracle_backup(w, constraint, resolution=None):
 
     Resolution defaults to 1e5 intervals for two actions and 1e3 per
     dimension for three.  The reference row (or singleton row) is always
-    included as a candidate so the feasible set is never empty.  Membership
-    is one `constraint_violation` call on the whole grid, so a `PhiBall`'s
-    phi must take an (n, A) array in `value`.
+    included as a candidate so the feasible set is never empty.  The grid
+    is walked in `core._blocks` of its rows i, p0 = i/res (two actions
+    take the points of `np.linspace`): membership is one
+    `constraint_violation` call per block, so memory stays bounded at any
+    resolution, and a `PhiBall`'s phi must take an (n, A) array in
+    `value`.  The first maximum is kept across blocks and the reference is
+    checked last, so value and row are those of one pass over the grid.
     """
     w = _actions(w, constraint.num_actions)
     n = w.shape[0]
@@ -472,28 +478,35 @@ def grid_oracle_backup(w, constraint, resolution=None):
         return standard_backup(w)
     if n == 1:
         return float(w[0]), np.ones(1)
-    if n == 2:
-        p0 = np.linspace(0.0, 1.0, res + 1)
-        pts = np.column_stack([p0, 1.0 - p0])
-    elif n == 3:
-        i, j = np.meshgrid(np.arange(res + 1), np.arange(res + 1),
-                           indexing="ij")
-        keep = (i + j) <= res
-        p0 = i[keep] / res
-        p1 = j[keep] / res
-        pts = np.column_stack([p0, p1, 1.0 - p0 - p1])
-    else:
+    if n > 3:
         raise ValueError("grid oracle supports at most 3 actions")
     tol = getattr(constraint, "grid_tol", 1e-12)
-    cands = pts[constraint_violation(constraint, pts) <= tol]
+    best, row = -np.inf, None
+    # a row i holds one point for two actions, res + 1 for three (kept where
+    # j <= res - i); a block holds about 1 MB of points and temporaries
+    width = 1 if n == 2 else res + 1
+    for blk in _blocks(res + 1, 24 * n * width):
+        i = np.arange(blk.start, blk.stop)
+        if n == 2:
+            p0 = np.where(i == res, 1.0, i * (1.0 / res))  # np.linspace
+            pts = np.column_stack([p0, 1.0 - p0])
+        else:
+            i, j = np.meshgrid(i, np.arange(width), indexing="ij")
+            keep = (i + j) <= res
+            p0, p1 = i[keep] / res, j[keep] / res
+            pts = np.column_stack([p0, p1, 1.0 - p0 - p1])
+        cands = pts[constraint_violation(constraint, pts) <= tol]
+        if cands.size:
+            vals = cands @ w
+            k = int(np.argmax(vals))
+            if vals[k] > best:
+                best, row = vals[k], cands[k]
     extra = getattr(constraint, "reference", None)
-    if extra is not None:
-        cands = np.vstack([cands, extra]) if cands.size else extra[None, :]
-    if cands.size == 0:
+    if extra is not None and (row is None or extra @ w > best):
+        best, row = extra @ w, extra.copy()
+    if row is None:
         raise ValueError("no feasible grid point; constraint too tight")
-    vals = cands @ w
-    k = int(np.argmax(vals))
-    return float(vals[k]), cands[k]
+    return float(best), row
 
 
 def generic_phi_ball_backup(w, phi, radius) -> ConjugateResult:

@@ -27,7 +27,9 @@ with the rows as the Jacobian, with no per-family code.
 
 The (S, A, S) kernel is the one large array, and it exists once: writeable
 inputs are copied, frozen ones are shared, so a model with new rewards or a
-converted model reuses its parent's kernel.
+converted model reuses its parent's kernel.  It is built (`random_mdp`) and
+checked (`validate_model`) in one pass of blocks of states, `_blocks` of
+about 1 MB each, so neither holds a temporary the size of the kernel.
 
 Every parameter from outside the program is read by the class that holds
 it, through one rule per shape: `_param` for a scalar, `_count` for a
@@ -169,16 +171,20 @@ def validate_model(model) -> list:
     if v:
         return v
     v += _reward_violations(model.reward)
-    # reductions, no kernel-sized temporaries: min and max propagate NaN
-    # and +-inf, so both are finite iff every entry is
-    low, high = model.transition.min(), model.transition.max()
+    # one read of the kernel, block by block: its min, its max and its row
+    # sums; min and max propagate NaN and +-inf, so both are finite iff
+    # every entry is
+    low, high, rowsum = np.inf, -np.inf, np.empty((S, A))
+    for blk in _blocks(S, model.transition[0].nbytes):
+        block = model.transition[blk]
+        low, high = np.minimum(low, block.min()), np.maximum(high, block.max())
+        block.sum(axis=2, out=rowsum[blk])
     if not (math.isfinite(low) and math.isfinite(high)):
         v.append("transition has non-finite entries")
     else:
         if low < 0:
             s, a = np.argwhere(model.transition.min(axis=2) < 0)[0]
             v.append(f"negative transition probability at (s={s}, a={a})")
-        rowsum = model.transition.sum(axis=2)
         off = np.abs(rowsum - 1.0)
         if np.any(off > ROW_SUM_TOL):
             s, a = np.argwhere(off > ROW_SUM_TOL)[0]
@@ -245,6 +251,14 @@ def q_vector(model, value, state=None, reward=None) -> np.ndarray:
         q = np.matmul(model.transition.reshape(S * A, S), value[..., None])
         return reward + model.discount * q.reshape(value.shape[:-1] + (S, A))
     return reward[state] + model.discount * (model.transition[state] @ value)
+
+
+def _blocks(count, item_bytes, nbytes=2**20):
+    """Slices that cover range(count) in order, each about `nbytes` of
+    items of `item_bytes` and at least one item: the rule of every blocked
+    pass, so a pass over a large array keeps its temporaries cache-sized."""
+    step = max(1, nbytes // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _float_or_array(x):
@@ -552,10 +566,14 @@ def random_mdp(num_states, num_actions, seed, reward_range=(-1.0, 1.0),
     if not lo < hi:
         raise ValueError(f"empty reward range {reward_range}")
     rng = np.random.default_rng(seed)
-    # normalized in place and frozen, so the model shares the one draw
-    transition = rng.random((num_states, num_actions, num_states))
-    transition += 1e-9
-    transition /= transition.sum(axis=2, keepdims=True)
+    # drawn and normalized in place block by block (the draws come in the
+    # order of one whole draw), then frozen, so the model shares it
+    transition = np.empty((num_states, num_actions, num_states))
+    for blk in _blocks(num_states, transition[0].nbytes):
+        block = transition[blk]
+        rng.random(out=block)
+        block += 1e-9
+        block /= block.sum(axis=2, keepdims=True)
     transition.setflags(write=False)
     reward = rng.uniform(lo, hi, size=(num_states, num_actions))
     return MdpModel(num_states=num_states, num_actions=num_actions,

@@ -36,13 +36,19 @@ def _clean_reference(reference):
 
     Read by `core._row` with entries finite and nonnegative, at least one
     of them positive: no floor could turn a negative or non-finite entry,
-    or a row with no mass, into the row that was meant.
+    or a row with no mass, into the row that was meant.  A row whose sum
+    overflows is first divided by its largest entry.
     """
     ref = _row(reference, "reference", 0.0)
     if not ref.any():
         raise ValueError("reference must have a positive entry")
     ref = np.clip(ref, _REF_FLOOR, None)
-    return ref / ref.sum()
+    with np.errstate(over="ignore"):
+        total = ref.sum()
+    if not np.isfinite(total):
+        ref /= ref.max()
+        total = ref.sum()
+    return ref / total
 
 
 def _log_softmax(z):

@@ -501,8 +501,9 @@ def refute_single_eta_fit(deltas, ratios) -> FitResult:
     so its minimum lies at u = 0 or where two of the lines
     +-(ln r_i - delta_i u) cross; the least error over those candidates is
     the exact infimum.  When it lies at u = 0 (eta -> infinity) `eta` is inf.
-    Gaps are finite and ratios in [0, inf], one of each per pair; a ratio
-    of 0 or inf leaves no temperature to fit, and the residual is inf.
+    Gaps are finite and ratios in [0, inf], one of each per pair and at
+    least one pair; a ratio of 0 or inf leaves no temperature to fit, and
+    the residual is inf.
     """
     deltas = _row(deltas, "deltas", -np.inf).reshape(-1)
     ratios = _row(ratios, "ratios").reshape(-1)
@@ -511,6 +512,8 @@ def refute_single_eta_fit(deltas, ratios) -> FitResult:
     if ratios.shape != deltas.shape:
         raise ValueError(f"ratios has {ratios.size} entries, deltas "
                          f"{deltas.size}: one ratio per gap")
+    if not deltas.size:
+        raise ValueError("deltas must have at least one entry")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logr = np.log(ratios)
         u = np.concatenate((

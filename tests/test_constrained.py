@@ -51,9 +51,11 @@ from mdpkit import (
     standard_backup,
     value_iteration,
 )
+import mdpkit.constrained as constrained
 import mdpkit.modelio as modelio
 from mdpkit.constrained import kl_divergence, chi_square
-from util import central_fd
+from mdpkit.core import _blocks
+from util import central_fd, random_interior, tracemalloc_peak
 
 W3 = np.array([1.0, 0.2, -0.5])
 UNIF3 = np.full(3, 1.0 / 3.0)
@@ -155,6 +157,17 @@ def test_a_reference_with_no_mass_is_rejected():
             with pytest.raises(ValueError, match="^reference must have a "
                                                  "positive entry$"):
                 make(ref)
+
+
+def test_a_reference_near_the_largest_float_keeps_its_mass():
+    # its sum overflowed: numpy's overflow warning, and a row of zeros
+    for make in (lambda r: KlBall(r, 0.1), lambda r: L2ChiSquareBall(r, 0.1),
+                 lambda r: KlRegularizer(0.5, r),
+                 lambda r: ChiSquareLagrangeRegularizer(1.0, r, 0.1)):
+        assert make([1e308, 1e308]).reference.tolist() == [0.5, 0.5]
+        assert make([1e308, 0.5e308]).reference.tolist() == [1.0 / 1.5,
+                                                              0.5 / 1.5]
+        assert make([1.5e308] * 3).reference.tolist() == [1.0 / 3.0] * 3
 
 
 def test_kl_backup_zero_radius_returns_reference():
@@ -562,6 +575,103 @@ def test_grid_oracle_always_offers_the_reference():
     val, pol = grid_oracle_backup(np.array([2.0, 1.0]), con)
     assert np.allclose(pol, [0.31, 0.69])
     assert val == pytest.approx(2.0 * 0.31 + 1.0 * 0.69)
+
+
+def _one_shot_grid_oracle(w, constraint, res):
+    """The grid oracle in one pass: the whole grid and its violations."""
+    w = np.asarray(w, dtype=float)
+    if isinstance(constraint, Singleton):
+        return float(w @ constraint.row), constraint.row
+    if isinstance(constraint, FullSimplex):
+        return standard_backup(w)
+    if w.shape[0] == 2:
+        p0 = np.linspace(0.0, 1.0, res + 1)
+        pts = np.column_stack([p0, 1.0 - p0])
+    else:
+        i, j = np.meshgrid(np.arange(res + 1), np.arange(res + 1),
+                           indexing="ij")
+        keep = (i + j) <= res
+        p0 = i[keep] / res
+        p1 = j[keep] / res
+        pts = np.column_stack([p0, p1, 1.0 - p0 - p1])
+    tol = getattr(constraint, "grid_tol", 1e-12)
+    cands = pts[constraint_violation(constraint, pts) <= tol]
+    extra = getattr(constraint, "reference", None)
+    if extra is not None:
+        cands = np.vstack([cands, extra]) if cands.size else extra[None, :]
+    vals = cands @ w
+    k = int(np.argmax(vals))
+    return float(vals[k]), cands[k]
+
+
+def _grid_sets(n, rng):
+    """One feasible set of every model-file kind on n actions; the phi
+    ball's radius lies between the uniform row's level and the vertices'."""
+    ref = random_interior(rng, n)
+    phi = MmmRegularizer(rng.uniform(0.1, 0.7, n))
+    inner = -phi.value(np.full(n, 1.0 / n))
+    outer = min(-phi.value(e) for e in np.eye(n))
+    return {"kl_ball": KlBall(ref, rng.uniform(0.01, 0.5)),
+            "l1_ball": L1Ball(ref, rng.uniform(0.05, 1.5)),
+            "l2_ball": L2ChiSquareBall(ref, rng.uniform(0.02, 0.8)),
+            "singleton": Singleton(ref),
+            "full": FullSimplex(),
+            "phi_ball": PhiBall(phi, inner + rng.uniform(0.2, 0.8)
+                                * (outer - inner))}
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_grid_oracle_blocks_match_the_one_shot_grid_bit_for_bit(seed):
+    for n in (2, 3):
+        for res in (60, 1000):
+            rng = derive_rng(seed, n, res)
+            w = rng.uniform(-2.0, 2.0, n)
+            sets = _grid_sets(n, rng)
+            assert set(sets) == set(modelio._CONSTRAINTS)
+            for kind, con in sets.items():
+                value, row = grid_oracle_backup(w, con, resolution=res)
+                want, want_row = _one_shot_grid_oracle(w, con, res)
+                assert value == want, (kind, n, res)
+                assert np.array_equal(row, want_row), (kind, n, res)
+
+
+def test_grid_oracle_keeps_the_points_of_np_linspace_for_two_actions():
+    # the top p0 of these L1 balls is a point where i * (1/res), the
+    # arithmetic of np.linspace, and i/res differ in the last bit
+    w = np.array([1.0, 0.0])
+    for res, i in ((60, 46), (1000, 563)):
+        assert i * (1.0 / res) != i / res
+        con = L1Ball([0.5, 0.5], 2.0 * (i / res - 0.5))
+        value, row = grid_oracle_backup(w, con, resolution=res)
+        want, want_row = _one_shot_grid_oracle(w, con, res)
+        assert value == want == i * (1.0 / res)
+        assert np.array_equal(row, want_row)
+
+
+@pytest.mark.parametrize("nbytes", [1, 2**12, 2**20])
+def test_grid_oracle_keeps_the_first_of_maxima_tied_across_blocks(
+        monkeypatch, nbytes):
+    # w = e_1 values a point at its exact p1 = j/res, and the L1 ball's top
+    # p1 = 0.4 is a segment: the largest feasible j ties in rows i = 60 to
+    # 100 of 200, and one-row blocks put each of them in a block of its own
+    monkeypatch.setattr(constrained, "_blocks",
+                        lambda count, item: _blocks(count, item, nbytes))
+    w, con, res = np.array([0.0, 1.0, 0.0]), L1Ball([0.5, 0.2, 0.3], 0.4), 200
+    tied = [i for i in range(res - 79) if constraint_violation(
+        con, [i / res, 80 / res, 1.0 - i / res - 80 / res]) <= 1e-12]
+    assert len(tied) > 30 and tied[0] > 0
+    value, row = grid_oracle_backup(w, con, resolution=res)
+    want, want_row = _one_shot_grid_oracle(w, con, res)
+    assert value == want == 0.4
+    assert np.array_equal(row, want_row) and row[0] == tied[0] / res
+
+
+def test_grid_oracle_memory_is_bounded_at_any_resolution():
+    # the one-shot grid held about 120 bytes a point: 537 MB at this size
+    w, con = np.array([0.3, -1.2, 0.8]), KlBall([0.2, 0.3, 0.5], 0.1)
+    _, peak = tracemalloc_peak(grid_oracle_backup, w, con, resolution=3000,
+                               warm=(w, con, 2))
+    assert peak <= 8 * 2**20
 
 
 # ------------------------------------------------------- generic level sets

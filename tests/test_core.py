@@ -43,7 +43,7 @@ from mdpkit import (
     validate_policy_matrix,
     value_iteration,
 )
-from mdpkit.core import _count, _evaluation_matrix
+from mdpkit.core import _blocks, _count, _evaluation_matrix
 
 
 def chain_model(discount=0.5):
@@ -156,6 +156,58 @@ def test_random_mdp_holds_one_kernel():
                                    warm=(5, 3, 1))
     assert peak <= 1.1 * model.transition.nbytes
     assert not model.transition.flags.writeable
+
+
+def test_blocks_cover_the_range_in_order():
+    for count, item, nbytes in [(300, 24000, 2**20), (5, 10**9, 2**20),
+                                (1, 8, 2**20), (10, 3, 7)]:
+        blocks = _blocks(count, item, nbytes)
+        assert [i for b in blocks for i in range(count)[b]] == \
+            list(range(count))
+        assert all(b.stop - b.start == max(1, nbytes // item)
+                   for b in blocks[:-1])
+
+
+@pytest.mark.parametrize("shape", [(300, 10), (7, 3), (1, 1)])
+def test_random_mdp_draws_its_kernel_by_blocks_bit_for_bit(shape):
+    # the one-shot draw: the whole kernel, floored and normalized at once;
+    # (300, 10) takes several blocks, the last one partial
+    S, A = shape
+    blocks = _blocks(S, A * S * 8)
+    assert (len(blocks) > 1) == (S == 300)
+    assert S != 300 or blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    rng = np.random.default_rng(17)
+    kernel = rng.random((S, A, S))
+    kernel += 1e-9
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    reward = rng.uniform(-1.0, 1.0, size=(S, A))
+    model = random_mdp(S, A, seed=17)
+    assert model.transition.tobytes() == kernel.tobytes()
+    assert model.reward.tobytes() == reward.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "negative", "sum"])
+def test_kernel_violations_in_the_last_block_are_named(fault):
+    # row (299, 2) lies in the last of several blocks of the kernel
+    S, A, s, a = 300, 4, 299, 2
+    blocks = _blocks(S, A * S * 8)
+    assert len(blocks) > 1 and s in range(S)[blocks[-1]]
+    t = random_mdp(S, A, seed=3).transition.copy()
+    if fault == "negative":
+        t[s, a] = 0.0
+        t[s, a, :2] = [-1.0, 2.0]
+    elif fault == "sum":
+        t[s, a] *= 1.5
+    else:
+        t[s, a, 5] = float(fault)
+    expected = {
+        "negative": f"negative transition probability at (s={s}, a={a})",
+        "sum": f"transition row (s={s}, a={a}) sums to "
+               f"{t.sum(axis=2)[s, a]:.17g}, outside 1 +/- 1e-12",
+    }.get(fault, "transition has non-finite entries")
+    with pytest.raises(ModelValidationError) as exc:
+        MdpModel(S, A, t, np.zeros((S, A)), 0.9)
+    assert exc.value.violations == [expected]
 
 
 def test_frozen_kernel_is_shared_by_derived_models():

@@ -656,6 +656,10 @@ def test_figure1_helpers_read_their_scalars_and_rows_by_one_rule():
             refute_single_eta_fit([1.0, 2.0], [r, 1.0])
     with pytest.raises(ValueError, match="^deltas entries must be finite"):
         refute_single_eta_fit([nan, 2.0], [1.0, 1.0])
+    # empty rows raised numpy's "zero-size array to reduction operation"
+    with pytest.raises(ValueError, match="^deltas must have at least one "
+                                         "entry$"):
+        refute_single_eta_fit([], [])
     # a ratio of 0 (the printed ratio for t <= 0) or inf leaves no
     # temperature to fit, with no warning from its logarithm
     for r in (0.0, inf):
