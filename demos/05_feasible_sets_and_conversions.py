@@ -6,14 +6,17 @@ Restrict the policy row to a ball around a reference instead of penalizing
 it.  KL balls solve by a search on the multiplier of the constraint
 (shared with every regularizer level set), L1 balls by an exact greedy move,
 chi-square balls by one exact sorted-prefix KKT solve; a brute-force grid
-oracle keeps everyone honest.  Conversions translate between the penalty
-and constraint views in both directions.
+oracle keeps everyone honest.  A feasible set is the indicator
+regularizer of itself: each set answers `conjugate(w)`, so one backup
+operator, `regularized_backup_operator`, solves penalized and constrained
+models alike, and the whole simplex is the zero regularizer.  Conversions
+translate between the penalty and constraint views in both directions.
 """
 
 import numpy as np
 
-from mdpkit import (EntropyRegularizer, KlBall, ct_backup_operator,
-                    ct_to_r_convert, grid_oracle_backup, kl_constrained_backup,
+from mdpkit import (EntropyRegularizer, KlBall, ct_to_r_convert,
+                    grid_oracle_backup, kl_constrained_backup,
                     l1_constrained_backup, l1_dual_discrepancy,
                     l2_constrained_backup, r_to_ct_convert, random_mdp,
                     regularized_backup_operator, value_iteration)
@@ -23,7 +26,8 @@ ref = np.full(3, 1.0 / 3.0)
 
 # A ball backup is the conjugate of the ball's indicator, so it returns the
 # regularized backups' result: the value, the maximizing row `argmax`, and
-# here the ball's multiplier too.
+# here the ball's multiplier too.  `KlBall(ref, 0.1).conjugate(w)` gives the
+# same result as the function below.
 kl = kl_constrained_backup(w, ref, 0.1)
 print("KL ball   value:", kl.value, " multiplier:", round(kl.multiplier, 4))
 l1 = l1_constrained_backup(w, ref, 0.4)
@@ -45,7 +49,8 @@ print("note:", d.note)
 # constrained model whose solve reproduces the same policy.
 model = random_mdp(4, 3, seed=41, discount=0.9)
 conv = r_to_ct_convert(model, EntropyRegularizer(0.6))
-twin = value_iteration(conv.ct_model, ct_backup_operator(conv.constraints))
+twin = value_iteration(conv.ct_model,
+                       regularized_backup_operator(conv.constraints))
 print("\npenalty->set policy gap:",
       np.max(np.abs(twin.policy - conv.base_policy)))
 print("per-state ball radii:", [round(float(c.radius), 4) for c in conv.constraints])

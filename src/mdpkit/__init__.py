@@ -11,18 +11,16 @@ the `mdpkit` command.
 """
 
 from .constrained import (ChiSquareLagrangeRegularizer, DualDiscrepancy,
-                          FullSimplex, KlBall, L1Ball, L2ChiSquareBall,
-                          PhiBall, Singleton, ZeroRegularizer,
-                          constrained_backup, constraint_violation,
-                          ct_backup_operator, ct_to_r_convert,
-                          generic_phi_ball_backup, grid_oracle_backup,
-                          kl_constrained_backup, l1_constrained_backup,
-                          l1_dual_discrepancy, l2_constrained_backup,
-                          l2_dual_discrepancy,
+                          KlBall, L1Ball, L2ChiSquareBall, PhiBall, Singleton,
+                          ZeroRegularizer, constraint_violation,
+                          ct_to_r_convert, generic_phi_ball_backup,
+                          grid_oracle_backup, kl_constrained_backup,
+                          l1_constrained_backup, l1_dual_discrepancy,
+                          l2_constrained_backup, l2_dual_discrepancy,
                           r_to_ct_convert)
 from .core import (ConvergenceError, MdpModel, ModelValidationError,
                    SolveResult, bellman_sweep, derive_rng, policy_evaluation_exact,
-                   q_vector, random_mdp, rowwise_operator, standard_backup,
+                   q_vector, random_mdp, standard_backup,
                    standard_backup_operator, validate_model,
                    validate_policy_matrix, value_iteration)
 from .distributional import (CovarianceModel, CovarianceRegularizer,

@@ -2,8 +2,9 @@
 
 Feasible regions: L1 balls (exact greedy mass transfer), chi-square-weighted
 L2 balls (an exact KKT solve: the support is a prefix of the actions sorted
-by value, found in one pass over prefix sums), singletons, the full simplex,
-and regularizer level sets {p : -phi(p) <= radius} ("phi balls", used by the
+by value, found in one pass over prefix sums), singletons, the full simplex
+(`ZeroRegularizer`: the indicator of the whole simplex is phi = 0), and
+regularizer level sets {p : -phi(p) <= radius} ("phi balls", used by the
 regularized-to-constrained conversion).  The KL ball is the level set of
 phi = -KL(.||ref), so KL and phi balls share one multiplier search: the
 backup at multiplier lam is the conjugate of lam*phi (an
@@ -20,14 +21,15 @@ derivation, so no equality is asserted anywhere.
 
 Each feasible-set kind owns its operations, so no caller branches on the
 kind: `violation(p)` (l(p) - radius on the last axis, <= 0 inside) and
-`backup(w)`, the conjugate of the set's indicator and so a
-`ConjugateResult` with its multiplier, on every kind; `penalty(lam)`, the
-regularizer -lam (l(p) - radius) of its Lagrangian, on the kinds that
-`ct_to_r_convert` accepts (KL, chi-square and phi balls, the full
-simplex); `dual_note(w)`, the published-dual report, on the L1 and
-chi-square balls.  Each kind's `num_actions` is the length of the row it
-holds (reference or row; a scalar counts as one), its phi's for a phi
-ball, None for the full simplex.
+`conjugate(w)`, the conjugate of the set's indicator and so a
+`ConjugateResult` with its multiplier, on every kind, so
+`regularized_backup_operator` backs up sets as it backs up regularizers;
+`penalty(lam)`, the regularizer -lam (l(p) - radius) of its Lagrangian,
+on the kinds that `ct_to_r_convert` accepts (KL, chi-square and phi
+balls, the full simplex); `dual_note(w)`, the published-dual report, on
+the L1 and chi-square balls.  Each kind's `num_actions` is the length of
+the row it holds (reference or row; a scalar counts as one), its phi's
+for a phi ball, None for the full simplex.
 
 `grid_oracle_backup` brute-forces small instances on a barycentric grid and
 is the reference the analytic routines are tested against.  It walks the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .core import (_EPS, MdpModel, _actions, _blocks, _count, _falsi,
                    _float_or_array, _param, _per_state, _row, q_vector,
-                   rowwise_operator, standard_backup, value_iteration)
+                   standard_backup, value_iteration)
 from .regularized import (AffineRegularizer, ConjugateResult,
                           EntropyRegularizer, KlRegularizer, Regularizer,
                           _clean_reference, kl_divergence,
@@ -111,7 +113,7 @@ class KlBall(_Ball):
 
     _divergence = staticmethod(kl_divergence)
 
-    def backup(self, w):
+    def conjugate(self, w):
         return kl_constrained_backup(w, self.reference, self.radius)
 
     def penalty(self, lam):
@@ -125,7 +127,7 @@ class L1Ball(_Ball):
     _args = staticmethod(_l1_args)
     _divergence = staticmethod(lambda p, reference: abs(p - reference).sum(-1))
 
-    def backup(self, w):
+    def conjugate(self, w):
         return l1_constrained_backup(w, self.reference, self.radius)
 
     def dual_note(self, w):
@@ -138,7 +140,7 @@ class L2ChiSquareBall(_Ball):
 
     _divergence = staticmethod(chi_square)
 
-    def backup(self, w):
+    def conjugate(self, w):
         return l2_constrained_backup(w, self.reference, self.radius)
 
     def penalty(self, lam):
@@ -163,25 +165,10 @@ class Singleton:
         p = _actions(p, self.num_actions)
         return _float_or_array(np.max(np.abs(p - self.row), axis=-1))
 
-    def backup(self, w):
+    def conjugate(self, w):
         w = _actions(w, self.num_actions)
-        return ConjugateResult(value=float(self.row @ w), argmax=self.row)
-
-
-@dataclass
-class FullSimplex:
-    """No constraint beyond the simplex itself."""
-
-    num_actions = None
-
-    def violation(self, p):
-        return _float_or_array(np.zeros(np.shape(p)[:-1]))
-
-    def backup(self, w):
-        return ConjugateResult(*standard_backup(w))
-
-    def penalty(self, lam):
-        return ZeroRegularizer()
+        return ConjugateResult(value=float(self.row @ w),
+                               argmax=self.row.copy())
 
 
 @dataclass
@@ -206,7 +193,7 @@ class PhiBall:
     def violation(self, p):
         return -self.phi.value(_actions(p, self.num_actions)) - self.radius
 
-    def backup(self, w):
+    def conjugate(self, w):
         return generic_phi_ball_backup(w, self.phi, self.radius)
 
     def penalty(self, lam):
@@ -473,8 +460,8 @@ def grid_oracle_backup(w, constraint, resolution=None):
     res = ({2: 100000, 3: 1000}.get(n) if resolution is None
            else _count(resolution, "resolution"))
     if isinstance(constraint, Singleton):
-        return float(w @ constraint.row), constraint.row
-    if isinstance(constraint, FullSimplex):
+        return float(w @ constraint.row), constraint.row.copy()
+    if isinstance(constraint, ZeroRegularizer):
         return standard_backup(w)
     if n == 1:
         return float(w[0]), np.ones(1)
@@ -513,26 +500,10 @@ def generic_phi_ball_backup(w, phi, radius) -> ConjugateResult:
     """max w.p subject to -phi(p) <= radius, for any concave phi.
 
     `_multiplier_search` over the conjugates of lam*phi, to the feasible
-    row with duality gap <= 1e-12: the row `PhiBall(phi, radius).backup`
+    row with duality gap <= 1e-12: the row `PhiBall(phi, radius).conjugate`
     returns.  ValueError when phi never exceeds -radius (no Slater point).
     """
     return _multiplier_search(w, phi, radius)
-
-
-def constrained_backup(w, constraint) -> ConjugateResult:
-    """One backup over any feasible-set kind: the kind's own `backup`."""
-    return constraint.backup(w)
-
-
-def ct_backup_operator(constraints):
-    """Backup operator from per-state constraint sets (or one broadcast set)."""
-    each = _per_state(constraints)
-
-    def backup(w, state):
-        res = (constraints[state] if each else constraints).backup(w)
-        return res.value, res.argmax
-
-    return rowwise_operator(backup)
 
 
 class ChiSquareLagrangeRegularizer(Regularizer):
@@ -559,18 +530,28 @@ class ChiSquareLagrangeRegularizer(Regularizer):
 
 
 class ZeroRegularizer(Regularizer):
-    """phi identically 0; conjugate is the hard max."""
+    """phi identically 0; conjugate is the hard max.
+
+    phi = 0 is also the indicator of the whole simplex, so this is the
+    feasible set with no constraint beyond the simplex: its `violation` is
+    its value, and its Lagrangian penalty at any multiplier is itself.
+    """
 
     batched = True
 
     def value(self, p):
         return _float_or_array(np.zeros(np.shape(p)[:-1]))
 
+    violation = value
+
     def gradient(self, p):
         return np.zeros(np.asarray(p).shape[0])
 
     def conjugate(self, w):
         return ConjugateResult(*standard_backup(w))
+
+    def penalty(self, lam):
+        return self
 
 
 @dataclass
@@ -652,10 +633,10 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
                 f"with interior, not {type(con).__name__}")
         if not getattr(con, "interior", True):
             raise ValueError(f"state {s}: radius 0 admits no Slater point")
-    sol = value_iteration(model, ct_backup_operator(sets), tol=tol)
+    sol = value_iteration(model, regularized_backup_operator(sets), tol=tol)
     multipliers, slack, regs = np.zeros(S), np.zeros(S), []
     for s, (con, w) in enumerate(zip(sets, q_vector(model, sol.value))):
-        lam = constrained_backup(w, con).multiplier
+        lam = con.conjugate(w).multiplier
         multipliers[s] = lam = float(lam or 0.0)
         regs.append(con.penalty(lam) if lam else ZeroRegularizer())
         slack[s] = abs(lam * constraint_violation(con, sol.policy[s]))

@@ -14,7 +14,8 @@ stack of N reward tables on one kernel sweeps as one (N*S, A) table, its
 states repeated.
 Closed forms act on the last axis of the whole table; the Monte Carlo
 backup spreads its states over threads (`stochastic.smdp_backup_operator`);
-any other backup runs through `rowwise_operator`, the one per-row loop.
+any other backup, regularizer or feasible set, runs through
+`regularized.regularized_backup_operator`, the one per-row loop.
 `states` is what per-state structure (regularizer or constraint lists,
 Monte Carlo draws) keys on, so an operator can also be called on any subset
 of rows, or on a row more than once.  No built-in
@@ -372,23 +373,6 @@ def standard_backup(w):
 def standard_backup_operator():
     """Backup operator for the plain (unregularized) Bellman update."""
     return lambda table, states, sweep: standard_backup(table)
-
-
-def rowwise_operator(backup):
-    """Table operator from a one-row backup `backup(w, state) -> (value, row)`.
-
-    The per-row loop behind every backup with no batched form: each row of
-    the table is backed up with its own state index, in order.
-    """
-    def op(table, states, sweep):
-        table = np.asarray(table, dtype=float)
-        values = np.empty(len(states))
-        rows = np.empty(table.shape)
-        for i, (w, state) in enumerate(zip(table, states)):
-            values[i], rows[i] = backup(w, int(state))
-        return values, rows
-
-    return op
 
 
 def bellman_sweep(model, backup, value, sweep=0, reward=None):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constrained import Singleton, ct_backup_operator
+from .constrained import Singleton
 from .core import (ConvergenceError, ModelValidationError, SolveResult,
                    _array, _count, _param, _per_state, derive_rng, q_vector,
                    standard_backup_operator, value_iteration)
@@ -187,7 +187,7 @@ class ConstrainedInstance(FrameworkInstance):
         self.constraints = constraints
 
     def operator(self):
-        return ct_backup_operator(self.constraints)
+        return regularized_backup_operator(self.constraints)
 
 
 @dataclass

@@ -28,9 +28,8 @@ import json
 
 import numpy as np
 
-from .constrained import (ChiSquareLagrangeRegularizer, FullSimplex, KlBall,
-                          L1Ball, L2ChiSquareBall, PhiBall, Singleton,
-                          ZeroRegularizer)
+from .constrained import (ChiSquareLagrangeRegularizer, KlBall, L1Ball,
+                          L2ChiSquareBall, PhiBall, Singleton, ZeroRegularizer)
 from .core import MdpModel, ModelValidationError, _param, _per_state
 from .distributional import (CovarianceModel, CovarianceRegularizer,
                              ExponentialInverseCdf, GumbelInverseCdf,
@@ -205,7 +204,7 @@ _CONSTRAINTS = {
     "l1_ball": (L1Ball, _BALL),
     "l2_ball": (L2ChiSquareBall, _BALL),
     "singleton": (Singleton, [("row",)]),
-    "full": (FullSimplex, []),
+    "full": (ZeroRegularizer, []),
     # the nested "phi" block is read by `constraint_from_dict`
     "phi_ball": (PhiBall, [("phi",), ("radius",)]),
 }

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConvergenceError, _actions, _float_or_array, _param,
-                   _per_state, _row, rowwise_operator)
+                   _per_state, _row)
 
 _FLOOR = 1e-16
 _REF_FLOOR = 1e-12
@@ -97,7 +97,9 @@ class Regularizer:
     the grid oracle and `constraint_violation` call it on an (n, A) array
     and expect n values, so every built-in `value` acts on the last axis.
     `batched` is true where `conjugate` also takes an (n, A) table, acting on
-    its last axis; the backup operator then makes one call per sweep.
+    its last axis; the backup operator then makes one call per sweep.  A
+    feasible set answers `conjugate` too, as the conjugate of its
+    indicator, so one backup operator serves both.
     `num_actions` is the number of entries of the per-action row it holds
     (a reference, sigma or covariance; a scalar counts as one), None where
     it holds none and fits any action count.
@@ -269,27 +271,35 @@ def numeric_conjugate(w, phi) -> ConjugateResult:
 
 
 def regularized_backup_operator(phi_per_state):
-    """Backup operator using each state's regularizer.
+    """Backup operator using each state's regularizer or feasible set.
 
-    `phi_per_state` is a list, tuple or array of Regularizer objects (one
-    per state) or a single Regularizer applied to every state.  A single
-    `batched` regularizer backs up the whole table in one `conjugate` call;
-    otherwise each row is backed up by its regularizer's `conjugate`.
+    `phi_per_state` is a list, tuple or array of objects that answer
+    `conjugate(w)` (regularizers, or feasible sets, whose backup is the
+    conjugate of their indicator), one per state, or a single one applied
+    to every state.  A single `batched` regularizer backs up the whole table
+    in one `conjugate` call (a set has no `batched`, so reads as False).
+    Otherwise this is the package's one per-row loop: each row of the table
+    is backed up by its own state's `conjugate`, in order.
     """
     each = _per_state(phi_per_state)
-    if not each and phi_per_state.batched:
+    if not each and getattr(phi_per_state, "batched", False):
         def op(table, states, sweep):
             res = phi_per_state.conjugate(table)
             return res.value, res.argmax
 
         return op
 
-    def backup(w, state):
-        phi = phi_per_state[state] if each else phi_per_state
-        res = phi.conjugate(w)
-        return res.value, res.argmax
+    def op(table, states, sweep):
+        table = np.asarray(table, dtype=float)
+        values = np.empty(len(states))
+        rows = np.empty(table.shape)
+        for i, (w, state) in enumerate(zip(table, states)):
+            phi = phi_per_state[state] if each else phi_per_state
+            res = phi.conjugate(w)
+            values[i], rows[i] = res.value, res.argmax
+        return values, rows
 
-    return rowwise_operator(backup)
+    return op
 
 
 def bregman_divergence(phi, p, q) -> float:

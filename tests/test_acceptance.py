@@ -23,7 +23,6 @@ from mdpkit import (
     CovarianceRegularizer,
     EntropyRegularizer,
     ExponentialInverseCdf,
-    FullSimplex,
     GumbelIid,
     GumbelInverseCdf,
     KlBall,
@@ -38,8 +37,8 @@ from mdpkit import (
     Singleton,
     StochasticInstance,
     UniformInverseCdf,
+    ZeroRegularizer,
     bellman_sweep,
-    ct_backup_operator,
     ct_to_r_convert,
     derive_rng,
     ds_backup,
@@ -98,11 +97,12 @@ def _operator_catalog(model, rng):
         ("ds-mdm", ds_backup_operator(mdm)),
         ("ds-mmm", ds_backup_operator(mmm)),
         ("ds-cov", ds_backup_operator(cov)),
-        ("ct-kl", ct_backup_operator(KlBall(uniform, 0.1))),
-        ("ct-l1", ct_backup_operator(L1Ball(uniform, 0.5))),
-        ("ct-l2", ct_backup_operator(L2ChiSquareBall(uniform, 0.2))),
-        ("ct-singleton", ct_backup_operator(Singleton(tilted))),
-        ("ct-full", ct_backup_operator(FullSimplex())),
+        ("ct-kl", regularized_backup_operator(KlBall(uniform, 0.1))),
+        ("ct-l1", regularized_backup_operator(L1Ball(uniform, 0.5))),
+        ("ct-l2",
+         regularized_backup_operator(L2ChiSquareBall(uniform, 0.2))),
+        ("ct-singleton", regularized_backup_operator(Singleton(tilted))),
+        ("ct-full", regularized_backup_operator(ZeroRegularizer())),
     ]
 
 
@@ -286,7 +286,8 @@ def test_criterion_5_conversions_between_penalty_and_feasible_set_round_trip():
         model = random_mdp(ns, na, seed=5100 + k, reward_range=(-1.0, 1.0),
                            discount=gamma)
         conv = r_to_ct_convert(model, phi)
-        ct = value_iteration(conv.ct_model, ct_backup_operator(conv.constraints),
+        ct = value_iteration(conv.ct_model,
+                             regularized_backup_operator(conv.constraints),
                              tol=1e-10)
         gap = np.max(np.abs(ct.policy - conv.base_policy))
         assert gap <= 1e-5, f"model {k} ({type(phi).__name__}): policy gap {gap}"
@@ -323,7 +324,7 @@ def test_criterion_6_strictness_witnesses_refute_the_collapsed_relations():
     row = np.array([0.6, 0.3, 0.1])
     model = random_mdp(3, 3, seed=6000, reward_range=(-1.0, 1.0), discount=0.9)
     shifted = dataclasses.replace(model, reward=model.reward + 2.5)
-    op = ct_backup_operator(Singleton(row))
+    op = regularized_backup_operator(Singleton(row))
     res1 = value_iteration(model, op)
     res2 = value_iteration(shifted, op)
     assert np.array_equal(res1.policy, res2.policy)

@@ -13,7 +13,6 @@ from mdpkit import (
     CovarianceRegularizer,
     EntropyRegularizer,
     ExponentialInverseCdf,
-    FullSimplex,
     GumbelInverseCdf,
     KlBall,
     KlRegularizer,
@@ -30,9 +29,7 @@ from mdpkit import (
     TabulatedInverseCdf,
     UniformInverseCdf,
     ZeroRegularizer,
-    constrained_backup,
     constraint_violation,
-    ct_backup_operator,
     ct_to_r_convert,
     derive_rng,
     generic_phi_ball_backup,
@@ -90,7 +87,7 @@ def test_constraint_validation():
 
 def test_constraint_violation_per_kind():
     p = np.array([0.5, 0.3, 0.2])
-    assert constraint_violation(FullSimplex(), p) == 0.0
+    assert constraint_violation(ZeroRegularizer(), p) == 0.0
     assert constraint_violation(Singleton(p.copy()), p) == 0.0
     assert constraint_violation(KlBall(UNIF3, 0.5), UNIF3) == pytest.approx(-0.5)
     v = constraint_violation(L1Ball(UNIF3, 0.1), p)
@@ -104,7 +101,7 @@ def test_constraint_violation_per_kind():
 
 @pytest.mark.parametrize("con", [
     KlBall(UNIF3, 0.2), L1Ball(UNIF3, 0.3), L2ChiSquareBall(UNIF3, 0.2),
-    Singleton(np.array([0.5, 0.3, 0.2])), FullSimplex(),
+    Singleton(np.array([0.5, 0.3, 0.2])), ZeroRegularizer(),
     PhiBall(EntropyRegularizer(1.0), -0.5)])
 def test_constraint_violation_of_many_rows_is_each_row_s(con):
     rows = np.random.default_rng(4).dirichlet(np.ones(3), size=6)
@@ -244,7 +241,7 @@ def ball_rows(count, seed=0):
 def certified_probes(w, con):
     """dual_evals of a ball backup, checked feasible to rounding and
     certified (duality gap <= 1e-12)."""
-    res = constrained_backup(w, con)
+    res = con.conjugate(w)
     assert constraint_violation(con, res.argmax) <= 1e-14
     assert res.dual_value - res.value <= 1e-12
     return res.dual_evals
@@ -264,15 +261,13 @@ def _fields(res):
 
 
 def test_every_route_to_a_ball_backup_gives_one_answer():
-    # one certificate, no tolerance: the direct functions, the kinds' own
-    # `backup` and `constrained_backup` agree to the bit, work included
+    # one certificate, no tolerance: the direct functions and the kinds'
+    # own `conjugate` agree to the bit, work included
     for w, kl, mmm in ball_rows(200, seed=5):
         direct = kl_constrained_backup(w, kl.reference, kl.radius)
-        assert _fields(kl.backup(w)) == _fields(direct)
-        assert _fields(constrained_backup(w, kl)) == _fields(direct)
+        assert _fields(kl.conjugate(w)) == _fields(direct)
         direct = generic_phi_ball_backup(w, mmm.phi, mmm.radius)
-        assert _fields(mmm.backup(w)) == _fields(direct)
-        assert _fields(constrained_backup(w, mmm)) == _fields(direct)
+        assert _fields(mmm.conjugate(w)) == _fields(direct)
 
 
 def test_ball_probe_within_rounding_of_the_boundary_ends_the_search():
@@ -555,7 +550,7 @@ def test_grid_oracle_special_cases():
     val, pol = grid_oracle_backup(np.array([1.0, 3.0]), Singleton(row))
     assert val == pytest.approx(2.6)
     assert np.array_equal(pol, row)
-    val, pol = grid_oracle_backup(np.array([1.0, 3.0]), FullSimplex())
+    val, pol = grid_oracle_backup(np.array([1.0, 3.0]), ZeroRegularizer())
     assert val == 3.0
     with pytest.raises(ValueError):
         grid_oracle_backup(np.zeros(4), KlBall(np.full(4, 0.25), 0.1))
@@ -582,7 +577,7 @@ def _one_shot_grid_oracle(w, constraint, res):
     w = np.asarray(w, dtype=float)
     if isinstance(constraint, Singleton):
         return float(w @ constraint.row), constraint.row
-    if isinstance(constraint, FullSimplex):
+    if isinstance(constraint, ZeroRegularizer):
         return standard_backup(w)
     if w.shape[0] == 2:
         p0 = np.linspace(0.0, 1.0, res + 1)
@@ -615,7 +610,7 @@ def _grid_sets(n, rng):
             "l1_ball": L1Ball(ref, rng.uniform(0.05, 1.5)),
             "l2_ball": L2ChiSquareBall(ref, rng.uniform(0.02, 0.8)),
             "singleton": Singleton(ref),
-            "full": FullSimplex(),
+            "full": ZeroRegularizer(),
             "phi_ball": PhiBall(phi, inner + rng.uniform(0.2, 0.8)
                                 * (outer - inner))}
 
@@ -778,15 +773,50 @@ def test_phi_ball_mmm_level_set_against_grid():
 def test_constrained_backup_dispatch_and_operator():
     cons = [KlBall(UNIF3, 0.1), L1Ball(UNIF3, 0.4),
             L2ChiSquareBall(UNIF3, 0.2)]
-    for con in cons + [FullSimplex(), Singleton(UNIF3.copy())]:
-        res = constrained_backup(W3, con)
+    for con in cons + [ZeroRegularizer(), Singleton(UNIF3.copy())]:
+        res = con.conjugate(W3)
         assert np.isfinite(res.value)
         assert constraint_violation(con, res.argmax) <= 1e-8
     m = random_mdp(3, 3, seed=12, discount=0.8)
-    sol = value_iteration(m, ct_backup_operator(cons))
+    sol = value_iteration(m, regularized_backup_operator(cons))
     assert sol.residual <= 1e-10
     for s, con in enumerate(cons):
         assert constraint_violation(con, sol.policy[s]) <= 1e-8
+
+
+def test_a_mixed_set_list_solves_through_the_one_per_row_loop():
+    # a constrained solve is the regularized operator over the sets, and
+    # each of its rows is the state's own `conjugate`, to the bit
+    m = random_mdp(5, 3, seed=36, discount=0.8)
+    sets = [ZeroRegularizer(), Singleton(np.array([0.5, 0.3, 0.2])),
+            KlBall(UNIF3, 0.1), L1Ball(UNIF3, 0.4),
+            L2ChiSquareBall(UNIF3, 0.2)]
+    got = ConstrainedInstance(m, sets).solve(tol=1e-12)
+    want = value_iteration(m, regularized_backup_operator(sets), tol=1e-12)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.policy, want.policy)
+    assert got.iterations == want.iterations
+    table = q_vector(m, got.value)
+    values, rows = regularized_backup_operator(sets)(table, np.arange(5), 0)
+    for s, con in enumerate(sets):
+        res = con.conjugate(table[s])
+        assert values[s] == res.value
+        assert np.array_equal(rows[s], res.argmax)
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_writing_into_a_backup_row_leaves_the_set_as_it_was(seed):
+    # every kind's `conjugate` and the grid oracle hand out a fresh row; a
+    # singleton's used to be the set's own, so a write moved the set
+    for n in (2, 3):
+        rng = derive_rng(seed, n)
+        w = rng.uniform(-2.0, 2.0, n)
+        for kind, con in _grid_sets(n, rng).items():
+            fresh = modelio.constraint_to_dict(con)
+            for row in (con.conjugate(w).argmax,
+                        grid_oracle_backup(w, con, resolution=60)[1]):
+                row[0] = 9.0
+                assert modelio.constraint_to_dict(con) == fresh, (kind, n)
 
 
 # -------------------------------------------------- discrepancy reports
@@ -914,7 +944,8 @@ def test_r_to_ct_round_trip_reproduces_value_and_policy():
     conv = r_to_ct_convert(m, EntropyRegularizer(0.7), solve_tol=1e-12)
     sol = value_iteration(m, regularized_backup_operator(EntropyRegularizer(0.7)),
                           tol=1e-12)
-    ct = value_iteration(conv.ct_model, ct_backup_operator(conv.constraints),
+    ct = value_iteration(conv.ct_model,
+                         regularized_backup_operator(conv.constraints),
                          tol=1e-12)
     # same policies; the constrained twin's value is the base value because
     # the reward shift pays out exactly the regularizer at the optimum
@@ -934,7 +965,7 @@ def test_ct_to_r_rejects_hopeless_constraints():
 
 def test_ct_to_r_full_simplex_gives_zero_regularizer():
     m = random_mdp(2, 2, seed=25)
-    conv = ct_to_r_convert(m, FullSimplex())
+    conv = ct_to_r_convert(m, ZeroRegularizer())
     assert np.all(conv.multipliers == 0.0)
     assert all(isinstance(r, ZeroRegularizer) for r in conv.regularizers)
     assert np.all(conv.slackness == 0.0)
@@ -982,7 +1013,7 @@ def test_ct_to_r_multipliers_are_the_per_kind_backups():
     ref = np.array([0.5, 0.3, 0.2])
     phi = EntropyRegularizer(1.0)
     sets = [KlBall(ref, 0.02), L2ChiSquareBall(ref, 0.1), PhiBall(phi, -0.6),
-            FullSimplex()]
+            ZeroRegularizer()]
     conv = ct_to_r_convert(m, sets, tol=1e-12)
     w = q_vector(m, conv.ct_value)
     expected = [
@@ -1017,41 +1048,6 @@ def test_ct_to_r_phi_ball_whose_phi_has_no_conjugate():
     assert np.max(conv.slackness) < 1e-6
 
 
-_KIND_BLOCKS = {
-    "kl_ball": {"reference": [0.5, 0.5], "radius": 0.1},
-    "l1_ball": {"reference": [0.5, 0.5], "radius": 0.4},
-    "l2_ball": {"reference": [0.5, 0.5], "radius": 0.1},
-    "singleton": {"row": [0.25, 0.75]},
-    "full": {},
-    "phi_ball": {"phi": {"kind": "entropy", "eta": 0.5}, "radius": -0.2},
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_KIND_BLOCKS))
-def test_every_file_kind_owns_its_violation_backup_and_penalty(kind):
-    assert set(_KIND_BLOCKS) == set(modelio._CONSTRAINTS)
-    con = modelio.constraint_from_dict({"kind": kind, **_KIND_BLOCKS[kind]})
-    w = np.array([1.0, -0.5])
-    res = con.backup(w)
-    # a feasible-set backup is the conjugate of the set's indicator: the
-    # regularizers' result, phi = 0 on the set
-    assert type(res) is ConjugateResult
-    assert res.value == pytest.approx(float(w @ res.argmax), abs=1e-12)
-    assert abs(res.value - w @ res.argmax) <= 1e-12 * max(1.0, abs(res.value))
-    assert con.violation(res.argmax) <= 1e-9
-    assert con.violation(np.array([res.argmax] * 2)).shape == (2,)
-    assert hasattr(con, "dual_note") == (kind in ("l1_ball", "l2_ball"))
-    m = random_mdp(2, 2, seed=34, discount=0.8)
-    if hasattr(con, "penalty"):
-        ct_to_r_convert(m, con)
-    else:
-        assert kind in ("l1_ball", "singleton")
-        with pytest.raises(ValueError, match="conversion needs a single "
-                           f"smooth constraint with interior, not "
-                           f"{type(con).__name__}"):
-            ct_to_r_convert(m, con)
-
-
 def test_ct_to_r_wide_ball_recovers_zero_regularizer():
     m = random_mdp(2, 2, seed=28)
     conv = ct_to_r_convert(m, KlBall(np.array([0.5, 0.5]), 100.0))
@@ -1065,7 +1061,8 @@ def test_conversion_policies_evaluate_consistently():
     m = random_mdp(3, 2, seed=29, discount=0.8)
     conv = r_to_ct_convert(m, EntropyRegularizer(0.5), solve_tol=1e-12)
     v = policy_evaluation_exact(conv.ct_model, conv.base_policy)
-    ct = value_iteration(conv.ct_model, ct_backup_operator(conv.constraints),
+    ct = value_iteration(conv.ct_model,
+                         regularized_backup_operator(conv.constraints),
                          tol=1e-12)
     assert np.max(np.abs(v - ct.value)) < 1e-6
 

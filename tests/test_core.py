@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from util import tracemalloc_peak
 
 from mdpkit import (
+    ConjugateResult,
     ConstrainedInstance,
     ConvergenceError,
     DistributionalInstance,
     EntropyRegularizer,
-    FullSimplex,
     GumbelIid,
     KlBall,
     KlRegularizer,
@@ -22,6 +22,7 @@ from mdpkit import (
     StandardInstance,
     StochasticInstance,
     UniformPerEntry,
+    ZeroRegularizer,
     bellman_sweep,
     check_equivalence,
     derive_rng,
@@ -35,7 +36,6 @@ from mdpkit import (
     r_to_ct_convert,
     random_mdp,
     regularized_backup_operator,
-    rowwise_operator,
     smdp_backup_operator,
     standard_backup,
     standard_backup_operator,
@@ -221,7 +221,7 @@ def test_frozen_kernel_is_shared_by_derived_models():
                             seed=3, method="mc"), "noise"),
         (DistributionalInstance(m, MarginalMomentModel(np.full((6, 3), 0.4))),
          "ambiguity"),
-        (ConstrainedInstance(m, [FullSimplex()] * 6), "constraints"),
+        (ConstrainedInstance(m, [ZeroRegularizer()] * 6), "constraints"),
     ]
     for inst, structure in instances:
         twin = inst.with_rewards(reward)
@@ -396,11 +396,16 @@ def test_bellman_sweep_passes_table_rows_in_state_order():
     # the per-row loop hands each row over with its own state, in order
     rows_seen = []
 
-    def backup(w, state):
-        rows_seen.append((w.copy(), state))
-        return standard_backup(w)
+    class Recorder:
+        def __init__(self, state):
+            self.state = state
 
-    by_row = bellman_sweep(m, rowwise_operator(backup), v, 4)
+        def conjugate(self, w):
+            rows_seen.append((w.copy(), self.state))
+            return ConjugateResult(*standard_backup(w))
+
+    by_row = bellman_sweep(
+        m, regularized_backup_operator([Recorder(s) for s in range(6)]), v, 4)
     assert [s for _, s in rows_seen] == list(range(6))
     assert all(np.array_equal(w, table[s]) for w, s in rows_seen)
     assert np.array_equal(by_row[0], value)

@@ -18,7 +18,6 @@ from mdpkit import (
     AffineRegularizer,
     EntropyRegularizer,
     ExponentialInverseCdf,
-    FullSimplex,
     GaussianJoint,
     GumbelIid,
     GumbelInverseCdf,
@@ -272,12 +271,30 @@ def test_constrained_instance_round_trip_all_kinds():
     assert got[2].radius == -0.4
     more = [L2ChiSquareBall(np.array([0.5, 0.5]), 0.6),
             Singleton(np.array([0.1, 0.9])),
-            FullSimplex()]
+            ZeroRegularizer()]
     got = roundtrip(ConstrainedInstance(base_model(), more)).constraints
     assert isinstance(got[0], L2ChiSquareBall)
     assert isinstance(got[1], Singleton)
     assert np.allclose(got[1].row, [0.1, 0.9])
-    assert isinstance(got[2], FullSimplex)
+    assert isinstance(got[2], ZeroRegularizer)
+
+
+def test_one_zero_regularizer_is_the_full_set_and_the_zero_regularizer():
+    # phi = 0 is the indicator of the whole simplex: one object, whose
+    # block kind is its role in the file
+    zero = ZeroRegularizer()
+    as_set = ConstrainedInstance(base_model(), zero)
+    as_phi = RegularizedInstance(base_model(), zero)
+    assert instance_to_dict(as_set)["framework"]["constraint"] == \
+        {"kind": "full"}
+    assert instance_to_dict(as_phi)["framework"]["regularizer"] == \
+        {"kind": "zero"}
+    assert type(roundtrip(as_set).constraints) is ZeroRegularizer
+    assert type(roundtrip(as_phi).phi_per_state) is ZeroRegularizer
+    ball = roundtrip(ConstrainedInstance(base_model(),
+                                         PhiBall(zero, 0.0))).constraints
+    assert type(ball) is PhiBall and type(ball.phi) is ZeroRegularizer
+    assert ball.radius == 0.0
 
 
 def test_broadcast_framework_block():
@@ -431,7 +448,7 @@ CASES = {
     "constraint/l2_ball": lambda: _constrained(
         L2ChiSquareBall([0.75, 0.25], 0.25)),
     "constraint/singleton": lambda: _constrained(Singleton([0.125, 0.875])),
-    "constraint/full": lambda: _constrained(FullSimplex()),
+    "constraint/full": lambda: _constrained(ZeroRegularizer()),
     "constraint/phi_ball": lambda: _constrained(
         PhiBall(EntropyRegularizer(0.5), -0.25)),
     "constraint/per-state": lambda: _constrained(
@@ -550,17 +567,56 @@ FAMILY_MARGINALS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(AFFINE_BASES) + [
-    "mdm-" + family for family in sorted(FAMILY_MARGINALS)])
-def test_every_regularizer_backup_returns_one_conjugate_result(kind):
+# one feasible set of every constraint kind at 2 actions, as a block
+SET_BLOCKS = {
+    "kl_ball": {"reference": [0.5, 0.5], "radius": 0.1},
+    "l1_ball": {"reference": [0.5, 0.5], "radius": 0.4},
+    "l2_ball": {"reference": [0.5, 0.5], "radius": 0.1},
+    "singleton": {"row": [0.25, 0.75]},
+    "full": {},
+    "phi_ball": {"phi": {"kind": "entropy", "eta": 0.5}, "radius": -0.2},
+}
+
+W2, W3 = np.array([1.0, -0.5]), np.array([0.5, -1.25, 0.75])
+# (object, w) of every file kind: each regularizer kind, an MDM regularizer
+# of each marginal family, and each feasible set read from its block
+CONJUGATES = {
+    **{"regularizer/" + kind: (phi, W3) for kind, phi in AFFINE_BASES.items()},
+    **{"family/" + family: (MdmRegularizer([cdf] * 3), W3)
+       for family, cdf in FAMILY_MARGINALS.items()},
+    **{"constraint/" + kind: (modelio.constraint_from_dict(
+        {"kind": kind, **block}), W2) for kind, block in SET_BLOCKS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATES))
+def test_every_file_kind_answers_one_conjugate(name):
     assert set(FAMILY_MARGINALS) == set(modelio._FAMILIES)
-    phi = (AFFINE_BASES[kind] if kind in AFFINE_BASES
-           else MdmRegularizer([FAMILY_MARGINALS[kind[4:]]] * 3))
-    w = np.array([0.5, -1.25, 0.75])
-    res = phi.conjugate(w)
+    assert set(SET_BLOCKS) == set(modelio._CONSTRAINTS)
+    obj, w = CONJUGATES[name]
+    res = obj.conjugate(w)
+    # a feasible-set backup is the conjugate of the set's indicator: the
+    # regularizers' result, with phi = 0 on the set (a set has no `value`)
     assert type(res) is ConjugateResult
-    want = float(w @ res.argmax) + phi.value(res.argmax)
+    phi = getattr(obj, "value", lambda p: 0.0)
+    want = float(w @ res.argmax) + phi(res.argmax)
     assert abs(res.value - want) <= 1e-12 * max(1.0, abs(res.value))
+    role, kind = name.split("/")
+    if role != "constraint":
+        return
+    assert res.value == pytest.approx(float(w @ res.argmax), abs=1e-12)
+    assert obj.violation(res.argmax) <= 1e-9
+    assert obj.violation(np.array([res.argmax] * 2)).shape == (2,)
+    assert hasattr(obj, "dual_note") == (kind in ("l1_ball", "l2_ball"))
+    m = random_mdp(2, 2, seed=34, discount=0.8)
+    if hasattr(obj, "penalty"):
+        ct_to_r_convert(m, obj)
+    else:
+        assert kind in ("l1_ball", "singleton")
+        with pytest.raises(ValueError, match="conversion needs a single "
+                           f"smooth constraint with interior, not "
+                           f"{type(obj).__name__}"):
+            ct_to_r_convert(m, obj)
 
 
 @settings(max_examples=100, deadline=None)

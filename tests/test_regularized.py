@@ -11,7 +11,6 @@ from mdpkit import (
     CovarianceRegularizer,
     EntropyRegularizer,
     ExponentialInverseCdf,
-    FullSimplex,
     GumbelIid,
     ChiSquareLagrangeRegularizer,
     KlBall,
@@ -23,6 +22,7 @@ from mdpkit import (
     PhiBall,
     Singleton,
     StochasticInstance,
+    ZeroRegularizer,
     bregman_divergence,
     constraint_violation,
     entropy_backup,
@@ -251,7 +251,7 @@ FIXED_LENGTH_CALLS = {
         [ExponentialInverseCdf(1.0)] * 3).conjugate(w),
     "covariance": lambda w: CovarianceRegularizer(np.eye(3)).conjugate(w),
 }
-# every feasible-set kind that holds a row, its backup and its violation
+# every feasible-set kind that holds a row, its conjugate and its violation
 FIXED_LENGTH_SETS = {
     "kl-ball": KlBall(REF3, 0.1),
     "l1-ball": L1Ball(REF3, 0.1),
@@ -260,7 +260,7 @@ FIXED_LENGTH_SETS = {
     "phi-ball": PhiBall(MmmRegularizer([0.5, 0.6, 0.7]), -0.3),
 }
 for _kind, _set in FIXED_LENGTH_SETS.items():
-    FIXED_LENGTH_CALLS[_kind + "-backup"] = _set.backup
+    FIXED_LENGTH_CALLS[_kind + "-backup"] = _set.conjugate
     FIXED_LENGTH_CALLS[_kind + "-violation"] = _set.violation
     FIXED_LENGTH_CALLS[_kind + "-constraint-violation"] = (
         lambda w, c=_set: constraint_violation(c, w))
@@ -290,11 +290,11 @@ def test_a_row_of_another_length_is_rejected(name, length):
 @pytest.mark.parametrize("length", [1, 2, 4])
 def test_a_set_that_holds_no_row_takes_any_length(length):
     w = np.arange(length, dtype=float)
-    assert FullSimplex().backup(w).value == length - 1
-    assert FullSimplex().violation(w) == 0.0
+    assert ZeroRegularizer().conjugate(w).value == length - 1
+    assert ZeroRegularizer().violation(w) == 0.0
     ball = PhiBall(EntropyRegularizer(1.0), -0.1 * np.log(length))
     assert ball.violation(np.full(length, 1.0 / length)) <= 0.0
-    assert ball.backup(w).value >= w.mean()
+    assert ball.conjugate(w).value >= w.mean()
 
 
 def test_numeric_conjugate_rejects_bad_input():
