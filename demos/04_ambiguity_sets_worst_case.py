@@ -10,10 +10,10 @@ regularized backup, sometimes in closed form.
 import numpy as np
 
 from mdpkit import (CovarianceModel, CovarianceRegularizer,
-                    ExponentialInverseCdf, MarginalDistributionModel,
-                    MarginalMomentModel, UniformInverseCdf, ds_backup,
-                    ds_backup_operator, ds_lower_bound_check, random_mdp,
-                    value_iteration)
+                    DistributionalInstance, ExponentialInverseCdf,
+                    MarginalDistributionModel, MarginalMomentModel,
+                    UniformInverseCdf, ds_backup, ds_lower_bound_check,
+                    random_mdp, value_iteration)
 
 w = np.array([0.8, 0.1, -0.3])
 
@@ -50,8 +50,9 @@ check = ds_lower_bound_check(w, mmm, seed=4, samples=200000)
 print(f"member E[max] {check.mc_value:.4f} <= robust value {check.ds_value:.4f}:",
       check.ok)
 
-# The robust operator plugs into the same value iteration.
+# The robust operator is the regularized operator under each state's
+# equivalent regularizer, so it plugs into the same value iteration.
 model = random_mdp(4, 3, seed=31, discount=0.9)
-robust = value_iteration(model, ds_backup_operator(
-    MarginalMomentModel(np.full((4, 3), 0.4))))
+robust = value_iteration(model, DistributionalInstance(
+    model, MarginalMomentModel(np.full((4, 3), 0.4))).operator())
 print("robust values:", np.round(robust.value, 4))

@@ -20,16 +20,14 @@ from .constrained import (ChiSquareLagrangeRegularizer, DualDiscrepancy,
                           r_to_ct_convert)
 from .core import (ConvergenceError, MdpModel, ModelValidationError,
                    SolveResult, bellman_sweep, derive_rng, policy_evaluation_exact,
-                   q_vector, random_mdp, standard_backup,
-                   standard_backup_operator, validate_model,
+                   q_vector, random_mdp, standard_backup, validate_model,
                    validate_policy_matrix, value_iteration)
 from .distributional import (CovarianceModel, CovarianceRegularizer,
                              ExponentialInverseCdf, GumbelInverseCdf,
                              MarginalDistributionModel, MarginalMomentModel,
                              MdmRegularizer, MmmRegularizer,
                              TabulatedInverseCdf, UniformInverseCdf, ds_backup,
-                             ds_backup_operator, ds_lower_bound_check,
-                             regularizer_for)
+                             ds_lower_bound_check, regularizer_for)
 from .equivalence import (ConstrainedInstance, DistributionalInstance,
                           EquivalenceReport, FrameworkInstance,
                           NestedRelationReport, RegularizedInstance,

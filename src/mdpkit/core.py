@@ -1,26 +1,19 @@
 """Tabular MDP model, validation, and the shared value-iteration engine.
 
 A model is the tuple (states, actions, transition kernel, reward table,
-discount).  Everything downstream (regularized, stochastic, distributionally
-robust, constrained) plugs into `value_iteration` through a backup operator
-`op(table, states, sweep) -> (values, rows)`: `table` is a (k, A) block of
-action-value rows, `states` their k state indices, and the operator returns
-k backup values and k probability rows over actions.  Each sweep computes
-the (S, A) table in one product and makes one call, `op(table,
-np.arange(S), sweep)`; the table's row s may differ from the one-state
-`q_vector` in the last ulp (BLAS kernel shape).  At V = 0, where every
-solve starts, the table is the reward, bit for bit, with no product.  A
-stack of N reward tables on one kernel sweeps as one (N*S, A) table, its
-states repeated.
-Closed forms act on the last axis of the whole table; the Monte Carlo
-backup spreads its states over threads (`stochastic.smdp_backup_operator`);
-any other backup, regularizer or feasible set, runs through
-`regularized.regularized_backup_operator`, the one per-row loop.
-`states` is what per-state structure (regularizer or constraint lists,
-Monte Carlo draws) keys on, so an operator can also be called on any subset
-of rows, or on a row more than once.  No built-in
-operator reads `sweep`; it stays in the protocol because wrappers pass it
-on (the traced wrapper of `bench/spans.py` does).
+discount).  Every framework plugs into `value_iteration` through a backup
+operator `op(table, states, sweep) -> (values, rows)`: `table` is a (k, A)
+block of action-value rows, `states` their k state indices, and the
+operator returns k backup values and k probability rows over actions.  Each
+sweep computes the (S, A) table in one product and makes one call,
+`op(table, np.arange(S), sweep)`; the table's row s may differ from the
+one-state `q_vector` in the last ulp (BLAS kernel shape).  At V = 0, where
+every solve starts, the table is the reward, bit for bit, with no product.
+A stack of N reward tables on one kernel sweeps as one (N*S, A) table, its
+states repeated.  `states` is what per-state structure keys on, so an
+operator can also be called on any subset of rows, or on a row more than
+once.  No built-in operator reads `sweep`; it stays in the protocol because
+wrappers pass it on (the traced wrapper of `bench/spans.py` does).
 
 A backup's row maximizes sup_p {w.p + phi(p)}, so it is the gradient of its
 value in w (Danskin): `value_iteration` takes Newton (policy iteration) steps
@@ -368,11 +361,6 @@ def standard_backup(w):
     rows = np.zeros(w.shape)
     np.put_along_axis(rows, a, 1.0, axis=-1)
     return _float_or_array(np.take_along_axis(w, a, axis=-1)[..., 0]), rows
-
-
-def standard_backup_operator():
-    """Backup operator for the plain (unregularized) Bellman update."""
-    return lambda table, states, sweep: standard_backup(table)
 
 
 def bellman_sweep(model, backup, value, sweep=0, reward=None):

@@ -19,9 +19,11 @@ answers, so every `conjugate` returns a backup.
 Each ambiguity set owns `regularizer(state)`, its equivalent regularizer
 at a state, and `_fill(state, cols, rng)`, the draw of one member
 distribution of the set through the noise laws' draw method
-(`stochastic.NoiseModel._fill`).  `ds_lower_bound_check` estimates the
-member's expected max with `stochastic.mc_emax` and verifies it stays
-below the robust value.
+(`stochastic.NoiseModel._fill`).  A robust solve is a regularized one: it
+backs up through `regularized.regularized_backup_operator` over each
+state's regularizer.  `ds_lower_bound_check` estimates the member's
+expected max with `stochastic.mc_emax` and verifies it stays below the
+robust value.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import numpy as np
 
 from .core import (_EPS, _actions, _array, _falsi, _float_or_array, _param,
                    _row, standard_backup)
-from .regularized import (ConjugateResult, Regularizer, entropy_backup,
-                          regularized_backup_operator)
+from .regularized import ConjugateResult, Regularizer, entropy_backup
 from .stochastic import EULER_GAMMA, GaussianJoint, _require_psd, mc_emax
 
 _PROBE_GRID = np.linspace(1e-3, 1.0 - 1e-3, 1000)
@@ -512,16 +513,6 @@ def regularizer_for(ambiguity, state) -> Regularizer:
 def ds_backup(w, ambiguity, state=0) -> ConjugateResult:
     """Robust backup sup over the ambiguity set, via the regularizer conjugate."""
     return regularizer_for(ambiguity, state).conjugate(w)
-
-
-def ds_backup_operator(ambiguity):
-    """Backup operator for robust value iteration.
-
-    Deliberately the same code path as the regularized operator: robust value
-    iteration is regularized value iteration under the equivalent phi.
-    """
-    phis = [regularizer_for(ambiguity, s) for s in range(ambiguity.num_states)]
-    return regularized_backup_operator(phis)
 
 
 @dataclass

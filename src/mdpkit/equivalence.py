@@ -22,13 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constrained import Singleton
+from .constrained import Singleton, ZeroRegularizer
 from .core import (ConvergenceError, ModelValidationError, SolveResult,
                    _array, _count, _param, _per_state, derive_rng, q_vector,
-                   standard_backup_operator, value_iteration)
+                   value_iteration)
 from .distributional import (ExponentialInverseCdf, MarginalDistributionModel,
                              MarginalMomentModel, MdmRegularizer,
-                             ds_backup_operator, regularizer_for)
+                             regularizer_for)
 from .regularized import (AffineRegularizer, EntropyRegularizer,
                           numeric_conjugate, regularized_backup_operator)
 from .stochastic import (GumbelIid, build_uniform_counterexample,
@@ -120,8 +120,10 @@ class FrameworkInstance:
 
 
 class StandardInstance(FrameworkInstance):
+    """phi = 0: the hard max, one `standard_backup` call per sweep."""
+
     def operator(self):
-        return standard_backup_operator()
+        return regularized_backup_operator(ZeroRegularizer())
 
 
 class RegularizedInstance(FrameworkInstance):
@@ -177,7 +179,11 @@ class DistributionalInstance(FrameworkInstance):
         self.ambiguity = ambiguity
 
     def operator(self):
-        return ds_backup_operator(self.ambiguity)
+        # robust value iteration is regularized value iteration under the
+        # equivalent phi of each state
+        return regularized_backup_operator(
+            [regularizer_for(self.ambiguity, s)
+             for s in range(self.model.num_states)])
 
 
 class ConstrainedInstance(FrameworkInstance):

@@ -3,7 +3,7 @@
 A model file is a UTF-8 JSON object with integer `num_states` and
 `num_actions`, real `discount`, nested `reward[s][a]`, and nested
 `transition[s][a][s']`.  An optional `framework` object tags the model with
-one framework's structure:
+one framework's structure; a missing or null one is standard:
 
     {"name": "standard"}
     {"name": "regularized", "regularizer": <block> | [<block> per state]}
@@ -232,8 +232,9 @@ def _each(convert, block, num_states=None, what=None):
 
 def instance_from_dict(data, mc_samples=100000, seed=0) -> FrameworkInstance:
     model = model_from_dict(data)
-    framework = data.get("framework") or {"name": "standard"}
-    name = _require(framework, "name", "framework block")
+    framework = data.get("framework")
+    name = ("standard" if framework is None
+            else _require(framework, "name", "framework block"))
     if name == "standard":
         return StandardInstance(model)
     if name == "regularized":

@@ -271,15 +271,17 @@ def numeric_conjugate(w, phi) -> ConjugateResult:
 
 
 def regularized_backup_operator(phi_per_state):
-    """Backup operator using each state's regularizer or feasible set.
+    """The backup operator of every deterministic framework.
 
     `phi_per_state` is a list, tuple or array of objects that answer
-    `conjugate(w)` (regularizers, or feasible sets, whose backup is the
-    conjugate of their indicator), one per state, or a single one applied
-    to every state.  A single `batched` regularizer backs up the whole table
-    in one `conjugate` call (a set has no `batched`, so reads as False).
-    Otherwise this is the package's one per-row loop: each row of the table
-    is backed up by its own state's `conjugate`, in order.
+    `conjugate(w)`, one per state, or a single one applied to every state:
+    regularizers (`ZeroRegularizer`, phi = 0, for the standard max backup,
+    an ambiguity set's equivalent regularizers for a robust one), or
+    feasible sets, whose backup is the conjugate of their indicator.  A
+    single `batched` regularizer backs up the whole table in one
+    `conjugate` call (a set has no `batched`, so reads as False).
+    Otherwise this is the package's one per-row loop: each row of the
+    table is backed up by its own state's `conjugate`, in order.
     """
     each = _per_state(phi_per_state)
     if not each and getattr(phi_per_state, "batched", False):

@@ -21,6 +21,7 @@ from mdpkit import (
     ChiSquareLagrangeRegularizer,
     CovarianceModel,
     CovarianceRegularizer,
+    DistributionalInstance,
     EntropyRegularizer,
     ExponentialInverseCdf,
     GumbelIid,
@@ -35,6 +36,7 @@ from mdpkit import (
     MmmRegularizer,
     RegularizedInstance,
     Singleton,
+    StandardInstance,
     StochasticInstance,
     UniformInverseCdf,
     ZeroRegularizer,
@@ -42,7 +44,6 @@ from mdpkit import (
     ct_to_r_convert,
     derive_rng,
     ds_backup,
-    ds_backup_operator,
     ds_lower_bound_check,
     entropy_backup,
     grid_oracle_backup,
@@ -61,7 +62,6 @@ from mdpkit import (
     refute_single_eta_fit,
     regularized_backup_operator,
     smdp_backup_operator,
-    standard_backup_operator,
     value_iteration,
 )
 
@@ -91,12 +91,12 @@ def _operator_catalog(model, rng):
     cov = CovarianceModel(np.broadcast_to(base @ base.T / na + 0.05 * np.eye(na),
                                           (ns, na, na)).copy())
     return [
-        ("standard", standard_backup_operator()),
+        ("standard", StandardInstance(model).operator()),
         ("entropy", regularized_backup_operator(EntropyRegularizer(0.7))),
         ("kl", regularized_backup_operator(KlRegularizer(0.9, tilted))),
-        ("ds-mdm", ds_backup_operator(mdm)),
-        ("ds-mmm", ds_backup_operator(mmm)),
-        ("ds-cov", ds_backup_operator(cov)),
+        ("ds-mdm", DistributionalInstance(model, mdm).operator()),
+        ("ds-mmm", DistributionalInstance(model, mmm).operator()),
+        ("ds-cov", DistributionalInstance(model, cov).operator()),
         ("ct-kl", regularized_backup_operator(KlBall(uniform, 0.1))),
         ("ct-l1", regularized_backup_operator(L1Ball(uniform, 0.5))),
         ("ct-l2",

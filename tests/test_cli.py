@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import mdpkit.modelio as modelio
-from mdpkit import (entropy_backup, l2_constrained_backup, q_vector,
-                    random_mdp)
+from mdpkit import (ConstrainedInstance, KlBall, entropy_backup,
+                    l2_constrained_backup, q_vector, random_mdp)
 from mdpkit.cli import main
 from mdpkit.modelio import load_instance, load_model, save_model
 from mdpkit.core import ConvergenceError, MdpModel
@@ -237,7 +237,11 @@ def test_convert_r2ct(tmp_path, capsys):
     assert ver["direction"] == "r2ct"
     assert ver["policy_sup_gap"] < 1e-5
     converted = load_instance(out_dir / "converted.json")
-    assert converted.constraints is not None or True
+    assert isinstance(converted, ConstrainedInstance)
+    assert len(converted.constraints) == converted.model.num_states
+    assert all(type(c) is KlBall for c in converted.constraints)
+    assert np.max(np.abs(converted.solve().value
+                         - np.array(ver["converted_value"]))) <= 1e-9
     blocks = json.loads((out_dir / "converted.json").read_text())
     kinds = {b["kind"] for b in blocks["framework"]["constraint"]}
     assert kinds == {"kl_ball"}
@@ -299,6 +303,19 @@ def test_a_reference_with_no_mass_in_a_model_file_is_named(tmp_path, capsys):
     assert code == 2
     assert _one_error(out)["message"] == \
         "reference must have a positive entry"
+
+
+def test_a_falsy_framework_block_is_one_validation_error(tmp_path, capsys):
+    # {} once read as a missing block, so the file solved as a standard model
+    data = chooser_model_dict()
+    data["framework"] = {}
+    path = write_json(tmp_path / "m.json", data)
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    record = _one_error(out)
+    assert record["kind"] == "validation"
+    assert record["message"] == \
+        "framework block is missing required field 'name'"
 
 
 def test_convert_ct2r_phi_ball_writes_a_loadable_regularized_file(tmp_path,
@@ -825,28 +842,51 @@ def test_module_entry_point(tmp_path):
     assert "seconds" not in proc.stdout
 
 
+# {"numpy": version, "seeds": {seed: the --sha256 output of
+# tools/cli_reports.py}}; a change that moves a report on purpose writes it
+# again and lists the moved files
+REPORT_DIGEST = Path(__file__).parent / "data" / "cli_reports_digest.json"
+
+
 def test_cli_reports_tool_runs_every_cli_op(tmp_path):
     root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, str(root / "tools" / "cli_reports.py"),
-                           str(root), str(tmp_path), "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    exits = {p.stem: p.read_text() for p in tmp_path.glob("*.exit")}
-    assert len(exits) == 22
-    assert set(exits.values()) == {"0\n"}
-    assert {"solve-mc-uniform", "compare-mc-uniform-mmm"} <= set(exits)
-    assert {"solve-robust-mdm-uniform",
-            "solve-robust-mdm-tabulated"} <= set(exits)
-    assert {"convert-ct2r-phi-ball-scaled",
-            "convert-ct2r-phi-ball-offset"} <= set(exits)
-    for name in exits:
-        report = json.loads((tmp_path / f"{name}.stdout").read_text())
-        assert report["command"] == name.split("-")[0]
-        own = {"solve": "report.json", "compare": "report.json",
-               "figure1": "edges.json",
-               "convert": "verification.json"}[report["command"]]
-        assert (tmp_path / name / own).read_text() == \
-            (tmp_path / f"{name}.stdout").read_text()
+    recorded = json.loads(REPORT_DIGEST.read_text())
+    # the seeds run side by side, each in its own process
+    procs = {seed: subprocess.Popen(
+        [sys.executable, str(root / "tools" / "cli_reports.py"), str(root),
+         str(tmp_path / seed), seed, "--sha256"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for seed in recorded["seeds"]}
+    moved = []
+    for seed, proc in procs.items():
+        stdout, stderr = proc.communicate()
+        assert proc.returncode == 0, stderr
+        out = tmp_path / seed
+        exits = {p.stem: p.read_text() for p in out.glob("*.exit")}
+        assert len(exits) == 22
+        assert set(exits.values()) == {"0\n"}
+        assert {"solve-mc-uniform", "compare-mc-uniform-mmm"} <= set(exits)
+        assert {"solve-robust-mdm-uniform",
+                "solve-robust-mdm-tabulated"} <= set(exits)
+        assert {"convert-ct2r-phi-ball-scaled",
+                "convert-ct2r-phi-ball-offset"} <= set(exits)
+        for name in exits:
+            report = json.loads((out / f"{name}.stdout").read_text())
+            assert report["command"] == name.split("-")[0]
+            own = {"solve": "report.json", "compare": "report.json",
+                   "figure1": "edges.json",
+                   "convert": "verification.json"}[report["command"]]
+            assert (out / name / own).read_text() == \
+                (out / f"{name}.stdout").read_text()
+        digest, want = json.loads(stdout), recorded["seeds"][seed]
+        moved += [f"seed {seed}: {path}"
+                  for path in sorted(set(digest) | set(want))
+                  if digest.get(path) != want.get(path)]
+    assert not moved, (
+        "CLI outputs are no longer byte-identical to the recorded ones:\n  "
+        + "\n  ".join(moved) + f"\n(recorded under numpy "
+        f"{recorded['numpy']}, this run has numpy {np.__version__}; another "
+        "numpy may move a last digit)")
 
 
 def test_cli_import_leaves_scipy_out():

@@ -38,12 +38,14 @@ from mdpkit import (
     regularized_backup_operator,
     smdp_backup_operator,
     standard_backup,
-    standard_backup_operator,
     validate_model,
     validate_policy_matrix,
     value_iteration,
 )
 from mdpkit.core import _blocks, _count, _evaluation_matrix
+
+# the plain Bellman backup operator: phi = 0
+STANDARD = regularized_backup_operator(ZeroRegularizer())
 
 
 def chain_model(discount=0.5):
@@ -294,7 +296,7 @@ def test_standard_backup_tie_goes_to_lowest_index():
 
 def test_bellman_sweep_shapes():
     m = chain_model()
-    v, pi = bellman_sweep(m, standard_backup_operator(), np.zeros(2))
+    v, pi = bellman_sweep(m, STANDARD, np.zeros(2))
     assert v.shape == (2,)
     assert pi.shape == (2, 2)
     assert validate_policy_matrix(pi) == []
@@ -361,7 +363,7 @@ def test_a_solve_makes_no_kernel_product_at_v_zero(monkeypatch):
         return matmul(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    result = value_iteration(m, standard_backup_operator())
+    result = value_iteration(m, STANDARD)
     assert result.iterations == 3
     assert products == [True, True]
 
@@ -450,7 +452,7 @@ def test_operators_back_up_any_subset_of_rows_as_the_full_table_does():
 
 def test_single_state_geometric_value():
     # [TRIVIAL] self-loop with reward 1 and discount 0.5 has value 1/(1-0.5).
-    res = value_iteration(one_state_model(), standard_backup_operator())
+    res = value_iteration(one_state_model(), STANDARD)
     assert res.value[0] == pytest.approx(2.0, abs=1e-9)
     assert res.residual <= 1e-10
     assert res.iterations > 0
@@ -460,7 +462,7 @@ def test_chain_model_analytic_value():
     # optimal at g=0.5: state 0 keeps collecting 1, state 1 hops once for 2,
     # so V0 = 1/(1-g) and V1 = 2 + g*V0.
     g = 0.5
-    res = value_iteration(chain_model(g), standard_backup_operator())
+    res = value_iteration(chain_model(g), STANDARD)
     v0 = 1.0 / (1.0 - g)
     assert res.value[0] == pytest.approx(v0, abs=1e-9)
     assert res.value[1] == pytest.approx(2.0 + g * v0, abs=1e-9)
@@ -470,7 +472,7 @@ def test_chain_model_analytic_value():
 
 def test_value_matches_exact_evaluation_of_greedy_policy():
     m = random_mdp(6, 3, seed=11, reward_range=(-2.0, 2.0), discount=0.9)
-    res = value_iteration(m, standard_backup_operator(), tol=1e-12)
+    res = value_iteration(m, STANDARD, tol=1e-12)
     exact = policy_evaluation_exact(m, res.policy)
     assert np.max(np.abs(res.value - exact)) < 1e-9
 
@@ -479,7 +481,7 @@ def test_value_matches_truncated_neumann_series():
     # [DERIVED] oracle: V_pi = sum_k (gamma P_pi)^k r_pi, truncated at K
     # terms with gamma^K below 1e-18 relative.
     m = random_mdp(4, 2, seed=3, reward_range=(0.0, 1.0), discount=0.5)
-    res = value_iteration(m, standard_backup_operator(), tol=1e-13)
+    res = value_iteration(m, STANDARD, tol=1e-13)
     p_pi = np.einsum("sa,sat->st", res.policy, m.transition)
     r_pi = np.einsum("sa,sa->s", res.policy, m.reward)
     v = np.zeros(m.num_states)
@@ -493,7 +495,7 @@ def test_value_matches_truncated_neumann_series():
 def test_convergence_error_carries_partial_result():
     m = random_mdp(5, 3, seed=7, discount=0.95)
     with pytest.raises(ConvergenceError) as exc:
-        value_iteration(m, standard_backup_operator(), tol=1e-12, max_iter=1)
+        value_iteration(m, STANDARD, tol=1e-12, max_iter=1)
     err = exc.value
     assert err.residual > 1e-12
     assert err.best is not None
@@ -522,7 +524,7 @@ def test_non_finite_residual_stops_value_iteration_at_once():
 def test_newton_convergence_error_carries_the_last_sweep():
     m = chain_model(0.9)
     with pytest.raises(ConvergenceError) as exc:
-        value_iteration(m, standard_backup_operator(), max_iter=1)
+        value_iteration(m, STANDARD, max_iter=1)
     best = exc.value.best
     # the first sweep backs up V = 0: TV is the best reward of each state
     assert best.iterations == 1
@@ -535,7 +537,7 @@ def test_newton_convergence_error_carries_the_last_sweep():
 @pytest.mark.parametrize("budget", [{"tol": 0.0}, {"max_iter": 0}])
 def test_value_iteration_rejects_an_empty_budget(budget):
     with pytest.raises(ValueError):
-        value_iteration(chain_model(), standard_backup_operator(), **budget)
+        value_iteration(chain_model(), STANDARD, **budget)
 
 
 @pytest.mark.parametrize("newton", [False, True])
@@ -545,7 +547,7 @@ def test_error_bound_bounds_the_distance_to_the_policy_value(newton, eta):
     # of the sweep; V^pi of a soft row is the linear solve with r + phi(pi)
     m = random_mdp(8, 3, seed=5, reward_range=(-2.0, 2.0), discount=0.95)
     if eta is None:
-        op, phi = standard_backup_operator(), None
+        op, phi = STANDARD, None
     else:
         phi = EntropyRegularizer(eta)
         op = regularized_backup_operator(phi)
@@ -600,9 +602,9 @@ def test_newton_keeps_stepping_when_the_residual_grows():
     ])
     m = MdpModel(num_states=2, num_actions=2, transition=transition,
                  reward=np.array([[1.0, 0.0], [10.0, 10.0]]), discount=0.99)
-    res = value_iteration(m, standard_backup_operator(), tol=1e-10)
+    res = value_iteration(m, STANDARD, tol=1e-10)
     assert res.iterations <= 6
-    plain = value_iteration(m, standard_backup_operator(), tol=1e-10,
+    plain = value_iteration(m, STANDARD, tol=1e-10,
                             newton=False)
     assert np.max(np.abs(res.value - plain.value)) <= plain.error_bound
 
@@ -619,7 +621,7 @@ def test_newton_safeguard_rescues_rows_that_are_not_the_gradient():
     m = MdpModel(num_states=2, num_actions=2,
                  transition=chain_model().transition,
                  reward=np.array([[0.0, 1.0], [0.0, 2.0]]), discount=0.5)
-    plain = value_iteration(m, standard_backup_operator(), tol=1e-12,
+    plain = value_iteration(m, STANDARD, tol=1e-12,
                             newton=False)
     res = value_iteration(m, wrong_rows, tol=1e-12, max_iter=1000)
     assert res.iterations <= plain.iterations + 2
@@ -636,7 +638,7 @@ def _stack_operators(m):
     half = rng.uniform(0.3, 1.5, (5, 3))
     noise = UniformPerEntry(np.stack([-half, half], axis=-1))
     return {
-        "standard": standard_backup_operator,
+        "standard": lambda: STANDARD,
         "entropy": lambda: regularized_backup_operator(EntropyRegularizer(0.5)),
         "kl": lambda: regularized_backup_operator(KlRegularizer(0.5, ref)),
         "mmm-rowwise": DistributionalInstance(m, moments).operator,
@@ -702,13 +704,13 @@ def test_stacked_solve_raises_the_error_of_the_lowest_failing_table():
                             transition=m.transition, reward=reward,
                             discount=0.95)
             try:
-                value_iteration(twin, standard_backup_operator(), max_iter=2)
+                value_iteration(twin, STANDARD, max_iter=2)
             except ConvergenceError as exc:
                 errors.append((trial, exc))
         assert [trial for trial, _ in errors] == [1, 2]
         trial, first = errors[0]
         with pytest.raises(ConvergenceError) as exc:
-            value_iteration(m, standard_backup_operator(), max_iter=2,
+            value_iteration(m, STANDARD, max_iter=2,
                             rewards=tables)
         assert exc.value.trial == trial
         assert str(exc.value) == str(first)
@@ -726,15 +728,15 @@ def test_stacked_solve_checks_its_reward_tables():
     stack[2, 0, 0] = np.nan
     with pytest.raises(ModelValidationError,
                        match=r"^reward not finite at \(s=2, a=1\)$"):
-        value_iteration(m, standard_backup_operator(), rewards=stack)
+        value_iteration(m, STANDARD, rewards=stack)
     with pytest.raises(ModelValidationError, match="reward stack shape"):
-        value_iteration(m, standard_backup_operator(), rewards=stack[0])
-    assert value_iteration(m, standard_backup_operator(),
+        value_iteration(m, STANDARD, rewards=stack[0])
+    assert value_iteration(m, STANDARD,
                            rewards=stack[:0]) == []
 
 
 @pytest.mark.parametrize("call, field", [
-    (lambda m: value_iteration(m, standard_backup_operator(), rewards="x"),
+    (lambda m: value_iteration(m, STANDARD, rewards="x"),
      "rewards"),
     (lambda m: policy_evaluation_exact(m, {"p": 1}), "policy"),
 ])
@@ -746,9 +748,9 @@ def test_outside_arrays_name_their_field(call, field):
 
 def test_iteration_count_shrinks_with_looser_tol():
     m = random_mdp(5, 3, seed=7, discount=0.9)
-    loose = value_iteration(m, standard_backup_operator(), tol=1e-4,
+    loose = value_iteration(m, STANDARD, tol=1e-4,
                             newton=False)
-    tight = value_iteration(m, standard_backup_operator(), tol=1e-10,
+    tight = value_iteration(m, STANDARD, tol=1e-10,
                             newton=False)
     assert loose.iterations < tight.iterations
 
@@ -813,7 +815,7 @@ COUNTS = {
     "MdpModel-num_actions": ("num_actions", 1, lambda n: MdpModel(
         3, n, M32.transition, M32.reward, 0.9), 2, False),
     "value_iteration-max_iter": ("max_iter", 1, lambda n: value_iteration(
-        M32, standard_backup_operator(), max_iter=n), 100, False),
+        M32, STANDARD, max_iter=n), 100, False),
     "StochasticInstance-mc_samples": ("mc_samples", 1, lambda n:
         StochasticInstance(M32, GumbelIid(1.0), mc_samples=n), 3, False),
     "StochasticInstance-seed": ("seed", 0, lambda n:
@@ -909,7 +911,7 @@ def test_sweep_is_gamma_contraction_on_random_models():
         m = random_mdp(4, 3, seed=100 + k, discount=0.9)
         w = rng.uniform(-5, 5, 4)
         u = rng.uniform(-5, 5, 4)
-        vw, _ = bellman_sweep(m, standard_backup_operator(), w)
-        vu, _ = bellman_sweep(m, standard_backup_operator(), u)
+        vw, _ = bellman_sweep(m, STANDARD, w)
+        vu, _ = bellman_sweep(m, STANDARD, u)
         gap = np.max(np.abs(vw - vu))
         assert gap <= m.discount * np.max(np.abs(w - u)) + 1e-12

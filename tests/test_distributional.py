@@ -23,7 +23,6 @@ from mdpkit import (
     TabulatedInverseCdf,
     UniformInverseCdf,
     ds_backup,
-    ds_backup_operator,
     ds_lower_bound_check,
     entropy_backup,
     numeric_conjugate,
@@ -679,7 +678,7 @@ def test_ds_operator_is_the_regularized_operator(ambiguity):
     # so whole solves agree bit for bit.
     m = random_mdp(3, 2, seed=8, discount=0.8)
     phis = [regularizer_for(ambiguity, s) for s in range(3)]
-    a = value_iteration(m, ds_backup_operator(ambiguity))
+    a = value_iteration(m, DistributionalInstance(m, ambiguity).operator())
     b = value_iteration(m, regularized_backup_operator(phis))
     assert np.array_equal(a.value, b.value)
     assert np.array_equal(a.policy, b.policy)

@@ -150,6 +150,19 @@ def test_unknown_framework_name_is_rejected():
         instance_from_dict(d)
 
 
+@pytest.mark.parametrize("framework", [{}, False, 0, [], ""],
+                         ids=["empty-object", "false", "zero", "empty-list",
+                              "empty-string"])
+def test_a_falsy_framework_block_is_rejected_not_read_as_standard(framework):
+    # only a missing or null block means a standard model
+    d = model_to_dict(base_model())
+    d["framework"] = framework
+    with pytest.raises(ModelValidationError):
+        instance_from_dict(d)
+    d["framework"] = None
+    assert isinstance(instance_from_dict(d), StandardInstance)
+
+
 # -------------------------------------------------------- instance round trips
 
 
