@@ -1,5 +1,6 @@
 """Command-line entry points: reports, artifacts, exit codes, env defaults."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -842,10 +843,16 @@ def test_module_entry_point(tmp_path):
     assert "seconds" not in proc.stdout
 
 
-# {"numpy": version, "seeds": {seed: the --sha256 output of
-# tools/cli_reports.py}}; a change that moves a report on purpose writes it
-# again and lists the moved files
+# {"numpy": version, "seeds": {seed: {path under OUT: sha256}}} of the
+# tools/cli_reports.py trees; a change that moves a report on purpose writes
+# it again with _tree_digest and lists the moved files
 REPORT_DIGEST = Path(__file__).parent / "data" / "cli_reports_digest.json"
+
+
+def _tree_digest(out):
+    return {path.relative_to(out).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 def test_cli_reports_tool_runs_every_cli_op(tmp_path):
@@ -854,12 +861,12 @@ def test_cli_reports_tool_runs_every_cli_op(tmp_path):
     # the seeds run side by side, each in its own process
     procs = {seed: subprocess.Popen(
         [sys.executable, str(root / "tools" / "cli_reports.py"), str(root),
-         str(tmp_path / seed), seed, "--sha256"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+         str(tmp_path / seed), seed],
+        stderr=subprocess.PIPE, text=True)
         for seed in recorded["seeds"]}
     moved = []
     for seed, proc in procs.items():
-        stdout, stderr = proc.communicate()
+        _, stderr = proc.communicate()
         assert proc.returncode == 0, stderr
         out = tmp_path / seed
         exits = {p.stem: p.read_text() for p in out.glob("*.exit")}
@@ -878,7 +885,7 @@ def test_cli_reports_tool_runs_every_cli_op(tmp_path):
                    "convert": "verification.json"}[report["command"]]
             assert (out / name / own).read_text() == \
                 (out / f"{name}.stdout").read_text()
-        digest, want = json.loads(stdout), recorded["seeds"][seed]
+        digest, want = _tree_digest(out), recorded["seeds"][seed]
         moved += [f"seed {seed}: {path}"
                   for path in sorted(set(digest) | set(want))
                   if digest.get(path) != want.get(path)]

@@ -15,19 +15,14 @@ OUT:
                              other op run again with --out
 
 `diff -r` of two OUT trees, made from two checkouts at the same seed, checks
-that a change keeps every CLI report and artifact byte-identical.  With
---sha256 the tool also prints one JSON object, the sha256 of every file of
-the tree keyed by its path under OUT; `tests/data/cli_reports_digest.json`
-holds that object at seeds 1 and 7919, so a test can check the same.
+that a change keeps every CLI report and artifact byte-identical.
 
-Usage: python tools/cli_reports.py ROOT OUT [SEED] [--sha256]
-       (SEED defaults to 1)
+Usage: python tools/cli_reports.py ROOT OUT [SEED]   (SEED defaults to 1)
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import shutil
@@ -157,8 +152,6 @@ def kl_scale_ops(seed, work, workloads):
 
 
 def main(argv):
-    sha256 = "--sha256" in argv
-    argv = [arg for arg in argv if arg != "--sha256"]
     root, out = Path(argv[1]).resolve(), Path(argv[2])
     seed = int(argv[3]) if len(argv) > 3 else 1
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -194,11 +187,6 @@ def main(argv):
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     main(args + ["--out", str(files)])
-    if sha256:
-        print(json.dumps({path.relative_to(out).as_posix():
-                          hashlib.sha256(path.read_bytes()).hexdigest()
-                          for path in sorted(out.rglob("*"))
-                          if path.is_file()}, indent=1))
     return 0
 
 
