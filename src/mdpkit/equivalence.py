@@ -10,7 +10,7 @@ carry a replayable reward witness; Monte Carlo paths can only downgrade to
 `counterexample_suite` packages the nested-relation map between the five
 frameworks as checked edges: the entropy/Gumbel equivalence, the strictness
 of noisy rewards over the Gumbel special case (uniform-noise ratio witness),
-the regularized/robust equivalence (three ambiguity families), containment
+the regularized/robust equivalence (two ambiguity families), containment
 of stochastic models in the robust family, and the two-sided incomparability
 of feasible-set models with regularized ones.
 """
@@ -373,7 +373,7 @@ def counterexample_suite(seed=0, trials=20, mc_samples=200000) -> NestedRelation
                  "containment": "every expected-value model is a stochastic "
                                 "model with i.i.d. Gumbel noise"}))
 
-    # regularized == distributionally robust (three ambiguity families)
+    # regularized == distributionally robust (two ambiguity families)
     ds_edge = _r_equals_ds_edge(base, seed)
     edges.append(ds_edge)
 
@@ -430,7 +430,7 @@ def _r_equals_ds_edge(base, seed):
         relation="R == DS",
         verdict="holds" if ok else "failed",
         expected="holds",
-        details={"families": ["marginal-cdf", "marginal-moment", "covariance"],
+        details={"families": ["marginal-cdf", "marginal-moment"],
                  "exponential_mdm_bit_identical": bit_identical,
                  "closed_vs_numeric_gap": cross_gap,
                  "marginal_moment_bit_identical": mmm_bit,

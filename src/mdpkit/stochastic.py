@@ -16,10 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpModel, _array, _count, _param, _row, derive_rng
+from .core import MdpModel, _array, _blocks, _count, _param, _row, derive_rng
 from .regularized import AffineRegularizer, EntropyRegularizer
 
 EULER_GAMMA = float(np.euler_gamma)
+
+# bytes of block buffers one Monte Carlo worker holds beside its per-sample
+# arrays: `_column_emax` sizes its blocks by it, and `_require_draws_fit`
+# reserves it for each worker
+WORKER_BUDGET = 2 ** 18
 
 
 class NoiseModel:
@@ -171,12 +176,13 @@ class GaussianJoint(NoiseModel):
     The product is taken in place, over blocks of samples, so no second
     (A, n) array exists.  Blocks start on multiples of 64 samples and
     hold 128 KB (2,048 samples at 8 actions), the last one the remainder
-    too: each is at most 256 KB and 2^18 multiply-adds, below which
-    OpenBLAS runs on one thread, so the draws do not depend on its thread
-    count.  They equal the whole `F[s] @ z` bit for bit, except that with
-    OpenBLAS at 12 actions or more the last n mod 8 samples can differ in
-    the last bits (as the whole product's own do between OpenBLAS thread
-    counts).
+    too: each is at most a worker's `WORKER_BUDGET` (256 KB) and 2^18
+    multiply-adds, below which OpenBLAS runs on one thread, so the draws
+    do not depend on its thread count.  That threshold, not the budget,
+    sets the step.  The draws equal the whole `F[s] @ z` bit for bit,
+    except that with OpenBLAS at 12 actions or more the last n mod 8
+    samples can differ in the last bits (as the whole product's own do
+    between OpenBLAS thread counts).
     """
 
     def __init__(self, cov):
@@ -210,18 +216,14 @@ class EmaxEstimate:
     samples: int
 
 
-# samples per pass of `_column_emax`: a block's sums, maxima and maximizers
-# (about 300 KB) stay in cache while every action's column visits them
-EMAX_BLOCK = 16384
-
-
 def _column_emax(w, cols):
     """Per-sample max of w_a + eps_a over (A, n) columns, and its maximizer.
 
     Returns (m, first): m[i] = max_a (w_a + cols[a, i]) and first[i] is the
     first (lowest-index) maximizer of sample i.  Each sum and each max is
     exact, so for NaN-free draws m and first equal the row-major
-    `(w + eps).max(axis=1)` and `argmax(axis=1)` bit for bit.
+    `(w + eps).max(axis=1)` and `argmax(axis=1)` bit for bit.  The samples
+    are walked in `core._blocks` whose buffers fit `WORKER_BUDGET`.
     """
     num_actions, n = cols.shape
     if w.shape != (num_actions,):
@@ -230,15 +232,16 @@ def _column_emax(w, cols):
     index = np.min_scalar_type(num_actions - 1).type
     m = np.empty(n)
     first = np.zeros(n, dtype=index)
-    col = np.empty(min(n, EMAX_BLOCK))
+    # per sample of a block: the sum `cb`, the leader `lb` and `cb > mb`
+    blocks = _blocks(n, 9 + first.itemsize, WORKER_BUDGET)
+    col = np.empty(blocks[0].stop)
     lead = np.empty(col.shape, dtype=index)
-    for lo in range(0, n, EMAX_BLOCK):
-        hi = min(lo + EMAX_BLOCK, n)
-        mb, fb = m[lo:hi], first[lo:hi]
-        cb, lb = col[:hi - lo], lead[:hi - lo]
-        np.add(w[0], cols[0, lo:hi], out=mb)
+    for blk in blocks:
+        mb, fb = m[blk], first[blk]
+        cb, lb = col[:len(mb)], lead[:len(mb)]
+        np.add(w[0], cols[0, blk], out=mb)
         for a in range(1, num_actions):
-            np.add(w[a], cols[a, lo:hi], out=cb)
+            np.add(w[a], cols[a, blk], out=cb)
             # strict >: a tie keeps the earlier, lower-index maximizer.  A
             # new leader a exceeds every earlier index, so a max records it
             # without the data-dependent branches of a masked store.
@@ -337,14 +340,14 @@ def smdp_backup_operator(noise, samples, seed):
     allocate fragment their per-thread malloc arenas), which the workers
     fill through `NoiseModel._fill`; the built-in laws draw straight into
     it.  While it backs up a state, a worker holds a float64 and a uint8
-    array of `samples` entries and at most 256 KB of block buffers, all
-    freed when it moves on.  The cache is `op.draws`, {state: columns},
-    for reuse after a solve: `op.std_errors(table, states)` gives the
-    standard error of each row's sample-average max over its state's
-    cached draws (`_emax_estimate`), on the same threads.  A call that
-    draws new states first checks the cache it will hold after the call,
-    and its workers' buffers, against physical memory
-    (`_require_draws_fit`).
+    array of `samples` entries and the block buffers of `_column_emax`,
+    which `WORKER_BUDGET` (256 KB) sizes, all freed when it moves on.  The
+    cache is `op.draws`, {state: columns}, for reuse after a solve:
+    `op.std_errors(table, states)` gives the standard error of each row's
+    sample-average max over its state's cached draws (`_emax_estimate`),
+    on the same threads.  A call that draws new states first checks the
+    cache it will hold after the call, and its workers' buffers, against
+    physical memory (`_require_draws_fit`).
     """
     samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     cache = {}
@@ -409,15 +412,16 @@ def _require_draws_fit(num_actions, samples, num_states=None, workers=1):
     cache of `smdp_backup_operator` over num_states states holds
     num_states such blocks.  Each of the `workers` adds a float64 and an
     index array of `samples` entries (9 bytes per sample up to 256
-    actions) and 256 KB of block buffers.  Checked against physical
-    memory, before anything is drawn, so that a solve too large for the
-    machine fails at once instead of swapping or being killed.  First of
-    all, `samples` must be a positive integer (`core._count`).
+    actions) and `WORKER_BUDGET` (256 KB) of block buffers.  Checked
+    against physical memory, before anything is drawn, so that a solve
+    too large for the machine fails at once instead of swapping or being
+    killed.  First of all, `samples` must be a positive integer
+    (`core._count`).
     """
     samples = _count(samples, "samples")
     cache = (num_states or 1) * num_actions * samples * 8
     index = np.min_scalar_type(num_actions - 1).itemsize
-    need = cache + workers * ((8 + index) * samples + 2 ** 18)
+    need = cache + workers * ((8 + index) * samples + WORKER_BUDGET)
     have = _physical_memory_bytes()
     if have is not None and need > have:
         sizes = f"{num_actions} actions x {samples} samples x 8, and "

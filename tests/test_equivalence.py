@@ -11,6 +11,7 @@ from mdpkit import (
     AffineRegularizer,
     ConstrainedInstance,
     ConvergenceError,
+    CovarianceModel,
     DistributionalInstance,
     EntropyRegularizer,
     ExponentialInverseCdf,
@@ -414,6 +415,22 @@ def test_suite_robust_edge_is_bit_identical(suite):
     assert edge.details["exponential_mdm_bit_identical"] is True
     assert edge.details["marginal_moment_bit_identical"] is True
     assert edge.details["closed_vs_numeric_gap"] < 1e-6
+
+
+def test_suite_robust_edge_names_the_families_it_builds(monkeypatch):
+    # the edge's `families` are the ambiguity classes the suite constructs
+    names = {MarginalDistributionModel: "marginal-cdf",
+             MarginalMomentModel: "marginal-moment",
+             CovarianceModel: "covariance"}
+    built = set()
+    for cls in names:
+        def record(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.add(names[_cls])
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", record)
+    edge = counterexample_suite(seed=3, trials=2, mc_samples=20000).edges[3]
+    assert edge.name == "regularized-equals-distributionally-robust"
+    assert sorted(edge.details["families"]) == sorted(built)
 
 
 def test_suite_incomparability_witnesses(suite):

@@ -35,7 +35,8 @@ from mdpkit import (
 )
 from mdpkit.cli import main
 from mdpkit.modelio import save_instance
-from mdpkit.stochastic import EMAX_BLOCK, NoiseModel, _column_emax
+from mdpkit.core import _blocks
+from mdpkit.stochastic import WORKER_BUDGET, NoiseModel, _column_emax
 
 from util import tracemalloc_peak
 
@@ -319,7 +320,13 @@ def test_smdp_operator_matches_row_major_formula_bit_for_bit():
     assert _one_row(op, [0.5, -0.25, 0.5], 0, 0)[1][2] == 0.0
 
 
-@pytest.mark.parametrize("n", [1000, 3 * EMAX_BLOCK + 17])
+# samples per block of `_column_emax` up to 256 actions, by the rule: a sum,
+# a uint8 leader and a comparison per sample, within a worker's budget
+BLOCK = _blocks(10 ** 6, 8 + 1 + 1, WORKER_BUDGET)[0].stop
+
+
+@pytest.mark.parametrize("n", [1000, BLOCK - 1, BLOCK, BLOCK + 1,
+                               3 * BLOCK + 17])
 def test_column_emax_is_the_row_major_max_across_blocks(n):
     # rounded draws tie often; column 2 has zero width, and column 3
     # repeats column 1 on the first half of the samples
@@ -332,6 +339,26 @@ def test_column_emax_is_the_row_major_max_across_blocks(n):
         vals = w + cols.T
         assert np.array_equal(m, vals.max(axis=1))
         assert np.array_equal(first, vals.argmax(axis=1))
+
+
+@pytest.mark.parametrize("num_actions", [8, 300])
+def test_column_emax_holds_its_results_and_the_budget(num_actions):
+    # beyond `m` and `first` (9 bytes per sample, 10 past 256 actions) the
+    # max holds its blocks' buffers, within a worker's budget at any n,
+    # numpy's buffer for casting the comparison to the index dtype
+    # (np.getbufsize() entries) and its Python objects, about 120 bytes
+    # per block
+    n = 8 * BLOCK + 5
+    rng = derive_rng(30, num_actions)
+    w = rng.normal(size=num_actions)
+    # 300 actions read one row of draws through a stride-0 view
+    cols = (rng.normal(size=(8, n)) if num_actions == 8 else
+            np.broadcast_to(rng.normal(size=n), (num_actions, n)))
+    (_, first), peak = tracemalloc_peak(_column_emax, w, cols,
+                                        warm=(w, cols[:, :2]))
+    assert first.itemsize == (1 if num_actions == 8 else 2)
+    fixed = np.getbufsize() * first.itemsize + 8 * 1024
+    assert peak <= (8 + first.itemsize) * n + WORKER_BUDGET + fixed
 
 
 def test_smdp_operator_first_sweep_equals_mc_emax_and_mc_policy():
@@ -495,7 +522,7 @@ def test_a_failed_draw_leaves_no_state_in_the_cache(monkeypatch):
 
 def test_mc_solve_holds_the_cache_and_the_workers_buffers(monkeypatch):
     # a worker backing up a state holds a float64 and a uint8 array of
-    # `samples` entries and the max's 144 KB of blocks; the Gaussian draws
+    # `samples` entries and the max's 256 KB of blocks; the Gaussian draws
     # need no (actions, samples) transient beside the cache
     states, actions, n = 4, 8, 50000
     model = random_mdp(states, actions, seed=45, discount=0.5)
@@ -527,6 +554,94 @@ def test_cli_report_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(proc.stdout)
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------- exact uniform-noise oracle
+
+
+def _exact_uniform_backup(w, lo, hi):
+    """E[max_a (w_a + eps_a)] and each P(a is the argmax), exactly, for
+    independent eps_a ~ U[lo_a, hi_a] with lo_a < hi_a.
+
+    M = max_a (w_a + eps_a) has CDF G(x) = prod_a F_a(x - w_a), so
+    E[M] = H - int_L^H G over M's support [L, H], and the choice
+    probability of a is int f_a(x - w_a) prod_{b != a} F_b(x - w_b) dx
+    (David & Nagaraja, Order Statistics, 3rd ed., 2003).  Between the
+    breakpoints w_a + lo_a and w_a + hi_a both integrands are polynomials
+    of degree at most A, which Gauss-Legendre with ceil((A + 1) / 2) nodes
+    per piece integrates exactly.  The probabilities are the gradient of
+    E[M] in w, so Newton steps apply to a solve under this backup.
+    """
+    if not np.all(lo < hi):
+        raise ValueError("the exact uniform backup needs lo < hi on every "
+                         "entry; a point mass (lo == hi) is not handled")
+    low, high = w + lo, w + hi
+    top, bottom = high.max(), low.max()
+    knots = np.unique(np.clip(np.concatenate([low, high]), bottom, top))
+    x, weight = np.polynomial.legendre.leggauss(-(-(len(w) + 1) // 2))
+    half = np.diff(knots)[:, None] / 2.0
+    nodes = ((knots[:-1] + knots[1:])[:, None] / 2.0 + half * x).ravel()
+    weights = (half * weight).ravel()
+    cdf = np.clip((nodes[:, None] - low) / (hi - lo), 0.0, 1.0)
+    value = top - weights @ cdf.prod(axis=1)
+    # prod_{b != a} F_b as the product of the F_b before a and after it
+    ones = np.ones((len(nodes), 1))
+    before = np.cumprod(np.hstack([ones, cdf[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, cdf[:, :0:-1]]), axis=1)[:, ::-1]
+    density = ((nodes[:, None] > low) & (nodes[:, None] < high)) / (hi - lo)
+    return value, weights @ (density * before * after)
+
+
+def _exact_uniform_operator(bounds):
+    """A table operator backing up each row under UniformPerEntry(bounds)."""
+    def op(table, states, sweep):
+        out = [_exact_uniform_backup(w, *bounds[s].T)
+               for w, s in zip(table, states)]
+        return np.array([v for v, _ in out]), np.array([r for _, r in out])
+    return op
+
+
+def _mc_over_exact_error(seed, num_states, num_actions):
+    """The worst state's |Monte Carlo - exact| fixed-point value, in units
+    of the Monte Carlo solve's aggregate standard error."""
+    model = random_mdp(num_states, num_actions, seed=[seed, 49], discount=0.5)
+    rng = derive_rng(seed, 50)
+    half = rng.uniform(0.3, 1.5, (num_states, num_actions))
+    center = rng.uniform(-0.5, 0.5, (num_states, num_actions))
+    bounds = np.stack([center - half, center + half], axis=-1)
+    exact = value_iteration(model, _exact_uniform_operator(bounds), tol=1e-10)
+    assert np.allclose(exact.policy.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    mc, error = StochasticInstance(
+        model, UniformPerEntry(bounds), mc_samples=200_000, seed=seed,
+        method="mc").solve_with_error(tol=1e-10)
+    assert error > 0.0
+    return np.max(np.abs(mc.value - exact.value)) / error
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("shape", [(3, 2), (4, 5), (6, 8)])
+def test_mc_solve_matches_the_exact_uniform_solve(seed, shape):
+    assert _mc_over_exact_error(seed, *shape) <= 4.0
+
+
+def test_exact_uniform_check_catches_a_shifted_draw(monkeypatch):
+    # action 0's uniform draws shifted by +0.1 on every state
+    fill = UniformPerEntry._fill
+
+    def shifted(self, state, cols, rng):
+        fill(self, state, cols, rng)
+        cols[0] += 0.1
+
+    monkeypatch.setattr(UniformPerEntry, "_fill", shifted)
+    for seed in (1, 7919):
+        for shape in ((3, 2), (4, 5), (6, 8)):
+            assert _mc_over_exact_error(seed, *shape) > 4.0
+
+
+def test_exact_uniform_backup_rejects_a_point_mass():
+    with pytest.raises(ValueError, match="lo < hi"):
+        _exact_uniform_backup(np.zeros(2), np.array([0.0, -1.0]),
+                              np.array([0.0, 1.0]))
 
 
 # ------------------------------------------------- the ratio counterexample
