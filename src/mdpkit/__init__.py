@@ -11,7 +11,7 @@ the `mdpkit` command.
 """
 
 from .constrained import (ChiSquareLagrangeRegularizer, DualDiscrepancy,
-                          KlBall, L1Ball, L2ChiSquareBall, PhiBall, Singleton,
+                          KlBall, L1Ball, L2ChiSquareBall, PhiBall,
                           ZeroRegularizer, constraint_violation,
                           ct_to_r_convert, generic_phi_ball_backup,
                           grid_oracle_backup, kl_constrained_backup,

@@ -1,11 +1,12 @@
 """Bellman backups over per-state feasible policy sets.
 
-Feasible regions: L1 balls (exact greedy mass transfer), chi-square-weighted
-L2 balls (an exact KKT solve: the support is a prefix of the actions sorted
-by value, found in one pass over prefix sums), singletons, the full simplex
-(`ZeroRegularizer`: the indicator of the whole simplex is phi = 0), and
-regularizer level sets {p : -phi(p) <= radius} ("phi balls", used by the
-regularized-to-constrained conversion).  The KL ball is the level set of
+Feasible regions: L1 balls (exact greedy mass transfer; at radius 0 the
+one-row set {reference}), chi-square-weighted L2 balls (an exact KKT solve:
+the support is a prefix of the actions sorted by value, found in one pass
+over prefix sums), the full simplex (`ZeroRegularizer`: the indicator of
+the whole simplex is phi = 0), and regularizer level sets
+{p : -phi(p) <= radius} ("phi balls", used by the regularized-to-constrained
+conversion).  The KL ball is the level set of
 phi = -KL(.||ref), so KL and phi balls share one multiplier search: the
 backup at multiplier lam is the conjugate of lam*phi (an
 `AffineRegularizer`), and lam is found by `core._falsi`, the safeguarded
@@ -28,8 +29,8 @@ kind: `violation(p)` (l(p) - radius on the last axis, <= 0 inside) and
 on the kinds that `ct_to_r_convert` accepts (KL, chi-square and phi
 balls, the full simplex); `dual_note(w)`, the published-dual report, on
 the L1 and chi-square balls.  Each kind's `num_actions` is the length of
-the row it holds (reference or row; a scalar counts as one), its phi's
-for a phi ball, None for the full simplex.
+its reference (a scalar counts as one), its phi's for a phi ball, None
+for the full simplex.
 
 `grid_oracle_backup` brute-forces small instances on a barycentric grid and
 is the reference the analytic routines are tested against.  It walks the
@@ -152,26 +153,6 @@ class L2ChiSquareBall(_Ball):
 
 
 @dataclass
-class Singleton:
-    """Exactly one feasible row."""
-
-    row: np.ndarray
-
-    def __post_init__(self):
-        self.row = _simplex_row(self.row, "row")
-        self.num_actions = np.size(self.row)
-
-    def violation(self, p):
-        p = _actions(p, self.num_actions)
-        return _float_or_array(np.max(np.abs(p - self.row), axis=-1))
-
-    def conjugate(self, w):
-        w = _actions(w, self.num_actions)
-        return ConjugateResult(value=float(self.row @ w),
-                               argmax=self.row.copy())
-
-
-@dataclass
 class PhiBall:
     """{ p : -phi(p) <= radius } for a concave regularizer phi.
 
@@ -201,7 +182,7 @@ class PhiBall:
 
 
 def constraint_violation(constraint, p):
-    """l(p) - radius for ball sets (<= 0 means feasible); sup gap for singletons.
+    """l(p) - radius for ball sets (<= 0 inside); 0 for the full simplex.
 
     Acts on the last axis: a row gives a float, an (n, A) array n values.
     """
@@ -446,8 +427,9 @@ def grid_oracle_backup(w, constraint, resolution=None):
     """Brute-force max of w.p over feasible grid points (2 or 3 actions).
 
     Resolution defaults to 1e5 intervals for two actions and 1e3 per
-    dimension for three.  The reference row (or singleton row) is always
-    included as a candidate so the feasible set is never empty.  The grid
+    dimension for three.  The reference row is always included as a
+    candidate, so the feasible set is never empty: at radius 0 it is the
+    one feasible point.  The full simplex's max is exact.  The grid
     is walked in `core._blocks` of its rows i, p0 = i/res (two actions
     take the points of `np.linspace`): membership is one
     `constraint_violation` call per block, so memory stays bounded at any
@@ -459,8 +441,6 @@ def grid_oracle_backup(w, constraint, resolution=None):
     n = w.shape[0]
     res = ({2: 100000, 3: 1000}.get(n) if resolution is None
            else _count(resolution, "resolution"))
-    if isinstance(constraint, Singleton):
-        return float(w @ constraint.row), constraint.row.copy()
     if isinstance(constraint, ZeroRegularizer):
         return standard_backup(w)
     if n == 1:
@@ -620,7 +600,7 @@ def ct_to_r_convert(model, constraints, tol=1e-10) -> LagrangeConversion:
     multiplier of the single smooth constraint at the optimal action values
     and forms the set's `penalty`, phi_s(p) = -lam_s * (l_s(p) - c_s).
     Requires a Slater point (radius > 0) for ball constraints; a set with no
-    penalty, an L1 ball (non-smooth) or a singleton (no interior), is
+    penalty, an L1 ball (non-smooth; at radius 0 the one-row set), is
     rejected.
     """
     S = model.num_states

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constrained import Singleton, ZeroRegularizer
+from .constrained import L1Ball, ZeroRegularizer
 from .core import (ConvergenceError, ModelValidationError, SolveResult,
                    _array, _count, _param, _per_state, derive_rng, q_vector,
                    value_iteration)
@@ -454,13 +454,12 @@ def _ct_incomparability_edge(seed):
     interior = np.all((sweep > 1e-6) & (sweep < 1.0 - 1e-6))
     distinct = len(np.unique(sweep)) == sweep.shape[0]
 
-    # (b) a singleton feasible set keeps the policy constant while the value
-    # moves; a regularizer matching it at reward gap g would need
-    # phi(e2) - phi(e1) >= g, impossible once g exceeds the range of phi
+    # (b) a singleton feasible set, the L1 ball of radius 0 around e1, keeps
+    # the policy constant while the value moves; a regularizer matching it
+    # at reward gap g would need phi(e2) - phi(e1) >= g, impossible once g
+    # exceeds the range of phi
     model, _ = build_uniform_counterexample(0.0, 0.0, discount=0.5)
-    ct = ConstrainedInstance(model, [Singleton(np.array([1.0, 0.0])),
-                                     Singleton(np.array([1.0, 0.0])),
-                                     Singleton(np.array([1.0, 0.0]))])
+    ct = ConstrainedInstance(model, L1Ball([1.0, 0.0], 0.0))
     probes = {}
     rows = []
     values = []

@@ -29,7 +29,7 @@ import json
 import numpy as np
 
 from .constrained import (ChiSquareLagrangeRegularizer, KlBall, L1Ball,
-                          L2ChiSquareBall, PhiBall, Singleton, ZeroRegularizer)
+                          L2ChiSquareBall, PhiBall, ZeroRegularizer)
 from .core import MdpModel, ModelValidationError, _param, _per_state
 from .distributional import (CovarianceModel, CovarianceRegularizer,
                              ExponentialInverseCdf, GumbelInverseCdf,
@@ -203,7 +203,6 @@ _CONSTRAINTS = {
     "kl_ball": (KlBall, _BALL),
     "l1_ball": (L1Ball, _BALL),
     "l2_ball": (L2ChiSquareBall, _BALL),
-    "singleton": (Singleton, [("row",)]),
     "full": (ZeroRegularizer, []),
     # the nested "phi" block is read by `constraint_from_dict`
     "phi_ball": (PhiBall, [("phi",), ("radius",)]),
@@ -214,6 +213,10 @@ def constraint_from_dict(block):
     if isinstance(block, dict) and block.get("kind") == "phi_ball" \
             and "phi" in block:
         block = {**block, "phi": regularizer_from_dict(block["phi"], "phi")}
+    if isinstance(block, dict) and block.get("kind") == "singleton":
+        # the legacy one-row set {row} is the L1 ball of radius 0 around it
+        block = {"kind": "l1_ball", "radius": 0.0,
+                 "reference": _require(block, "row", "singleton block")}
     return _read(_CONSTRAINTS, block, "constraint")
 
 

@@ -174,12 +174,19 @@ class GaussianJoint(NoiseModel):
     cov[s] = U L U^T: a singular covariance is sampled on its support.
 
     The product is taken in place, over blocks of samples, so no second
-    (A, n) array exists.  Blocks start on multiples of 64 samples and
-    hold 128 KB (2,048 samples at 8 actions), the last one the remainder
-    too: each is at most a worker's `WORKER_BUDGET` (256 KB) and 2^18
-    multiply-adds, below which OpenBLAS runs on one thread, so the draws
-    do not depend on its thread count.  That threshold, not the budget,
-    sets the step.  The draws equal the whole `F[s] @ z` bit for bit,
+    (A, n) array exists.  A block's step is 128 KB (2,048 samples at 8
+    actions) or 2^17 multiply-adds, whichever is less, cut to a multiple
+    of 64 samples but never below 64; the last block holds the remainder
+    too.  Up to 45 actions each block is then within a worker's
+    `WORKER_BUDGET` (256 KB) and below 2^18 multiply-adds, under which
+    OpenBLAS runs on one thread, so the draws do not depend on its thread
+    count.  That threshold, not the budget, sets the step.  From 46
+    actions the 64-sample floor sets it: a 64-sample block holds 64 A^2
+    multiply-adds, within 2^18 up to 64 actions, but the last block, up
+    to 127 samples, can pass 2^18, and past 64 actions every block does.
+    OpenBLAS may then split a block over threads, and the draws can
+    change with the thread count (at 100 actions they did between one
+    and two threads).  The draws equal the whole `F[s] @ z` bit for bit,
     except that with OpenBLAS at 12 actions or more the last n mod 8
     samples can differ in the last bits (as the whole product's own do
     between OpenBLAS thread counts).
@@ -223,7 +230,10 @@ def _column_emax(w, cols):
     first (lowest-index) maximizer of sample i.  Each sum and each max is
     exact, so for NaN-free draws m and first equal the row-major
     `(w + eps).max(axis=1)` and `argmax(axis=1)` bit for bit.  The samples
-    are walked in `core._blocks` whose buffers fit `WORKER_BUDGET`.
+    are walked in `core._blocks` whose buffers fit `WORKER_BUDGET`: a sum
+    and a comparison per sample, whose uint8 view is the leader up to 256
+    actions (a uint16 leader past them), allocated once, so the max holds
+    only the buffers that `_require_draws_fit` reserves.
     """
     num_actions, n = cols.shape
     if w.shape != (num_actions,):
@@ -232,20 +242,25 @@ def _column_emax(w, cols):
     index = np.min_scalar_type(num_actions - 1).type
     m = np.empty(n)
     first = np.zeros(n, dtype=index)
-    # per sample of a block: the sum `cb`, the leader `lb` and `cb > mb`
-    blocks = _blocks(n, 9 + first.itemsize, WORKER_BUDGET)
+    # per sample of a block: the sum `cb`, `cb > mb` and a wide leader
+    wide = first.itemsize > 1
+    blocks = _blocks(n, 9 + first.itemsize * wide, WORKER_BUDGET)
     col = np.empty(blocks[0].stop)
-    lead = np.empty(col.shape, dtype=index)
+    gt = np.empty(col.shape, dtype=bool)
+    lead = np.empty(col.shape, dtype=index) if wide else gt.view(index)
     for blk in blocks:
         mb, fb = m[blk], first[blk]
-        cb, lb = col[:len(mb)], lead[:len(mb)]
+        cb, gb, lb = col[:len(mb)], gt[:len(mb)], lead[:len(mb)]
         np.add(w[0], cols[0, blk], out=mb)
         for a in range(1, num_actions):
             np.add(w[a], cols[a, blk], out=cb)
             # strict >: a tie keeps the earlier, lower-index maximizer.  A
             # new leader a exceeds every earlier index, so a max records it
             # without the data-dependent branches of a masked store.
-            np.multiply(cb > mb, index(a), out=lb)
+            np.greater(cb, mb, out=gb)
+            if wide:
+                np.copyto(lb, gb)  # a cast by assignment takes no buffer
+            np.multiply(lb, index(a), out=lb)
             np.maximum(fb, lb, out=fb)
             np.maximum(mb, cb, out=mb)
     return m, first

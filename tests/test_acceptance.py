@@ -35,7 +35,6 @@ from mdpkit import (
     MdmRegularizer,
     MmmRegularizer,
     RegularizedInstance,
-    Singleton,
     StandardInstance,
     StochasticInstance,
     UniformInverseCdf,
@@ -101,7 +100,7 @@ def _operator_catalog(model, rng):
         ("ct-l1", regularized_backup_operator(L1Ball(uniform, 0.5))),
         ("ct-l2",
          regularized_backup_operator(L2ChiSquareBall(uniform, 0.2))),
-        ("ct-singleton", regularized_backup_operator(Singleton(tilted))),
+        ("ct-singleton", regularized_backup_operator(L1Ball(tilted, 0.0))),
         ("ct-full", regularized_backup_operator(ZeroRegularizer())),
     ]
 
@@ -324,7 +323,7 @@ def test_criterion_6_strictness_witnesses_refute_the_collapsed_relations():
     row = np.array([0.6, 0.3, 0.1])
     model = random_mdp(3, 3, seed=6000, reward_range=(-1.0, 1.0), discount=0.9)
     shifted = dataclasses.replace(model, reward=model.reward + 2.5)
-    op = regularized_backup_operator(Singleton(row))
+    op = regularized_backup_operator(L1Ball(row, 0.0))
     res1 = value_iteration(model, op)
     res2 = value_iteration(shifted, op)
     assert np.array_equal(res1.policy, res2.policy)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mdpkit.modelio as modelio
-from mdpkit import (ConstrainedInstance, KlBall, entropy_backup,
+from mdpkit import (ConstrainedInstance, KlBall, L1Ball, entropy_backup,
                     l2_constrained_backup, q_vector, random_mdp)
 from mdpkit.cli import main
 from mdpkit.modelio import load_instance, load_model, save_model
@@ -352,6 +352,31 @@ def test_convert_rejects_singleton_sets(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", chooser_model_dict(fw))
     code, out, _ = run_cli(capsys, "convert", path, "--direction", "ct2r")
     assert code == 4
+
+
+@pytest.mark.parametrize("row", [[1.0, 0.0, 0.0], [0.1, 0.2, 0.7]])
+def test_a_legacy_singleton_file_solves_as_the_l1_ball_of_radius_0(
+        tmp_path, capsys, row):
+    # the one-row set {row} is the L1 ball of radius 0 around it: the
+    # "singleton" kind is read as that ball, written as "l1_ball", and its
+    # report is the ball's byte for byte (0.1 + 0.2 + 0.7 is not exactly 1)
+    legacy = {"kind": "singleton", "row": row}
+    ball = {"kind": "l1_ball", "reference": row, "radius": 0.0}
+    con = modelio.constraint_from_dict(legacy)
+    assert type(con) is L1Ball and con.radius == 0.0
+    assert np.array_equal(con.reference, L1Ball(row, 0.0).reference)
+    assert modelio.constraint_to_dict(con) == {
+        "kind": "l1_ball", "reference": con.reference.tolist(), "radius": 0.0}
+    reports = []
+    for block in (legacy, ball):
+        path = _model_file(tmp_path, "m.json", 4, 3,
+                           {"name": "constrained", "constraint": block})
+        code, out, _ = run_cli(capsys, "solve", path)
+        assert code == 0, out
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["framework"]["constraint"]["kind"] \
+        == "l1_ball"
 
 
 # ------------------------------------------------------------------ figure1
@@ -1042,7 +1067,7 @@ _NESTED_ROWS = {
         "kind": "chi_square_lagrange", "multiplier": 1.0,
         "reference": _NESTED_REFERENCE, "radius": 0.1}, "reference"),
     "singleton": ("constraint", {"kind": "singleton",
-                                 "row": [[1.0], [0.0], [0.0]]}, "row"),
+                                 "row": [[1.0], [0.0], [0.0]]}, "reference"),
     "kl_ball": ("constraint", {"kind": "kl_ball", "radius": 0.1,
                                "reference": _NESTED_REFERENCE}, "reference"),
     "l1_ball": ("constraint", {"kind": "l1_ball", "radius": 0.1,

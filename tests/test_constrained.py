@@ -25,7 +25,6 @@ from mdpkit import (
     PhiBall,
     Regularizer,
     RegularizedInstance,
-    Singleton,
     TabulatedInverseCdf,
     UniformInverseCdf,
     ZeroRegularizer,
@@ -75,8 +74,6 @@ def test_constraint_validation():
     with pytest.raises(ValueError):
         L2ChiSquareBall(UNIF3, -0.3)
     with pytest.raises(ValueError):
-        Singleton(np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
         L1Ball(np.array([0.7, 0.7]), 0.1)
     # reference measures are normalized, not rejected
     ball = L2ChiSquareBall(np.array([0.5, 0.5, 0.5]), 0.1)
@@ -88,7 +85,7 @@ def test_constraint_validation():
 def test_constraint_violation_per_kind():
     p = np.array([0.5, 0.3, 0.2])
     assert constraint_violation(ZeroRegularizer(), p) == 0.0
-    assert constraint_violation(Singleton(p.copy()), p) == 0.0
+    assert constraint_violation(L1Ball(p.copy(), 0.0), p) == 0.0
     assert constraint_violation(KlBall(UNIF3, 0.5), UNIF3) == pytest.approx(-0.5)
     v = constraint_violation(L1Ball(UNIF3, 0.1), p)
     assert v == pytest.approx(np.abs(p - UNIF3).sum() - 0.1)
@@ -101,7 +98,7 @@ def test_constraint_violation_per_kind():
 
 @pytest.mark.parametrize("con", [
     KlBall(UNIF3, 0.2), L1Ball(UNIF3, 0.3), L2ChiSquareBall(UNIF3, 0.2),
-    Singleton(np.array([0.5, 0.3, 0.2])), ZeroRegularizer(),
+    L1Ball(np.array([0.5, 0.3, 0.2]), 0.0), ZeroRegularizer(),
     PhiBall(EntropyRegularizer(1.0), -0.5)])
 def test_constraint_violation_of_many_rows_is_each_row_s(con):
     rows = np.random.default_rng(4).dirichlet(np.ones(3), size=6)
@@ -546,8 +543,9 @@ def test_l2_backup_with_a_tied_maximum():
 
 
 def test_grid_oracle_special_cases():
+    # a one-row set, the L1 ball of radius 0, is its reference
     row = np.array([0.2, 0.8])
-    val, pol = grid_oracle_backup(np.array([1.0, 3.0]), Singleton(row))
+    val, pol = grid_oracle_backup(np.array([1.0, 3.0]), L1Ball(row, 0.0))
     assert val == pytest.approx(2.6)
     assert np.array_equal(pol, row)
     val, pol = grid_oracle_backup(np.array([1.0, 3.0]), ZeroRegularizer())
@@ -575,8 +573,6 @@ def test_grid_oracle_always_offers_the_reference():
 def _one_shot_grid_oracle(w, constraint, res):
     """The grid oracle in one pass: the whole grid and its violations."""
     w = np.asarray(w, dtype=float)
-    if isinstance(constraint, Singleton):
-        return float(w @ constraint.row), constraint.row
     if isinstance(constraint, ZeroRegularizer):
         return standard_backup(w)
     if w.shape[0] == 2:
@@ -600,8 +596,9 @@ def _one_shot_grid_oracle(w, constraint, res):
 
 
 def _grid_sets(n, rng):
-    """One feasible set of every model-file kind on n actions; the phi
-    ball's radius lies between the uniform row's level and the vertices'."""
+    """One feasible set of every model-file kind on n actions, and the
+    one-row set {ref} as the L1 ball of radius 0; the phi ball's radius
+    lies between the uniform row's level and the vertices'."""
     ref = random_interior(rng, n)
     phi = MmmRegularizer(rng.uniform(0.1, 0.7, n))
     inner = -phi.value(np.full(n, 1.0 / n))
@@ -609,7 +606,7 @@ def _grid_sets(n, rng):
     return {"kl_ball": KlBall(ref, rng.uniform(0.01, 0.5)),
             "l1_ball": L1Ball(ref, rng.uniform(0.05, 1.5)),
             "l2_ball": L2ChiSquareBall(ref, rng.uniform(0.02, 0.8)),
-            "singleton": Singleton(ref),
+            "singleton": L1Ball(ref, 0.0),
             "full": ZeroRegularizer(),
             "phi_ball": PhiBall(phi, inner + rng.uniform(0.2, 0.8)
                                 * (outer - inner))}
@@ -622,7 +619,7 @@ def test_grid_oracle_blocks_match_the_one_shot_grid_bit_for_bit(seed):
             rng = derive_rng(seed, n, res)
             w = rng.uniform(-2.0, 2.0, n)
             sets = _grid_sets(n, rng)
-            assert set(sets) == set(modelio._CONSTRAINTS)
+            assert set(sets) == {*modelio._CONSTRAINTS, "singleton"}
             for kind, con in sets.items():
                 value, row = grid_oracle_backup(w, con, resolution=res)
                 want, want_row = _one_shot_grid_oracle(w, con, res)
@@ -773,7 +770,7 @@ def test_phi_ball_mmm_level_set_against_grid():
 def test_constrained_backup_dispatch_and_operator():
     cons = [KlBall(UNIF3, 0.1), L1Ball(UNIF3, 0.4),
             L2ChiSquareBall(UNIF3, 0.2)]
-    for con in cons + [ZeroRegularizer(), Singleton(UNIF3.copy())]:
+    for con in cons + [ZeroRegularizer(), L1Ball(UNIF3.copy(), 0.0)]:
         res = con.conjugate(W3)
         assert np.isfinite(res.value)
         assert constraint_violation(con, res.argmax) <= 1e-8
@@ -788,7 +785,7 @@ def test_a_mixed_set_list_solves_through_the_one_per_row_loop():
     # a constrained solve is the regularized operator over the sets, and
     # each of its rows is the state's own `conjugate`, to the bit
     m = random_mdp(5, 3, seed=36, discount=0.8)
-    sets = [ZeroRegularizer(), Singleton(np.array([0.5, 0.3, 0.2])),
+    sets = [ZeroRegularizer(), L1Ball(np.array([0.5, 0.3, 0.2]), 0.0),
             KlBall(UNIF3, 0.1), L1Ball(UNIF3, 0.4),
             L2ChiSquareBall(UNIF3, 0.2)]
     got = ConstrainedInstance(m, sets).solve(tol=1e-12)
@@ -806,8 +803,8 @@ def test_a_mixed_set_list_solves_through_the_one_per_row_loop():
 
 @pytest.mark.parametrize("seed", [1, 7919])
 def test_writing_into_a_backup_row_leaves_the_set_as_it_was(seed):
-    # every kind's `conjugate` and the grid oracle hand out a fresh row; a
-    # singleton's used to be the set's own, so a write moved the set
+    # every kind's `conjugate` and the grid oracle hand out a fresh row, so
+    # a write into it leaves the set, a one-row set's reference included
     for n in (2, 3):
         rng = derive_rng(seed, n)
         w = rng.uniform(-2.0, 2.0, n)
@@ -958,7 +955,7 @@ def test_ct_to_r_rejects_hopeless_constraints():
     with pytest.raises(ValueError):
         ct_to_r_convert(m, L1Ball(np.array([0.5, 0.5]), 0.4))
     with pytest.raises(ValueError):
-        ct_to_r_convert(m, Singleton(np.array([0.5, 0.5])))
+        ct_to_r_convert(m, L1Ball(np.array([0.5, 0.5]), 0.0))
     with pytest.raises(ValueError):
         ct_to_r_convert(m, KlBall(np.array([0.5, 0.5]), 0.0))
 
@@ -1128,8 +1125,6 @@ def test_a_ball_and_its_backup_reject_the_same_radii(ball, backup):
                                  [1.5, -0.5]])
 def test_a_non_finite_or_negative_row_is_no_probability_row(row):
     with pytest.raises(ValueError, match="not a probability vector"):
-        Singleton(np.array(row))
-    with pytest.raises(ValueError, match="not a probability vector"):
         L1Ball(np.array(row), 0.5)
 
 
@@ -1138,8 +1133,6 @@ def test_a_probability_row_message_names_its_field():
     with pytest.raises(ValueError,
                        match="^reference is not a probability vector$"):
         L1Ball([0.5, 0.6], 0.1)
-    with pytest.raises(ValueError, match="^row is not a probability vector$"):
-        Singleton([0.5, 0.6])
 
 
 def test_a_phi_ball_radius_may_be_negative_but_must_be_finite():

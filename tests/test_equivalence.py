@@ -17,10 +17,10 @@ from mdpkit import (
     ExponentialInverseCdf,
     GumbelIid,
     KlBall,
+    L1Ball,
     MarginalDistributionModel,
     MarginalMomentModel,
     RegularizedInstance,
-    Singleton,
     StandardInstance,
     StochasticInstance,
     StructureMismatchError,
@@ -353,7 +353,7 @@ def test_mc_gumbel_vs_closed_form_is_consistent():
 
 def test_singleton_constrained_vs_standard_refuted():
     m = base_model()
-    ct = ConstrainedInstance(m, [Singleton(np.array([0.5, 0.5]))] * 3)
+    ct = ConstrainedInstance(m, [L1Ball(np.array([0.5, 0.5]), 0.0)] * 3)
     rep = check_equivalence(ct, StandardInstance(m), trials=4, seed=10)
     assert rep.verdict == "refuted"
 

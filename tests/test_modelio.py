@@ -34,7 +34,6 @@ from mdpkit import (
     ModelValidationError,
     PhiBall,
     RegularizedInstance,
-    Singleton,
     StandardInstance,
     StochasticInstance,
     TabulatedInverseCdf,
@@ -283,12 +282,12 @@ def test_constrained_instance_round_trip_all_kinds():
     assert isinstance(got[2].phi, EntropyRegularizer)
     assert got[2].radius == -0.4
     more = [L2ChiSquareBall(np.array([0.5, 0.5]), 0.6),
-            Singleton(np.array([0.1, 0.9])),
+            L1Ball(np.array([0.1, 0.9]), 0.0),
             ZeroRegularizer()]
     got = roundtrip(ConstrainedInstance(base_model(), more)).constraints
     assert isinstance(got[0], L2ChiSquareBall)
-    assert isinstance(got[1], Singleton)
-    assert np.allclose(got[1].row, [0.1, 0.9])
+    assert isinstance(got[1], L1Ball) and got[1].radius == 0.0
+    assert np.allclose(got[1].reference, [0.1, 0.9])
     assert isinstance(got[2], ZeroRegularizer)
 
 
@@ -460,7 +459,6 @@ CASES = {
     "constraint/l1_ball": lambda: _constrained(L1Ball([0.5, 0.5], 0.5)),
     "constraint/l2_ball": lambda: _constrained(
         L2ChiSquareBall([0.75, 0.25], 0.25)),
-    "constraint/singleton": lambda: _constrained(Singleton([0.125, 0.875])),
     "constraint/full": lambda: _constrained(ZeroRegularizer()),
     "constraint/phi_ball": lambda: _constrained(
         PhiBall(EntropyRegularizer(0.5), -0.25)),
@@ -527,6 +525,32 @@ def test_a_wrong_type_in_any_field_exits_2_with_one_record(table, kind, key,
     assert record["message"].startswith(f"{key} ")
 
 
+# the fields of a legacy "singleton" block with a malformed row, and the
+# start of its record's message
+LEGACY_ROWS = {
+    **{wrong: ({"row": value}, "reference must be an array of numbers")
+       for wrong, value in WRONG_TYPES.items()},
+    "sum": ({"row": [0.5, 0.6]}, "reference is not a probability vector"),
+    "missing": ({}, "singleton block is missing required field 'row'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_ROWS))
+def test_a_malformed_legacy_singleton_row_exits_2_naming_a_field(
+        name, tmp_path, capsys):
+    # a legacy "singleton" block is read as the L1 ball of radius 0 around
+    # its row, so its row is checked, and named, as the ball's reference
+    fields, message = LEGACY_ROWS[name]
+    data = {**model_to_dict(golden_model()), "framework": {
+        "name": "constrained", "constraint": {"kind": "singleton", **fields}}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record["kind"] == "validation"
+    assert record["message"].startswith(message)
+
+
 def test_mean_zero_location_still_requires_eta():
     d = model_to_dict(base_model())
     d["framework"] = {"name": "stochastic",
@@ -585,7 +609,6 @@ SET_BLOCKS = {
     "kl_ball": {"reference": [0.5, 0.5], "radius": 0.1},
     "l1_ball": {"reference": [0.5, 0.5], "radius": 0.4},
     "l2_ball": {"reference": [0.5, 0.5], "radius": 0.1},
-    "singleton": {"row": [0.25, 0.75]},
     "full": {},
     "phi_ball": {"phi": {"kind": "entropy", "eta": 0.5}, "radius": -0.2},
 }
@@ -625,7 +648,7 @@ def test_every_file_kind_answers_one_conjugate(name):
     if hasattr(obj, "penalty"):
         ct_to_r_convert(m, obj)
     else:
-        assert kind in ("l1_ball", "singleton")
+        assert kind == "l1_ball"
         with pytest.raises(ValueError, match="conversion needs a single "
                            f"smooth constraint with interior, not "
                            f"{type(obj).__name__}"):

@@ -20,7 +20,6 @@ from mdpkit import (
     MdmRegularizer,
     MmmRegularizer,
     PhiBall,
-    Singleton,
     StochasticInstance,
     ZeroRegularizer,
     bregman_divergence,
@@ -256,7 +255,7 @@ FIXED_LENGTH_SETS = {
     "kl-ball": KlBall(REF3, 0.1),
     "l1-ball": L1Ball(REF3, 0.1),
     "chi-square-ball": L2ChiSquareBall(REF3, 0.1),
-    "singleton": Singleton(REF3),
+    "singleton": L1Ball(REF3, 0.0),
     "phi-ball": PhiBall(MmmRegularizer([0.5, 0.6, 0.7]), -0.3),
 }
 for _kind, _set in FIXED_LENGTH_SETS.items():

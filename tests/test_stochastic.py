@@ -320,9 +320,10 @@ def test_smdp_operator_matches_row_major_formula_bit_for_bit():
     assert _one_row(op, [0.5, -0.25, 0.5], 0, 0)[1][2] == 0.0
 
 
-# samples per block of `_column_emax` up to 256 actions, by the rule: a sum,
-# a uint8 leader and a comparison per sample, within a worker's budget
-BLOCK = _blocks(10 ** 6, 8 + 1 + 1, WORKER_BUDGET)[0].stop
+# samples per block of `_column_emax` up to 256 actions, by the rule: a sum
+# and a comparison per sample, whose uint8 view is the leader, within a
+# worker's budget
+BLOCK = _blocks(10 ** 6, 8 + 1, WORKER_BUDGET)[0].stop
 
 
 @pytest.mark.parametrize("n", [1000, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -344,10 +345,8 @@ def test_column_emax_is_the_row_major_max_across_blocks(n):
 @pytest.mark.parametrize("num_actions", [8, 300])
 def test_column_emax_holds_its_results_and_the_budget(num_actions):
     # beyond `m` and `first` (9 bytes per sample, 10 past 256 actions) the
-    # max holds its blocks' buffers, within a worker's budget at any n,
-    # numpy's buffer for casting the comparison to the index dtype
-    # (np.getbufsize() entries) and its Python objects, about 120 bytes
-    # per block
+    # max holds its blocks' buffers, within a worker's budget at any n, and
+    # its Python objects: no cast buffer, and no array per block
     n = 8 * BLOCK + 5
     rng = derive_rng(30, num_actions)
     w = rng.normal(size=num_actions)
@@ -357,8 +356,7 @@ def test_column_emax_holds_its_results_and_the_budget(num_actions):
     (_, first), peak = tracemalloc_peak(_column_emax, w, cols,
                                         warm=(w, cols[:, :2]))
     assert first.itemsize == (1 if num_actions == 8 else 2)
-    fixed = np.getbufsize() * first.itemsize + 8 * 1024
-    assert peak <= (8 + first.itemsize) * n + WORKER_BUDGET + fixed
+    assert peak <= (8 + first.itemsize) * n + WORKER_BUDGET + 4 * 1024
 
 
 def test_smdp_operator_first_sweep_equals_mc_emax_and_mc_policy():
@@ -535,11 +533,15 @@ def test_mc_solve_holds_the_cache_and_the_workers_buffers(monkeypatch):
     assert peak <= cache + workers * (9 * n + 160 * 1024) + 2 ** 20
 
 
-def test_cli_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # 12 actions and an odd sample count: the sizes at which the whole
-    # product of the Gaussian factor changes with OpenBLAS's thread count
-    model = random_mdp(2, 12, seed=47, discount=0.5)
-    b = derive_rng(48).normal(size=(2, 12, 12))
+@pytest.mark.parametrize("actions", [12, 48])
+def test_cli_report_does_not_depend_on_the_blas_thread_count(tmp_path,
+                                                             actions):
+    # an odd sample count: at 12 actions the whole product of the Gaussian
+    # factor changes with OpenBLAS's thread count; at 48 the 64-sample
+    # floor sets the draws' step, and every block, the last of 97 samples
+    # included, stays under the 2^18 multiply-adds of one thread
+    model = random_mdp(2, actions, seed=47, discount=0.5)
+    b = derive_rng(48).normal(size=(2, actions, actions))
     inst = StochasticInstance(model, GaussianJoint(b @ b.transpose(0, 2, 1)),
                               mc_samples=20001, seed=2)
     path = tmp_path / "gaussian.json"
