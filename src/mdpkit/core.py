@@ -6,9 +6,9 @@ operator `op(table, states, sweep) -> (values, rows)`: `table` is a (k, A)
 block of action-value rows, `states` their k state indices, and the
 operator returns k backup values and k probability rows over actions.  Each
 sweep computes the (S, A) table in one product and makes one call,
-`op(table, np.arange(S), sweep)`; the table's row s may differ from the
-one-state `q_vector` in the last ulp (BLAS kernel shape).  At V = 0, where
-every solve starts, the table is the reward, bit for bit, with no product.
+`op(table, np.arange(S), sweep)`; the one-state `q_vector` is the
+table's row.  At V = 0, where every solve starts, the table is the reward,
+bit for bit, with no product.
 A stack of N reward tables on one kernel sweeps as one (N*S, A) table, its
 states repeated.  `states` is what per-state structure keys on, so an
 operator can also be called on any subset of rows, or on a row more than
@@ -229,22 +229,21 @@ def q_vector(model, value, state=None, reward=None) -> np.ndarray:
     `reward` defaults to the model's.  An (n, S) stack of values with an
     (n, S, A) stack of rewards gives the (n, S, A) stack of tables, each the
     one its value and reward give alone, bit for bit: the product is one
-    (S*A, S) matrix-vector product per value.  A table's row s may differ
-    from the one-state form in the last ulp (BLAS uses other kernel shapes).
-    At V = 0 (every entry +0.0, as every solve starts) there is no product:
-    P @ 0 is +0.0 for a finite, nonnegative kernel, so the result is
-    `reward + 0.0`, the table the product gives, bit for bit.
+    (S*A, S) matrix-vector product per value.  The one-state form is row
+    `state` of the table, so it costs a whole product.  At V = 0 (every
+    entry +0.0, as every solve starts) there is no product: P @ 0 is +0.0
+    for a finite, nonnegative kernel, so the result is `reward + 0.0`, the
+    table the product gives, bit for bit.
     """
     reward = model.reward if reward is None else reward
     value = np.asarray(value, dtype=float)
     S, A = model.num_states, model.num_actions
     if not value.view(np.uint64).any():  # all bits 0: every entry +0.0
-        return (reward + np.zeros(value.shape[:-1] + (S, A)) if state is None
-                else reward[state] + 0.0)
-    if state is None:
+        q = reward + np.zeros(value.shape[:-1] + (S, A))
+    else:
         q = np.matmul(model.transition.reshape(S * A, S), value[..., None])
-        return reward + model.discount * q.reshape(value.shape[:-1] + (S, A))
-    return reward[state] + model.discount * (model.transition[state] @ value)
+        q = reward + model.discount * q.reshape(value.shape[:-1] + (S, A))
+    return q if state is None else q[..., state, :]
 
 
 def _blocks(count, item_bytes, nbytes=2**20):

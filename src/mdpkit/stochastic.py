@@ -318,9 +318,9 @@ def _cpus():
 def _state_map(fn, items):
     """[fn(*item) for item in items], on up to `_cpus()` threads.
 
-    For per-state Monte Carlo work: numpy's fills and ufuncs release the
-    GIL, so the states run in parallel.  The threads live for this call
-    only, and an exception in one of them is raised here.
+    For Monte Carlo work, per state or per row: numpy's fills and ufuncs
+    release the GIL, so the items run in parallel.  The threads live for
+    this call only, and an exception in one of them is raised here.
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -344,62 +344,52 @@ def smdp_backup_operator(noise, samples, seed):
     `mc_emax(...).mean` and `mc_policy(...)` for the same (w, seed, state)
     bit for bit.
 
-    A table operator: the states of a call are spread over the CPUs this
-    process may run on (`_state_map`), each state drawn from its own
-    `derive_rng(seed, state)` stream, and the values and rows come back in
-    row order, the same whatever the number of threads.  Draws are cached
-    per state as a contiguous (num_actions, samples) float64 array, one row
-    per action: samples * num_actions * 8 bytes per state (24 MB at 10^6
-    samples and 3 actions).  The states a call draws first share one
-    block, allocated in the calling thread (arrays that worker threads
-    allocate fragment their per-thread malloc arenas), which the workers
-    fill through `NoiseModel._fill`; the built-in laws draw straight into
-    it.  While it backs up a state, a worker holds a float64 and a uint8
-    array of `samples` entries and the block buffers of `_column_emax`,
-    which `WORKER_BUDGET` (256 KB) sizes, all freed when it moves on.  The
-    cache is `op.draws`, {state: columns}, for reuse after a solve:
-    `op.std_errors(table, states)` gives the standard error of each row's
-    sample-average max over its state's cached draws (`_emax_estimate`),
-    on the same threads.  A call that draws new states first checks the
-    cache it will hold after the call, and its workers' buffers, against
-    physical memory (`_require_draws_fit`).
+    A table operator, and two maps over the CPUs this process may run on
+    (`_state_map`).  A call first draws the states it names that are not
+    cached yet, in first-seen order: one block, allocated in the calling
+    thread (arrays that worker threads allocate fragment their per-thread
+    malloc arenas), which the workers fill through `NoiseModel._fill`, each
+    state from its own `derive_rng(seed, state)` stream; the built-in laws
+    draw straight into it.  The new states join the cache only once every
+    fill has returned, so a failed draw caches none of them.  Then every
+    row backs up on the workers, and the values and rows come back in row
+    order, the same whatever the number of threads.  Draws are cached per
+    state as a contiguous (num_actions, samples) float64 array, one row per
+    action: samples * num_actions * 8 bytes per state (24 MB at 10^6
+    samples and 3 actions).  While it backs up a row, a worker holds a
+    float64 and a uint8 array of `samples` entries and the block buffers of
+    `_column_emax`, which `WORKER_BUDGET` (256 KB) sizes, all freed when it
+    moves on.  The cache is `op.draws`, {state: columns}, for reuse after a
+    solve: `op.std_errors(table, states)` gives the standard error of each
+    row's sample-average max over its state's cached draws
+    (`_emax_estimate`), on the same threads.  A call that draws new states
+    first checks the cache it will hold after the call, and the buffers of
+    one worker per row up to the CPU count, against physical memory
+    (`_require_draws_fit`).
     """
     samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     cache = {}
 
     def op(table, states, sweep):
         table = np.asarray(table, dtype=float)
-        values = np.empty(len(states))
-        rows = np.empty(table.shape)
-        rows_of = {}
-        for i, state in enumerate(states):
-            rows_of.setdefault(int(state), []).append(i)
-        jobs = [(state, index, state not in cache)
-                for state, index in rows_of.items()]
-        fresh = [state for state, _, new in jobs if new]
+        fresh = list(dict.fromkeys(int(s) for s in states if s not in cache))
         if fresh:
             _require_draws_fit(table.shape[1], samples, len(cache) + len(fresh),
-                               min(_cpus(), len(jobs)))
-        cache.update(zip(fresh, np.empty((len(fresh), table.shape[1],
-                                          samples))))
+                               min(_cpus(), len(table)))
+            block = np.empty((len(fresh), table.shape[1], samples))
+            _state_map(lambda state, cols: noise._fill(
+                state, cols, derive_rng(seed, state)), zip(fresh, block))
+            cache.update(zip(fresh, block))
 
-        def backup(state, index, new):
-            cols = cache[state]
-            if new:
-                noise._fill(state, cols, derive_rng(seed, state))
-            for i in index:
-                m, first = _column_emax(table[i], cols)
-                values[i] = m.mean()
-                del m  # freed before `_shares` allocates its masks
-                rows[i] = _shares(first, len(cols))
+        def backup(state, w):
+            m, first = _column_emax(w, cache[state])
+            value = m.mean()
+            del m  # freed before `_shares` allocates its masks
+            return value, _shares(first, len(w))
 
-        try:
-            _state_map(backup, jobs)
-        except BaseException:
-            for state in fresh:
-                del cache[state]
-            raise
-        return values, rows
+        out = _state_map(backup, zip(states, table))
+        return (np.array([value for value, _ in out]),
+                np.array([row for _, row in out]).reshape(table.shape))
 
     def std_errors(table, states):
         return np.array(_state_map(lambda state, w: _emax_estimate(

@@ -152,6 +152,23 @@ def test_gen_then_solve(tmp_path, capsys):
     assert len(json.loads(out)["value"]) == 3
 
 
+def test_gen_into_an_existing_directory_writes_model_json(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "gen", "--states", "2", "--actions", "3",
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert err == f"wrote {tmp_path / 'model.json'}\n"
+    m = load_model(tmp_path / "model.json")
+    assert (m.num_states, m.num_actions) == (2, 3)
+
+
+def test_a_model_file_must_hold_an_object(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", [trivial_model_dict()])
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == \
+        f"{path} must hold a top-level object"
+
+
 def test_gen_rejects_empty_reward_range(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gen", "--reward-min", "1.0",
                            "--reward-max", "-1.0",
@@ -338,9 +355,11 @@ def test_convert_ct2r_phi_ball_writes_a_loadable_regularized_file(tmp_path,
                          - direct.value)) < 1e-6
 
 
-def test_convert_direction_mismatch_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("direction", ["r2ct", "ct2r"])
+def test_convert_direction_mismatch_exit_code(tmp_path, capsys, direction):
+    # a standard file is neither regularized nor constrained
     path = write_json(tmp_path / "m.json", chooser_model_dict())
-    code, out, _ = run_cli(capsys, "convert", path, "--direction", "r2ct")
+    code, out, _ = run_cli(capsys, "convert", path, "--direction", direction)
     assert code == 4
     record = json.loads(out)["error"]
     assert record["kind"] == "conversion-precondition"
@@ -669,6 +688,17 @@ def test_a_bad_offset_file_names_the_offset(tmp_path, capsys, offset):
     if offset == [1.0, 2.0, 3.0, 4.0]:
         assert message == ("offset of shape (4,) does not fit the models' "
                            "(S, A) = (3, 2)")
+
+
+def test_an_offset_file_that_is_not_json_is_named(tmp_path, capsys):
+    path = _model_file(tmp_path, "m.json", 3, 2)
+    offs = tmp_path / "off.json"
+    offs.write_text("[1.0,")
+    code, out, _ = run_cli(capsys, "compare", path, path, "--offset",
+                           str(offs))
+    assert code == 2
+    assert _one_error(out)["message"].startswith(
+        f"offset file {offs} is not valid JSON: ")
 
 
 def test_gen_names_a_bad_size(tmp_path, capsys):

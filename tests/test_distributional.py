@@ -64,6 +64,8 @@ def test_inverse_cdf_validation():
     for knots in ([np.nan, 0.5], [0.2, np.nan], [0.2, np.nan, 0.8]):
         with pytest.raises(ValueError, match="knots must be"):
             TabulatedInverseCdf(knots, [0.0, 1.0, 2.0][:len(knots)])
+    with pytest.raises(ValueError, match="need matching 1-d knot"):
+        TabulatedInverseCdf([0.2, 0.5, 0.8], [0.0, 1.0])
 
 
 def test_exponential_draw_is_inverse_transform():
@@ -221,8 +223,20 @@ def test_validate_catches_non_monotone_probe():
         def __call__(self, t):
             return -super().__call__(t)
 
-    with pytest.raises(ValueError):
+    class NotFinite(ExponentialInverseCdf):
+        def __call__(self, t):
+            return np.where(t > 0.5, np.inf, t)
+
+    class NoMoment(ExponentialInverseCdf):
+        def mass_integral(self, p):
+            return np.inf
+
+    with pytest.raises(ValueError, match="not nondecreasing"):
         Bad(1.0).validate()
+    with pytest.raises(ValueError, match="not finite on the probe grid"):
+        NotFinite(1.0).validate()
+    with pytest.raises(ValueError, match="no finite first moment"):
+        NoMoment(1.0).validate()
 
 
 # -------------------------------------------------------- marginal-CDF sets
@@ -579,6 +593,10 @@ def test_covariance_value_is_smooth_near_a_vertex():
 def test_covariance_rejects_non_psd():
     with pytest.raises(ValueError):
         CovarianceRegularizer(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # one (A, A) matrix is not a per-state (S, A, A) table
+    with pytest.raises(ValueError, match=r"must have shape \(S, A, A\), "
+                                         r"got \(2, 2\)"):
+        CovarianceModel(np.eye(2))
 
 
 def test_covariance_conjugate_against_two_action_grid():
@@ -726,6 +744,9 @@ def test_marginal_model_validation():
     with pytest.raises(ValueError):
         MarginalDistributionModel([[ExponentialInverseCdf(1.0)],
                                    [ExponentialInverseCdf(1.0)] * 2])
+    with pytest.raises(ValueError, match=r"sigma must be \(S, A\), got "
+                                         r"shape \(3,\)"):
+        MarginalMomentModel([0.1, 0.2, 0.3])
 
 
 def test_marginal_model_validates_each_object_once(monkeypatch):

@@ -107,6 +107,9 @@ def test_gumbel_rejects_bad_scale():
         GumbelIid(0.0)
     with pytest.raises(ValueError):
         entropy_backup(W, -1.0)
+    # a law with no action count cannot size its draws
+    with pytest.raises(ValueError, match="num_actions unknown"):
+        GumbelIid(1.0).sample(0, 10, derive_rng(0))
 
 
 def test_uniform_noise_validation():
@@ -116,6 +119,12 @@ def test_uniform_noise_validation():
     bad[0, 0] = [1.0, 0.0]  # lo > hi
     with pytest.raises(ValueError):
         UniformPerEntry(bad)
+    noise = UniformPerEntry(np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="noise has 2 actions, the action "
+                                         "values 3"):
+        mc_emax(np.zeros(3), noise, samples=10, seed=0)
+    with pytest.raises(ValueError, match=r"action values have shape \(2, 2\)"):
+        mc_emax(np.zeros((2, 2)), noise, samples=10, seed=0)
 
 
 def test_uniform_noise_degenerate_bounds_are_deterministic():
@@ -134,6 +143,9 @@ def test_gaussian_joint_rejects_non_psd():
     cov = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3 and -1
     with pytest.raises(ValueError):
         GaussianJoint(cov)
+    with pytest.raises(ValueError, match=r"must have shape \(S, A, A\), "
+                                         r"got \(2, 2\)"):
+        GaussianJoint(np.eye(2))
 
 
 def test_gaussian_joint_sample_covariance():
@@ -173,6 +185,16 @@ def test_builtin_laws_draw_straight_into_the_column_cache():
         assert np.array_equal(cols, noise.sample(1, n, derive_rng(4)).T)
         builtin = not isinstance(noise, RowMajor)
         assert (peak <= cols.nbytes // 2) == builtin
+
+
+def test_a_user_law_must_draw_samples_by_actions():
+    class Transposed(NoiseModel):
+        def sample(self, state, n, rng):
+            return rng.random((3, n))
+
+    with pytest.raises(ValueError, match=r"noise drew shape \(3, 10\), "
+                                         r"expected \(10, 3\)"):
+        mc_emax(np.zeros(3), Transposed(), samples=10, seed=0)
 
 
 @pytest.mark.parametrize("num_actions", range(2, 17))
@@ -516,6 +538,31 @@ def test_a_failed_draw_leaves_no_state_in_the_cache(monkeypatch):
     assert op.draws == {}
     op(np.zeros((2, 3)), [0, 2], 0)
     assert sorted(op.draws) == [0, 2]
+
+
+def test_one_operator_across_overlapping_calls_is_the_full_table_call(
+        monkeypatch):
+    # cached and new states in one call, and a new state named twice: each
+    # row is the fresh full-table call's, and each state is drawn once
+    table = derive_rng(21).normal(size=(7, 3))
+    noise = GumbelIid(0.5, num_actions=3)
+    values, rows = smdp_backup_operator(noise, 500, 4)(table, np.arange(7), 2)
+    calls = []
+    fill = GumbelIid._fill
+
+    def counting(self, state, cols, rng):
+        calls.append(state)
+        return fill(self, state, cols, rng)
+
+    monkeypatch.setattr(GumbelIid, "_fill", counting)
+    monkeypatch.setattr(stochastic, "_cpus", lambda: 3)
+    op = smdp_backup_operator(noise, 500, 4)
+    for idx in ([5, 0, 2], [6, 6, 1, 5], list(range(7))):
+        sub_values, sub_rows = op(table[idx], np.array(idx), 2)
+        assert np.array_equal(sub_values, values[idx])
+        assert np.array_equal(sub_rows, rows[idx])
+    assert sorted(calls) == list(range(7))
+    assert list(op.draws) == [5, 0, 2, 6, 1, 3, 4]  # first seen, first in
 
 
 def test_mc_solve_holds_the_cache_and_the_workers_buffers(monkeypatch):
